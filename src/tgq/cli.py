@@ -39,9 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["json", "table"], default=None)
     parser.add_argument("--threshold", type=float, default=None,
                         help="similarity threshold override")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized fixtures (the engine itself "
-                             "is deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_load = sub.add_parser("load", help="load a dataset and report stats")

@@ -85,11 +85,8 @@ def element_series(
 ) -> dict:
     """t -> value over the interval, at the points where it is defined."""
     _check_numeric(graph, attr)
-    return {
-        t: graph.value_at(t, ref, attr, cfg)
-        for t in interval.indices()
-        if graph.defined_at(t, ref, attr, cfg)
-    }
+    values = ((t, graph.try_value(t, ref, attr, cfg)) for t in interval.indices())
+    return {t: v for t, v in values if v is not None}
 
 
 AGGREGATIONS = {
@@ -113,9 +110,8 @@ def group_series(
     out = {}
     for t in interval.indices():
         values = [
-            graph.value_at(t, m, attr, cfg)
-            for m in group.members
-            if graph.defined_at(t, m, attr, cfg)
+            v for v in (graph.try_value(t, m, attr, cfg) for m in group.members)
+            if v is not None
         ]
         if values:
             out[t] = float(fold(values))
@@ -159,10 +155,10 @@ def correlate_attributes(
             raise TgqError(VALIDATION_ERROR, "lag does not apply to a cross-section")
         pairs = []
         for m in group.members:
-            if graph.defined_at(t, m, attr_a, cfg) and graph.defined_at(t, m, attr_b, cfg):
-                pairs.append(
-                    (graph.value_at(t, m, attr_a, cfg), graph.value_at(t, m, attr_b, cfg))
-                )
+            a = graph.try_value(t, m, attr_a, cfg)
+            b = graph.try_value(t, m, attr_b, cfg)
+            if a is not None and b is not None:
+                pairs.append((a, b))
         return pearson(pairs, 0, cfg)
     if element is not None and interval is not None:
         a = element_series(graph, cfg, element, attr_a, interval)

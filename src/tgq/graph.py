@@ -5,8 +5,10 @@ in the data), per-element existence intervals, and per-attribute value
 series. A loaded graph is immutable and safe for concurrent reads; all query
 machinery is built on three primitives here:
 
-- ``value_at(t, ref, attr)`` evaluates the data function for one element at
+- ``try_value(t, ref, attr)`` evaluates the data function for one element at
   one time point (with optional carry-forward of the last observed value),
+  returning None on a miss; ``value_at`` is the same read but raises
+  ABSENT_ELEMENT or MISSING_VALUE instead,
 - ``snapshot(t)`` materialises the static graph alive at one time point,
 - ``exists_at(ref, t)`` tests interval cover.
 
@@ -23,6 +25,7 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable
 
 from .config import Config
@@ -256,15 +259,19 @@ class TemporalGraph:
             return any(self.exists_at(node_ref(n), t) for n in members.nodes)
         return _covered(self._intervals_of(ref), t)
 
-    def existence_points(self, ref: GraphElementRef, interval: TimeInterval) -> list:
-        return [t for t in interval.indices() if self.exists_at(ref, t)]
-
     # -- data function -----------------------------------------------------
 
     def attr_kind(self, attr: str) -> AttrKind:
         if attr not in self.attr_kinds:
             raise TgqError(VALIDATION_ERROR, f"attribute '{attr}' is not declared by the data")
         return self.attr_kinds[attr]
+
+    def try_value(self, t: int, ref: GraphElementRef, attr: str, cfg: Config):
+        """The value of ``attr`` for ``ref`` at ``t``, or None when the element
+        is absent or has no value there. None is never a recorded value, so
+        callers test ``is not None`` (False, 0.0 and "" are values)."""
+        info = self._value_info(t, ref, attr, cfg)
+        return None if info is None else info[0]
 
     def value_at(self, t: int, ref: GraphElementRef, attr: str, cfg: Config):
         """Evaluate the data function: the value of ``attr`` for ``ref`` at ``t``."""
@@ -274,35 +281,37 @@ class TemporalGraph:
     def value_at_info(self, t: int, ref: GraphElementRef, attr: str, cfg: Config):
         """Like :meth:`value_at` but also reports whether the value was
         aggregated from a graph object's members rather than recorded."""
+        info = self._value_info(t, ref, attr, cfg)
+        if info is not None:
+            return info
+        label = self.label_of(t)
+        if not self.exists_at(ref, t):
+            raise TgqError(ABSENT_ELEMENT, f"{ref} does not exist at t={label}")
+        if ref.kind == ElemKind.OBJECT:
+            raise TgqError(
+                MISSING_VALUE, f"no member of {ref} has a value of '{attr}' at t={label}"
+            )
+        raise TgqError(MISSING_VALUE, f"no value of '{attr}' for {ref} at t={label}")
+
+    def _value_info(self, t: int, ref: GraphElementRef, attr: str, cfg: Config):
+        """``(value, aggregated)``, or None on a miss."""
         self.attr_kind(attr)
         if not self.exists_at(ref, t):
-            raise TgqError(
-                ABSENT_ELEMENT, f"{ref} does not exist at t={self.label_of(t)}"
-            )
-        if ref.kind != ElemKind.OBJECT:
-            return self._series_value(t, ref, attr, cfg), False
+            return None
+        value = self._series_value(t, ref, attr, cfg)
+        if value is not None:
+            return value, False
         # Recorded object attribute wins; otherwise aggregate over members.
-        try:
-            return self._series_value(t, ref, attr, cfg), False
-        except TgqError as err:
-            if err.code != MISSING_VALUE:
-                raise
-        return self._aggregate_members(t, ref, attr, cfg), True
-
-    def defined_at(self, t: int, ref: GraphElementRef, attr: str, cfg: Config) -> bool:
-        try:
-            self.value_at(t, ref, attr, cfg)
-            return True
-        except TgqError as err:
-            if err.code in (ABSENT_ELEMENT, MISSING_VALUE):
-                return False
-            raise
+        if ref.kind == ElemKind.OBJECT:
+            value = self._aggregate_members(t, ref, attr, cfg)
+            if value is not None:
+                return value, True
+        return None
 
     def _series_value(self, t: int, ref: GraphElementRef, attr: str, cfg: Config):
         series = self.attrs.get((ref.kind, ref.id, attr), ())
-        times = [rec[0] for rec in series]
-        pos = bisect_right(times, t)
-        if pos and times[pos - 1] == t:
+        pos = bisect_right(series, t, key=itemgetter(0))
+        if pos and series[pos - 1][0] == t:
             return series[pos - 1][1]
         if pos and cfg.carries_forward(attr):
             t_rec, value = series[pos - 1]
@@ -317,26 +326,15 @@ class TemporalGraph:
                     self.exists_at(ref, u) for u in range(t_rec, t + 1)
                 ):
                     return value
-        raise TgqError(
-            MISSING_VALUE, f"no value of '{attr}' for {ref} at t={self.label_of(t)}"
-        )
+        return None
 
     def _aggregate_members(self, t: int, ref: GraphElementRef, attr: str, cfg: Config):
         members = self.object_members(ref.id)
-        values = []
-        for n in sorted(members.nodes):
-            r = node_ref(n)
-            if self.defined_at(t, r, attr, cfg):
-                values.append(self.value_at(t, r, attr, cfg))
-        for e in sorted(members.edges):
-            r = edge_ref(e)
-            if self.defined_at(t, r, attr, cfg):
-                values.append(self.value_at(t, r, attr, cfg))
+        refs = [node_ref(n) for n in sorted(members.nodes)]
+        refs += [edge_ref(e) for e in sorted(members.edges)]
+        values = [v for v in (self.try_value(t, r, attr, cfg) for r in refs) if v is not None]
         if not values:
-            raise TgqError(
-                MISSING_VALUE,
-                f"no member of {ref} has a value of '{attr}' at t={self.label_of(t)}",
-            )
+            return None
         kind = self.attr_kind(attr)
         if kind == AttrKind.NUMERIC:
             return sum(values) / len(values)
@@ -381,16 +379,6 @@ class TemporalGraph:
         )
         self._snapshots[t] = snap
         return snap
-
-    def edges_between(self, a: str, b: str, t: int) -> list:
-        """Ids of edges alive at t joining nodes a and b (either direction)."""
-        out = []
-        for edge_id in self._node_edges.get(a, ()):
-            e = self.edges[edge_id]
-            if {e.src, e.dst} == {a, b} or (a == b and e.src == e.dst == a):
-                if _covered(e.intervals, t):
-                    out.append(edge_id)
-        return out
 
     def edges_between_any(self, a: str, targets, t: int) -> list:
         """Ids of edges alive at t joining node a to any node in ``targets``."""
@@ -625,13 +613,13 @@ def load(stream: Iterable) -> TemporalGraph:
                     CONSISTENCY_ERROR, f"edge '{ident}' references unknown node '{endpoint}'"
                 )
         for s, t_ in e.intervals:
-            for t in range(s, t_ + 1):
-                if not (_covered(nodes[e.src], t) and _covered(nodes[e.dst], t)):
-                    raise TgqError(
-                        CONSISTENCY_ERROR,
-                        f"edge '{ident}' is alive at t={time_labels[t]} "
-                        "but an endpoint is not",
-                    )
+            t = min(_first_uncovered(nodes[e.src], s), _first_uncovered(nodes[e.dst], s))
+            if t <= t_:
+                raise TgqError(
+                    CONSISTENCY_ERROR,
+                    f"edge '{ident}' is alive at t={time_labels[t]} "
+                    "but an endpoint is not",
+                )
 
     resolved_objects = {}
     for ident, (lineno, member_nodes, member_edges) in sorted(objects.items()):
@@ -809,6 +797,15 @@ def _merge_intervals(intervals):
 
 def _covered(intervals, t: int) -> bool:
     return any(s <= t <= e for s, e in intervals)
+
+
+def _first_uncovered(intervals, t: int) -> int:
+    """First index at or after t outside merged ``intervals``: t itself, or
+    one past the interval holding t (merging leaves a gap after each)."""
+    for s, e in intervals:
+        if s <= t <= e:
+            return e + 1
+    return t
 
 
 def _value_kind(value, lineno: int) -> AttrKind:

@@ -221,11 +221,8 @@ def trend(
     """Trend of one element's attribute over a time interval."""
     if graph.attr_kind(attr) != AttrKind.NUMERIC:
         raise TgqError(TYPE_ERROR, f"trend needs a numeric attribute, '{attr}' is not")
-    samples = []
-    for t in interval.indices():
-        if graph.defined_at(t, ref, attr, cfg):
-            samples.append((t, graph.value_at(t, ref, attr, cfg)))
-    return classify_trend(samples, cfg)
+    values = ((t, graph.try_value(t, ref, attr, cfg)) for t in interval.indices())
+    return classify_trend([(t, v) for t, v in values if v is not None], cfg)
 
 
 def classify_distribution(values, cfg: Config) -> DistributionPattern:
@@ -300,11 +297,7 @@ def distribution(
     """Distribution of an attribute over a set of elements at one time point."""
     if graph.attr_kind(attr) != AttrKind.NUMERIC:
         raise TgqError(TYPE_ERROR, f"distribution needs a numeric attribute, '{attr}' is not")
-    values = [
-        graph.value_at(t, m, attr, cfg)
-        for m in members
-        if graph.defined_at(t, m, attr, cfg)
-    ]
+    values = [v for v in (graph.try_value(t, m, attr, cfg) for m in members) if v is not None]
     if not values:
         raise TgqError(
             EMPTY_SCOPE, f"no member has a value of '{attr}' at t={graph.label_of(t)}"

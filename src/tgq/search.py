@@ -143,6 +143,15 @@ def time_windows(
     ]
 
 
+def _time_sort_key(key):
+    """Order time keys: points, then windows, then no time reference."""
+    if key is None:
+        return (2, 0, 0)
+    if isinstance(key, TimeInterval):
+        return (1, key.start, key.end)
+    return (0, key, 0)
+
+
 def _union_adjacency(graph, context: Optional[TimeInterval], at: Optional[int]):
     if at is not None:
         snap = graph.snapshot(at)

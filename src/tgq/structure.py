@@ -36,11 +36,12 @@ from .graph import (
     TimeInterval,
     node_ref,
 )
-from .patterns import classify_trend
+from .patterns import _OPPOSITE_TRENDS, classify_trend
 from .relations import are_adjacent, shortest_connection
 from .search import (
     GroupCandidate,
     SearchSpace,
+    _time_sort_key,
     check_budget,
     group_candidates,
     time_points,
@@ -192,10 +193,8 @@ def find_connection(
 def _edge_ok(graph, cfg, edge_id: str, t: int, spec: ConnectionSpec) -> bool:
     if spec.edge_attr is None:
         return True
-    ref = GraphElementRef(ElemKind.EDGE, edge_id)
-    if not graph.defined_at(t, ref, spec.edge_attr, cfg):
-        return False
-    return spec.edge_constraint.test(graph.value_at(t, ref, spec.edge_attr, cfg))
+    value = graph.try_value(t, GraphElementRef(ElemKind.EDGE, edge_id), spec.edge_attr, cfg)
+    return value is not None and spec.edge_constraint.test(value)
 
 
 def _spec_neighbours(graph, cfg, node: str, t: int, spec: ConnectionSpec) -> list:
@@ -579,10 +578,7 @@ _PRESENCE_OPPOSITES = {
     (PresenceClass.DISAPPEARING, PresenceClass.APPEARING),
 }
 
-_OPPOSITE_TREND_NAMES = {
-    ("INCREASING", "DECREASING"), ("DECREASING", "INCREASING"),
-    ("PEAK", "TROUGH"), ("TROUGH", "PEAK"),
-}
+_OPPOSITE_TREND_NAMES = {(a.value, b.value) for a, b in _OPPOSITE_TRENDS}
 
 
 def _presence_opposite(c1, c2) -> bool:
@@ -699,14 +695,8 @@ def structural_search(
             score, _ = struct_match_score(target, candidate, cfg)
             if score >= thr:
                 matches.append(StructMatch(grp.name, window, candidate, score))
-    matches.sort(key=lambda m: (-m.score, _tkey(m.time_key), m.ref_desc))
+    matches.sort(key=lambda m: (-m.score, _time_sort_key(m.time_key), m.ref_desc))
     return matches
-
-
-def _tkey(key):
-    if isinstance(key, TimeInterval):
-        return (1, key.start, key.end)
-    return (0, key, 0)
 
 
 def _target_scope(target) -> StructScopeKind:

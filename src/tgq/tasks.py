@@ -49,6 +49,7 @@ from .relations import (
 from .search import (
     GroupCandidate,
     SearchSpace,
+    _time_sort_key,
     check_budget,
     element_candidates,
     group_candidates,
@@ -173,10 +174,8 @@ def inverse_lookup(
     hits = []
     for ti in times:
         for el in elements:
-            if not graph.defined_at(ti, el, attr, cfg):
-                continue
-            value = graph.value_at(ti, el, attr, cfg)
-            if constraint.test(value):
+            value = graph.try_value(ti, el, attr, cfg)
+            if value is not None and constraint.test(value):
                 hits.append((ti, el, value))
     hits.sort(key=lambda h: (h[0], h[1]))
     return hits
@@ -286,18 +285,6 @@ def _axis_of(target) -> AspectAxis:
     if isinstance(target, AspectTrendLiteral):
         return AspectAxis.DISTRIBUTION_OVER_TIME
     raise TgqError(VALIDATION_ERROR, "aspectual search needs an axis")
-
-
-def _time_sort_key(key):
-    if key is None:
-        return (2, 0, 0)
-    if isinstance(key, TimeInterval):
-        return (1, key.start, key.end)
-    return (0, key, 0)
-
-
-def _ref_sort_key(ref_key):
-    return "" if ref_key is None else str(ref_key)
 
 
 # ---------------------------------------------------------------------------
@@ -736,9 +723,9 @@ class SeekSideValues:
         out = []
         for t in times:
             for el in elements:
-                if not graph.defined_at(t, el, self.attr, cfg):
+                value = graph.try_value(t, el, self.attr, cfg)
+                if value is None:
                     continue
-                value = graph.value_at(t, el, self.attr, cfg)
                 if self.constraint is not None and not self.constraint.test(value):
                     continue
                 out.append(Binding(t, el, value))

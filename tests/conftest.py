@@ -3,12 +3,24 @@ import json
 import pytest
 
 from tgq.config import Config
+from tgq.errors import ABSENT_ELEMENT, MISSING_VALUE, TgqError
 from tgq.graph import load
 
 
 def jl(records):
     """Records -> JSON-lines list."""
     return [json.dumps(r) for r in records]
+
+
+def raising_value(graph, t, ref, attr, cfg):
+    """Oracle read through the raising ``value_at``: the value, or None where
+    it raises ABSENT_ELEMENT or MISSING_VALUE."""
+    try:
+        return graph.value_at(t, ref, attr, cfg)
+    except TgqError as err:
+        if err.code in (ABSENT_ELEMENT, MISSING_VALUE):
+            return None
+        raise
 
 
 @pytest.fixture

@@ -11,10 +11,12 @@ from tgq.errors import (
     MISSING_VALUE,
     SCHEMA_ERROR,
     TgqError,
+    VALIDATION_ERROR,
 )
-from tgq.graph import load, node_ref, object_ref
+from tgq.graph import ElemKind, edge_ref, load, node_ref, object_ref
 
 from conftest import jl
+from randsuite import random_graph
 
 
 def codes(excinfo):
@@ -71,6 +73,63 @@ class TestLoad:
                 {"type": "edge", "id": "e1", "src": "a", "dst": "b", "start": 0, "end": 5},
             ]))
         assert codes(e) == CONSISTENCY_ERROR
+
+    def test_edge_outlives_endpoint_second_lifetime(self):
+        # b lives over [10, 20] and [50, 60]; the edge's first interval fits
+        # the first lifetime, its second outlives the second one at t=80.
+        with pytest.raises(TgqError) as e:
+            load(jl([
+                {"type": "node", "id": "a", "start": 10, "end": 90},
+                {"type": "node", "id": "b", "start": 10, "end": 20},
+                {"type": "node", "id": "b", "start": 50, "end": 60},
+                {"type": "edge", "id": "e1", "src": "a", "dst": "b", "start": 10, "end": 20},
+                {"type": "edge", "id": "e1", "src": "a", "dst": "b", "start": 50, "end": 80},
+            ]))
+        assert codes(e) == CONSISTENCY_ERROR
+        assert e.value.message == "edge 'e1' is alive at t=80 but an endpoint is not"
+
+    def test_endpoint_check_matches_pointwise_scan(self):
+        # Oracle: visit every time index of every edge interval, in edge-id
+        # order, and report the first point where an endpoint is not alive.
+        rng = random.Random(11)
+        for _ in range(300):
+            t_max = rng.randint(1, 9)
+            spans = {}
+            # the anchor pins every label into the domain: labels = indices
+            records = [{"type": "node", "id": "anchor", "start": t, "end": t}
+                       for t in range(t_max)]
+            for name in ("a", "b", "c"):
+                spans[name] = []
+                for _ in range(rng.randint(1, 3)):
+                    s = rng.randrange(t_max)
+                    e = rng.randint(s, t_max - 1)
+                    spans[name].append((s, e))
+                    records.append({"type": "node", "id": name, "start": s, "end": e})
+            edges = {}  # id -> (endpoints, alive time points)
+            for i in range(rng.randint(1, 3)):
+                src, dst = rng.sample(["a", "b", "c"], 2)
+                edges[f"e{i}"] = ((src, dst), set())
+                for _ in range(rng.randint(1, 2)):
+                    s = rng.randrange(t_max)
+                    e = rng.randint(s, t_max - 1)
+                    edges[f"e{i}"][1].update(range(s, e + 1))
+                    records.append({"type": "edge", "id": f"e{i}", "src": src,
+                                    "dst": dst, "start": s, "end": e})
+            expect = None
+            for ident, (ends, alive) in sorted(edges.items()):
+                bad = [
+                    t for t in sorted(alive)
+                    if not all(any(s <= t <= e for s, e in spans[n]) for n in ends)
+                ]
+                if bad:
+                    expect = f"edge '{ident}' is alive at t={bad[0]} but an endpoint is not"
+                    break
+            if expect is None:
+                load(jl(records))
+                continue
+            with pytest.raises(TgqError) as err:
+                load(jl(records))
+            assert err.value.message == expect
 
     def test_malformed_line_reports_number(self):
         lines = ['{"type":"node","id":"a","start":0,"end":1}', "{oops"]
@@ -192,6 +251,7 @@ class TestEval:
         with pytest.raises(TgqError) as e:
             mini_graph.value_at(1, node_ref("a"), "w", cfg)
         assert codes(e) == MISSING_VALUE
+        assert e.value.message == "no value of 'w' for node:a at t=1"
 
     def test_absent_element(self, cfg):
         g = load(jl([
@@ -203,6 +263,7 @@ class TestEval:
         with pytest.raises(TgqError) as e:
             g.value_at(g.index_of(3), node_ref("a"), "w", cfg)
         assert codes(e) == ABSENT_ELEMENT
+        assert e.value.message == "node:a does not exist at t=3"
 
     def test_carry_does_not_cross_churn_gap(self, cfg):
         g = load(jl([
@@ -241,6 +302,92 @@ class TestEval:
         ]))
         # tie between red and blue -> lexicographically smaller wins
         assert g.value_at(0, object_ref("o"), "color", cfg) == "blue"
+
+    def test_object_without_member_value(self):
+        g = load(jl([
+            {"type": "node", "id": "a", "start": 0, "end": 1},
+            {"type": "node", "id": "b", "start": 0, "end": 1},
+            {"type": "object", "id": "o", "nodes": ["a", "b"]},
+            {"type": "attr", "elem": "node:a", "name": "w", "t": 0, "value": 1.0},
+        ]))
+        cfg = Config(carry_forward_default=False)
+        with pytest.raises(TgqError) as e:
+            g.value_at(1, object_ref("o"), "w", cfg)
+        assert codes(e) == MISSING_VALUE
+        assert e.value.message == "no member of object:o has a value of 'w' at t=1"
+
+
+def _small_graphs():
+    """Graphs whose values include an object, False, 0.0 and "", with churn."""
+    yield load(jl([
+        {"type": "node", "id": "a", "start": 0, "end": 1},
+        {"type": "node", "id": "a", "start": 3, "end": 4},
+        {"type": "node", "id": "b", "start": 0, "end": 4},
+        {"type": "node", "id": "c", "start": 2, "end": 4},
+        {"type": "edge", "id": "e1", "src": "a", "dst": "b", "start": 0, "end": 1},
+        {"type": "object", "id": "o", "nodes": ["a", "b"]},
+        {"type": "object", "id": "p", "nodes": ["c"]},
+        {"type": "attr", "elem": "node:a", "name": "w", "t": 0, "value": 0.0},
+        {"type": "attr", "elem": "node:b", "name": "w", "t": 2, "value": -1.5},
+        {"type": "attr", "elem": "edge:e1", "name": "w", "t": 1, "value": 0.0},
+        {"type": "attr", "elem": "object:p", "name": "w", "t": 3, "value": 0.0},
+        {"type": "attr", "elem": "node:a", "name": "ok", "t": 0, "value": False},
+        {"type": "attr", "elem": "node:b", "name": "ok", "t": 1, "value": False},
+        {"type": "attr", "elem": "node:c", "name": "ok", "t": 4, "value": True},
+        {"type": "attr", "elem": "node:b", "name": "tag", "t": 0, "value": ""},
+        {"type": "attr", "elem": "object:o", "name": "tag", "t": 4, "value": "x"},
+    ]))
+    for seed in range(20):
+        yield random_graph(seed).graph
+
+
+class TestTryValue:
+    @pytest.mark.parametrize("carry", [True, False])
+    def test_agrees_with_value_at(self, carry):
+        cfg = Config(carry_forward_default=carry)
+        hits = misses = 0
+        for g in _small_graphs():
+            refs = g.all_refs(kinds=tuple(ElemKind))
+            for attr in g.attr_kinds:
+                for t in range(g.n_times):
+                    for ref in refs:
+                        got = g.try_value(t, ref, attr, cfg)
+                        try:
+                            want = g.value_at(t, ref, attr, cfg)
+                        except TgqError as err:
+                            assert err.code in (ABSENT_ELEMENT, MISSING_VALUE)
+                            assert got is None
+                            misses += 1
+                            continue
+                        assert got is not None
+                        assert got == want and type(got) is type(want)
+                        hits += 1
+        assert hits and misses
+
+    def test_falsy_values_are_values(self, cfg):
+        g = next(_small_graphs())
+        assert g.try_value(0, node_ref("a"), "w", cfg) == 0.0
+        assert g.try_value(1, edge_ref("e1"), "w", cfg) == 0.0
+        assert g.try_value(3, object_ref("p"), "w", cfg) == 0.0
+        assert g.try_value(0, node_ref("a"), "ok", cfg) is False
+        assert g.try_value(0, node_ref("b"), "tag", cfg) == ""
+        # object o aggregates its members' mode: False from both a and b
+        assert g.value_at_info(1, object_ref("o"), "ok", cfg) == (False, True)
+        assert g.try_value(1, object_ref("o"), "ok", cfg) is False
+        assert g.try_value(2, node_ref("a"), "w", cfg) is None  # absent
+        assert g.try_value(2, node_ref("c"), "w", cfg) is None  # no value
+
+    def test_unknown_names_still_raise(self, cfg):
+        g = next(_small_graphs())
+        for ref, attr in [
+            (node_ref("a"), "nope"),
+            (node_ref("ghost"), "w"),
+            (edge_ref("ghost"), "w"),
+            (object_ref("ghost"), "w"),
+        ]:
+            with pytest.raises(TgqError) as e:
+                g.try_value(0, ref, attr, cfg)
+            assert codes(e) == VALIDATION_ERROR
 
 
 class TestSnapshot:

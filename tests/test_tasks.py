@@ -38,7 +38,7 @@ from tgq.tasks import (
     relation_seek,
 )
 
-from conftest import jl
+from conftest import jl, raising_value
 
 
 @pytest.fixture
@@ -102,9 +102,9 @@ class TestLookup:
         # value, and every hit re-evaluates to a satisfying value.
         for t in range(shapes_graph.n_times):
             for ref in shapes_graph.all_refs():
-                if not shapes_graph.defined_at(t, ref, "w", cfg):
+                v = raising_value(shapes_graph, t, ref, "w", cfg)
+                if v is None:
                     continue
-                v = shapes_graph.value_at(t, ref, "w", cfg)
                 hits = inverse_lookup(shapes_graph, cfg, "w", ValueConstraint("eq", (v,)))
                 assert (t, ref, v) in hits
         for t, ref, v in inverse_lookup(shapes_graph, cfg, "w", ValueConstraint("ge", (3.0,))):
@@ -426,9 +426,9 @@ class TestRelationSeek:
         bindings = []
         for t in range(shapes_graph.n_times):
             for n in shapes_graph.node_ids():
-                ref = node_ref(n)
-                if shapes_graph.defined_at(t, ref, "w", cfg):
-                    bindings.append((t, n, shapes_graph.value_at(t, ref, "w", cfg)))
+                v = raising_value(shapes_graph, t, node_ref(n), "w", cfg)
+                if v is not None:
+                    bindings.append((t, n, v))
         for (t1, n1, v1) in bindings:
             for (t2, n2, v2) in bindings:
                 if (t1, n1) == (t2, n2) or v1 != v2:
