@@ -73,7 +73,7 @@ def _emit(envelope: dict, cfg: Config, out) -> None:
     if cfg.output_format == "table":
         out.write(_as_table(envelope))
     else:
-        out.write(json.dumps(envelope) + "\n")
+        out.write(json.dumps(envelope, allow_nan=False) + "\n")
 
 
 def _as_table(envelope: dict) -> str:
@@ -106,7 +106,7 @@ def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, (dict, list)):
-        return json.dumps(value)
+        return json.dumps(value, allow_nan=False)
     return str(value)
 
 
@@ -119,7 +119,7 @@ def _load_graph(path: str) -> TemporalGraph:
 
 def cmd_load(args, cfg: Config, out) -> int:
     graph = _load_graph(args.data)
-    out.write(json.dumps({"ok": True, "stats": graph.stats()}) + "\n")
+    out.write(json.dumps({"ok": True, "stats": graph.stats()}, allow_nan=False) + "\n")
     return EXIT_OK
 
 
@@ -155,7 +155,7 @@ def cmd_corpus(args, cfg: Config, out) -> int:
                 "query": text,
                 "error": {"code": err.code, "message": err.message},
             }
-        out.write(json.dumps(envelope) + "\n")
+        out.write(json.dumps(envelope, allow_nan=False) + "\n")
     return EXIT_QUERY if failed else EXIT_OK
 
 
@@ -165,7 +165,7 @@ def cmd_repl(args, cfg: Config, out) -> int:
     except ImportError:
         pass
     graph = _load_graph(args.data)
-    out.write(f"loaded {args.data}: {json.dumps(graph.stats())}\n")
+    out.write(f"loaded {args.data}: {json.dumps(graph.stats(), allow_nan=False)}\n")
     out.write("enter queries; :quit leaves, :stats reprints the counts\n")
     while True:
         try:
@@ -181,7 +181,7 @@ def cmd_repl(args, cfg: Config, out) -> int:
         if text in (":quit", ":q", ":exit"):
             return EXIT_OK
         if text == ":stats":
-            out.write(json.dumps(graph.stats()) + "\n")
+            out.write(json.dumps(graph.stats(), allow_nan=False) + "\n")
             continue
         try:
             _emit(run_query(text, graph, cfg), cfg, out)

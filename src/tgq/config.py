@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 from .errors import TgqError, VALIDATION_ERROR
@@ -25,6 +26,9 @@ class Config:
     output_format: str = "json"
 
     def __post_init__(self):
+        for key in _FLOAT_KEYS:
+            if not math.isfinite(getattr(self, key)):
+                raise TgqError(VALIDATION_ERROR, f"{key} must be a finite number")
         if not 0.0 <= self.similarity_threshold <= 1.0:
             raise TgqError(VALIDATION_ERROR, "similarity_threshold must be in [0,1]")
         if self.slope_epsilon < 0.0:
@@ -49,13 +53,13 @@ class Config:
         return dataclasses.replace(self, **kwargs)
 
 
-_FLOAT_KEYS = {
+_FLOAT_KEYS = (  # a tuple, so the first non-finite field is named reproducibly
     "similarity_threshold",
     "slope_epsilon",
     "correlation_threshold",
     "dist_weight_histogram",
     "dist_weight_location",
-}
+)
 _INT_KEYS = {"histogram_bins", "search_max_candidates"}
 _BOOL_KEYS = {"carry_forward_default"}
 _STR_KEYS = {"output_format"}

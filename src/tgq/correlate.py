@@ -63,7 +63,10 @@ def pearson(pairs, lag: int, cfg: Config) -> CorrelationReport:
     if sxx == 0.0 or syy == 0.0:
         raise TgqError(VARIANCE_ZERO, "a series has zero variance")
     sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    r = sxy / math.sqrt(sxx * syy)
+    denom = math.sqrt(sxx * syy)
+    if not 0.0 < denom < math.inf:  # the product under- or overflowed
+        denom = math.sqrt(sxx) * math.sqrt(syy)
+    r = sxy / denom
     r = max(-1.0, min(1.0, r))
     if r >= cfg.correlation_threshold:
         cls = "POSITIVE"

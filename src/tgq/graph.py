@@ -22,11 +22,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .config import Config
 from .errors import (
@@ -503,11 +504,11 @@ def load(stream: Iterable) -> TemporalGraph:
                 SCHEMA_ERROR, f"line {lineno}: unknown record type {rtype!r}", line=lineno
             )
         if rtype in ("node", "edge"):
-            labels.add(_norm_label(_require(rec, "start", lineno)))
+            labels.add(_norm_label(_require(rec, "start", lineno), lineno))
             if rec.get("end") is not None:
-                labels.add(_norm_label(rec["end"]))
+                labels.add(_norm_label(rec["end"], lineno))
         elif rtype in ("attr", "series"):
-            labels.add(_norm_label(_require(rec, "t", lineno)))
+            labels.add(_norm_label(_require(rec, "t", lineno), lineno))
     time_labels = _sort_labels(labels)
     index = {label: i for i, label in enumerate(time_labels)}
     last = len(time_labels) - 1
@@ -582,7 +583,7 @@ def load(stream: Iterable) -> TemporalGraph:
                     line=lineno,
                 )
             if kind == AttrKind.NUMERIC:
-                value = float(value)
+                value = _finite(value, lineno, "attribute value")
             attr_raw.append((lineno, GraphElementRef.parse(elem), name, t, value))
         elif rtype == "series":
             name = _require_str(rec, "name", lineno)
@@ -598,7 +599,7 @@ def load(stream: Iterable) -> TemporalGraph:
                     f"line {lineno}: duplicate point t={rec['t']} in series '{name}'",
                     line=lineno,
                 )
-            external[name][t] = float(value)
+            external[name][t] = _finite(value, lineno, "series value")
 
     nodes = {i: _merge_intervals(v) for i, v in nodes.items()}
     edges = {}
@@ -768,14 +769,29 @@ def _csv_records(text: str):
 # ---------------------------------------------------------------------------
 
 
-def _norm_label(label):
-    """Canonical timestamp token: integral numbers collapse to int."""
+def _norm_label(label, lineno: Optional[int] = None):
+    """Canonical timestamp token: integral numbers collapse to int. A label
+    read from a data file (``lineno`` given) must be a finite number."""
     if isinstance(label, bool):
         raise TgqError(SCHEMA_ERROR, "boolean is not a valid timestamp")
     if isinstance(label, (int, float)):
-        as_float = float(label)
+        as_float = float(label) if lineno is None else _finite(label, lineno, "time label")
         return int(as_float) if as_float.is_integer() else as_float
     return str(label)
+
+
+def _finite(number, lineno: int, what: str) -> float:
+    """``number`` as a float. NaN, ±Infinity and ints beyond the float range
+    are rejected: the engine emits strict JSON, which has none of them."""
+    try:
+        as_float = float(number)
+    except OverflowError:
+        as_float = math.inf
+    if not math.isfinite(as_float):
+        raise TgqError(
+            SCHEMA_ERROR, f"line {lineno}: {what} must be a finite number", line=lineno
+        )
+    return as_float
 
 
 def _sort_labels(labels):

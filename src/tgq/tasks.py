@@ -720,6 +720,7 @@ class SeekSideValues:
         elements = (
             [self.fixed_ref] if self.fixed_ref else element_candidates(graph, space.subset_family)
         )
+        check_budget(len(times) * len(elements), cfg, "relation seeking")
         out = []
         for t in times:
             for el in elements:
@@ -815,11 +816,23 @@ def relation_seek(
     """Find binding pairs whose values/patterns stand in the requested
     relation, subject to every auxiliary relation on their references."""
     space = space or SearchSpace()
+    symmetric = side1 == side2
     b1 = side1.resolve_bindings(graph, cfg, space)
-    b2 = side2.resolve_bindings(graph, cfg, space)
+    b2 = b1 if symmetric else side2.resolve_bindings(graph, cfg, space)
     check_budget(max(len(b1), len(b2)), cfg, "relation seeking")
     check_budget(len(b1) * len(b2), cfg, "relation seeking (pairs)")
-    symmetric = side1 == side2
+
+    # Candidates for each x: all of b2, or for value equality only the y
+    # with an equal payload (a hash join). Payloads are floats, strs and
+    # bools, for which a == b implies hash(a) == hash(b), so each bucket
+    # holds exactly the y the nested loop would pair, in b2 order; a NaN
+    # equals nothing, itself included, and is left out.
+    buckets = None
+    if relation.family == RelationFamily.VALUE and relation.op == "eq":
+        buckets = {}
+        for y in b2:
+            if y.payload == y.payload:
+                buckets.setdefault(y.payload, []).append(y)
 
     def qualified(x: Binding, y: Binding):
         detail = _main_relation_detail(relation, x, y, cfg)
@@ -832,7 +845,7 @@ def relation_seek(
 
     results = []
     for x in b1:
-        for y in b2:
+        for y in b2 if buckets is None else buckets.get(x.payload, ()):
             if symmetric and (x.time_key, _binding_ref_name(x.ref_key)) == (
                 y.time_key, _binding_ref_name(y.ref_key)
             ):

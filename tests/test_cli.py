@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, output formats, corpus determinism."""
 
+import contextlib
 import json
 from pathlib import Path
 
@@ -39,6 +40,30 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: SCHEMA_ERROR:")
         assert "line 7" in err
+
+    def test_non_finite_value_rejected_at_load(self, capsys, tmp_path):
+        data = tmp_path / "nan.jsonl"
+        data.write_text('{"type":"node","id":"a","start":0,"end":1}\n'
+                        '{"type":"attr","elem":"node:a","name":"w","t":0,"value":NaN}\n')
+        code, out, err = run_cli(["query", str(data), "LOOKUP w OF node:a AT t=0"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: SCHEMA_ERROR: line 2: attribute value must be a finite number\n"
+
+    def test_output_is_strict_json(self, capsys, monkeypatch):
+        # A non-finite number that reaches the CLI is refused, never printed
+        # as the invalid JSON token NaN.
+        calls = []
+
+        def nan_envelope(text, graph, cfg):
+            calls.append(text)
+            return {"query": text, "bindings": [{"value": float("nan")}]}
+
+        monkeypatch.setattr("tgq.cli.run_query", nan_envelope)
+        with contextlib.suppress(ValueError):
+            main(["query", GRAPH, "LOOKUP w OF node:a AT t=0"])
+        assert calls
+        assert "NaN" not in capsys.readouterr().out
 
     def test_usage_error(self, capsys):
         code, _, err = run_cli(["bogus-command"], capsys)

@@ -54,3 +54,17 @@ def test_replace_keeps_validation():
     assert cfg.similarity_threshold == 0.5
     with pytest.raises(TgqError):
         cfg.replace(similarity_threshold=-1.0)
+
+
+@pytest.mark.parametrize("key", [
+    "similarity_threshold", "slope_epsilon", "correlation_threshold",
+    "dist_weight_histogram", "dist_weight_location",
+])
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_non_finite_float_rejected(key, text):
+    for build in (lambda: Config(**{key: float(text)}),
+                  lambda: parse_config_text(f"{key}={text}\n")):
+        with pytest.raises(TgqError) as e:
+            build()
+        assert e.value.code == VALIDATION_ERROR
+        assert e.value.message == f"{key} must be a finite number"

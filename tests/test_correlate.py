@@ -102,6 +102,13 @@ class TestPearson:
             pearson([(1.0, 1.0), (1.0, 2.0), (1.0, 3.0)], 0, cfg)
         assert e.value.code == VARIANCE_ZERO
 
+    def test_tiny_variances_do_not_underflow(self, cfg):
+        # sxx * syy underflows to 0.0 here although both are positive
+        tiny = [(0.0, 0.0), (1e-120, 1e-120), (0.0, 0.0)]
+        assert pearson(tiny, 0, cfg).coefficient == pytest.approx(1.0)
+        flipped = [(a, -b) for a, b in tiny]
+        assert pearson(flipped, 0, cfg).coefficient == pytest.approx(-1.0)
+
     @given(st.lists(
         st.tuples(st.floats(-100, 100), st.floats(-100, 100)),
         min_size=3, max_size=40,

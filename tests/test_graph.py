@@ -237,6 +237,42 @@ class TestLoad:
         assert g.value_at(1, node_ref("b"), "color", cfg) == "red"
         assert "S1" in g.subsets
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 10 ** 400],
+                             ids=["nan", "inf", "-inf", "huge_int"])
+    @pytest.mark.parametrize("site, record", [
+        ("attribute value", {"type": "attr", "elem": "node:a", "name": "w", "t": 0, "value": None}),
+        ("series value", {"type": "series", "name": "s", "t": 0, "value": None}),
+        ("time label", {"type": "attr", "elem": "node:a", "name": "w", "t": None, "value": 1.0}),
+        ("time label", {"type": "node", "id": "b", "start": None, "end": 1}),
+        ("time label", {"type": "node", "id": "b", "start": 0, "end": None}),
+    ], ids=["attr_value", "series_value", "attr_t", "node_start", "node_end"])
+    def test_non_finite_number_rejected(self, site, record, bad):
+        # json.dumps writes NaN and Infinity, which json.loads accepts
+        field = next(key for key, value in record.items() if value is None)
+        records = [{"type": "node", "id": "a", "start": 0, "end": 1}, {**record, field: bad}]
+        with pytest.raises(TgqError) as e:
+            load(jl(records))
+        assert codes(e) == SCHEMA_ERROR
+        assert e.value.message == f"line 2: {site} must be a finite number"
+        assert e.value.details["line"] == 2
+
+    @pytest.mark.parametrize("row", [
+        "attr,,,,node:a,w,0,NaN",
+        "attr,,,,node:a,w,0,-Infinity",
+        "attr,,,,node:a,w,Infinity,1.0",
+        "node,b,0,Infinity,,,,",
+    ], ids=["attr_nan", "attr_-inf", "attr_t_inf", "node_end_inf"])
+    def test_non_finite_number_rejected_in_csv(self, tmp_path, row):
+        from tgq.graph import load_path
+
+        path = tmp_path / "bad.csv"
+        path.write_text("type,id,start,end,elem,name,t,value\nnode,a,0,1,,,,\n" + row + "\n")
+        with pytest.raises(TgqError) as e:
+            load_path(str(path))
+        assert codes(e) == SCHEMA_ERROR
+        assert e.value.details["line"] == 2
+        assert "must be a finite number" in e.value.message
+
 
 class TestEval:
     def test_recorded_value(self, mini_graph, cfg):

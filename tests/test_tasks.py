@@ -416,6 +416,19 @@ class TestRelationSeek:
             ("node:a", "node:b")
         ]
 
+    def test_value_side_budget_checked_before_bindings(self, mini_graph):
+        # 3 times x 2 nodes = 6 candidate reads, 5 bindings; a cap of 5 must
+        # reject the reads, not the 25 pairs built from the bindings.
+        side = SeekSideValues("w")
+        with pytest.raises(TgqError) as e:
+            relation_seek(
+                mini_graph, Config(search_max_candidates=5),
+                RelationSpec(RelationFamily.VALUE, "eq"), side, side,
+            )
+        assert e.value.code == SEARCH_SPACE_EXCEEDED
+        assert e.value.details["count"] == 3 * 2
+        assert e.value.message == "relation seeking: 6 candidates exceed the cap of 5"
+
     def test_matches_brute_force(self, shapes_graph, cfg):
         # Independent double enumeration over (t, node) bindings.
         side = SeekSideValues("w")
