@@ -7,6 +7,7 @@ case-insensitive; identifiers and reference ids are case-sensitive.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -74,6 +75,8 @@ def tokenize(text: str) -> list:
                 value = re.sub(r"\\(.)", r"\1", raw[1:-1])
                 tokens.append(Token("STRING", value, line, col))
             elif groups["number"] is not None:
+                if not math.isfinite(float(raw)):
+                    raise ParseError(f"number {raw} is not finite", line, col, found=raw)
                 num = float(raw) if ("." in raw or "e" in raw or "E" in raw) else int(raw)
                 tokens.append(Token("NUMBER", num, line, col))
             elif groups["ref"] is not None:

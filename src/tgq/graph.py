@@ -142,13 +142,16 @@ class Snapshot:
     def has_node(self, ident: str) -> bool:
         return ident in self.adjacency
 
-    def neighbours(self, ident: str, direction: str = "any") -> tuple:
-        table = {
+    def table(self, direction: str = "any") -> dict:
+        """node -> sorted tuple of its neighbours along ``direction``."""
+        return {
             "any": self.adjacency,
             "out": self.out_adjacency,
             "in": self.in_adjacency,
         }[direction]
-        return table.get(ident, ())
+
+    def neighbours(self, ident: str, direction: str = "any") -> tuple:
+        return self.table(direction).get(ident, ())
 
 
 class TemporalGraph:

@@ -185,6 +185,14 @@ def classify_trend(samples, cfg: Config) -> TrendPattern:
     lo, hi = min(ys), max(ys)
     value_range = hi - lo
     slope = _ls_slope(xs, ys)
+    if not (math.isfinite(value_range) and math.isfinite(slope)):
+        # Finite extremes overflow the sums; class and normalised slope
+        # do not depend on the scale of ys.
+        scale = max(abs(lo), abs(hi))
+        ys = [y / scale for y in ys]
+        lo, hi = lo / scale, hi / scale
+        value_range = hi - lo
+        slope = _ls_slope(xs, ys)
     norm_slope = slope / value_range if value_range > 0 else 0.0
     if value_range == 0.0:
         return TrendPattern(TrendClass.CONSTANT, 0.0)
@@ -458,11 +466,15 @@ def _frequency_similarity(f1: dict, f2: dict) -> float:
 
 
 def _ls_slope(xs, ys) -> float:
+    """Least-squares slope; inf where a sum overflows."""
     n = len(xs)
     mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
     sxx = math.fsum((x - mx) ** 2 for x in xs)
     if sxx == 0.0:
         return 0.0
-    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    try:
+        my = math.fsum(ys) / n
+        sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    except OverflowError:
+        return math.inf
     return sxy / sxx

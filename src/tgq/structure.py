@@ -41,6 +41,7 @@ from .relations import are_adjacent, shortest_connection
 from .search import (
     GroupCandidate,
     SearchSpace,
+    _reach,
     _time_sort_key,
     check_budget,
     group_candidates,
@@ -190,66 +191,55 @@ def find_connection(
     return ConnectionReport(adjacent, dist, tuple(path) if path else None, tuple(edges))
 
 
-def _edge_ok(graph, cfg, edge_id: str, t: int, spec: ConnectionSpec) -> bool:
-    if spec.edge_attr is None:
-        return True
-    value = graph.try_value(t, GraphElementRef(ElemKind.EDGE, edge_id), spec.edge_attr, cfg)
-    return value is not None and spec.edge_constraint.test(value)
+class _Connectivity:
+    """Connection under one spec for the length of one call: one neighbour
+    table per time point, built on first use."""
 
+    def __init__(self, graph: TemporalGraph, cfg: Config, spec: ConnectionSpec):
+        self.graph, self.cfg, self.spec = graph, cfg, spec
+        self._tables: dict = {}
 
-def _spec_neighbours(graph, cfg, node: str, t: int, spec: ConnectionSpec) -> list:
-    """Nodes one qualifying edge away from ``node`` at t."""
-    out = set()
-    snap = graph.snapshot(t)
-    for edge_id, src, dst, directed in snap.edges:
-        if not _edge_ok(graph, cfg, edge_id, t, spec):
-            continue
-        if spec.direction == "any" or not directed:
-            if src == node:
-                out.add(dst)
-            elif dst == node:
-                out.add(src)
-        elif spec.direction == "out" and src == node:
-            out.add(dst)
-        elif spec.direction == "in" and dst == node:
-            out.add(src)
-    return sorted(out)
+    def _table(self, t: int) -> dict:
+        """node -> nodes one qualifying edge away at t along the direction."""
+        if t in self._tables:
+            return self._tables[t]
+        snap = self.graph.snapshot(t)
+        spec = self.spec
+        if spec.edge_attr is None:
+            table = snap.table(spec.direction)
+        else:
+            table = {}
+            for edge_id, src, dst, directed in snap.edges:
+                edge = GraphElementRef(ElemKind.EDGE, edge_id)
+                value = self.graph.try_value(t, edge, spec.edge_attr, self.cfg)
+                if value is None or not spec.edge_constraint.test(value):
+                    continue
+                if spec.direction != "in" or not directed:
+                    table.setdefault(src, set()).add(dst)
+                if spec.direction != "out" or not directed:
+                    table.setdefault(dst, set()).add(src)
+        self._tables[t] = table
+        return table
 
+    def hits(self, a: str, t: int):
+        """Nodes connected to ``a`` at t: one hop away (adjacent), or within
+        the bound and other than ``a`` (path)."""
+        if self.spec.mode == "adjacent":
+            return self._table(t).get(a, ())
+        reach = _reach(self._table(t), a, self.spec.max_distance)
+        reach.discard(a)
+        return reach
 
-def _spec_reachable(graph, cfg, start: str, t: int, spec: ConnectionSpec) -> dict:
-    """node -> distance over qualifying edges, bounded by max_distance."""
-    dist = {start: 0}
-    frontier = [start]
-    depth = 0
-    while frontier and (spec.max_distance is None or depth < spec.max_distance):
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for v in _spec_neighbours(graph, cfg, u, t, spec):
-                if v not in dist:
-                    dist[v] = depth
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
-def _connected_per_spec(graph, cfg, g1: GraphElementRef, g2: GraphElementRef,
-                        t: int, spec: ConnectionSpec) -> bool:
-    starts = _nodes_of(graph, g1, t)
-    targets = set(_nodes_of(graph, g2, t))
-    if not starts or not targets:
-        return False
-    if spec.mode == "adjacent":
+    def reached(self, starts, t: int) -> set:
+        out: set = set()
         for a in starts:
-            for b in _spec_neighbours(graph, cfg, a, t, spec):
-                if b in targets:
-                    return True
-        return False
-    for a in starts:
-        reach = _spec_reachable(graph, cfg, a, t, spec)
-        if any(b in reach and reach[b] > 0 for b in targets):
-            return True
-    return False
+            out.update(self.hits(a, t))
+        return out
+
+    def connected(self, g1: GraphElementRef, g2: GraphElementRef, t: int) -> bool:
+        starts = _nodes_of(self.graph, g1, t)
+        targets = _nodes_of(self.graph, g2, t)
+        return not self.reached(starts, t).isdisjoint(targets)
 
 
 def _nodes_of(graph, ref: GraphElementRef, t: int) -> list:
@@ -282,12 +272,16 @@ def find_connected(
         candidates = [node_ref(n) for n in graph.node_ids()]
     else:
         candidates = [GraphElementRef(ElemKind.OBJECT, o) for o in graph.object_ids()]
+    conn = _Connectivity(graph, cfg, spec)
     out = []
     for ti in times:
+        reached = None
         for g2 in candidates:
             if g2 == g1 or not graph.exists_at(g2, ti):
                 continue
-            if _connected_per_spec(graph, cfg, g1, g2, ti, spec):
+            if reached is None:
+                reached = conn.reached(_nodes_of(graph, g1, ti), ti)
+            if not reached.isdisjoint(_nodes_of(graph, g2, ti)):
                 out.append((g2, ti))
     out.sort(key=lambda p: (p[1], p[0]))
     return out
@@ -306,17 +300,16 @@ def find_connected_pairs(
     check_budget(len(times) * len(names) * max(1, len(names) - 1) // 2, cfg,
                  "connected-pair search")
     ordered = spec.direction != "any"
+    conn = _Connectivity(graph, cfg, spec)
     out = []
     for ti in times:
-        snap = graph.snapshot(ti)
-        alive = [n for n in names if snap.has_node(n)]
-        for i, a in enumerate(alive):
-            others = alive if ordered else alive[i + 1:]
-            for b in others:
-                if a == b:
-                    continue
-                if _connected_per_spec(graph, cfg, node_ref(a), node_ref(b), ti, spec):
-                    out.append((node_ref(a), node_ref(b), ti))
+        alive = graph.snapshot(ti).nodes  # sorted; every hit is alive
+        if len(alive) < 2:
+            continue  # no pair, so no table: its edge predicate may raise
+        # Unordered pairs put the larger id second: the last node has none.
+        for a in alive if ordered else alive[:-1]:
+            out.extend((node_ref(a), node_ref(b), ti) for b in conn.hits(a, ti)
+                       if b != a and (ordered or b > a))
     out.sort(key=lambda p: (p[2], p[0], p[1]))
     return out
 
@@ -329,13 +322,8 @@ def connection_times(
     spec: ConnectionSpec,
 ) -> list:
     """Time indices at which both exist and the connection holds."""
-    out = []
-    for t in range(graph.n_times):
-        if not (graph.exists_at(g1, t) and graph.exists_at(g2, t)):
-            continue
-        if _connected_per_spec(graph, cfg, g1, g2, t, spec):
-            out.append(t)
-    return out
+    conn = _Connectivity(graph, cfg, spec)
+    return [t for t in range(graph.n_times) if _holds(conn, g1, g2, t)]
 
 
 # ---------------------------------------------------------------------------
@@ -366,16 +354,17 @@ def pair_over_time(
     interval: TimeInterval,
     spec: Optional[ConnectionSpec] = None,
 ) -> StructuralPattern:
-    spec = spec or ConnectionSpec()
-    bits = []
-    for t in interval.indices():
-        on = (
-            graph.exists_at(g1, t)
-            and graph.exists_at(g2, t)
-            and _connected_per_spec(graph, cfg, g1, g2, t, spec)
-        )
-        bits.append("1" if on else "0")
-    bitstring = "".join(bits)
+    return _presence(_Connectivity(graph, cfg, spec or ConnectionSpec()), g1, g2, interval)
+
+
+def _holds(conn: _Connectivity, g1: GraphElementRef, g2: GraphElementRef, t: int) -> bool:
+    graph = conn.graph
+    return graph.exists_at(g1, t) and graph.exists_at(g2, t) and conn.connected(g1, g2, t)
+
+
+def _presence(conn: _Connectivity, g1: GraphElementRef, g2: GraphElementRef,
+              interval: TimeInterval) -> StructuralPattern:
+    bitstring = "".join("1" if _holds(conn, g1, g2, t) else "0" for t in interval.indices())
     return StructuralPattern(
         StructScopeKind.PAIR_OVER_TIME,
         presence_class=classify_presence(bitstring),
@@ -419,14 +408,14 @@ def snapshot_metrics(graph: TemporalGraph, members, t: int) -> dict:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
-    triangles = sum(
-        1 for a, b, c in itertools.combinations(alive, 3)
-        if b in adj[a] and c in adj[a] and c in adj[b]
-    )
-    cliques4 = sum(
-        1 for quad in itertools.combinations(alive, 4)
-        if all(y in adj[x] for x, y in itertools.combinations(quad, 2))
-    )
+    # Each clique is counted once, from its smallest node.
+    higher = {a: {b for b in adj[a] if b > a} for a in alive}
+    triangles = cliques4 = 0
+    for a in alive:
+        for b in higher[a]:
+            common = higher[a] & higher[b]
+            triangles += len(common)
+            cliques4 += sum(len(common & higher[c]) for c in common)
     mean_degree = (2 * m_count / n) if n else 0.0
     return {
         "density": density,
@@ -459,9 +448,10 @@ def pairs_aggregate(
     refs = sorted(members)
     if len(refs) < 2:
         raise TgqError(EMPTY_SCOPE, "pair aggregation needs at least two members")
+    conn = _Connectivity(graph, cfg, spec or ConnectionSpec())
     counts: dict = {}
     for a, b in itertools.combinations(refs, 2):
-        p = pair_over_time(graph, cfg, a, b, interval, spec)
+        p = _presence(conn, a, b, interval)
         counts[p.presence_class.value] = counts.get(p.presence_class.value, 0) + 1
     return StructuralPattern(
         StructScopeKind.PAIRS_AGGREGATE,
@@ -648,11 +638,10 @@ def structural_search(
         names = graph.node_ids()
         pairs = list(itertools.combinations(names, 2))
         check_budget(len(pairs) * len(windows), cfg, "structural search")
+        conn = _Connectivity(graph, cfg, connection or ConnectionSpec())
         for window in windows:
             for a, b in pairs:
-                candidate = pair_over_time(
-                    graph, cfg, node_ref(a), node_ref(b), window, connection
-                )
+                candidate = _presence(conn, node_ref(a), node_ref(b), window)
                 score, _ = struct_match_score(target, candidate, cfg)
                 if score >= thr:
                     matches.append(StructMatch(
@@ -755,18 +744,20 @@ class SeekSideStructConfig:
     def resolve_bindings(self, graph: TemporalGraph, cfg: Config, space: SearchSpace) -> list:
         from .tasks import Binding
 
+        jobs = [
+            (t, grp)
+            for t in time_points(graph, self.fixed_t)
+            for grp in ([self.fixed_group] if self.fixed_group
+                        else group_candidates(graph, space, at=t))
+        ]
+        check_budget(len(jobs), cfg, "relation seeking")
         out = []
-        for t in time_points(graph, self.fixed_t):
-            groups = (
-                [self.fixed_group] if self.fixed_group
-                else group_candidates(graph, space, at=t)
-            )
-            for grp in groups:
-                try:
-                    p = snapshot_config(graph, cfg, grp.members, t)
-                except TgqError as err:
-                    if err.code == EMPTY_SCOPE:
-                        continue
-                    raise
-                out.append(Binding(t, grp, p))
+        for t, grp in jobs:
+            try:
+                p = snapshot_config(graph, cfg, grp.members, t)
+            except TgqError as err:
+                if err.code == EMPTY_SCOPE:
+                    continue
+                raise
+            out.append(Binding(t, grp, p))
         return out

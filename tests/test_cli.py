@@ -4,6 +4,8 @@ import contextlib
 import json
 from pathlib import Path
 
+import pytest
+
 from tgq.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -64,6 +66,18 @@ class TestExitCodes:
             main(["query", GRAPH, "LOOKUP w OF node:a AT t=0"])
         assert calls
         assert "NaN" not in capsys.readouterr().out
+
+    def test_trend_over_finite_extremes(self, capsys, tmp_path):
+        data = tmp_path / "extremes.jsonl"
+        data.write_text(
+            '{"type":"node","id":"a","start":0,"end":1}\n'
+            '{"type":"attr","elem":"node:a","name":"w","t":0,"value":1e308}\n'
+            '{"type":"attr","elem":"node:a","name":"w","t":1,"value":-1e308}\n')
+        code, out, _ = run_cli(
+            ["query", str(data), "CHARACTERIZE TREND ON w OF node:a DURING [0, 1]"], capsys)
+        assert code == 0
+        pattern = json.loads(out, parse_constant=pytest.fail)["bindings"][0]["pattern"]
+        assert (pattern["class"], pattern["slope"]) == ("DECREASING", -1.0)
 
     def test_usage_error(self, capsys):
         code, _, err = run_cli(["bogus-command"], capsys)

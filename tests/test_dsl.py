@@ -75,6 +75,19 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("LOOKUP w OF node:a AT t=2 banana")
 
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999", pytest.param("1" + "0" * 400, id="10**400")])
+    def test_non_finite_number_rejected(self, literal):
+        with pytest.raises(ParseError) as e:
+            parse(f"FIND t,g WHERE w > {literal}")
+        assert e.value.code == "PARSE_ERROR"
+        assert (e.value.line, e.value.col) == (1, 20)
+        assert e.value.message == f"number {literal} is not finite at line 1, col 20"
+
+    @pytest.mark.parametrize("literal", ["1e300", "-1.5e-300", "1.7976931348623157e308", "12"])
+    def test_finite_number_round_trips(self, literal):
+        node = parse(f"FIND t,g WHERE w > {literal}")
+        assert parse(node.pp()) == node
+
 
 class TestRoundTrip:
     def test_corpus_round_trip(self):

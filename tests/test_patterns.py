@@ -101,6 +101,16 @@ class TestTrend:
         scaled = classify_trend(series([alpha * v + beta for v in values]), cfg)
         assert scaled.cls == base.cls
 
+    def test_finite_extremes_do_not_overflow(self, cfg):
+        # The least-squares sums overflow at this scale; the class and the
+        # normalised slope are those of the same series scaled down.
+        p = classify_trend(series([1e308, -1e308]), cfg)
+        assert p.cls == TrendClass.DECREASING
+        assert p == classify_trend(series([1.0, -1.0]), cfg)
+        assert classify_trend(series([1e308, 1e308]), cfg) == classify_trend(series([1, 1]), cfg)
+        assert classify_trend(series([-1e308, 0.0, 1e308]), cfg) == \
+            classify_trend(series([-1, 0, 1]), cfg)
+
     def test_deterministic(self, cfg):
         values = [random.Random(3).uniform(-5, 5) for _ in range(12)]
         assert classify_trend(series(values), cfg) == classify_trend(series(values), cfg)

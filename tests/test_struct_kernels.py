@@ -1,0 +1,480 @@
+"""Structural kernels checked against per-lookup edge scans.
+
+The ``reference_*`` functions are the code ``structure.py`` ran before
+connection went through one neighbour table per time point: every
+neighbour lookup scans every alive edge of the snapshot and tests the edge
+predicate there, a path is a BFS over such lookups, connection is decided
+pair by pair, and cliques are counted over all 3- and 4-subsets of the
+alive members. The kernels must give the same answers and raise the same
+errors.
+"""
+
+import itertools
+import json
+import random
+
+import pytest
+
+from tgq.config import Config
+from tgq.errors import ABSENT_ELEMENT, EMPTY_SCOPE, FAMILY_MISMATCH, SEARCH_SPACE_EXCEEDED, TgqError
+from tgq.graph import ElemKind, GraphElementRef, TimeInterval, load, node_ref, object_ref
+from tgq.search import SearchSpace, _time_sort_key, check_budget, time_points, time_windows
+from tgq.structure import (
+    ConnectionSpec,
+    PresenceClass,
+    PresenceLiteral,
+    StructMatch,
+    StructScopeKind,
+    StructuralPattern,
+    classify_presence,
+    connection_times,
+    find_connected,
+    find_connected_pairs,
+    pair_over_time,
+    pairs_aggregate,
+    snapshot_metrics,
+    struct_match_score,
+    structural_search,
+)
+from tgq.tasks import ValueConstraint
+
+from randsuite import random_graph
+
+# ---------------------------------------------------------------------------
+# Reference: one edge scan per neighbour lookup
+# ---------------------------------------------------------------------------
+
+
+def reference_edge_ok(graph, cfg, edge_id, t, spec):
+    if spec.edge_attr is None:
+        return True
+    value = graph.try_value(t, GraphElementRef(ElemKind.EDGE, edge_id), spec.edge_attr, cfg)
+    return value is not None and spec.edge_constraint.test(value)
+
+
+def reference_neighbours(graph, cfg, node, t, spec):
+    out = set()
+    for edge_id, src, dst, directed in graph.snapshot(t).edges:
+        if not reference_edge_ok(graph, cfg, edge_id, t, spec):
+            continue
+        if spec.direction == "any" or not directed:
+            if src == node:
+                out.add(dst)
+            elif dst == node:
+                out.add(src)
+        elif spec.direction == "out" and src == node:
+            out.add(dst)
+        elif spec.direction == "in" and dst == node:
+            out.add(src)
+    return sorted(out)
+
+
+def reference_reachable(graph, cfg, start, t, spec):
+    dist = {start: 0}
+    frontier = [start]
+    depth = 0
+    while frontier and (spec.max_distance is None or depth < spec.max_distance):
+        depth += 1
+        nxt = []
+        for u in frontier:
+            for v in reference_neighbours(graph, cfg, u, t, spec):
+                if v not in dist:
+                    dist[v] = depth
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def reference_nodes_of(graph, ref, t):
+    if ref.kind == ElemKind.NODE:
+        return [ref.id] if graph.snapshot(t).has_node(ref.id) else []
+    if ref.kind == ElemKind.OBJECT:
+        snap = graph.snapshot(t)
+        return sorted(n for n in graph.object_members(ref.id).nodes if snap.has_node(n))
+    raise TgqError(FAMILY_MISMATCH, f"connection tasks apply to nodes and objects, not {ref}")
+
+
+def reference_connected(graph, cfg, g1, g2, t, spec):
+    starts = reference_nodes_of(graph, g1, t)
+    targets = set(reference_nodes_of(graph, g2, t))
+    if not starts or not targets:
+        return False
+    if spec.mode == "adjacent":
+        for a in starts:
+            for b in reference_neighbours(graph, cfg, a, t, spec):
+                if b in targets:
+                    return True
+        return False
+    for a in starts:
+        reach = reference_reachable(graph, cfg, a, t, spec)
+        if any(b in reach and reach[b] > 0 for b in targets):
+            return True
+    return False
+
+
+def reference_find_connected(graph, cfg, g1, spec, t=None):
+    if t is not None and not graph.exists_at(g1, t):
+        raise TgqError(ABSENT_ELEMENT, f"{g1} does not exist at t={graph.label_of(t)}")
+    times = [t] if t is not None else [
+        ti for ti in range(graph.n_times) if graph.exists_at(g1, ti)
+    ]
+    if g1.kind == ElemKind.NODE:
+        candidates = [node_ref(n) for n in graph.node_ids()]
+    else:
+        candidates = [object_ref(o) for o in graph.object_ids()]
+    out = []
+    for ti in times:
+        for g2 in candidates:
+            if g2 == g1 or not graph.exists_at(g2, ti):
+                continue
+            if reference_connected(graph, cfg, g1, g2, ti, spec):
+                out.append((g2, ti))
+    out.sort(key=lambda p: (p[1], p[0]))
+    return out
+
+
+def reference_find_connected_pairs(graph, cfg, spec, t=None):
+    times = time_points(graph, t)
+    names = graph.node_ids()
+    check_budget(len(times) * len(names) * max(1, len(names) - 1) // 2, cfg,
+                 "connected-pair search")
+    ordered = spec.direction != "any"
+    out = []
+    for ti in times:
+        snap = graph.snapshot(ti)
+        alive = [n for n in names if snap.has_node(n)]
+        for i, a in enumerate(alive):
+            for b in alive if ordered else alive[i + 1:]:
+                if a != b and reference_connected(graph, cfg, node_ref(a), node_ref(b), ti, spec):
+                    out.append((node_ref(a), node_ref(b), ti))
+    out.sort(key=lambda p: (p[2], p[0], p[1]))
+    return out
+
+
+def reference_connection_times(graph, cfg, g1, g2, spec):
+    return [
+        t for t in range(graph.n_times)
+        if graph.exists_at(g1, t) and graph.exists_at(g2, t)
+        and reference_connected(graph, cfg, g1, g2, t, spec)
+    ]
+
+
+def reference_pair_over_time(graph, cfg, g1, g2, interval, spec=None):
+    spec = spec or ConnectionSpec()
+    bits = "".join(
+        "1" if graph.exists_at(g1, t) and graph.exists_at(g2, t)
+        and reference_connected(graph, cfg, g1, g2, t, spec) else "0"
+        for t in interval.indices()
+    )
+    return StructuralPattern(StructScopeKind.PAIR_OVER_TIME,
+                             presence_class=classify_presence(bits), presence_bits=bits)
+
+
+def reference_pairs_aggregate(graph, cfg, members, interval, spec=None):
+    refs = sorted(members)
+    if len(refs) < 2:
+        raise TgqError(EMPTY_SCOPE, "pair aggregation needs at least two members")
+    counts: dict = {}
+    for a, b in itertools.combinations(refs, 2):
+        cls = reference_pair_over_time(graph, cfg, a, b, interval, spec).presence_class.value
+        counts[cls] = counts.get(cls, 0) + 1
+    return StructuralPattern(StructScopeKind.PAIRS_AGGREGATE,
+                             class_frequencies=tuple(sorted(counts.items())))
+
+
+def reference_search_pairs(graph, cfg, target, fixed_interval=None, connection=None):
+    """The PAIRS branch of ``structural_search`` (a presence target)."""
+    windows = time_windows(graph, fixed_interval)
+    pairs = list(itertools.combinations(graph.node_ids(), 2))
+    check_budget(len(pairs) * len(windows), cfg, "structural search")
+    matches = []
+    for window in windows:
+        for a, b in pairs:
+            candidate = reference_pair_over_time(
+                graph, cfg, node_ref(a), node_ref(b), window, connection)
+            score, _ = struct_match_score(target, candidate, cfg)
+            if score >= cfg.similarity_threshold:
+                matches.append(StructMatch(f"node:{a}|node:{b}", window, candidate, score))
+    matches.sort(key=lambda m: (-m.score, _time_sort_key(m.time_key), m.ref_desc))
+    return matches
+
+
+def reference_snapshot_metrics(graph, members, t):
+    node_ids = set()
+    for m in members:
+        if m.kind != ElemKind.NODE:
+            raise TgqError(FAMILY_MISMATCH, "snapshot configuration is defined over node sets")
+        node_ids.add(m.id)
+    snap = graph.snapshot(t)
+    alive = sorted(n for n in node_ids if snap.has_node(n))
+    if not alive:
+        raise TgqError(EMPTY_SCOPE, f"no member is alive at t={graph.label_of(t)}")
+    adj = {n: {m for m in snap.neighbours(n) if m in node_ids and m != n} for n in alive}
+    n = len(alive)
+    m_count = sum(len(v) for v in adj.values()) // 2
+    components = 0
+    seen: set = set()
+    for start in alive:
+        if start in seen:
+            continue
+        components += 1
+        stack = [start]
+        seen.add(start)
+        while stack:
+            for v in adj[stack.pop()] - seen:
+                seen.add(v)
+                stack.append(v)
+    triangles = sum(
+        1 for a, b, c in itertools.combinations(alive, 3)
+        if b in adj[a] and c in adj[a] and c in adj[b]
+    )
+    cliques4 = sum(
+        1 for quad in itertools.combinations(alive, 4)
+        if all(y in adj[x] for x, y in itertools.combinations(quad, 2))
+    )
+    return {
+        "density": (2 * m_count / (n * (n - 1))) if n > 1 else 0.0,
+        "components": float(components),
+        "triangles": float(triangles),
+        "mean_degree": 2 * m_count / n,
+        "cliques4": float(cliques4),
+    }
+
+
+def outcome(fn, *args, **kwargs):
+    """What ``fn`` returns, or the code, message and details of its error."""
+    try:
+        return fn(*args, **kwargs)
+    except TgqError as err:
+        return (err.code, err.message, err.details)
+
+
+# ---------------------------------------------------------------------------
+# Graphs and connection specs
+# ---------------------------------------------------------------------------
+
+
+def extended_graph(seed: int):
+    """A randsuite graph replayed from its tables, with about a third of its
+    edges directed (some reversed), an edge attribute ``weight`` recorded at
+    some alive points, a categorical edge attribute ``kind``, a self-loop on
+    one node, and objects ``o`` (three nodes) and ``p`` (two nodes, one
+    shared with ``o``)."""
+    raw = random_graph(seed)
+    rng = random.Random(1000 + seed)
+    records = []
+    for name, spans in raw.node_spans.items():
+        for s, e in spans:
+            # one record per point keeps every time label in the domain
+            records += [{"type": "node", "id": name, "start": t, "end": t}
+                        for t in range(s, e + 1)]
+    names = sorted(raw.node_spans)
+    loop_node = rng.choice(names)
+    loop_span = raw.node_spans[loop_node][0]
+    edges = list(raw.edge_rows) + [("loop", loop_node, loop_node) + loop_span]
+    for edge_id, src, dst, start, end in edges:
+        directed = rng.random() < 0.35
+        if directed and rng.random() < 0.5:
+            src, dst = dst, src
+        records.append({"type": "edge", "id": edge_id, "src": src, "dst": dst,
+                        "start": start, "end": end, "directed": directed})
+        for t in range(start, end + 1):
+            if rng.random() < 0.5:
+                records.append({"type": "attr", "elem": f"edge:{edge_id}",
+                                "name": "weight", "t": t, "value": float(rng.randint(0, 4))})
+        records.append({"type": "attr", "elem": f"edge:{edge_id}", "name": "kind",
+                        "t": start, "value": rng.choice(("road", "rail"))})
+    for elem, attr, t, value in raw.attr_rows:
+        records.append({"type": "attr", "elem": f"node:{elem}", "name": attr,
+                        "t": t, "value": value})
+    for name, members in raw.subsets.items():
+        records.append({"type": "subset", "name": name,
+                        "members": [f"node:{m}" for m in members]})
+    records.append({"type": "object", "id": "o", "nodes": names[:3]})
+    records.append({"type": "object", "id": "p", "nodes": names[2:4] or names[:1]})
+    return load(json.dumps(r) for r in records)
+
+
+WEIGHT_GT_1 = ("weight", ValueConstraint("gt", (1.0,)))
+MODES = {"adjacent": ("adjacent", None), "path2": ("path", 2), "path": ("path", None)}
+SPECS = {
+    f"{mode}-{direction}-{'weight' if pred else 'all'}": ConnectionSpec(
+        MODES[mode][0], MODES[mode][1], direction, *(WEIGHT_GT_1 if pred else (None, None)))
+    for mode in MODES
+    for direction in ("any", "out", "in")
+    for pred in (False, True)
+}
+# A numeric test on a categorical attribute raises KIND_MISMATCH at the first
+# edge with a value: both kernels must raise it in the same calls.
+SPECS["path-any-kind"] = ConnectionSpec("path", None, "any", "kind",
+                                        ValueConstraint("gt", (1.0,)))
+CONFIGS = {"carry": Config(), "no-carry": Config(carry_forward_default=False)}
+SEEDS = range(30)
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    return [extended_graph(seed) for seed in SEEDS]
+
+
+def each_case(graphs):
+    for graph in graphs:
+        for cfg in CONFIGS.values():
+            yield graph, cfg
+
+
+def endpoints(graph):
+    """Connection endpoints: two nodes, both objects, and a node with an
+    object."""
+    names = graph.node_ids()
+    n0, n1 = node_ref(names[0]), node_ref(names[-1])
+    o, p = object_ref("o"), object_ref("p")
+    return [(n0, n1), (n1, n0), (o, p), (p, o), (n0, o), (o, n1)]
+
+
+# ---------------------------------------------------------------------------
+# Equality with the reference
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_find_connected_matches_reference(graphs, name):
+    spec = SPECS[name]
+    for graph, cfg in each_case(graphs):
+        for g1 in (node_ref(graph.node_ids()[0]), node_ref(graph.node_ids()[-1]),
+                   object_ref("o"), object_ref("p")):
+            for t in [None] + list(range(graph.n_times)):
+                assert outcome(find_connected, graph, cfg, g1, spec, t) == outcome(
+                    reference_find_connected, graph, cfg, g1, spec, t), (g1, t)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_find_connected_pairs_matches_reference(graphs, name):
+    spec = SPECS[name]
+    for graph, cfg in each_case(graphs):
+        for t in [None] + list(range(graph.n_times)):
+            assert outcome(find_connected_pairs, graph, cfg, spec, t) == outcome(
+                reference_find_connected_pairs, graph, cfg, spec, t), t
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_connection_times_and_presence_match_reference(graphs, name):
+    spec = SPECS[name]
+    for graph, cfg in each_case(graphs):
+        full = graph.full_interval()
+        for g1, g2 in endpoints(graph):
+            assert outcome(connection_times, graph, cfg, g1, g2, spec) == outcome(
+                reference_connection_times, graph, cfg, g1, g2, spec)
+            for window in (full, TimeInterval(0, 0), TimeInterval(full.end // 2, full.end)):
+                assert outcome(pair_over_time, graph, cfg, g1, g2, window, spec) == outcome(
+                    reference_pair_over_time, graph, cfg, g1, g2, window, spec)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_pairs_aggregate_matches_reference(graphs, name):
+    spec = SPECS[name]
+    for graph, cfg in each_case(graphs):
+        members = [node_ref(n) for n in graph.node_ids()] + [object_ref("o")]
+        for window in (graph.full_interval(), TimeInterval(0, 0)):
+            assert outcome(pairs_aggregate, graph, cfg, members, window, spec) == outcome(
+                reference_pairs_aggregate, graph, cfg, members, window, spec)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_structural_search_pairs_matches_reference(graphs, name):
+    spec = SPECS[name]
+    cfg = Config(search_max_candidates=10**6)
+    for i, graph in enumerate(graphs):
+        for cls in (PresenceClass.APPEARING, PresenceClass.ALWAYS):
+            target = PresenceLiteral(cls)
+            # every window on a few graphs, the whole domain on all of them
+            fixed = None if i < 3 else graph.full_interval()
+            got = outcome(structural_search, graph, cfg, target, SearchSpace(),
+                          fixed_interval=fixed, connection=spec)
+            assert got == outcome(reference_search_pairs, graph, cfg, target, fixed, spec)
+
+
+def test_spec_default_is_adjacent_any(graphs):
+    cfg = Config()
+    for graph in graphs:
+        o, p = object_ref("o"), object_ref("p")
+        assert pair_over_time(graph, cfg, o, p, graph.full_interval()) == \
+            reference_pair_over_time(graph, cfg, o, p, graph.full_interval())
+
+
+def test_kind_predicate_raises(graphs):
+    # The categorical predicate does raise somewhere, so the error paths above
+    # are exercised and not only the answers.
+    spec = SPECS["path-any-kind"]
+    codes = {
+        outcome(find_connected_pairs, graph, Config(), spec)[0]
+        for graph in graphs
+    }
+    assert "KIND_MISMATCH" in codes
+
+
+def test_snapshot_metrics_match_reference(graphs):
+    for graph in graphs:
+        groups = [[node_ref(n) for n in graph.node_ids()], [object_ref("o")],
+                  graph.subset("A").members, graph.subset("B").members]
+        for members in groups:
+            for t in range(graph.n_times):
+                assert outcome(snapshot_metrics, graph, members, t) == outcome(
+                    reference_snapshot_metrics, graph, members, t)
+
+
+def dense_graph(seed: int):
+    """Up to 9 nodes alive throughout, each pair joined with probability
+    0.7 at random points, plus a self-loop: many triangles and 4-cliques."""
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(rng.randint(4, 9))]
+    records = [{"type": "node", "id": n, "start": 0, "end": 3} for n in names]
+    for i, (a, b) in enumerate(itertools.combinations(names, 2)):
+        if rng.random() < 0.7:
+            start = rng.randint(0, 3)
+            records.append({"type": "edge", "id": f"e{i}", "src": a, "dst": b,
+                            "start": start, "end": rng.randint(start, 3),
+                            "directed": rng.random() < 0.3})
+    records.append({"type": "edge", "id": "loop", "src": names[0], "dst": names[0],
+                    "start": 0, "end": 3})
+    return load(json.dumps(r) for r in records)
+
+
+def test_clique_counts_match_subsets_on_dense_graphs():
+    found = 0
+    for seed in range(40):
+        graph = dense_graph(seed)
+        members = [node_ref(n) for n in graph.node_ids()]
+        for t in range(graph.n_times):
+            got = snapshot_metrics(graph, members, t)
+            assert got == reference_snapshot_metrics(graph, members, t)
+            found += got["cliques4"] > 0
+    assert found > 0
+
+
+# ---------------------------------------------------------------------------
+# Budget errors
+# ---------------------------------------------------------------------------
+
+
+def test_cap_sweep_errors_identical(graphs):
+    # Caps at 1 and on each side of every budget count the calls check.
+    spec = SPECS["path-any-weight"]
+    target = PresenceLiteral(PresenceClass.APPEARING)
+    exceeded = 0
+    for graph in graphs:
+        n = len(graph.node_ids())
+        pairs = n * max(1, n - 1) // 2
+        counts = (graph.n_times * pairs, pairs, n * (n - 1) // 2)
+        for cap in sorted({1} | {c + d for c in counts for d in (-1, 0, 1) if c + d > 0}):
+            cfg = Config(search_max_candidates=cap)
+            for t in (None, 0):
+                got = outcome(find_connected_pairs, graph, cfg, spec, t)
+                assert got == outcome(reference_find_connected_pairs, graph, cfg, spec, t)
+                exceeded += isinstance(got, tuple) and got[0] == SEARCH_SPACE_EXCEEDED
+            got = outcome(structural_search, graph, cfg, target, SearchSpace(),
+                          fixed_interval=graph.full_interval(), connection=spec)
+            assert got == outcome(reference_search_pairs, graph, cfg, target,
+                                  graph.full_interval(), spec)
+            exceeded += isinstance(got, tuple) and got[0] == SEARCH_SPACE_EXCEEDED
+    assert exceeded > 0

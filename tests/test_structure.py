@@ -445,3 +445,33 @@ class TestStructuralCompare:
         )
         got = {(p.lhs.ref_key.name, p.rhs.ref_key.name) for p in pairs}
         assert got == {("subset:P1", "subset:P2")}
+
+    def test_seek_config_budget_checked_before_configurations(self, monkeypatch):
+        # 2 times x 3 subsets = 6 configurations; a cap of 5 must reject them
+        # before the first one is built.
+        from tgq import structure
+        from tgq.config import Config
+        from tgq.errors import SEARCH_SPACE_EXCEEDED
+
+        g = load(jl([
+            {"type": "node", "id": n, "start": 0, "end": 1} for n in "abcd"
+        ] + [
+            {"type": "edge", "id": "e1", "src": "a", "dst": "b", "start": 0, "end": 1},
+            {"type": "subset", "name": "P1", "members": ["node:a", "node:b"]},
+            {"type": "subset", "name": "P2", "members": ["node:c", "node:d"]},
+            {"type": "subset", "name": "P3", "members": ["node:a", "node:c"]},
+        ]))
+        built = []
+        real = structure.snapshot_config
+        monkeypatch.setattr(structure, "snapshot_config",
+                            lambda *args: built.append(args) or real(*args))
+        side = structure.SeekSideStructConfig()
+        space = SearchSpace(subset_family=SubsetFamily.NAMED_SUBSETS)
+        with pytest.raises(TgqError) as e:
+            side.resolve_bindings(g, Config(search_max_candidates=5), space)
+        assert e.value.code == SEARCH_SPACE_EXCEEDED
+        assert e.value.details["count"] == 2 * 3
+        assert e.value.message == "relation seeking: 6 candidates exceed the cap of 5"
+        assert built == []
+        assert len(side.resolve_bindings(g, Config(search_max_candidates=6), space)) == 6
+        assert len(built) == 6
