@@ -88,8 +88,8 @@ def element_series(
 ) -> dict:
     """t -> value over the interval, at the points where it is defined."""
     _check_numeric(graph, attr)
-    values = ((t, graph.try_value(t, ref, attr, cfg)) for t in interval.indices())
-    return {t: v for t, v in values if v is not None}
+    column = graph.column(ref, attr, cfg)
+    return {t: column[t] for t in interval.indices() if column[t] is not None}
 
 
 AGGREGATIONS = {
@@ -110,12 +110,10 @@ def group_series(
     if agg not in AGGREGATIONS:
         raise TgqError(VALIDATION_ERROR, f"unknown aggregation '{agg}'")
     fold = AGGREGATIONS[agg]
+    columns = [graph.column(m, attr, cfg) for m in group.members]
     out = {}
     for t in interval.indices():
-        values = [
-            v for v in (graph.try_value(t, m, attr, cfg) for m in group.members)
-            if v is not None
-        ]
+        values = [column[t] for column in columns if column[t] is not None]
         if values:
             out[t] = float(fold(values))
     return out
@@ -158,8 +156,8 @@ def correlate_attributes(
             raise TgqError(VALIDATION_ERROR, "lag does not apply to a cross-section")
         pairs = []
         for m in group.members:
-            a = graph.try_value(t, m, attr_a, cfg)
-            b = graph.try_value(t, m, attr_b, cfg)
+            a = graph.column(m, attr_a, cfg)[t]
+            b = graph.column(m, attr_b, cfg)[t]
             if a is not None and b is not None:
                 pairs.append((a, b))
         return pearson(pairs, 0, cfg)

@@ -5,10 +5,11 @@ in the data), per-element existence intervals, and per-attribute value
 series. A loaded graph is immutable and safe for concurrent reads; all query
 machinery is built on three primitives here:
 
-- ``try_value(t, ref, attr)`` evaluates the data function for one element at
-  one time point (with optional carry-forward of the last observed value),
-  returning None on a miss; ``value_at`` is the same read but raises
-  ABSENT_ELEMENT or MISSING_VALUE instead,
+- ``column(ref, attr)`` resolves one element's attribute at every time index
+  (None where it is absent or has no value; optional carry-forward of the
+  last observed value), cached on first read; scans read it whole, and
+  ``try_value(t, ref, attr)`` indexes it (``value_at`` raises
+  ABSENT_ELEMENT or MISSING_VALUE on a miss instead),
 - ``snapshot(t)`` materialises the static graph alive at one time point,
 - ``exists_at(ref, t)`` tests interval cover.
 
@@ -23,10 +24,8 @@ import csv
 import io
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
 from typing import Iterable, Optional
 
 from .config import Config
@@ -179,6 +178,7 @@ class TemporalGraph:
         self.attr_kinds = dict(attr_kinds)  # attr name -> AttrKind
         self.external_series = dict(external_series)  # name -> {t_index: float}
         self._snapshots: dict = {}
+        self._columns: dict = {}  # (kind, id, attr, carry[, "resolved"]) -> tuple
         self._node_edges: dict = {}
         for edge_id, e in self.edges.items():
             self._node_edges.setdefault(e.src, []).append(edge_id)
@@ -255,12 +255,10 @@ class TemporalGraph:
             if ref.id not in self.edges:
                 raise TgqError(VALIDATION_ERROR, f"unknown edge '{ref.id}'")
             return self.edges[ref.id].intervals
-        return None  # objects: existence derived from members
+        # an object exists wherever one of its member nodes does
+        return _merge_intervals(iv for n in self.object_members(ref.id).nodes for iv in self.nodes[n])
 
     def exists_at(self, ref: GraphElementRef, t: int) -> bool:
-        if ref.kind == ElemKind.OBJECT:
-            members = self.object_members(ref.id)
-            return any(self.exists_at(node_ref(n), t) for n in members.nodes)
         return _covered(self._intervals_of(ref), t)
 
     # -- data function -----------------------------------------------------
@@ -302,7 +300,7 @@ class TemporalGraph:
         self.attr_kind(attr)
         if not self.exists_at(ref, t):
             return None
-        value = self._series_value(t, ref, attr, cfg)
+        value = self._recorded(ref, attr, cfg.carries_forward(attr))[t]
         if value is not None:
             return value, False
         # Recorded object attribute wins; otherwise aggregate over members.
@@ -312,25 +310,36 @@ class TemporalGraph:
                 return value, True
         return None
 
-    def _series_value(self, t: int, ref: GraphElementRef, attr: str, cfg: Config):
-        series = self.attrs.get((ref.kind, ref.id, attr), ())
-        pos = bisect_right(series, t, key=itemgetter(0))
-        if pos and series[pos - 1][0] == t:
-            return series[pos - 1][1]
-        if pos and cfg.carries_forward(attr):
-            t_rec, value = series[pos - 1]
-            # The last observed value persists only while the element stays
-            # alive: both points must fall in the same existence interval.
-            if ref.kind != ElemKind.OBJECT:
-                for s, e in self._intervals_of(ref):
-                    if s <= t_rec and t <= e:
-                        return value
-            else:
-                if all(
-                    self.exists_at(ref, u) for u in range(t_rec, t + 1)
-                ):
-                    return value
-        return None
+    def column(self, ref: GraphElementRef, attr: str, cfg: Config) -> tuple:
+        """``try_value(t, ref, attr, cfg)`` for every time index t, read once
+        and cached; an object's slots include its member aggregates."""
+        self.attr_kind(attr)
+        carry = cfg.carries_forward(attr)
+        if ref.kind != ElemKind.OBJECT:
+            return self._recorded(ref, attr, carry)
+        key = (ref.kind, ref.id, attr, carry, "resolved")
+        if key not in self._columns:
+            self._columns[key] = tuple(self.try_value(t, ref, attr, cfg) for t in range(self.n_times))
+        return self._columns[key]
+
+    def _recorded(self, ref: GraphElementRef, attr: str, carry: bool) -> tuple:
+        """Recorded values, carried forward when ``carry``: the one home of
+        that rule. Cached only once whole, so readers never see a part."""
+        key = (ref.kind, ref.id, attr, carry)
+        col = self._columns.get(key)
+        if col is None:
+            intervals = self._intervals_of(ref)
+            slots = [None] * self.n_times
+            for t, value in self.attrs.get((ref.kind, ref.id, attr), ()):
+                slots[t] = value
+            if carry:
+                # a value persists only within the existence interval it was recorded in
+                for s, e in intervals:
+                    for t in range(s + 1, e + 1):
+                        if slots[t] is None:
+                            slots[t] = slots[t - 1]
+            self._columns[key] = col = tuple(slots)
+        return col
 
     def _aggregate_members(self, t: int, ref: GraphElementRef, attr: str, cfg: Config):
         members = self.object_members(ref.id)
@@ -480,8 +489,13 @@ def load(stream: Iterable) -> TemporalGraph:
     anywhere in the records; an omitted interval ``end`` means "until the
     last timestamp".
     """
+    return _load(enumerate(stream, start=1))
+
+
+def _load(numbered) -> TemporalGraph:
+    """:func:`load` over ``(line number, item)`` pairs."""
     records = []
-    for lineno, item in enumerate(stream, start=1):
+    for lineno, item in numbered:
         if isinstance(item, (bytes, str)):
             text = item.decode("utf-8") if isinstance(item, bytes) else item
             if not text.strip():
@@ -739,15 +753,15 @@ def load_path(path: str) -> TemporalGraph:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if path.endswith(".csv"):
-        return load(_csv_records(text))
+        return _load(_csv_records(text))
     return load(text.splitlines())
 
 
 def _csv_records(text: str):
-    """CSV variant of the ingest format: same columns, empty cells omitted.
-
-    ``members``/``nodes``/``edges`` cells hold ';'-separated lists; other
-    cells are interpreted as JSON scalars where possible.
+    """CSV variant of the ingest format as (line, record) pairs, the line
+    being the file line where the record ends. Same columns; empty cells are
+    omitted, ``members``/``nodes``/``edges`` cells hold ';'-separated lists,
+    and other cells are interpreted as JSON scalars where possible.
     """
     reader = csv.DictReader(io.StringIO(text))
     list_cols = {"members", "nodes", "edges"}
@@ -764,7 +778,7 @@ def _csv_records(text: str):
                 except json.JSONDecodeError:
                     rec[key] = cell
         if rec:
-            yield rec
+            yield reader.line_num, rec
 
 
 # ---------------------------------------------------------------------------

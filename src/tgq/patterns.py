@@ -23,7 +23,7 @@ class invariant under y -> a*y + b for a > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -229,33 +229,39 @@ def trend(
     """Trend of one element's attribute over a time interval."""
     if graph.attr_kind(attr) != AttrKind.NUMERIC:
         raise TgqError(TYPE_ERROR, f"trend needs a numeric attribute, '{attr}' is not")
-    values = ((t, graph.try_value(t, ref, attr, cfg)) for t in interval.indices())
-    return classify_trend([(t, v) for t, v in values if v is not None], cfg)
+    column = graph.column(ref, attr, cfg)
+    return classify_trend([(t, column[t]) for t in interval.indices() if column[t] is not None], cfg)
 
 
 def classify_distribution(values, cfg: Config) -> DistributionPattern:
     if not values:
         raise TgqError(EMPTY_SCOPE, "no defined values in scope")
     values = sorted(float(v) for v in values)
-    n = len(values)
-    mean = math.fsum(values) / n
-    variance = math.fsum((v - mean) ** 2 for v in values) / n
-    stddev = math.sqrt(variance)
-    lo, hi = values[0], values[-1]
-    if lo == hi:
-        histogram = (1.0,)
-    else:
-        bins = [0] * cfg.histogram_bins
-        width = (hi - lo) / cfg.histogram_bins
-        for v in values:
-            idx = min(int((v - lo) / width), cfg.histogram_bins - 1)
-            bins[idx] += 1
-        histogram = tuple(b / n for b in bins)
-    return DistributionPattern(
-        count=n, mean=mean, stddev=stddev, min=lo, max=hi,
-        histogram=histogram,
-        class_hint=_hint(values, mean, variance, histogram),
-    )
+    try:
+        n = len(values)
+        mean = math.fsum(values) / n
+        variance = math.fsum((v - mean) ** 2 for v in values) / n
+        stddev = math.sqrt(variance)
+        lo, hi = values[0], values[-1]
+        if lo == hi:
+            histogram = (1.0,)
+        else:
+            bins = [0] * cfg.histogram_bins
+            width = (hi - lo) / cfg.histogram_bins
+            for v in values:
+                idx = min(int((v - lo) / width), cfg.histogram_bins - 1)
+                bins[idx] += 1
+            histogram = tuple(b / n for b in bins)
+        return DistributionPattern(
+            count=n, mean=mean, stddev=stddev, min=lo, max=hi,
+            histogram=histogram,
+            class_hint=_hint(values, mean, variance, histogram),
+        )
+    except OverflowError:
+        # Finite extremes overflow the moments; only mean and stddev have a scale.
+        scale = max(-values[0], values[-1])
+        p = classify_distribution([v / scale for v in values], cfg)
+        return replace(p, mean=p.mean * scale, stddev=p.stddev * scale, min=values[0], max=values[-1])
 
 
 def _hint(values, mean, variance, histogram) -> DistClass:
@@ -305,7 +311,7 @@ def distribution(
     """Distribution of an attribute over a set of elements at one time point."""
     if graph.attr_kind(attr) != AttrKind.NUMERIC:
         raise TgqError(TYPE_ERROR, f"distribution needs a numeric attribute, '{attr}' is not")
-    values = [v for v in (graph.try_value(t, m, attr, cfg) for m in members) if v is not None]
+    values = [v for v in (graph.column(m, attr, cfg)[t] for m in members) if v is not None]
     if not values:
         raise TgqError(
             EMPTY_SCOPE, f"no member has a value of '{attr}' at t={graph.label_of(t)}"

@@ -172,9 +172,10 @@ def inverse_lookup(
     else:
         elements = graph.all_refs()
     hits = []
-    for ti in times:
-        for el in elements:
-            value = graph.try_value(ti, el, attr, cfg)
+    for el in elements if times else ():
+        column = graph.column(el, attr, cfg)
+        for ti in times:
+            value = column[ti]
             if value is not None and constraint.test(value):
                 hits.append((ti, el, value))
     hits.sort(key=lambda h: (h[0], h[1]))
@@ -721,10 +722,11 @@ class SeekSideValues:
             [self.fixed_ref] if self.fixed_ref else element_candidates(graph, space.subset_family)
         )
         check_budget(len(times) * len(elements), cfg, "relation seeking")
+        columns = [graph.column(el, self.attr, cfg) for el in elements] if times else []
         out = []
         for t in times:
-            for el in elements:
-                value = graph.try_value(t, el, self.attr, cfg)
+            for el, column in zip(elements, columns):
+                value = column[t]
                 if value is None:
                     continue
                 if self.constraint is not None and not self.constraint.test(value):

@@ -79,6 +79,20 @@ class TestExitCodes:
         pattern = json.loads(out, parse_constant=pytest.fail)["bindings"][0]["pattern"]
         assert (pattern["class"], pattern["slope"]) == ("DECREASING", -1.0)
 
+    def test_distribution_over_finite_extremes(self, capsys, tmp_path):
+        data = tmp_path / "extremes.jsonl"
+        data.write_text(
+            '{"type":"node","id":"a","start":0,"end":1}\n'
+            '{"type":"node","id":"b","start":0,"end":1}\n'
+            '{"type":"attr","elem":"node:a","name":"w","t":0,"value":1e308}\n'
+            '{"type":"attr","elem":"node:b","name":"w","t":0,"value":1e308}\n')
+        code, out, _ = run_cli(
+            ["query", str(data), "CHARACTERIZE DIST ON w OF NODES AT t=0"], capsys)
+        assert code == 0
+        pattern = json.loads(out, parse_constant=pytest.fail)["bindings"][0]["pattern"]
+        assert (pattern["mean"], pattern["stddev"], pattern["class_hint"]) == (
+            1e308, 0.0, "CONCENTRATED")
+
     def test_usage_error(self, capsys):
         code, _, err = run_cli(["bogus-command"], capsys)
         assert code == 1

@@ -270,8 +270,21 @@ class TestLoad:
         with pytest.raises(TgqError) as e:
             load_path(str(path))
         assert codes(e) == SCHEMA_ERROR
-        assert e.value.details["line"] == 2
+        assert e.value.details["line"] == 3
+        assert e.value.message.startswith("line 3: ")
         assert "must be a finite number" in e.value.message
+
+    @pytest.mark.parametrize("skipped", ["", ",,,,,,,"], ids=["blank", "empty_cells"])
+    def test_csv_error_reports_file_line_after_skipped_row(self, tmp_path, skipped):
+        from tgq.graph import load_path
+
+        path = tmp_path / "bad.csv"
+        path.write_text("type,id,start,end,elem,name,t,value\nnode,a,0,1,,,,\n"
+                        + skipped + "\nattr,,,,node:a,w,0,NaN\n")
+        with pytest.raises(TgqError) as e:
+            load_path(str(path))
+        assert e.value.details["line"] == 4
+        assert e.value.message == "line 4: attribute value must be a finite number"
 
 
 class TestEval:

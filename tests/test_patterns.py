@@ -1,5 +1,6 @@
 """Behaviour classification and the approximate-match relation."""
 
+import math
 import random
 
 import pytest
@@ -159,6 +160,20 @@ class TestDistribution:
     def test_histogram_normalized(self, values):
         d = classify_distribution(values, Config())
         assert abs(sum(d.histogram) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("values", [
+        [1e308, 1e308], [-1e308, 1e308], [0.0, 1e120], [-1e308, 0.0, 0.0, 1e308, 1e308],
+    ])
+    def test_finite_extremes_do_not_overflow(self, cfg, values):
+        # The moments overflow at this scale; histogram and hint are those of
+        # the values scaled down, and mean and stddev scale back.
+        d = classify_distribution(values, cfg)
+        scale = max(abs(v) for v in values)
+        small = classify_distribution([v / scale for v in values], cfg)
+        assert (d.count, d.histogram, d.class_hint) == (small.count, small.histogram, small.class_hint)
+        assert (d.min, d.max) == (min(values), max(values))
+        assert (d.mean, d.stddev) == (small.mean * scale, small.stddev * scale)
+        assert math.isfinite(d.mean) and math.isfinite(d.stddev)
 
     def test_empty_scope(self, mini_graph, cfg):
         g = load(jl([
