@@ -179,6 +179,7 @@ class TemporalGraph:
         self.external_series = dict(external_series)  # name -> {t_index: float}
         self._snapshots: dict = {}
         self._columns: dict = {}  # (kind, id, attr, carry[, "resolved"]) -> tuple
+        self._refs: dict = {}  # kind -> sorted tuple of its refs, built on first use
         self._node_edges: dict = {}
         for edge_id, e in self.edges.items():
             self._node_edges.setdefault(e.src, []).append(edge_id)
@@ -217,13 +218,15 @@ class TemporalGraph:
         return sorted(self.objects)
 
     def all_refs(self, kinds=(ElemKind.NODE, ElemKind.EDGE)) -> list:
+        """Refs of the given kinds, nodes then edges then objects, each sorted
+        by id; a fresh list per call."""
         refs = []
-        if ElemKind.NODE in kinds:
-            refs.extend(node_ref(i) for i in self.node_ids())
-        if ElemKind.EDGE in kinds:
-            refs.extend(edge_ref(i) for i in self.edge_ids())
-        if ElemKind.OBJECT in kinds:
-            refs.extend(object_ref(i) for i in self.object_ids())
+        for kind, table in ((ElemKind.NODE, self.nodes), (ElemKind.EDGE, self.edges),
+                            (ElemKind.OBJECT, self.objects)):
+            if kind in kinds:
+                if kind not in self._refs:
+                    self._refs[kind] = tuple(GraphElementRef(kind, i) for i in sorted(table))
+                refs.extend(self._refs[kind])
         return refs
 
     def has_ref(self, ref: GraphElementRef) -> bool:

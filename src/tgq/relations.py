@@ -153,16 +153,18 @@ def set_relation(s1, s2) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _member_nodes(graph: TemporalGraph, ref: GraphElementRef, t: int) -> list:
-    """Alive node ids standing for a node or graph-object reference."""
+_RELATION_FAMILY = "structural relations apply to nodes and graph objects"
+
+
+def _member_nodes(graph: TemporalGraph, ref: GraphElementRef, t: int, family: str) -> list:
+    """Alive node ids standing for a node or graph-object reference; any
+    other kind raises FAMILY_MISMATCH with ``family`` naming what applies."""
     if ref.kind == ElemKind.NODE:
         return [ref.id] if graph.snapshot(t).has_node(ref.id) else []
     if ref.kind == ElemKind.OBJECT:
         snap = graph.snapshot(t)
         return sorted(n for n in graph.object_members(ref.id).nodes if snap.has_node(n))
-    raise TgqError(
-        FAMILY_MISMATCH, f"structural relations apply to nodes and graph objects, not {ref}"
-    )
+    raise TgqError(FAMILY_MISMATCH, f"{family}, not {ref}")
 
 
 def shortest_connection(
@@ -179,8 +181,8 @@ def shortest_connection(
     Graph objects connect through any member node; their internal hops are
     free, so the distance is the minimum over cross pairs.
     """
-    sources = _member_nodes(graph, g1, t)
-    targets = set(_member_nodes(graph, g2, t))
+    sources = _member_nodes(graph, g1, t, _RELATION_FAMILY)
+    targets = set(_member_nodes(graph, g2, t, _RELATION_FAMILY))
     if not sources or not targets:
         return None, None
     snap = graph.snapshot(t)
@@ -210,8 +212,8 @@ def shortest_connection(
 
 def are_adjacent(graph: TemporalGraph, t: int, g1: GraphElementRef, g2: GraphElementRef):
     """(flag, witness edge ids): any alive edge crossing between the two."""
-    nodes1 = _member_nodes(graph, g1, t)
-    nodes2 = set(_member_nodes(graph, g2, t))
+    nodes1 = _member_nodes(graph, g1, t, _RELATION_FAMILY)
+    nodes2 = set(_member_nodes(graph, g2, t, _RELATION_FAMILY))
     hits = []
     for a in nodes1:
         for edge_id in graph.edges_between_any(a, nodes2, t):
@@ -227,8 +229,8 @@ def configuration_equal(
     Up to 10 alive nodes per side: exact isomorphism by backtracking.
     Larger: identical member sets only, and the witness notes the downgrade.
     """
-    n1 = _member_nodes(graph, g1, t)
-    n2 = _member_nodes(graph, g2, t)
+    n1 = _member_nodes(graph, g1, t, _RELATION_FAMILY)
+    n2 = _member_nodes(graph, g2, t, _RELATION_FAMILY)
     if len(n1) > 10 or len(n2) > 10:
         same = set(n1) == set(n2)
         return same, {"method": "member_set", "note": "size over isomorphism bound"}

@@ -16,6 +16,7 @@ Four structural behaviours are summarised:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -37,7 +38,7 @@ from .graph import (
     node_ref,
 )
 from .patterns import _OPPOSITE_TRENDS, classify_trend
-from .relations import are_adjacent, shortest_connection
+from .relations import _member_nodes, are_adjacent, shortest_connection
 from .search import (
     GroupCandidate,
     SearchSpace,
@@ -193,11 +194,13 @@ def find_connection(
 
 class _Connectivity:
     """Connection under one spec for the length of one call: one neighbour
-    table per time point, built on first use."""
+    table and one set of connected pairs per time point, built on first
+    use."""
 
     def __init__(self, graph: TemporalGraph, cfg: Config, spec: ConnectionSpec):
         self.graph, self.cfg, self.spec = graph, cfg, spec
         self._tables: dict = {}
+        self._pairs: dict = {}
 
     def _table(self, t: int) -> dict:
         """node -> nodes one qualifying edge away at t along the direction."""
@@ -236,19 +239,28 @@ class _Connectivity:
             out.update(self.hits(a, t))
         return out
 
+    def pairs(self, t: int, ordered: bool = False) -> set:
+        """Node pairs ``(a, b)`` connected at t, b a hit of a: every such
+        pair when ordered, else those with ``a < b``. With fewer than two
+        nodes alive there is no pair, so no table: its edge predicate may
+        raise."""
+        key = (t, ordered)
+        if key not in self._pairs:
+            alive = self.graph.snapshot(t).nodes  # sorted; every hit is alive
+            # Unordered pairs put the larger id second: the last node has none.
+            self._pairs[key] = set() if len(alive) < 2 else {
+                (a, b) for a in (alive if ordered else alive[:-1])
+                for b in self.hits(a, t) if b != a and (ordered or b > a)
+            }
+        return self._pairs[key]
+
     def connected(self, g1: GraphElementRef, g2: GraphElementRef, t: int) -> bool:
-        starts = _nodes_of(self.graph, g1, t)
-        targets = _nodes_of(self.graph, g2, t)
+        starts = _member_nodes(self.graph, g1, t, _CONNECTION_FAMILY)
+        targets = _member_nodes(self.graph, g2, t, _CONNECTION_FAMILY)
         return not self.reached(starts, t).isdisjoint(targets)
 
 
-def _nodes_of(graph, ref: GraphElementRef, t: int) -> list:
-    if ref.kind == ElemKind.NODE:
-        return [ref.id] if graph.snapshot(t).has_node(ref.id) else []
-    if ref.kind == ElemKind.OBJECT:
-        snap = graph.snapshot(t)
-        return sorted(n for n in graph.object_members(ref.id).nodes if snap.has_node(n))
-    raise TgqError(FAMILY_MISMATCH, f"connection tasks apply to nodes and objects, not {ref}")
+_CONNECTION_FAMILY = "connection tasks apply to nodes and objects"
 
 
 def find_connected(
@@ -280,8 +292,8 @@ def find_connected(
             if g2 == g1 or not graph.exists_at(g2, ti):
                 continue
             if reached is None:
-                reached = conn.reached(_nodes_of(graph, g1, ti), ti)
-            if not reached.isdisjoint(_nodes_of(graph, g2, ti)):
+                reached = conn.reached(_member_nodes(graph, g1, ti, _CONNECTION_FAMILY), ti)
+            if not reached.isdisjoint(_member_nodes(graph, g2, ti, _CONNECTION_FAMILY)):
                 out.append((g2, ti))
     out.sort(key=lambda p: (p[1], p[0]))
     return out
@@ -301,17 +313,9 @@ def find_connected_pairs(
                  "connected-pair search")
     ordered = spec.direction != "any"
     conn = _Connectivity(graph, cfg, spec)
-    out = []
-    for ti in times:
-        alive = graph.snapshot(ti).nodes  # sorted; every hit is alive
-        if len(alive) < 2:
-            continue  # no pair, so no table: its edge predicate may raise
-        # Unordered pairs put the larger id second: the last node has none.
-        for a in alive if ordered else alive[:-1]:
-            out.extend((node_ref(a), node_ref(b), ti) for b in conn.hits(a, ti)
-                       if b != a and (ordered or b > a))
-    out.sort(key=lambda p: (p[2], p[0], p[1]))
-    return out
+    # times ascend, so the list is in (t, a, b) order
+    return [(node_ref(a), node_ref(b), ti)
+            for ti in times for a, b in sorted(conn.pairs(ti, ordered))]
 
 
 def connection_times(
@@ -364,7 +368,11 @@ def _holds(conn: _Connectivity, g1: GraphElementRef, g2: GraphElementRef, t: int
 
 def _presence(conn: _Connectivity, g1: GraphElementRef, g2: GraphElementRef,
               interval: TimeInterval) -> StructuralPattern:
-    bitstring = "".join("1" if _holds(conn, g1, g2, t) else "0" for t in interval.indices())
+    return _presence_pattern(
+        "".join("1" if _holds(conn, g1, g2, t) else "0" for t in interval.indices()))
+
+
+def _presence_pattern(bitstring: str) -> StructuralPattern:
     return StructuralPattern(
         StructScopeKind.PAIR_OVER_TIME,
         presence_class=classify_presence(bitstring),
@@ -445,18 +453,47 @@ def pairs_aggregate(
     interval: TimeInterval,
     spec: Optional[ConnectionSpec] = None,
 ) -> StructuralPattern:
+    """Frequency table of the presence classes of the member pairs over the
+    interval. Work follows the pairs that connect: per time point, each
+    alive member's nodes and reach are worked out once, and a pair that
+    never connects counts as NEVER without a bitstring of its own."""
     refs = sorted(members)
     if len(refs) < 2:
         raise TgqError(EMPTY_SCOPE, "pair aggregation needs at least two members")
     conn = _Connectivity(graph, cfg, spec or ConnectionSpec())
-    counts: dict = {}
-    for a, b in itertools.combinations(refs, 2):
-        p = _presence(conn, a, b, interval)
-        counts[p.presence_class.value] = counts.get(p.presence_class.value, 0) + 1
+    try:
+        counts = _pair_class_counts(conn, refs, interval)
+    except TgqError:
+        # Which error a caller sees is the first one a scan pair by pair, time
+        # by time meets (an edge member or an edge predicate): replay it.
+        counts = Counter(_presence(conn, a, b, interval).presence_class.value
+                         for a, b in itertools.combinations(refs, 2))
     return StructuralPattern(
         StructScopeKind.PAIRS_AGGREGATE,
         class_frequencies=tuple(sorted(counts.items())),
     )
+
+
+def _pair_class_counts(conn: _Connectivity, refs: list, interval: TimeInterval) -> Counter:
+    """Presence class -> number of member pairs ``(refs[i], refs[j])``,
+    i < j, built time point by time point. It meets every element, node
+    list and table that the scan pair by pair meets, and maybe more."""
+    graph = conn.graph
+    times = interval.indices()
+    bits: dict = {}  # (i, j) -> presence bits, for the pairs that connect
+    for k, t in enumerate(times):
+        alive = [i for i, ref in enumerate(refs) if graph.exists_at(ref, t)]
+        nodes = {i: _member_nodes(graph, refs[i], t, _CONNECTION_FAMILY) for i in alive}
+        for x, i in enumerate(alive[:-1]):
+            reached = conn.reached(nodes[i], t)
+            for j in alive[x + 1:]:
+                if not reached.isdisjoint(nodes[j]):
+                    bits.setdefault((i, j), ["0"] * len(times))[k] = "1"
+    counts = Counter(classify_presence("".join(b)).value for b in bits.values())
+    untouched = len(refs) * (len(refs) - 1) // 2 - len(bits)
+    if untouched:
+        counts[classify_presence("0" * len(times)).value] += untouched
+    return counts
 
 
 def config_over_time(
@@ -629,20 +666,35 @@ def structural_search(
 ) -> list:
     """Find the references whose structural behaviour approximates the
     target. The target's scope decides what gets enumerated: node pairs for
-    presence patterns, node sets for configurations."""
+    presence patterns, node sets for configurations.
+
+    Presence search works in proportion to the pairs that connect: per
+    window, only pairs in some time point's connected-pair set get their own
+    bitstring. Every other pair is NEVER, scored once per window, and all
+    pairs are walked only when that score reaches the threshold.
+    """
     thr = cfg.similarity_threshold if threshold is None else threshold
     kind = _target_scope(target)
     matches = []
     if kind == StructScopeKind.PAIR_OVER_TIME:
         windows = time_windows(graph, fixed_interval, space.window_min_len)
         names = graph.node_ids()
-        pairs = list(itertools.combinations(names, 2))
-        check_budget(len(pairs) * len(windows), cfg, "structural search")
+        check_budget(len(names) * (len(names) - 1) // 2 * len(windows), cfg,
+                     "structural search")
         conn = _Connectivity(graph, cfg, connection or ConnectionSpec())
         for window in windows:
-            for a, b in pairs:
-                candidate = _presence(conn, node_ref(a), node_ref(b), window)
-                score, _ = struct_match_score(target, candidate, cfg)
+            per_t = [conn.pairs(t) for t in window.indices()]
+            never = _presence_pattern("0" * len(per_t))
+            never_score, _ = struct_match_score(target, never, cfg)
+            touched = set().union(*per_t)
+            for a, b in (itertools.combinations(names, 2) if never_score >= thr
+                         else sorted(touched)):
+                if (a, b) in touched:
+                    candidate = _presence_pattern(
+                        "".join("1" if (a, b) in pairs else "0" for pairs in per_t))
+                    score, _ = struct_match_score(target, candidate, cfg)
+                else:
+                    candidate, score = never, never_score
                 if score >= thr:
                     matches.append(StructMatch(
                         f"node:{a}|node:{b}", window, candidate, score

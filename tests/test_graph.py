@@ -485,3 +485,28 @@ class TestSnapshot:
             )
             got = sorted(e[0] for e in g.snapshot(t).edges)
             assert got == expected
+
+
+class TestAllRefs:
+    def test_sorted_by_kind_then_id(self):
+        for g in _small_graphs():
+            want = ([node_ref(n) for n in sorted(g.nodes)]
+                    + [edge_ref(e) for e in sorted(g.edges)]
+                    + [object_ref(o) for o in sorted(g.objects)])
+            assert g.all_refs(kinds=tuple(ElemKind)) == want
+            assert g.all_refs() == want[:len(g.nodes) + len(g.edges)]
+            assert g.all_refs((ElemKind.OBJECT, ElemKind.NODE)) == (
+                want[:len(g.nodes)] + want[len(g.nodes) + len(g.edges):])
+
+    def test_each_call_returns_a_fresh_list(self, chain_graph):
+        first = chain_graph.all_refs()
+        second = chain_graph.all_refs()
+        assert first == second
+        assert first is not second
+        first.clear()
+        assert chain_graph.all_refs() == second
+
+    def test_load_builds_no_refs(self, chain_graph):
+        assert chain_graph._refs == {}
+        for g in _small_graphs():
+            assert g._refs == {}

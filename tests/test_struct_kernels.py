@@ -16,9 +16,12 @@ import random
 import pytest
 
 from tgq.config import Config
-from tgq.errors import ABSENT_ELEMENT, EMPTY_SCOPE, FAMILY_MISMATCH, SEARCH_SPACE_EXCEEDED, TgqError
-from tgq.graph import ElemKind, GraphElementRef, TimeInterval, load, node_ref, object_ref
+from tgq.errors import (
+    ABSENT_ELEMENT, EMPTY_SCOPE, FAMILY_MISMATCH, KIND_MISMATCH, SEARCH_SPACE_EXCEEDED, TgqError,
+)
+from tgq.graph import ElemKind, GraphElementRef, TimeInterval, edge_ref, load, node_ref, object_ref
 from tgq.search import SearchSpace, _time_sort_key, check_budget, time_points, time_windows
+from tgq import structure
 from tgq.structure import (
     ConnectionSpec,
     PresenceClass,
@@ -182,9 +185,11 @@ def reference_pairs_aggregate(graph, cfg, members, interval, spec=None):
                              class_frequencies=tuple(sorted(counts.items())))
 
 
-def reference_search_pairs(graph, cfg, target, fixed_interval=None, connection=None):
+def reference_search_pairs(graph, cfg, target, fixed_interval=None, connection=None,
+                           threshold=None, window_min_len=1):
     """The PAIRS branch of ``structural_search`` (a presence target)."""
-    windows = time_windows(graph, fixed_interval)
+    thr = cfg.similarity_threshold if threshold is None else threshold
+    windows = time_windows(graph, fixed_interval, window_min_len)
     pairs = list(itertools.combinations(graph.node_ids(), 2))
     check_budget(len(pairs) * len(windows), cfg, "structural search")
     matches = []
@@ -193,7 +198,7 @@ def reference_search_pairs(graph, cfg, target, fixed_interval=None, connection=N
             candidate = reference_pair_over_time(
                 graph, cfg, node_ref(a), node_ref(b), window, connection)
             score, _ = struct_match_score(target, candidate, cfg)
-            if score >= cfg.similarity_threshold:
+            if score >= thr:
                 matches.append(StructMatch(f"node:{a}|node:{b}", window, candidate, score))
     matches.sort(key=lambda m: (-m.score, _time_sort_key(m.time_key), m.ref_desc))
     return matches
@@ -392,6 +397,124 @@ def test_structural_search_pairs_matches_reference(graphs, name):
             got = outcome(structural_search, graph, cfg, target, SearchSpace(),
                           fixed_interval=fixed, connection=spec)
             assert got == outcome(reference_search_pairs, graph, cfg, target, fixed, spec)
+
+
+# Every presence class as a literal, and one full pattern whose bits differ
+# from the candidates': only the class is compared.
+PAIR_TARGETS = [PresenceLiteral(cls) for cls in PresenceClass] + [
+    StructuralPattern(StructScopeKind.PAIR_OVER_TIME,
+                      presence_class=PresenceClass.INTERMITTENT, presence_bits="101"),
+]
+
+
+@pytest.mark.parametrize("threshold", [None, 0.0, 1.0])
+@pytest.mark.parametrize("name", ["adjacent-any-all", "adjacent-out-weight", "path2-in-all",
+                                  "path-any-kind"])
+def test_structural_search_pairs_targets_and_thresholds(graphs, name, threshold):
+    # NEVER, and a threshold of 0, report pairs that never connect as well.
+    spec = SPECS[name]
+    cfg = Config(search_max_candidates=10**6)
+    for i, graph in enumerate(graphs):
+        fixed = None if i < 2 else graph.full_interval()
+        for target in PAIR_TARGETS:
+            got = outcome(structural_search, graph, cfg, target, SearchSpace(),
+                          fixed_interval=fixed, connection=spec, threshold=threshold)
+            assert got == outcome(reference_search_pairs, graph, cfg, target, fixed, spec,
+                                  threshold=threshold), (i, target)
+
+
+@pytest.mark.parametrize("min_len", [2, 3, 9])
+def test_structural_search_pairs_free_windows_min_len(graphs, min_len):
+    cfg = Config(search_max_candidates=10**6)
+    for graph in graphs[:8]:
+        for target in (PresenceLiteral(PresenceClass.APPEARING),
+                       PresenceLiteral(PresenceClass.NEVER)):
+            for spec in (SPECS["adjacent-any-all"], SPECS["path-out-weight"]):
+                got = outcome(structural_search, graph, cfg, target,
+                              SearchSpace(window_min_len=min_len), connection=spec)
+                assert got == outcome(reference_search_pairs, graph, cfg, target, None, spec,
+                                      window_min_len=min_len)
+
+
+def gaps(graph):
+    """(node, window) for each node that dies and comes back: the window runs
+    from its last point before the gap to its first point after it."""
+    out = []
+    for name in graph.node_ids():
+        alive = [t for t in range(graph.n_times) if graph.exists_at(node_ref(name), t)]
+        out += [(name, TimeInterval(s, e)) for s, e in zip(alive, alive[1:]) if e > s + 1]
+    return out
+
+
+def test_presence_across_a_death_matches_reference(graphs):
+    cfg = Config(search_max_candidates=10**6)
+    spec = SPECS["path-any-all"]
+    broken = 0
+    for graph in graphs:
+        for name, window in gaps(graph):
+            for other in graph.node_ids():
+                if other == name:
+                    continue
+                pair = (node_ref(name), node_ref(other))
+                got = pair_over_time(graph, cfg, *pair, window, spec)
+                assert got == reference_pair_over_time(graph, cfg, *pair, window, spec)
+                broken += got.presence_bits[0] == got.presence_bits[-1] == "1"
+            members = [node_ref(n) for n in graph.node_ids()] + [object_ref("o")]
+            assert outcome(pairs_aggregate, graph, cfg, members, window, spec) == outcome(
+                reference_pairs_aggregate, graph, cfg, members, window, spec)
+            for target in (PresenceLiteral(PresenceClass.INTERMITTENT),
+                           PresenceLiteral(PresenceClass.NEVER)):
+                got = outcome(structural_search, graph, cfg, target, SearchSpace(),
+                              fixed_interval=window, connection=spec)
+                assert got == outcome(reference_search_pairs, graph, cfg, target, window, spec)
+    # some pair connects on both sides of a gap, so its bits are 1...0...1
+    assert broken > 0
+
+
+def test_pairs_aggregate_mixed_kinds_errors_match_reference(graphs):
+    # An edge member raises FAMILY_MISMATCH once it exists beside another
+    # member; before that the categorical predicate may raise KIND_MISMATCH.
+    seen = set()
+    for graph, cfg in each_case(graphs):
+        full = graph.full_interval()
+        nodes = [node_ref(n) for n in graph.node_ids()[:4]]
+        for edge in graph.edge_ids()[:3]:
+            members = nodes + [edge_ref(edge), object_ref("o")]
+            for spec in (SPECS["path-any-kind"], SPECS["adjacent-any-all"]):
+                for window in (full, TimeInterval(0, 0), TimeInterval(full.end, full.end)):
+                    got = outcome(pairs_aggregate, graph, cfg, members, window, spec)
+                    assert got == outcome(reference_pairs_aggregate, graph, cfg, members,
+                                          window, spec), (edge, window)
+                    seen.add(got[0] if isinstance(got, tuple) else None)
+    assert {FAMILY_MISMATCH, KIND_MISMATCH, None} <= seen
+
+
+def test_pairs_aggregate_repeated_member_matches_reference(graphs):
+    for graph, cfg in each_case(graphs):
+        names = graph.node_ids()
+        members = [node_ref(names[0]), node_ref(names[-1]), node_ref(names[0]),
+                   object_ref("o"), object_ref("o")]
+        for spec in (SPECS["adjacent-any-all"], SPECS["path-any-all"]):
+            assert outcome(pairs_aggregate, graph, cfg, members, graph.full_interval(),
+                           spec) == outcome(reference_pairs_aggregate, graph, cfg, members,
+                                            graph.full_interval(), spec)
+
+
+def test_search_builds_bits_only_for_connecting_pairs(monkeypatch):
+    # 40 nodes, one edge, time points 0, 3 and 5: one bitstring for the
+    # NEVER pattern and one for the pair that connects.
+    records = [{"type": "node", "id": f"v{i:02d}", "start": 0, "end": 5} for i in range(40)]
+    records.append({"type": "edge", "id": "e", "src": "v03", "dst": "v07",
+                    "start": 3, "end": 5})
+    graph = load(json.dumps(r) for r in records)
+    calls = []
+    real = structure.classify_presence
+    monkeypatch.setattr(structure, "classify_presence",
+                        lambda bits: calls.append(bits) or real(bits))
+    got = structural_search(graph, Config(), PresenceLiteral(PresenceClass.APPEARING),
+                            SearchSpace(), fixed_interval=graph.full_interval())
+    assert [(m.ref_desc, m.pattern.presence_bits) for m in got] == [("node:v03|node:v07", "011")]
+    assert sorted(calls) == ["000", "011"]
 
 
 def test_spec_default_is_adjacent_any(graphs):
