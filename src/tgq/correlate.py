@@ -56,6 +56,24 @@ def pearson(pairs, lag: int, cfg: Config) -> CorrelationReport:
         )
     xs = [float(a) for a, _ in pairs]
     ys = [float(b) for _, b in pairs]
+    try:
+        r = _r(xs, ys)
+    except OverflowError:
+        # Finite extremes overflow the sums; r does not depend on scale.
+        r = _r(_unit_scaled(xs), _unit_scaled(ys))
+    r = max(-1.0, min(1.0, r))
+    if r >= cfg.correlation_threshold:
+        cls = "POSITIVE"
+    elif r <= -cfg.correlation_threshold:
+        cls = "NEGATIVE"
+    else:
+        cls = "NONE"
+    return CorrelationReport(r, n, lag, cls)
+
+
+def _r(xs, ys) -> float:
+    """Pearson's r of two equal-length series."""
+    n = len(xs)
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
     sxx = math.fsum((x - mx) ** 2 for x in xs)
@@ -66,15 +84,12 @@ def pearson(pairs, lag: int, cfg: Config) -> CorrelationReport:
     denom = math.sqrt(sxx * syy)
     if not 0.0 < denom < math.inf:  # the product under- or overflowed
         denom = math.sqrt(sxx) * math.sqrt(syy)
-    r = sxy / denom
-    r = max(-1.0, min(1.0, r))
-    if r >= cfg.correlation_threshold:
-        cls = "POSITIVE"
-    elif r <= -cfg.correlation_threshold:
-        cls = "NEGATIVE"
-    else:
-        cls = "NONE"
-    return CorrelationReport(r, n, lag, cls)
+    return sxy / denom
+
+
+def _unit_scaled(values) -> list:
+    scale = max(map(abs, values))
+    return [v / scale for v in values]
 
 
 def _check_numeric(graph: TemporalGraph, attr: str) -> None:
@@ -88,6 +103,7 @@ def element_series(
 ) -> dict:
     """t -> value over the interval, at the points where it is defined."""
     _check_numeric(graph, attr)
+    graph.check_time(interval.start, interval.end)
     column = graph.column(ref, attr, cfg)
     return {t: column[t] for t in interval.indices() if column[t] is not None}
 
@@ -110,6 +126,7 @@ def group_series(
     if agg not in AGGREGATIONS:
         raise TgqError(VALIDATION_ERROR, f"unknown aggregation '{agg}'")
     fold = AGGREGATIONS[agg]
+    graph.check_time(interval.start, interval.end)
     columns = [graph.column(m, attr, cfg) for m in group.members]
     out = {}
     for t in interval.indices():
@@ -154,6 +171,7 @@ def correlate_attributes(
     if group is not None and t is not None:
         if lag:
             raise TgqError(VALIDATION_ERROR, "lag does not apply to a cross-section")
+        graph.check_time(t)
         pairs = []
         for m in group.members:
             a = graph.column(m, attr_a, cfg)[t]

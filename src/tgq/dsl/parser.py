@@ -310,7 +310,9 @@ class _Parser:
                 out["during"] = self.interval_ref()
             elif "w" in allowed and self.at_kw("WINDOWS") and "windows" not in out:
                 self.advance()
-                out["windows"] = int(self.expect_kind("NUMBER").value)
+                if not isinstance(self.peek().value, int):
+                    raise self.error({"integer"})
+                out["windows"] = self.advance().value
             elif "o" in allowed and self.at_kw("OVER") and "family" not in out:
                 self.advance()
                 out["family"] = self.family()

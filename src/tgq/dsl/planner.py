@@ -87,6 +87,12 @@ def run_query(text: str, graph: TemporalGraph, cfg: Config) -> dict:
     return plan(parse(text), graph, cfg).run()
 
 
+def _min_len(windows: Optional[int]) -> int:
+    """``WINDOWS n`` as a minimum window length; 1 when the clause is absent.
+    ``SearchSpace`` rejects n < 1."""
+    return 1 if windows is None else windows
+
+
 class _Planner:
     def __init__(self, graph: TemporalGraph, cfg: Config):
         self.graph = graph
@@ -133,7 +139,7 @@ class _Planner:
                     PLAN_ERROR,
                     "a free subset reference needs an enumerable family (OVER ...)",
                 )
-            return SearchSpace(window_min_len=windows or 1)
+            return SearchSpace(window_min_len=_min_len(windows))
         mapping = {
             "EACH_NODE": SubsetFamily.EACH_NODE,
             "EACH_EDGE": SubsetFamily.EACH_EDGE,
@@ -148,7 +154,7 @@ class _Planner:
             subset_family=mapping[family.name],
             khop_k=family.k or 1,
             khop_center=centre,
-            window_min_len=windows or 1,
+            window_min_len=_min_len(windows),
         )
 
     def constraint(self, pred: ast.Predicate) -> ValueConstraint:
@@ -313,7 +319,7 @@ class _Planner:
         interval_quadrant = quadrant != Quadrant.Q2_DIST_AT_T
         if node.during is not None:
             fixed_interval = self.interval(node.during)
-        elif node.windows or node.of_target is not None or not interval_quadrant:
+        elif node.windows is not None or node.of_target is not None or not interval_quadrant:
             # free time reference: enumerate points/windows
             fixed_interval = None
         else:
@@ -687,13 +693,13 @@ class _Planner:
         target = self.pattern_literal(node.pattern)
         pair_scope = isinstance(target, PresenceLiteral)
         space = (
-            SearchSpace(window_min_len=node.windows or 1)
+            SearchSpace(window_min_len=_min_len(node.windows))
             if pair_scope
             else self.space(node.family, node.windows, need_group=True)
         )
         fixed_t = self.t_index(node.at)
         fixed_interval = self.interval(node.during)
-        if fixed_interval is None and not node.windows and not isinstance(target, ConfigLiteral):
+        if fixed_interval is None and node.windows is None and not isinstance(target, ConfigLiteral):
             fixed_interval = self.graph.full_interval()
 
         def run():

@@ -205,6 +205,13 @@ class TemporalGraph:
             raise TgqError(VALIDATION_ERROR, f"time label {label!r} not in the time domain")
         return self.time_index[key]
 
+    def check_time(self, *indices: int) -> None:
+        """Raise VALIDATION_ERROR unless every index is in the time domain."""
+        n = len(self.time_labels)
+        for t in indices:
+            if not 0 <= t < n:
+                raise TgqError(VALIDATION_ERROR, f"time index {t} outside the domain")
+
     def label_of(self, t: int):
         return self.time_labels[t]
 
@@ -363,11 +370,10 @@ class TemporalGraph:
     # -- snapshots -----------------------------------------------------------
 
     def snapshot(self, t: int) -> Snapshot:
-        if not 0 <= t < self.n_times:
-            raise TgqError(VALIDATION_ERROR, f"time index {t} outside the domain")
         cached = self._snapshots.get(t)
         if cached is not None:
             return cached
+        self.check_time(t)
         nodes = tuple(i for i in self.node_ids() if _covered(self.nodes[i], t))
         edges = []
         adjacency: dict = {n: set() for n in nodes}

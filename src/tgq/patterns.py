@@ -12,12 +12,15 @@ samples (x = time index, y = value):
 
 1. fewer than 2 samples                          -> DEGENERATE
 2. zero value range, or |LS slope| <= eps*range  -> CONSTANT
-3. non-decreasing / non-increasing steps         -> INCREASING / DECREASING
-4. rise to a single interior maximum, then fall  -> PEAK (TROUGH mirrored)
-5. anything else                                 -> FLUCTUATING
+3. only rises / only falls                       -> INCREASING / DECREASING
+4. rises, then falls                             -> PEAK (TROUGH mirrored)
+5. more than one change of step sign             -> FLUCTUATING
 
-The slope epsilon is relative to the observed value range, which makes the
-class invariant under y -> a*y + b for a > 0.
+Rules 3-5 read only the signs of the steps, ties skipped: they are the
+*shape* of the values, so a class other than DEGENERATE or CONSTANT can be
+ruled out without the slope (``window_trends``). The slope epsilon is
+relative to the observed value range, which makes the class invariant
+under y -> a*y + b for a > 0.
 """
 
 from __future__ import annotations
@@ -198,25 +201,36 @@ def classify_trend(samples, cfg: Config) -> TrendPattern:
         return TrendPattern(TrendClass.CONSTANT, 0.0)
     if abs(slope) <= cfg.slope_epsilon * value_range:
         return TrendPattern(TrendClass.CONSTANT, norm_slope)
-    diffs = [ys[i + 1] - ys[i] for i in range(len(ys) - 1)]
-    if all(d >= 0 for d in diffs):
-        return TrendPattern(TrendClass.INCREASING, norm_slope)
-    if all(d <= 0 for d in diffs):
-        return TrendPattern(TrendClass.DECREASING, norm_slope)
-    for extremum, cls in ((hi, TrendClass.PEAK), (lo, TrendClass.TROUGH)):
-        first = ys.index(extremum)
-        last = len(ys) - 1 - ys[::-1].index(extremum)
-        if not (0 < first and last < len(ys) - 1):
-            continue
-        if any(v != extremum for v in ys[first:last + 1]):
-            continue  # the extremum is revisited after a dip: no single apex
-        rising = cls == TrendClass.PEAK
-        before_ok = all(d >= 0 for d in diffs[:first]) if rising else all(d <= 0 for d in diffs[:first])
-        after_ok = all(d <= 0 for d in diffs[last:]) if rising else all(d >= 0 for d in diffs[last:])
-        if before_ok and after_ok:
-            pos = (xs[first] - xs[0]) / (xs[-1] - xs[0])
-            return TrendPattern(cls, norm_slope, pos)
-    return TrendPattern(TrendClass.FLUCTUATING, norm_slope)
+    cls = _shape(ys)
+    if cls in (TrendClass.PEAK, TrendClass.TROUGH):
+        first = ys.index(hi if cls == TrendClass.PEAK else lo)
+        return TrendPattern(cls, norm_slope, (xs[first] - xs[0]) / (xs[-1] - xs[0]))
+    return TrendPattern(cls, norm_slope)
+
+
+def _shape(ys) -> TrendClass:
+    """The class that the signs of the steps of ``ys`` give, ties skipped:
+    only rises INCREASING, only falls DECREASING, rises then falls PEAK,
+    falls then rises TROUGH, more sign changes FLUCTUATING, and CONSTANT
+    when there is no rise or fall. One pass, ending at the second change."""
+    steps = iter(ys)
+    prev = next(steps, None)
+    first = rising = None
+    for y in steps:
+        if y != prev:
+            up = y > prev
+            if rising is None:
+                first = rising = up
+            elif up is not rising:
+                if rising is not first:
+                    return TrendClass.FLUCTUATING
+                rising = up
+            prev = y
+    if first is None:
+        return TrendClass.CONSTANT
+    if rising is first:
+        return TrendClass.INCREASING if first else TrendClass.DECREASING
+    return TrendClass.PEAK if first else TrendClass.TROUGH
 
 
 def trend(
@@ -227,10 +241,50 @@ def trend(
     attr: str,
 ) -> TrendPattern:
     """Trend of one element's attribute over a time interval."""
+    return window_trends(graph, cfg, ref, [interval], attr)[0][1]
+
+
+# Below this magnitude no sum or product in ``_ls_slope`` overflows, so
+# ``classify_trend`` never takes its scaled path and its class is CONSTANT,
+# DEGENERATE or the ``_shape`` of the values themselves.
+_UNSCALED_MAX = 2.0 ** 500
+
+
+def window_trends(
+    graph: TemporalGraph,
+    cfg: Config,
+    ref: GraphElementRef,
+    windows,
+    attr: str,
+    shape: Optional[TrendClass] = None,
+) -> list:
+    """``(window, trend(graph, cfg, ref, window, attr))`` for each window, in
+    order, reading the element's column once; no window, no read.
+
+    With ``shape``, windows whose trend cannot be of that class are left
+    out unclassified. For a class other than CONSTANT and DEGENERATE those
+    are the windows whose steps have another shape (rules 3-5) and whose
+    values are all within ``_UNSCALED_MAX``: larger values may be
+    classified scaled, where a tie can replace a step.
+    """
+    if not windows:
+        return []
     if graph.attr_kind(attr) != AttrKind.NUMERIC:
         raise TgqError(TYPE_ERROR, f"trend needs a numeric attribute, '{attr}' is not")
     column = graph.column(ref, attr, cfg)
-    return classify_trend([(t, column[t]) for t in interval.indices() if column[t] is not None], cfg)
+    if shape in (TrendClass.CONSTANT, TrendClass.DEGENERATE):
+        shape = None
+    out = []
+    for window in windows:
+        graph.check_time(window.start, window.end)
+        if shape is not None:
+            ys = [y for y in column[window.start:window.end + 1] if y is not None]
+            if _shape(ys) != shape and (
+                    not ys or -_UNSCALED_MAX <= min(ys) and max(ys) <= _UNSCALED_MAX):
+                continue
+        samples = [(t, column[t]) for t in window.indices() if column[t] is not None]
+        out.append((window, classify_trend(samples, cfg)))
+    return out
 
 
 def classify_distribution(values, cfg: Config) -> DistributionPattern:
@@ -311,6 +365,7 @@ def distribution(
     """Distribution of an attribute over a set of elements at one time point."""
     if graph.attr_kind(attr) != AttrKind.NUMERIC:
         raise TgqError(TYPE_ERROR, f"distribution needs a numeric attribute, '{attr}' is not")
+    graph.check_time(t)
     values = [v for v in (graph.column(m, attr, cfg)[t] for m in members) if v is not None]
     if not values:
         raise TgqError(
@@ -472,7 +527,7 @@ def _frequency_similarity(f1: dict, f2: dict) -> float:
 
 
 def _ls_slope(xs, ys) -> float:
-    """Least-squares slope; inf where a sum overflows."""
+    """Least-squares slope; not finite where a sum or a product overflows."""
     n = len(xs)
     mx = math.fsum(xs) / n
     sxx = math.fsum((x - mx) ** 2 for x in xs)
@@ -480,7 +535,9 @@ def _ls_slope(xs, ys) -> float:
         return 0.0
     try:
         my = math.fsum(ys) / n
+        # a product can overflow to ±inf without raising, and fsum raises
+        # ValueError when it meets both
         sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    except OverflowError:
+    except (OverflowError, ValueError):
         return math.inf
     return sxy / sxx

@@ -36,6 +36,7 @@ from .patterns import (
     distribution,
     match_score,
     trend,
+    window_trends,
 )
 from .relations import (
     RelationFamily,
@@ -160,8 +161,10 @@ def inverse_lookup(
     supplied reference constraints. Elements range over nodes and edges;
     graph objects participate only when passed explicitly."""
     if t is not None:
+        graph.check_time(t)
         times = [t]
     elif interval is not None:
+        graph.check_time(interval.start, interval.end)
         times = list(interval.indices())
     else:
         times = time_points(graph)
@@ -220,7 +223,12 @@ def pattern_search(
     threshold: Optional[float] = None,
 ) -> list:
     """Enumerate candidate scopes, characterize each, and keep those whose
-    behaviour approximates the target pattern."""
+    behaviour approximates the target pattern.
+
+    A trend class literal with a positive threshold classifies only the
+    windows whose shape can match (``patterns.window_trends``). No match is
+    lost, and every budget check and error is as if every window were
+    classified."""
     thr = cfg.similarity_threshold if threshold is None else threshold
     matches = []
     if quadrant == Quadrant.Q3_TREND_OF_G:
@@ -229,9 +237,11 @@ def pattern_search(
         )
         windows = time_windows(graph, fixed_interval, space.window_min_len)
         check_budget(len(elements) * len(windows), cfg, "pattern search")
+        # Against a class literal a trend scores 1 or 0: with a positive
+        # threshold only the windows that can be of that class can match.
+        shape = target.cls if isinstance(target, TrendLiteral) and thr > 0 else None
         for el in elements:
-            for window in windows:
-                candidate = trend(graph, cfg, el, window, attr)
+            for window, candidate in window_trends(graph, cfg, el, windows, attr, shape):
                 score, _ = match_score(target, candidate, cfg)
                 if score >= thr:
                     matches.append(SearchMatch(str(el), None, window, candidate, score))

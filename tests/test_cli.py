@@ -79,6 +79,34 @@ class TestExitCodes:
         pattern = json.loads(out, parse_constant=pytest.fail)["bindings"][0]["pattern"]
         assert (pattern["class"], pattern["slope"]) == ("DECREASING", -1.0)
 
+    def test_trend_with_overflowing_product(self, capsys, tmp_path):
+        data = tmp_path / "extremes.jsonl"
+        lines = ['{"type":"node","id":"a","start":0,"end":4}']
+        lines += [f'{{"type":"attr","elem":"node:a","name":"w","t":{t},"value":{v}}}'
+                  for t, v in enumerate(["1e308", "-5e307", "-1e308", "2e-300", "1e308"])]
+        data.write_text("\n".join(lines) + "\n")
+        code, out, _ = run_cli(
+            ["query", str(data), "CHARACTERIZE TREND ON w OF node:a DURING [0, 4]"], capsys)
+        assert code == 0
+        pattern = json.loads(out, parse_constant=pytest.fail)["bindings"][0]["pattern"]
+        assert pattern["class"] == "CONSTANT"
+
+    def test_correlation_over_finite_extremes(self, capsys, tmp_path):
+        data = tmp_path / "extremes.jsonl"
+        lines = ['{"type":"node","id":"a","start":0,"end":4}',
+                 '{"type":"node","id":"b","start":0,"end":4}']
+        for t, (a, b) in enumerate(zip(["1e308", "1e308", "-1e308", "5e307", "1e308"],
+                                       ["1", "2", "0.5", "3", "1.5"])):
+            lines.append(f'{{"type":"attr","elem":"node:a","name":"w","t":{t},"value":{a}}}')
+            lines.append(f'{{"type":"attr","elem":"node:b","name":"w","t":{t},"value":{b}}}')
+        data.write_text("\n".join(lines) + "\n")
+        code, out, _ = run_cli(
+            ["query", str(data),
+             "CORRELATE w OF node:a DURING [0, 4] WITH w OF node:b DURING [0, 4]"], capsys)
+        assert code == 0
+        report = json.loads(out, parse_constant=pytest.fail)["bindings"][0]
+        assert report["coefficient"] == pytest.approx(0.4502251688907482)
+
     def test_distribution_over_finite_extremes(self, capsys, tmp_path):
         data = tmp_path / "extremes.jsonl"
         data.write_text(

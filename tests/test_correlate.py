@@ -109,6 +109,24 @@ class TestPearson:
         flipped = [(a, -b) for a, b in tiny]
         assert pearson(flipped, 0, cfg).coefficient == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("xs", [
+        [1e308, 1e308, -1e308, 5e307, 1e308],
+        [1e200, 3e200, -2e200, 0.0, 5e199],
+        [1.7e308, -1.7e308, 1.7e308, -1.7e308, 0.0],
+    ])
+    def test_finite_extremes_do_not_overflow(self, cfg, xs):
+        # The unscaled sums overflow; r is that of the series scaled down.
+        ys = [1.0, 2.0, 0.5, 3.0, 1.5]
+        r = pearson(list(zip(xs, ys)), 0, cfg).coefficient
+        scale = max(abs(x) for x in xs)
+        assert r == pytest.approx(oracle_pearson([x / scale for x in xs], ys), abs=1e-12)
+        assert pearson(list(zip(ys, xs)), 0, cfg).coefficient == pytest.approx(r, abs=1e-12)
+
+    def test_constant_extreme_series_is_variance_zero(self, cfg):
+        with pytest.raises(TgqError) as e:
+            pearson([(1e308, 1.0), (1e308, 2.0), (1e308, 3.0)], 0, cfg)
+        assert e.value.code == VARIANCE_ZERO
+
     @given(st.lists(
         st.tuples(st.floats(-100, 100), st.floats(-100, 100)),
         min_size=3, max_size=40,

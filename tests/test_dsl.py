@@ -162,6 +162,29 @@ class TestPlan:
             run_query("LOOKUP w OF node:zz AT t=0", corpus_graph, cfg)
         assert e.value.code == VALIDATION_ERROR
 
+    @pytest.mark.parametrize("query", [
+        "SEARCH PEAK ON w OF node:c WINDOWS {n}",
+        "SEARCH DECREASING ON w OVER EACH_NODE WINDOWS {n}",
+        "STRUCT SEARCH APPEARING OVER PAIRS WINDOWS {n}",
+    ])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_windows_below_one_rejected(self, corpus_graph, cfg, query, n):
+        with pytest.raises(TgqError) as e:
+            run_query(query.format(n=n), corpus_graph, cfg)
+        assert (e.value.code, e.value.message) == (VALIDATION_ERROR, "window length must be >= 1")
+
+    @pytest.mark.parametrize("literal", ["2.5", "2.0", "2e0", "w"])
+    def test_windows_needs_an_integer_literal(self, literal):
+        with pytest.raises(ParseError) as e:
+            parse(f"SEARCH PEAK ON w OF node:c WINDOWS {literal}")
+        assert (e.value.line, e.value.col) == (1, 36)
+        assert e.value.expected == {"integer"}
+
+    def test_windows_integer_round_trips(self):
+        node = parse("SEARCH PEAK ON w OF node:c WINDOWS 2")
+        assert node.windows == 2
+        assert node.pp().endswith("WINDOWS 2")
+
     def test_every_corpus_query_plans(self, corpus_graph, cfg):
         for query in corpus_queries():
             planned = plan(parse(query), corpus_graph, cfg)

@@ -112,6 +112,14 @@ class TestTrend:
         assert classify_trend(series([-1e308, 0.0, 1e308]), cfg) == \
             classify_trend(series([-1, 0, 1]), cfg)
 
+    def test_overflowing_product_does_not_raise(self, cfg):
+        # (x - mx) * (y - my) overflows to +inf and -inf here, which fsum
+        # cannot add; the trend is that of the series scaled down.
+        values = [1e308, -5e307, -1e308, 2e-300, 1e308]
+        p = classify_trend(series(values), cfg)
+        assert p == classify_trend(series([v / 1e308 for v in values]), cfg)
+        assert math.isfinite(p.slope)
+
     def test_deterministic(self, cfg):
         values = [random.Random(3).uniform(-5, 5) for _ in range(12)]
         assert classify_trend(series(values), cfg) == classify_trend(series(values), cfg)

@@ -12,9 +12,11 @@ from tgq.errors import (
     SEARCH_SPACE_EXCEEDED,
     TgqError,
     UNRESOLVED_SIDE,
+    VALIDATION_ERROR,
 )
+from tgq.correlate import correlate_attributes, element_series, group_series
 from tgq.graph import TimeInterval, load, node_ref
-from tgq.patterns import AspectAxis, TrendClass, TrendLiteral
+from tgq.patterns import AspectAxis, TrendClass, TrendLiteral, distribution, trend
 from tgq.relations import RelationFamily, RelationSpec
 from tgq.search import SearchSpace, SubsetFamily, GroupCandidate
 from tgq.tasks import (
@@ -454,3 +456,42 @@ class TestRelationSeek:
             for p in got
         }
         assert got_keys == expect
+
+
+class TestTimeDomain:
+    """Every scanning reader rejects a time index outside the domain with the
+    check ``snapshot`` makes, instead of an IndexError or a read from the end."""
+
+    READERS = {
+        "trend": lambda g, cfg, t: trend(
+            g, cfg, node_ref("a"), TimeInterval(min(t, 0), max(t, 0)), "w"),
+        "distribution": lambda g, cfg, t: distribution(g, cfg, [node_ref("a")], t, "w"),
+        "distribution_no_members": lambda g, cfg, t: distribution(g, cfg, [], t, "w"),
+        "inverse_lookup_t": lambda g, cfg, t: inverse_lookup(
+            g, cfg, "w", ValueConstraint("ge", (0.0,)), t=t),
+        "inverse_lookup_interval": lambda g, cfg, t: inverse_lookup(
+            g, cfg, "w", ValueConstraint("ge", (0.0,)), interval=TimeInterval(min(t, 0), max(t, 0))),
+        "element_series": lambda g, cfg, t: element_series(
+            g, cfg, node_ref("a"), "w", TimeInterval(min(t, 0), max(t, 0))),
+        "group_series": lambda g, cfg, t: group_series(
+            g, cfg, GroupCandidate("g", (node_ref("a"), node_ref("b"))), "w",
+            TimeInterval(min(t, 0), max(t, 0))),
+        "cross_section": lambda g, cfg, t: correlate_attributes(
+            g, cfg, "w", "w", group=GroupCandidate("g", (node_ref("a"), node_ref("b"))), t=t),
+        "snapshot": lambda g, cfg, t: g.snapshot(t),
+    }
+
+    @pytest.mark.parametrize("t", [-1, 3, 5])
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_out_of_domain_index_rejected(self, mini_graph, cfg, reader, t):
+        with pytest.raises(TgqError) as e:
+            self.READERS[reader](mini_graph, cfg, t)
+        assert (e.value.code, e.value.message) == (
+            VALIDATION_ERROR, f"time index {t} outside the domain")
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_last_index_is_in_the_domain(self, mini_graph, cfg, reader):
+        try:
+            self.READERS[reader](mini_graph, cfg, 2)
+        except TgqError as err:  # too few samples or no members, not the domain
+            assert err.code != VALIDATION_ERROR
