@@ -28,7 +28,7 @@ from .errors import (
     VALIDATION_ERROR,
     VARIANCE_ZERO,
 )
-from .graph import AttrKind, GraphElementRef, TemporalGraph, TimeInterval
+from .graph import AttrKind, GraphElementRef, TemporalGraph, TimeInterval, mean
 from .search import GroupCandidate
 
 
@@ -109,7 +109,7 @@ def element_series(
 
 
 AGGREGATIONS = {
-    "mean": lambda values: sum(values) / len(values),
+    "mean": mean,
     "median": statistics.median,
     "min": min,
     "max": max,

@@ -200,12 +200,9 @@ class _Planner:
     def label_out(self, t: int):
         return self.graph.label_of(t)
 
-    def interval_out(self, iv: TimeInterval) -> dict:
-        return {"start": self.label_out(iv.start), "end": self.label_out(iv.end)}
-
     def time_key_out(self, key) -> dict:
         if isinstance(key, TimeInterval):
-            return {"interval": self.interval_out(key)}
+            return {"interval": self.graph.interval_label(key)}
         return {"t": self.label_out(key)}
 
     # -- dispatch -------------------------------------------------------------
@@ -303,6 +300,7 @@ class _Planner:
         return run
 
     def search_args(self, node: ast.Search) -> dict:
+        """Keyword arguments of ``tasks.pattern_search`` and ``SearchSide``."""
         target = self.pattern_literal(node.pattern)
         if isinstance(target, TrendLiteral):
             quadrant = Quadrant.Q3_TREND_OF_G
@@ -342,12 +340,7 @@ class _Planner:
         args = self.search_args(node)
 
         def run():
-            matches = tasks.pattern_search(
-                self.graph, self.cfg, args["target"], args["quadrant"],
-                args["attr"], args["space"],
-                fixed_element=args["fixed_element"], fixed_group=args["fixed_group"],
-                fixed_t=args["fixed_t"], fixed_interval=args["fixed_interval"],
-            )
+            matches = tasks.pattern_search(self.graph, self.cfg, **args)
             return [self.match_out(m) for m in matches], []
 
         return run
@@ -390,12 +383,7 @@ class _Planner:
                 members=self.group(f.in_group).members if f.in_group is not None else None,
             )
         if isinstance(side, ast.SideSearch):
-            args = self.search_args(side.search)
-            return SearchSide(
-                args["target"], args["quadrant"], args["attr"], args["space"],
-                fixed_element=args["fixed_element"], fixed_group=args["fixed_group"],
-                fixed_t=args["fixed_t"], fixed_interval=args["fixed_interval"],
-            )
+            return SearchSide(**self.search_args(side.search))
         if isinstance(side, ast.SideTime):
             return FixedSide(time_key=self.t_index(side.at))
         if isinstance(side, ast.SideInterval):
@@ -684,7 +672,7 @@ class _Planner:
             if scope.t is not None:
                 desc["t"] = self.label_out(scope.t)
             if scope.interval is not None:
-                desc["interval"] = self.interval_out(scope.interval)
+                desc["interval"] = self.graph.interval_label(scope.interval)
             return [{"scope": desc, "pattern": pattern.to_dict()}], []
 
         return run

@@ -84,6 +84,16 @@ def object_ref(ident: str) -> GraphElementRef:
     return GraphElementRef(ElemKind.OBJECT, ident)
 
 
+def mean(values) -> float:
+    """Arithmetic mean of finite numbers. Where the sum overflows, the values
+    are averaged scaled by 1/max|v| and scaled back, so the mean is finite."""
+    result = sum(values) / len(values)
+    if math.isfinite(result):
+        return result
+    scale = max(abs(v) for v in values)
+    return sum(v / scale for v in values) / len(values) * scale
+
+
 @dataclass(frozen=True)
 class TimeInterval:
     """Contiguous, inclusive range of time-domain indices."""
@@ -214,6 +224,9 @@ class TemporalGraph:
 
     def label_of(self, t: int):
         return self.time_labels[t]
+
+    def interval_label(self, iv: TimeInterval) -> dict:
+        return {"start": self.label_of(iv.start), "end": self.label_of(iv.end)}
 
     def node_ids(self) -> list:
         return sorted(self.nodes)
@@ -360,7 +373,7 @@ class TemporalGraph:
             return None
         kind = self.attr_kind(attr)
         if kind == AttrKind.NUMERIC:
-            return sum(values) / len(values)
+            return mean(values)
         # mode with deterministic tie-break (lexicographic; False < True)
         counts: dict = {}
         for v in values:

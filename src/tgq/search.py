@@ -4,7 +4,8 @@ Free graph references are never quantified over all 2^N subsets; they range
 over declared families (single elements, named subsets, connected
 components, k-hop balls), and free time references over single points or
 contiguous windows. Enumeration is capped so a runaway search fails fast
-instead of hanging.
+instead of hanging. ``scopes`` is the one enumerator of (group, time key)
+scopes for pattern search, relation seeking and structural search.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from enum import Enum
 from typing import Optional
 
 from .config import Config
-from .errors import SEARCH_SPACE_EXCEEDED, TgqError, VALIDATION_ERROR
+from .errors import EMPTY_SCOPE, SEARCH_SPACE_EXCEEDED, TgqError, VALIDATION_ERROR
 from .graph import ElemKind, TemporalGraph, TimeInterval, node_ref
 
 
@@ -120,6 +121,31 @@ def group_candidates(
         members = tuple(node_ref(n) for n in sorted(ball))
         out.append(GroupCandidate(f"khop:{centre}", members))
     return out
+
+
+def scopes(graph: TemporalGraph, cfg: Config, what: str, space: SearchSpace,
+           characterize, keys: list, fixed_group: Optional[GroupCandidate] = None):
+    """``(group, key, characterize(group.members, key))`` for every candidate
+    group at every time key, a point or a window. All are counted against
+    the cap before any pattern is built; EMPTY_SCOPE scopes are left out."""
+    jobs = []
+    for key in keys:
+        if fixed_group:
+            groups = [fixed_group]
+        elif isinstance(key, TimeInterval):
+            groups = group_candidates(graph, space, context=key)
+        else:
+            groups = group_candidates(graph, space, at=key)
+        jobs.extend((grp, key) for grp in groups)
+    check_budget(len(jobs), cfg, what)
+    for grp, key in jobs:
+        try:
+            pattern = characterize(grp.members, key)
+        except TgqError as err:
+            if err.code == EMPTY_SCOPE:
+                continue
+            raise
+        yield grp, key, pattern
 
 
 def time_points(graph: TemporalGraph, fixed: Optional[int] = None) -> list:

@@ -45,7 +45,7 @@ from .search import (
     _reach,
     _time_sort_key,
     check_budget,
-    group_candidates,
+    scopes,
     time_points,
     time_windows,
 )
@@ -699,43 +699,22 @@ def structural_search(
                     matches.append(StructMatch(
                         f"node:{a}|node:{b}", window, candidate, score
                     ))
-    elif kind == StructScopeKind.SNAPSHOT_CONFIG:
-        times = time_points(graph, fixed_t)
-        jobs = []
-        for t in times:
-            for grp in group_candidates(graph, space, at=t):
-                jobs.append((grp, t))
-        check_budget(len(jobs), cfg, "structural search")
-        for grp, t in jobs:
-            try:
-                candidate = snapshot_config(graph, cfg, grp.members, t)
-            except TgqError as err:
-                if err.code in (EMPTY_SCOPE,):
-                    continue
-                raise
-            score, _ = struct_match_score(target, candidate, cfg)
-            if score >= thr:
-                matches.append(StructMatch(grp.name, t, candidate, score))
     else:
-        windows = time_windows(graph, fixed_interval, space.window_min_len)
-        jobs = []
-        for window in windows:
-            for grp in group_candidates(graph, space, context=window):
-                jobs.append((grp, window))
-        check_budget(len(jobs), cfg, "structural search")
-        for grp, window in jobs:
-            try:
-                if kind == StructScopeKind.PAIRS_AGGREGATE:
-                    candidate = pairs_aggregate(graph, cfg, grp.members, window, connection)
-                else:
-                    candidate = config_over_time(graph, cfg, grp.members, window)
-            except TgqError as err:
-                if err.code == EMPTY_SCOPE:
-                    continue
-                raise
+        keys = (time_points(graph, fixed_t) if kind == StructScopeKind.SNAPSHOT_CONFIG
+                else time_windows(graph, fixed_interval, space.window_min_len))
+        characterize = {
+            StructScopeKind.SNAPSHOT_CONFIG:
+                lambda members, t: snapshot_config(graph, cfg, members, t),
+            StructScopeKind.PAIRS_AGGREGATE:
+                lambda members, w: pairs_aggregate(graph, cfg, members, w, connection),
+            StructScopeKind.CONFIG_OVER_TIME:
+                lambda members, w: config_over_time(graph, cfg, members, w),
+        }[kind]
+        for grp, key, candidate in scopes(graph, cfg, "structural search", space,
+                                          characterize, keys):
             score, _ = struct_match_score(target, candidate, cfg)
             if score >= thr:
-                matches.append(StructMatch(grp.name, window, candidate, score))
+                matches.append(StructMatch(grp.name, key, candidate, score))
     matches.sort(key=lambda m: (-m.score, _time_sort_key(m.time_key), m.ref_desc))
     return matches
 
@@ -778,10 +757,7 @@ class StructScopeSide:
         if self.scope.t is not None:
             desc["t"] = graph.label_of(self.scope.t)
         if self.scope.interval is not None:
-            desc["interval"] = {
-                "start": graph.label_of(self.scope.interval.start),
-                "end": graph.label_of(self.scope.interval.end),
-            }
+            desc["interval"] = graph.interval_label(self.scope.interval)
         return Resolved(pattern, time_key, ref_key, desc)
 
 
@@ -796,20 +772,7 @@ class SeekSideStructConfig:
     def resolve_bindings(self, graph: TemporalGraph, cfg: Config, space: SearchSpace) -> list:
         from .tasks import Binding
 
-        jobs = [
-            (t, grp)
-            for t in time_points(graph, self.fixed_t)
-            for grp in ([self.fixed_group] if self.fixed_group
-                        else group_candidates(graph, space, at=t))
-        ]
-        check_budget(len(jobs), cfg, "relation seeking")
-        out = []
-        for t, grp in jobs:
-            try:
-                p = snapshot_config(graph, cfg, grp.members, t)
-            except TgqError as err:
-                if err.code == EMPTY_SCOPE:
-                    continue
-                raise
-            out.append(Binding(t, grp, p))
-        return out
+        return [Binding(t, grp, pattern) for grp, t, pattern in scopes(
+            graph, cfg, "relation seeking", space,
+            lambda members, t: snapshot_config(graph, cfg, members, t),
+            time_points(graph, self.fixed_t), self.fixed_group)]

@@ -16,7 +16,6 @@ from typing import Optional
 
 from .config import Config
 from .errors import (
-    EMPTY_SCOPE,
     KIND_MISMATCH,
     TgqError,
     UNRESOLVED_SIDE,
@@ -53,7 +52,7 @@ from .search import (
     _time_sort_key,
     check_budget,
     element_candidates,
-    group_candidates,
+    scopes,
     time_points,
     time_windows,
 )
@@ -230,62 +229,49 @@ def pattern_search(
     lost, and every budget check and error is as if every window were
     classified."""
     thr = cfg.similarity_threshold if threshold is None else threshold
+    if quadrant == Quadrant.Q4_ASPECTUAL:
+        axis = axis or _axis_of(target)
+    # Against a class literal a trend scores 1 or 0: with a positive
+    # threshold only the windows that can be of that class can match.
+    shape = target.cls if isinstance(target, TrendLiteral) and thr > 0 else None
     matches = []
+    for ref, key, candidate in _scopes(
+            graph, cfg, "pattern search", quadrant, attr, space, fixed_element,
+            fixed_group, fixed_t, fixed_interval, axis, shape):
+        score, _ = match_score(target, candidate, cfg)
+        if score >= thr:
+            if isinstance(ref, GroupCandidate):
+                matches.append(SearchMatch(ref.name, ref.members, key, candidate, score))
+            else:
+                matches.append(SearchMatch(str(ref), None, key, candidate, score))
+    matches.sort(key=lambda m: (-m.score, _time_sort_key(m.time_key), m.ref_name))
+    return matches
+
+
+def _scopes(graph, cfg, what, quadrant, attr, space, fixed_element=None,
+            fixed_group=None, fixed_t=None, fixed_interval=None, axis=None, shape=None):
+    """``(ref, time key, pattern)`` for every candidate scope of a quadrant:
+    elements × windows for trends (only windows that can be of ``shape``
+    are classified), groups × points or windows otherwise."""
     if quadrant == Quadrant.Q3_TREND_OF_G:
         elements = [fixed_element] if fixed_element else element_candidates(
             graph, space.subset_family
         )
         windows = time_windows(graph, fixed_interval, space.window_min_len)
-        check_budget(len(elements) * len(windows), cfg, "pattern search")
-        # Against a class literal a trend scores 1 or 0: with a positive
-        # threshold only the windows that can be of that class can match.
-        shape = target.cls if isinstance(target, TrendLiteral) and thr > 0 else None
+        check_budget(len(elements) * len(windows), cfg, what)
         for el in elements:
             for window, candidate in window_trends(graph, cfg, el, windows, attr, shape):
-                score, _ = match_score(target, candidate, cfg)
-                if score >= thr:
-                    matches.append(SearchMatch(str(el), None, window, candidate, score))
+                yield el, window, candidate
     elif quadrant == Quadrant.Q2_DIST_AT_T:
-        times = time_points(graph, fixed_t)
-        pairs = []
-        for ti in times:
-            groups = [fixed_group] if fixed_group else group_candidates(
-                graph, space, at=ti
-            )
-            pairs.extend((grp, ti) for grp in groups)
-        check_budget(len(pairs), cfg, "pattern search")
-        for grp, ti in pairs:
-            try:
-                candidate = distribution(graph, cfg, grp.members, ti, attr)
-            except TgqError as err:
-                if err.code == EMPTY_SCOPE:
-                    continue
-                raise
-            score, _ = match_score(target, candidate, cfg)
-            if score >= thr:
-                matches.append(SearchMatch(grp.name, grp.members, ti, candidate, score))
+        yield from scopes(
+            graph, cfg, what, space,
+            lambda members, t: distribution(graph, cfg, members, t, attr),
+            time_points(graph, fixed_t), fixed_group)
     else:
-        axis = axis or _axis_of(target)
-        windows = time_windows(graph, fixed_interval, space.window_min_len)
-        pairs = []
-        for window in windows:
-            groups = [fixed_group] if fixed_group else group_candidates(
-                graph, space, context=window
-            )
-            pairs.extend((grp, window) for grp in groups)
-        check_budget(len(pairs), cfg, "pattern search")
-        for grp, window in pairs:
-            try:
-                candidate = aspectual(graph, cfg, grp.members, window, attr, axis)
-            except TgqError as err:
-                if err.code == EMPTY_SCOPE:
-                    continue
-                raise
-            score, _ = match_score(target, candidate, cfg)
-            if score >= thr:
-                matches.append(SearchMatch(grp.name, grp.members, window, candidate, score))
-    matches.sort(key=lambda m: (-m.score, _time_sort_key(m.time_key), m.ref_name))
-    return matches
+        yield from scopes(
+            graph, cfg, what, space,
+            lambda members, window: aspectual(graph, cfg, members, window, attr, axis),
+            time_windows(graph, fixed_interval, space.window_min_len), fixed_group)
 
 
 def _axis_of(target) -> AspectAxis:
@@ -372,10 +358,7 @@ def _scope_desc(graph: TemporalGraph, scope: BehaviorScope) -> dict:
     if scope.time_point is not None:
         out["t"] = graph.label_of(scope.time_point)
     if scope.interval is not None:
-        out["interval"] = {
-            "start": graph.label_of(scope.interval.start),
-            "end": graph.label_of(scope.interval.end),
-        }
+        out["interval"] = graph.interval_label(scope.interval)
     if scope.axis is not None:
         out["axis"] = scope.axis.value
     return out
@@ -491,10 +474,7 @@ class Binding:
     def describe(self, graph: TemporalGraph) -> dict:
         out: dict = {}
         if isinstance(self.time_key, TimeInterval):
-            out["interval"] = {
-                "start": graph.label_of(self.time_key.start),
-                "end": graph.label_of(self.time_key.end),
-            }
+            out["interval"] = graph.interval_label(self.time_key)
         elif self.time_key is not None:
             out["t"] = graph.label_of(self.time_key)
         if self.ref_key is not None:
@@ -747,8 +727,7 @@ class SeekSideValues:
 
 @dataclass(frozen=True)
 class SeekSidePatterns:
-    """Synoptic relation-seeking side: behaviour patterns over enumerated
-    scopes, optionally filtered by a target pattern."""
+    """Synoptic relation-seeking side: behaviour patterns over enumerated scopes."""
 
     quadrant: Quadrant
     attr: str
@@ -757,56 +736,11 @@ class SeekSidePatterns:
     fixed_group: Optional[GroupCandidate] = None
     fixed_t: Optional[int] = None
     fixed_interval: Optional[TimeInterval] = None
-    target: Optional[object] = None
 
     def resolve_bindings(self, graph: TemporalGraph, cfg: Config, space: SearchSpace) -> list:
-        out = []
-        if self.quadrant == Quadrant.Q3_TREND_OF_G:
-            elements = (
-                [self.fixed_element] if self.fixed_element
-                else element_candidates(graph, space.subset_family)
-            )
-            windows = time_windows(graph, self.fixed_interval, space.window_min_len)
-            check_budget(len(elements) * len(windows), cfg, "relation seeking")
-            for el in elements:
-                for w in windows:
-                    out.append(Binding(w, el, trend(graph, cfg, el, w, self.attr)))
-        elif self.quadrant == Quadrant.Q2_DIST_AT_T:
-            for t in time_points(graph, self.fixed_t):
-                groups = (
-                    [self.fixed_group] if self.fixed_group
-                    else group_candidates(graph, space, at=t)
-                )
-                for grp in groups:
-                    try:
-                        p = distribution(graph, cfg, grp.members, t, self.attr)
-                    except TgqError as err:
-                        if err.code == EMPTY_SCOPE:
-                            continue
-                        raise
-                    out.append(Binding(t, grp, p))
-        else:
-            windows = time_windows(graph, self.fixed_interval, space.window_min_len)
-            check_budget(len(windows), cfg, "relation seeking")
-            for w in windows:
-                groups = (
-                    [self.fixed_group] if self.fixed_group
-                    else group_candidates(graph, space, context=w)
-                )
-                for grp in groups:
-                    try:
-                        p = aspectual(graph, cfg, grp.members, w, self.attr, self.axis)
-                    except TgqError as err:
-                        if err.code == EMPTY_SCOPE:
-                            continue
-                        raise
-                    out.append(Binding(w, grp, p))
-        if self.target is not None:
-            out = [
-                b for b in out
-                if pattern_pair_detail(self.target, b.payload, cfg)[0] >= cfg.similarity_threshold
-            ]
-        return out
+        return [Binding(key, ref, pattern) for ref, key, pattern in _scopes(
+            graph, cfg, "relation seeking", self.quadrant, self.attr, space,
+            self.fixed_element, self.fixed_group, self.fixed_t, self.fixed_interval, self.axis)]
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,24 @@ class TestExitCodes:
         assert (pattern["mean"], pattern["stddev"], pattern["class_hint"]) == (
             1e308, 0.0, "CONCENTRATED")
 
+    @pytest.mark.parametrize("query, field, expected", [
+        ("LOOKUP w OF object:o AT t=0", "value", 1e308),
+        ("CHARACTERIZE TREND ON w OF object:o DURING [0, 2]", "pattern", "CONSTANT"),
+    ], ids=["lookup", "trend"])
+    def test_object_mean_over_finite_extremes(self, capsys, tmp_path, query, field, expected):
+        # The members' sum overflows; their mean, carried to t=2, does not.
+        data = tmp_path / "extremes.jsonl"
+        data.write_text(
+            '{"type":"node","id":"a","start":0,"end":2}\n'
+            '{"type":"node","id":"b","start":0,"end":2}\n'
+            '{"type":"object","id":"o","nodes":["a","b"]}\n'
+            '{"type":"attr","elem":"node:a","name":"w","t":0,"value":1e308}\n'
+            '{"type":"attr","elem":"node:b","name":"w","t":0,"value":1e308}\n')
+        code, out, _ = run_cli(["query", str(data), query], capsys)
+        assert code == 0
+        got = json.loads(out, parse_constant=pytest.fail)["bindings"][0][field]
+        assert (got["class"] if field == "pattern" else got) == expected
+
     def test_usage_error(self, capsys):
         code, _, err = run_cli(["bogus-command"], capsys)
         assert code == 1

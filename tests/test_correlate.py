@@ -22,6 +22,7 @@ from tgq.correlate import (
     correlate_attributes,
     correlate_homogeneous,
     correlate_with_external,
+    group_series,
     pearson,
 )
 
@@ -247,6 +248,26 @@ class TestAggregation:
         assert group_series(g, cfg, grp, "w", span, "min") == {0: 2.0, 1: 6.0}
         assert group_series(g, cfg, grp, "w", span, "max") == {0: 6.0, 1: 10.0}
         assert group_series(g, cfg, grp, "w", span, "sum") == {0: 8.0, 1: 16.0}
+
+    def test_group_series_mean_over_finite_extremes(self, cfg):
+        # The members' sums overflow; their means are finite.
+        records = [{"type": "node", "id": n, "start": 0, "end": 1} for n in "ab"]
+        records += [
+            {"type": "attr", "elem": "node:a", "name": "w", "t": 0, "value": 1e308},
+            {"type": "attr", "elem": "node:b", "name": "w", "t": 0, "value": 1.5e308},
+            {"type": "attr", "elem": "node:a", "name": "w", "t": 1, "value": 1.7e308},
+        ]
+        g = load(jl(records))
+        grp = GroupCandidate("g", (node_ref("a"), node_ref("b")))
+        got = group_series(g, cfg, grp, "w", TimeInterval(0, 1), "mean")
+        assert got == {0: pytest.approx(1.25e308), 1: pytest.approx(1.6e308)}
+        assert all(math.isfinite(v) for v in got.values())
+
+    @pytest.mark.parametrize("values", [[1, 2], [2.5, -1.0, 0.1], [1e307, 3e307], [7]])
+    def test_mean_is_sum_over_len_when_finite(self, values):
+        from tgq.graph import mean
+
+        assert mean(values) == sum(values) / len(values)
 
     def test_unknown_aggregation(self, series_graph, cfg):
         from tgq.correlate import group_series

@@ -431,6 +431,36 @@ class TestRelationSeek:
         assert e.value.details["count"] == 3 * 2
         assert e.value.message == "relation seeking: 6 candidates exceed the cap of 5"
 
+    @pytest.mark.parametrize("quadrant, patched, axis, count", [
+        # 4 time points x 6 subsets; 10 windows x 6 subsets
+        (Quadrant.Q2_DIST_AT_T, "distribution", None, 4 * 6),
+        (Quadrant.Q4_ASPECTUAL, "aspectual", AspectAxis.DISTRIBUTION_OVER_TIME, 10 * 6),
+    ])
+    def test_pattern_side_budget_counts_groups_before_building(
+            self, monkeypatch, quadrant, patched, axis, count):
+        import tgq.tasks as tasks
+
+        records = [{"type": "node", "id": f"n{i}", "start": 0, "end": 3} for i in range(6)]
+        records += [{"type": "attr", "elem": f"node:n{i}", "name": "w", "t": t,
+                     "value": float(i + t)} for i in range(6) for t in range(4)]
+        records += [{"type": "subset", "name": f"S{i}",
+                     "members": [f"node:n{i}", f"node:n{(i + 1) % 6}"]} for i in range(6)]
+        g = load(jl(records))
+        built = []
+        real = getattr(tasks, patched)
+        monkeypatch.setattr(tasks, patched, lambda *args: built.append(args) or real(*args))
+        side = SeekSidePatterns(quadrant, "w", axis=axis)
+        space = SearchSpace(subset_family=SubsetFamily.NAMED_SUBSETS)
+        with pytest.raises(TgqError) as e:
+            relation_seek(g, Config(search_max_candidates=5),
+                          RelationSpec(RelationFamily.PATTERN, "same"), side, side, space=space)
+        assert e.value.code == SEARCH_SPACE_EXCEEDED
+        assert e.value.details["count"] == count
+        assert e.value.message == f"relation seeking: {count} candidates exceed the cap of 5"
+        assert built == []
+        bindings = side.resolve_bindings(g, Config(search_max_candidates=count), space)
+        assert len(bindings) == len(built) == count
+
     def test_matches_brute_force(self, shapes_graph, cfg):
         # Independent double enumeration over (t, node) bindings.
         side = SeekSideValues("w")
