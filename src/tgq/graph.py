@@ -535,7 +535,18 @@ def _load(numbered) -> TemporalGraph:
         records.append((lineno, rec))
 
     # Pass 1: collect every timestamp so intervals can be index-resolved.
-    labels = set()
+    # Each distinct raw label is normalised once, keyed by (type, value) so
+    # that 1, 1.0, "1" and True stay apart.
+    norm: dict = {}
+
+    def note(raw, lineno):
+        if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
+            what = ("boolean is not a valid timestamp" if isinstance(raw, bool)
+                    else "time label must be a number or a string")
+            raise TgqError(SCHEMA_ERROR, f"line {lineno}: {what}", line=lineno)
+        if (type(raw), raw) not in norm:
+            norm[type(raw), raw] = _norm_label(raw, lineno)
+
     for lineno, rec in records:
         rtype = rec.get("type")
         if rtype not in _RECORD_TYPES:
@@ -543,18 +554,20 @@ def _load(numbered) -> TemporalGraph:
                 SCHEMA_ERROR, f"line {lineno}: unknown record type {rtype!r}", line=lineno
             )
         if rtype in ("node", "edge"):
-            labels.add(_norm_label(_require(rec, "start", lineno), lineno))
+            note(_require(rec, "start", lineno), lineno)
             if rec.get("end") is not None:
-                labels.add(_norm_label(rec["end"], lineno))
+                note(rec["end"], lineno)
         elif rtype in ("attr", "series"):
-            labels.add(_norm_label(_require(rec, "t", lineno), lineno))
-    time_labels = _sort_labels(labels)
+            note(_require(rec, "t", lineno), lineno)
+    time_labels = _sort_labels(set(norm.values()))
     index = {label: i for i, label in enumerate(time_labels)}
+    slot = {key: index[label] for key, label in norm.items()}  # (type, raw) -> time index
     last = len(time_labels) - 1
 
     def interval_of(rec, lineno):
-        start = index[_norm_label(rec["start"])]
-        end = index[_norm_label(rec["end"])] if rec.get("end") is not None else last
+        start, end = rec["start"], rec.get("end")
+        start = slot[type(start), start]
+        end = last if end is None else slot[type(end), end]
         if start > end:
             raise TgqError(
                 SCHEMA_ERROR, f"line {lineno}: interval start after end", line=lineno
@@ -569,6 +582,16 @@ def _load(numbered) -> TemporalGraph:
     attr_raw: list = []
     attr_kinds: dict = {}
     external: dict = {}
+    parsed: dict = {}  # element token -> GraphElementRef, parsed once
+
+    def ref_of(token, lineno):
+        ref = parsed.get(token)
+        if ref is None:
+            try:
+                ref = parsed[token] = GraphElementRef.parse(token)
+            except TgqError as err:
+                raise TgqError(SCHEMA_ERROR, f"line {lineno}: {err.message}", line=lineno) from None
+        return ref
 
     for lineno, rec in records:
         rtype = rec["type"]
@@ -610,7 +633,8 @@ def _load(numbered) -> TemporalGraph:
         elif rtype == "attr":
             elem = _require_str(rec, "elem", lineno)
             name = _require_str(rec, "name", lineno)
-            t = index[_norm_label(_require(rec, "t", lineno))]
+            t = rec["t"]
+            t = slot[type(t), t]
             value = _require(rec, "value", lineno)
             kind = _value_kind(value, lineno)
             declared = attr_kinds.setdefault(name, kind)
@@ -623,10 +647,11 @@ def _load(numbered) -> TemporalGraph:
                 )
             if kind == AttrKind.NUMERIC:
                 value = _finite(value, lineno, "attribute value")
-            attr_raw.append((lineno, GraphElementRef.parse(elem), name, t, value))
+            attr_raw.append((lineno, elem, ref_of(elem, lineno), name, t, value))
         elif rtype == "series":
             name = _require_str(rec, "name", lineno)
-            t = index[_norm_label(_require(rec, "t", lineno))]
+            t = rec["t"]
+            t = slot[type(t), t]
             value = _require(rec, "value", lineno)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TgqError(
@@ -693,9 +718,10 @@ def _load(numbered) -> TemporalGraph:
                 )
         resolved_objects[ident] = ObjectDef(node_set, frozenset(member_edges))
 
+    tables = {ElemKind.NODE: nodes, ElemKind.EDGE: edges, ElemKind.OBJECT: resolved_objects}
     subsets = {}
     for name, (lineno, member_tokens) in sorted(subset_raw.items()):
-        refs = sorted(GraphElementRef.parse(tok) for tok in member_tokens)
+        refs = sorted(ref_of(tok, lineno) for tok in member_tokens)
         kinds = {r.kind for r in refs}
         if len(kinds) > 1:
             raise TgqError(
@@ -703,8 +729,7 @@ def _load(numbered) -> TemporalGraph:
                 f"line {lineno}: subset '{name}' mixes element kinds", line=lineno,
             )
         for r in refs:
-            table = {"node": nodes, "edge": edges, "object": resolved_objects}[r.kind.value]
-            if r.id not in table:
+            if r.id not in tables[r.kind]:
                 raise TgqError(
                     CONSISTENCY_ERROR,
                     f"line {lineno}: subset '{name}' references unknown {r.kind.value} '{r.id}'",
@@ -712,40 +737,36 @@ def _load(numbered) -> TemporalGraph:
                 )
         subsets[name] = GraphSubset(name, tuple(refs))
 
-    attrs: dict = {}
-    for lineno, ref, name, t, value in attr_raw:
-        if ref.kind == ElemKind.OBJECT:
-            if ref.id not in resolved_objects:
+    # Attr checks, with each element's lifetime read into a table once.
+    alive: dict = {}  # element token -> bytes, nonzero where it exists
+    attrs: dict = {}  # (element token, attr) -> {t: value}
+    for lineno, elem, ref, name, t, value in attr_raw:
+        row = alive.get(elem)
+        if row is None:
+            if ref.id not in tables[ref.kind]:
                 raise TgqError(
                     CONSISTENCY_ERROR,
-                    f"line {lineno}: attribute on unknown object '{ref.id}'", line=lineno,
+                    f"line {lineno}: attribute on unknown {ref.kind.value} '{ref.id}'",
+                    line=lineno,
                 )
-            alive = any(
-                _covered(nodes[n], t) for n in resolved_objects[ref.id].nodes
-            )
-        elif ref.kind == ElemKind.NODE:
-            if ref.id not in nodes:
-                raise TgqError(
-                    CONSISTENCY_ERROR,
-                    f"line {lineno}: attribute on unknown node '{ref.id}'", line=lineno,
-                )
-            alive = _covered(nodes[ref.id], t)
-        else:
-            if ref.id not in edges:
-                raise TgqError(
-                    CONSISTENCY_ERROR,
-                    f"line {lineno}: attribute on unknown edge '{ref.id}'", line=lineno,
-                )
-            alive = _covered(edges[ref.id].intervals, t)
-        if not alive:
+            if ref.kind == ElemKind.OBJECT:  # alive wherever a member node is
+                ivals = [iv for n in resolved_objects[ref.id].nodes for iv in nodes[n]]
+            else:
+                ivals = nodes[ref.id] if ref.kind == ElemKind.NODE else edges[ref.id].intervals
+            row = bytearray(len(time_labels))
+            for s, e in ivals:
+                row[s:e + 1] = b"\1" * (e - s + 1)
+            row = alive[elem] = bytes(row)
+        if not row[t]:
             raise TgqError(
                 CONSISTENCY_ERROR,
                 f"line {lineno}: attribute '{name}' recorded at t={time_labels[t]} "
                 f"but {ref} does not exist there",
                 line=lineno,
             )
-        series = attrs.setdefault((ref.kind, ref.id, name), {})
-        if t in series and series[t] != value:
+        series = attrs.setdefault((elem, name), {})
+        old = series.get(t)
+        if old is not None and old != value:
             raise TgqError(
                 CONSISTENCY_ERROR,
                 f"line {lineno}: conflicting values of '{name}' for {ref} "
@@ -755,7 +776,8 @@ def _load(numbered) -> TemporalGraph:
         series[t] = value
 
     attrs_sorted = {
-        key: tuple(sorted(series.items())) for key, series in attrs.items()
+        (parsed[elem].kind, parsed[elem].id, name): tuple(sorted(series.items()))
+        for (elem, name), series in attrs.items()
     }
 
     return TemporalGraph(

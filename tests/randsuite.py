@@ -19,6 +19,7 @@ class RawGraph:
     attr_rows: list  # (elem_id, attr, t, value)
     subsets: dict  # name -> list of node ids
     n_times: int
+    records: list  # the generated records, in load order
 
 
 def random_graph(seed: int) -> RawGraph:
@@ -94,4 +95,4 @@ def random_graph(seed: int) -> RawGraph:
                         "members": [f"node:{m}" for m in members]})
 
     graph = load(json.dumps(r) for r in records)
-    return RawGraph(graph, node_spans, edge_rows, attr_rows, subsets, t_max)
+    return RawGraph(graph, node_spans, edge_rows, attr_rows, subsets, t_max, records)

@@ -1,0 +1,310 @@
+"""Ingest checked against the reference loader.
+
+``reference_load.py`` holds the loader as it was before ingest resolved each
+distinct time label, element reference and element lifetime once per load.
+On valid input the two must build equal graphs that dump the same lines; on
+malformed input they must fail with the same first error (code, message and
+line). Three messages changed on purpose and have tests of their own: a time
+label that is a list or an object is rejected, and a boolean time label and
+a bad element reference at ingest name their line.
+"""
+
+import csv
+import io
+import json
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from tgq.errors import CONSISTENCY_ERROR, SCHEMA_ERROR, TgqError
+from tgq.graph import GraphElementRef, _csv_records, _load, load, load_path
+
+from randsuite import random_graph
+from reference_load import reference_load
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPUS_GRAPH = ROOT / "tests" / "data" / "corpus_graph.jsonl"
+
+
+def numbered(lines):
+    return list(enumerate(lines, start=1))
+
+
+def assert_same_graph(pairs):
+    got, want = _load(pairs), reference_load(pairs)
+    assert got == want
+    assert got.dump() == want.dump()
+    assert list(got.attrs) == list(want.attrs)  # first-seen order too
+    return got
+
+
+def lines_of(records):
+    """Dicts are written as JSON lines; strings are taken as they are."""
+    return [r if isinstance(r, str) else json.dumps(r) for r in records]
+
+
+def node(ident, start=0, end=2):
+    rec = {"type": "node", "id": ident, "start": start}
+    return rec if end is None else {**rec, "end": end}
+
+
+def edge(ident, src, dst, start=0, end=2):
+    return {"type": "edge", "id": ident, "src": src, "dst": dst, "start": start, "end": end}
+
+
+def attr(elem, t, value, name="w"):
+    return {"type": "attr", "elem": elem, "name": name, "t": t, "value": value}
+
+
+# -- valid input ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_randsuite_graph(seed):
+    assert_same_graph(numbered(lines_of(random_graph(seed).records)))
+
+
+def test_corpus_graph():
+    assert_same_graph(numbered(CORPUS_GRAPH.read_text().splitlines()))
+
+
+def perfbench_dataset(workload: str):
+    """The benchmark's dataset for ``workload`` at seed 1, from its generator."""
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+    import gen
+    from run import WORKLOADS
+
+    return gen.make_dataset(WORKLOADS[workload].scale, 1)
+
+
+@pytest.mark.parametrize("workload", ["values", "structure", "cold_query"])
+def test_perfbench_dataset(workload):
+    assert_same_graph(numbered(perfbench_dataset(workload).lines()))
+
+
+def test_csv_round_trip(tmp_path):
+    records = perfbench_dataset("cold_query").records()
+    columns = ["type", "id", "src", "dst", "directed", "start", "end",
+               "elem", "name", "t", "value", "members"]
+    out = io.StringIO()
+    writer = csv.DictWriter(out, columns)
+    writer.writeheader()
+    for rec in records:
+        writer.writerow({
+            key: ";".join(value) if isinstance(value, list)
+            else value if isinstance(value, str) else json.dumps(value)
+            for key, value in rec.items()
+        })
+    path = tmp_path / "cold_query.csv"
+    path.write_text(out.getvalue())
+    got = assert_same_graph(list(_csv_records(out.getvalue())))
+    assert load_path(str(path)) == got == load(lines_of(records))
+
+
+VALID = {
+    # 1 and 1.0 are one label, "1" another; strings sort after numbers
+    "mixed_labels": [
+        node("a", 0, "1"), node("b", 1.0, 2.5), edge("e", "a", "b", 1, 2.5),
+        attr("node:a", 1, 1.0), attr("node:a", 1.0, 1.0), attr("node:a", "1", 2.0),
+        attr("edge:e", 2.5, "x", name="c"), {"type": "series", "name": "s", "t": "1", "value": 3},
+    ],
+    # an equal value recorded twice keeps the later one: -0.0 dumps as -0.0
+    "negative_zero_last_wins": [node("a"), attr("node:a", 0, 0.0), attr("node:a", 0, -0.0)],
+    "open_end_and_churn": [
+        node("a", 0, 1), node("a", 3, None), node("b", 0, 4), edge("e", "a", "b", 3, 4),
+        attr("node:a", 4, True, name="flag"), attr("edge:e", 3, 1),
+    ],
+    "object_attrs": [
+        node("a", 0, 1), node("b", 2, 3), node("c", 0, 3),
+        {"type": "object", "id": "o", "nodes": ["a", "b"]},
+        attr("object:o", 0, 1.0), attr("object:o", 3, 2.0), attr("node:c", 0, 5),
+        {"type": "subset", "name": "S", "members": ["object:o"]},
+        {"type": "subset", "name": "T", "members": ["node:c", "node:a", "node:c"]},
+    ],
+    "blank_lines": ["", node("a"), "   ", attr("node:a", 2, "red", name="c")],
+}
+
+
+@pytest.mark.parametrize("decoded", [False, True], ids=["lines", "decoded"])
+@pytest.mark.parametrize("case", VALID)
+def test_valid_file(case, decoded):
+    assert_same_graph(numbered(VALID[case] if decoded else lines_of(VALID[case])))
+
+
+# -- malformed input -----------------------------------------------------------
+
+MALFORMED = {
+    "bad_json": [node("a"), '{"type": "node", "id": "b",'],
+    "not_an_object": [node("a"), "[1, 2]"],
+    "unknown_type": [node("a"), {"type": "vertex", "id": "b"}],
+    "missing_type": [{"id": "a", "start": 0}],
+    "missing_start": [{"type": "node", "id": "a"}],
+    "missing_t": [node("a"), {"type": "attr", "elem": "node:a", "name": "w", "value": 1}],
+    "nan_label": [node("a"), node("b", float("nan"), 1)],
+    "huge_int_label": [node("a", 0, 10 ** 400)],
+    "start_after_end": [node("a", 2, 0)],
+    "missing_id": [{"type": "node", "start": 0}],
+    "edge_redeclared": [node("a"), node("b"), edge("e", "a", "b"), edge("e", "b", "a")],
+    "object_without_nodes": [node("a"), {"type": "object", "id": "o", "nodes": []}],
+    "subset_without_members": [node("a"), {"type": "subset", "name": "S", "members": []}],
+    "attr_missing_value": [node("a"), {"type": "attr", "elem": "node:a", "name": "w", "t": 0}],
+    "attr_kind_changes": [node("a"), attr("node:a", 0, 1.0), attr("node:a", 1, "x")],
+    "attr_unsupported_value": [node("a"), attr("node:a", 0, [1])],
+    "attr_infinite_value": [node("a"), attr("node:a", 0, float("inf"))],
+    "series_not_numeric": [{"type": "series", "name": "s", "t": 0, "value": "x"}],
+    "series_duplicate_point": [{"type": "series", "name": "s", "t": 0, "value": 1},
+                               {"type": "series", "name": "s", "t": 0.0, "value": 2}],
+    "edge_unknown_node": [node("a"), edge("e", "a", "zz")],
+    "edge_outlives_endpoint": [node("a", 0, 1), node("b", 0, 3), edge("e", "a", "b", 0, 2)],
+    "object_unknown_node": [node("a"), {"type": "object", "id": "o", "nodes": ["a", "zz"]}],
+    "object_unknown_edge": [node("a"), {"type": "object", "id": "o", "nodes": ["a"],
+                                        "edges": ["zz"]}],
+    "object_edge_joins_non_member": [node("a"), node("b"), edge("e", "a", "b"),
+                                     {"type": "object", "id": "o", "nodes": ["a"],
+                                      "edges": ["e"]}],
+    "subset_mixes_kinds": [node("a"), node("b"), edge("e", "a", "b"),
+                           {"type": "subset", "name": "S", "members": ["node:a", "edge:e"]}],
+    "subset_unknown_member": [node("a"), {"type": "subset", "name": "S",
+                                          "members": ["node:a", "node:zz"]}],
+    "subset_unknown_object": [node("a"), {"type": "subset", "name": "S",
+                                          "members": ["object:o"]}],
+    "attr_unknown_node": [node("a"), attr("node:a", 0, 1), attr("node:zz", 0, 1)],
+    "attr_unknown_edge": [node("a"), attr("edge:zz", 0, 1)],
+    "attr_unknown_object": [node("a"), attr("object:zz", 0, 1)],
+    "attr_node_absent": [node("a", 0, 1), node("b"), attr("node:a", 0, 1), attr("node:a", 2, 1)],
+    "attr_node_in_churn_gap": [node("a", 0, 0), node("a", 2, 2), node("b"),
+                               attr("node:a", 0, 1), attr("node:a", 1, 1)],
+    "attr_edge_absent": [node("a"), node("b"), edge("e", "a", "b", 1, 2),
+                         attr("edge:e", 1, 1), attr("edge:e", 0, 1)],
+    "attr_object_absent": [node("a", 0, 0), node("b", 2, 2), node("c"),
+                           {"type": "object", "id": "o", "nodes": ["a", "b"]},
+                           attr("object:o", 2, 1), attr("object:o", 1, 1)],
+    "attr_conflict": [node("a"), attr("node:a", 0, 1), attr("node:a", 0, 2)],
+    # Two errors each: the one named in PINNED wins.
+    "bad_json_after_unknown_type": [node("a"), {"type": "vertex"}, '{"type":'],
+    "bad_label_after_bad_label": [node("a", float("inf"), 1), node("b", 0, float("nan"))],
+    "label_after_missing_id": [{"type": "node", "start": 0}, node("a", float("inf"), 1)],
+    "absent_before_conflict": [node("a", 0, 1), node("b"), attr("node:a", 0, 1),
+                               attr("node:a", 2, 1), attr("node:a", 0, 2)],
+    "conflict_before_absent": [node("a", 0, 1), node("b"), attr("node:a", 0, 1),
+                               attr("node:a", 0, 2), attr("node:a", 2, 1)],
+    "bad_ref_after_unknown_node": [node("a"), attr("node:zz", 0, 1), attr("nod:a", 0, 1)],
+    "unknown_node_after_bad_ref": [node("a"), {"type": "subset", "name": "S", "members": ["a"]},
+                                   {"type": "object", "id": "o", "nodes": ["zz"]}],
+}
+
+# The message, and the line, of the error that must win where a file has two.
+PINNED = {
+    "bad_json_after_unknown_type": ("line 3: invalid JSON", 3),
+    "bad_label_after_bad_label": ("line 1: time label must be a finite number", 1),
+    "label_after_missing_id": ("line 2: time label must be a finite number", 2),
+    "absent_before_conflict": ("line 4: attribute 'w' recorded at t=2 but node:a", 4),
+    "conflict_before_absent": ("line 4: conflicting values of 'w' for node:a", 4),
+    # a reference is parsed as its record is read, before any element is resolved
+    "bad_ref_after_unknown_node": ("line 3: bad element reference 'nod:a'", 3),
+    # objects are resolved before subsets, whatever their lines
+    "unknown_node_after_bad_ref": ("line 3: object 'o' references unknown node 'zz'", 3),
+}
+
+# The messages that gained their line: the line prefix and the line detail.
+GAINED_LINE = re.compile(r"line (\d+): (bad element reference .*|boolean is not a valid timestamp)$")
+
+
+def first_error(loader, pairs):
+    with pytest.raises(TgqError) as e:
+        loader(pairs)
+    return e.value.code, e.value.message, e.value.details.get("line")
+
+
+def as_before(error):
+    """``error`` as the reference loader reports it."""
+    code, message, line = error
+    m = GAINED_LINE.match(message)
+    return (code, m.group(2), None) if m and int(m.group(1)) == line else error
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_file(case):
+    pairs = numbered(lines_of(MALFORMED[case]))
+    got = first_error(_load, pairs)
+    assert as_before(got) == first_error(reference_load, pairs)
+    if case in PINNED:
+        prefix, line = PINNED[case]
+        assert got[1].startswith(prefix) and got[2] == line
+
+
+# -- the messages that changed -------------------------------------------------
+
+SITES = {
+    "start": lambda bad: node("b", bad, 1),
+    "end": lambda bad: node("b", 0, bad),
+    "t": lambda bad: attr("node:a", bad, 1.0),
+}
+
+
+@pytest.mark.parametrize("bad", [[0], {"x": 1}, []], ids=["list", "object", "empty_list"])
+@pytest.mark.parametrize("site", SITES)
+def test_non_scalar_time_label_rejected(site, bad):
+    with pytest.raises(TgqError) as e:
+        load(lines_of([node("a", 0, 1), SITES[site](bad)]))
+    assert e.value.code == SCHEMA_ERROR
+    assert e.value.message == "line 2: time label must be a number or a string"
+    assert e.value.details["line"] == 2
+
+
+def test_non_scalar_time_label_rejected_in_csv(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text('type,id,start,end\nnode,a,0,1\nnode,b,"[0]",1\n')
+    with pytest.raises(TgqError) as e:
+        load_path(str(path))
+    assert e.value.message == "line 3: time label must be a number or a string"
+    assert e.value.details["line"] == 3
+
+
+@pytest.mark.parametrize("bad", [True, False])
+@pytest.mark.parametrize("site", SITES)
+def test_boolean_time_label_names_its_line(site, bad):
+    pairs = numbered(lines_of([node("a", 0, 1), SITES[site](bad)]))
+    assert first_error(_load, pairs) == (
+        SCHEMA_ERROR, "line 2: boolean is not a valid timestamp", 2)
+    assert first_error(reference_load, pairs) == (
+        SCHEMA_ERROR, "boolean is not a valid timestamp", None)
+
+
+def test_boolean_label_in_a_query_keeps_its_message():
+    g = load(lines_of([node("a", 0, 1)]))
+    with pytest.raises(TgqError) as e:
+        g.index_of(True)
+    assert e.value.message == "boolean is not a valid timestamp"
+    assert "line" not in e.value.details
+
+
+@pytest.mark.parametrize("records, line, token", [
+    ([node("a"), attr("node:a", 0, 1), attr("nod:a", 1, 1)], 3, "nod:a"),
+    ([node("a"), attr("a", 0, 1)], 2, "a"),
+    ([node("a"), {"type": "subset", "name": "S", "members": ["node:a", "x"]}], 2, "x"),
+], ids=["attr_kind", "attr_no_kind", "subset_member"])
+def test_bad_element_reference_names_its_line(records, line, token):
+    with pytest.raises(TgqError) as e:
+        load(lines_of(records))
+    assert e.value.code == SCHEMA_ERROR
+    assert e.value.message == f"line {line}: bad element reference '{token}' (want kind:id)"
+    assert e.value.details["line"] == line
+
+
+def test_bad_element_reference_in_a_query_keeps_its_message():
+    with pytest.raises(TgqError) as e:
+        GraphElementRef.parse("nod:a")
+    assert e.value.message == "bad element reference 'nod:a' (want kind:id)"
+    assert e.value.details == {}
+
+
+def test_unknown_element_on_a_repeated_token_names_its_first_record():
+    # the lifetime table is built on the token's first use, so an unknown
+    # element fails there and never gets a table
+    with pytest.raises(TgqError) as e:
+        load(lines_of([node("a"), attr("node:zz", 0, 1), attr("node:zz", 1, 1)]))
+    assert (e.value.code, e.value.details["line"]) == (CONSISTENCY_ERROR, 2)
