@@ -28,7 +28,7 @@ from .errors import (
     VALIDATION_ERROR,
     VARIANCE_ZERO,
 )
-from .graph import AttrKind, GraphElementRef, TemporalGraph, TimeInterval, mean
+from .graph import AttrKind, GraphElementRef, TemporalGraph, TimeInterval, mean, unit_scaled
 from .search import GroupCandidate
 
 
@@ -60,7 +60,7 @@ def pearson(pairs, lag: int, cfg: Config) -> CorrelationReport:
         r = _r(xs, ys)
     except OverflowError:
         # Finite extremes overflow the sums; r does not depend on scale.
-        r = _r(_unit_scaled(xs), _unit_scaled(ys))
+        r = _r(unit_scaled(xs)[1], unit_scaled(ys)[1])
     r = max(-1.0, min(1.0, r))
     if r >= cfg.correlation_threshold:
         cls = "POSITIVE"
@@ -85,11 +85,6 @@ def _r(xs, ys) -> float:
     if not 0.0 < denom < math.inf:  # the product under- or overflowed
         denom = math.sqrt(sxx) * math.sqrt(syy)
     return sxy / denom
-
-
-def _unit_scaled(values) -> list:
-    scale = max(map(abs, values))
-    return [v / scale for v in values]
 
 
 def _check_numeric(graph: TemporalGraph, attr: str) -> None:

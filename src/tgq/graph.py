@@ -3,13 +3,15 @@
 The store keeps a discrete time domain (the sorted distinct timestamps seen
 in the data), per-element existence intervals, and per-attribute value
 series. A loaded graph is immutable and safe for concurrent reads; all query
-machinery is built on three primitives here:
+machinery is built on four primitives here:
 
 - ``column(ref, attr)`` resolves one element's attribute at every time index
   (None where it is absent or has no value; optional carry-forward of the
   last observed value), cached on first read; scans read it whole, and
-  ``try_value(t, ref, attr)`` indexes it (``value_at`` raises
+  ``try_value(t, ref, attr)`` indexes it (``value_at_info`` raises
   ABSENT_ELEMENT or MISSING_VALUE on a miss instead),
+- ``sorted_at(attr, t)`` holds the values at one time index of every node
+  and edge, ascending, so that a range constraint is a bisection,
 - ``snapshot(t)`` materialises the static graph alive at one time point,
 - ``exists_at(ref, t)`` tests interval cover.
 
@@ -84,14 +86,21 @@ def object_ref(ident: str) -> GraphElementRef:
     return GraphElementRef(ElemKind.OBJECT, ident)
 
 
+def unit_scaled(values):
+    """``(scale, values / scale)`` with scale = max|v|: finite extremes whose
+    sums or products overflow, brought into [-1, 1] where none does."""
+    scale = max(map(abs, values))
+    return scale, [v / scale for v in values]
+
+
 def mean(values) -> float:
     """Arithmetic mean of finite numbers. Where the sum overflows, the values
-    are averaged scaled by 1/max|v| and scaled back, so the mean is finite."""
+    are averaged unit-scaled and scaled back, so the mean is finite."""
     result = sum(values) / len(values)
     if math.isfinite(result):
         return result
-    scale = max(abs(v) for v in values)
-    return sum(v / scale for v in values) / len(values) * scale
+    scale, unit = unit_scaled(values)
+    return sum(unit) / len(values) * scale
 
 
 @dataclass(frozen=True)
@@ -190,6 +199,7 @@ class TemporalGraph:
         self._snapshots: dict = {}
         self._columns: dict = {}  # (kind, id, attr, carry[, "resolved"]) -> tuple
         self._refs: dict = {}  # kind -> sorted tuple of its refs, built on first use
+        self._sorted: dict = {}  # (attr, carry, t) -> (values, refs), see sorted_at
         self._node_edges: dict = {}
         for edge_id, e in self.edges.items():
             self._node_edges.setdefault(e.src, []).append(edge_id)
@@ -298,14 +308,10 @@ class TemporalGraph:
         info = self._value_info(t, ref, attr, cfg)
         return None if info is None else info[0]
 
-    def value_at(self, t: int, ref: GraphElementRef, attr: str, cfg: Config):
-        """Evaluate the data function: the value of ``attr`` for ``ref`` at ``t``."""
-        value, _ = self.value_at_info(t, ref, attr, cfg)
-        return value
-
     def value_at_info(self, t: int, ref: GraphElementRef, attr: str, cfg: Config):
-        """Like :meth:`value_at` but also reports whether the value was
-        aggregated from a graph object's members rather than recorded."""
+        """Evaluate the data function: ``(value, aggregated)`` of ``attr`` for
+        ``ref`` at ``t``, aggregated when it comes from a graph object's
+        members rather than a recorded value."""
         info = self._value_info(t, ref, attr, cfg)
         if info is not None:
             return info
@@ -363,6 +369,23 @@ class TemporalGraph:
                             slots[t] = slots[t - 1]
             self._columns[key] = col = tuple(slots)
         return col
+
+    def sorted_at(self, attr: str, t: int, cfg: Config) -> tuple:
+        """``(values, refs)``: the values of ``attr`` at time index ``t`` of
+        every node and edge that has one, ascending, and the ref holding
+        each. Read from the columns on first use and cached only once whole."""
+        carry = cfg.carries_forward(attr)
+        index = self._sorted.get((attr, carry, t))
+        if index is None:
+            self.attr_kind(attr)
+            self.check_time(t)
+            refs = self.all_refs()
+            values = [self._recorded(ref, attr, carry)[t] for ref in refs]
+            order = sorted((i for i, v in enumerate(values) if v is not None),
+                           key=values.__getitem__)
+            index = [values[i] for i in order], [refs[i] for i in order]
+            self._sorted[attr, carry, t] = index
+        return index
 
     def _aggregate_members(self, t: int, ref: GraphElementRef, attr: str, cfg: Config):
         members = self.object_members(ref.id)
@@ -549,7 +572,7 @@ def _load(numbered) -> TemporalGraph:
 
     for lineno, rec in records:
         rtype = rec.get("type")
-        if rtype not in _RECORD_TYPES:
+        if not isinstance(rtype, str) or rtype not in _RECORD_TYPES:
             raise TgqError(
                 SCHEMA_ERROR, f"line {lineno}: unknown record type {rtype!r}", line=lineno
             )
@@ -602,8 +625,12 @@ def _load(numbered) -> TemporalGraph:
             ident = _require_str(rec, "id", lineno)
             src = _require_str(rec, "src", lineno)
             dst = _require_str(rec, "dst", lineno)
-            directed = bool(rec.get("directed", False))
-            meta = (src, dst, directed)
+            directed = rec.get("directed")
+            if directed is not None and not isinstance(directed, bool):
+                raise TgqError(
+                    SCHEMA_ERROR, f"line {lineno}: 'directed' must be true or false", line=lineno
+                )
+            meta = (src, dst, directed is True)
             if edge_meta.setdefault(ident, meta) != meta:
                 raise TgqError(
                     CONSISTENCY_ERROR,

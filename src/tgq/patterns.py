@@ -17,7 +17,7 @@ samples (x = time index, y = value):
 5. more than one change of step sign             -> FLUCTUATING
 
 Rules 3-5 read only the signs of the steps, ties skipped: they are the
-*shape* of the values, so a class other than DEGENERATE or CONSTANT can be
+*shape* of the values, so classes other than DEGENERATE and CONSTANT can be
 ruled out without the slope (``window_trends``). The slope epsilon is
 relative to the observed value range, which makes the class invariant
 under y -> a*y + b for a > 0.
@@ -37,7 +37,7 @@ from .errors import (
     TYPE_ERROR,
     TgqError,
 )
-from .graph import AttrKind, GraphElementRef, TemporalGraph, TimeInterval
+from .graph import AttrKind, GraphElementRef, TemporalGraph, TimeInterval, unit_scaled
 
 
 class TrendClass(str, Enum):
@@ -191,9 +191,8 @@ def classify_trend(samples, cfg: Config) -> TrendPattern:
     if not (math.isfinite(value_range) and math.isfinite(slope)):
         # Finite extremes overflow the sums; class and normalised slope
         # do not depend on the scale of ys.
-        scale = max(abs(lo), abs(hi))
-        ys = [y / scale for y in ys]
-        lo, hi = lo / scale, hi / scale
+        _, ys = unit_scaled(ys)
+        lo, hi = min(ys), max(ys)
         value_range = hi - lo
         slope = _ls_slope(xs, ys)
     norm_slope = slope / value_range if value_range > 0 else 0.0
@@ -248,6 +247,18 @@ def trend(
 # ``classify_trend`` never takes its scaled path and its class is CONSTANT,
 # DEGENERATE or the ``_shape`` of the values themselves.
 _UNSCALED_MAX = 2.0 ** 500
+_SHAPELESS = frozenset((TrendClass.CONSTANT, TrendClass.DEGENERATE))
+
+
+def related_classes(cls: TrendClass, op: str, threshold: float):
+    """The trend classes that can stand in the pattern relation ``op`` (same
+    at ``threshold``, or opposite) to a trend of class ``cls``, or None where
+    any class can. Two trends score 1 when their classes are equal, else 0."""
+    if op == "opposite":
+        return {b for a, b in _OPPOSITE_TRENDS if a == cls}
+    if op == "same" and threshold > 0:
+        return {cls}
+    return None
 
 
 def window_trends(
@@ -256,31 +267,33 @@ def window_trends(
     ref: GraphElementRef,
     windows,
     attr: str,
-    shape: Optional[TrendClass] = None,
+    classes=None,
 ) -> list:
     """``(window, trend(graph, cfg, ref, window, attr))`` for each window, in
     order, reading the element's column once; no window, no read.
 
-    With ``shape``, windows whose trend cannot be of that class are left
-    out unclassified. For a class other than CONSTANT and DEGENERATE those
-    are the windows whose steps have another shape (rules 3-5) and whose
-    values are all within ``_UNSCALED_MAX``: larger values may be
-    classified scaled, where a tie can replace a step.
+    With a set of ``classes``, a window whose trend cannot be one of them
+    comes back unclassified as ``(window, None)``: none if CONSTANT or
+    DEGENERATE is admitted, every window if no class is, and otherwise
+    those whose steps have another shape (rules 3-5) and whose values are
+    all within ``_UNSCALED_MAX`` (larger values may be classified scaled,
+    where a tie can replace a step).
     """
     if not windows:
         return []
     if graph.attr_kind(attr) != AttrKind.NUMERIC:
         raise TgqError(TYPE_ERROR, f"trend needs a numeric attribute, '{attr}' is not")
     column = graph.column(ref, attr, cfg)
-    if shape in (TrendClass.CONSTANT, TrendClass.DEGENERATE):
-        shape = None
+    if classes is not None and not _SHAPELESS.isdisjoint(classes):
+        classes = None
     out = []
     for window in windows:
         graph.check_time(window.start, window.end)
-        if shape is not None:
+        if classes is not None:
             ys = [y for y in column[window.start:window.end + 1] if y is not None]
-            if _shape(ys) != shape and (
+            if not classes or _shape(ys) not in classes and (
                     not ys or -_UNSCALED_MAX <= min(ys) and max(ys) <= _UNSCALED_MAX):
+                out.append((window, None))
                 continue
         samples = [(t, column[t]) for t in window.indices() if column[t] is not None]
         out.append((window, classify_trend(samples, cfg)))
@@ -313,8 +326,8 @@ def classify_distribution(values, cfg: Config) -> DistributionPattern:
         )
     except OverflowError:
         # Finite extremes overflow the moments; only mean and stddev have a scale.
-        scale = max(-values[0], values[-1])
-        p = classify_distribution([v / scale for v in values], cfg)
+        scale, unit = unit_scaled(values)
+        p = classify_distribution(unit, cfg)
         return replace(p, mean=p.mean * scale, stddev=p.stddev * scale, min=values[0], max=values[-1])
 
 
@@ -414,23 +427,10 @@ def aspectual(
 # ---------------------------------------------------------------------------
 
 
-def similarity(p1, p2, cfg: Config) -> float:
-    """Score in [0, 1]; 1 means the observed behaviours match exactly.
-
-    Both arguments must summarise the same behaviour kind.
-    """
-    score, _ = similarity_detail(p1, p2, cfg)
-    return score
-
-
-def opposite(p1, p2) -> bool:
-    """True when two patterns are opposites (e.g. rising vs falling)."""
-    _, flag = similarity_detail(p1, p2, Config())
-    return flag
-
-
 def similarity_detail(p1, p2, cfg: Config):
-    """(score, opposite flag) for two patterns of the same kind."""
+    """(score, opposite flag) for two patterns of the same kind: the score is
+    in [0, 1], 1 where the observed behaviours match exactly; the flag is set
+    for opposites (e.g. rising vs falling)."""
     if isinstance(p1, TrendPattern) and isinstance(p2, TrendPattern):
         return _trend_pair(p1.cls, p2.cls)
     if isinstance(p1, DistributionPattern) and isinstance(p2, DistributionPattern):

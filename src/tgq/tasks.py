@@ -10,8 +10,10 @@ byte for byte.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Optional
 
 from .config import Config
@@ -21,7 +23,7 @@ from .errors import (
     UNRESOLVED_SIDE,
     VALIDATION_ERROR,
 )
-from .graph import GraphElementRef, TemporalGraph, TimeInterval
+from .graph import AttrKind, GraphElementRef, TemporalGraph, TimeInterval
 from .patterns import (
     AspectAxis,
     AspectFreqLiteral,
@@ -34,6 +36,7 @@ from .patterns import (
     aspectual,
     distribution,
     match_score,
+    related_classes,
     trend,
     window_trends,
 )
@@ -109,20 +112,40 @@ class ValueConstraint:
             raise TgqError(
                 KIND_MISMATCH, f"constraint '{self.op}' needs a numeric attribute"
             )
-        if self.op == "lt":
-            return v < self.values[0]
-        if self.op == "le":
-            return v <= self.values[0]
-        if self.op == "gt":
-            return v > self.values[0]
-        if self.op == "ge":
-            return v >= self.values[0]
-        if self.op == "between":
-            return self.values[0] <= v <= self.values[1]
+        try:  # a constant that is not a number raises TypeError in any comparison
+            if self.op == "lt":
+                return v < self.values[0]
+            if self.op == "le":
+                return v <= self.values[0]
+            if self.op == "gt":
+                return v > self.values[0]
+            if self.op == "ge":
+                return v >= self.values[0]
+            if self.op == "between":  # both bounds compared, whatever the first gives
+                return (self.values[0] <= v) & (v <= self.values[1])
+        except TypeError:
+            raise TgqError(
+                KIND_MISMATCH, f"constraint '{self.op}' needs a numeric constant"
+            ) from None
         raise TgqError(VALIDATION_ERROR, f"unknown constraint op '{self.op}'")
 
     def to_dict(self) -> dict:
         return {"op": self.op, "values": list(self.values)}
+
+    def is_range(self) -> bool:
+        """An ordering test against numbers (no bool, no NaN): the values
+        that pass it form one run of any ascending list."""
+        return self.op in ("lt", "le", "gt", "ge", "between") and all(
+            type(c) in (int, float) and c == c for c in self.values)
+
+    def span(self, values: list) -> slice:
+        """The run of ascending ``values`` that passes a range test."""
+        lo = hi = None
+        if self.op in ("gt", "ge", "between"):
+            lo = (bisect_right if self.op == "gt" else bisect_left)(values, self.values[0])
+        if self.op in ("lt", "le", "between"):
+            hi = (bisect_left if self.op == "lt" else bisect_right)(values, self.values[-1])
+        return slice(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +181,10 @@ def inverse_lookup(
 ) -> list:
     """All (t, element, value) satisfying the constraint, narrowed by any
     supplied reference constraints. Elements range over nodes and edges;
-    graph objects participate only when passed explicitly."""
+    graph objects participate only when passed explicitly.
+
+    A range test of a numeric attribute over every element bisects each
+    time point's ``TemporalGraph.sorted_at``; the rest scan columns."""
     if t is not None:
         graph.check_time(t)
         times = [t]
@@ -167,19 +193,22 @@ def inverse_lookup(
         times = list(interval.indices())
     else:
         times = time_points(graph)
-    if ref is not None:
-        elements = [ref]
-    elif members is not None:
-        elements = list(members)
-    else:
-        elements = graph.all_refs()
     hits = []
-    for el in elements if times else ():
-        column = graph.column(el, attr, cfg)
+    if (ref is None and members is None and constraint.is_range()
+            and graph.attr_kinds.get(attr) == AttrKind.NUMERIC):
         for ti in times:
-            value = column[ti]
-            if value is not None and constraint.test(value):
-                hits.append((ti, el, value))
+            values, refs = graph.sorted_at(attr, ti, cfg)
+            span = constraint.span(values)
+            hits.extend(zip(repeat(ti), refs[span], values[span]))
+    else:
+        elements = ([ref] if ref is not None else list(members) if members is not None
+                    else graph.all_refs())
+        for el in elements if times else ():
+            column = graph.column(el, attr, cfg)
+            for ti in times:
+                value = column[ti]
+                if value is not None and constraint.test(value):
+                    hits.append((ti, el, value))
     hits.sort(key=lambda h: (h[0], h[1]))
     return hits
 
@@ -231,13 +260,14 @@ def pattern_search(
     thr = cfg.similarity_threshold if threshold is None else threshold
     if quadrant == Quadrant.Q4_ASPECTUAL:
         axis = axis or _axis_of(target)
-    # Against a class literal a trend scores 1 or 0: with a positive
-    # threshold only the windows that can be of that class can match.
-    shape = target.cls if isinstance(target, TrendLiteral) and thr > 0 else None
+    classes = (related_classes(target.cls, "same", thr)
+               if isinstance(target, TrendLiteral) else None)
     matches = []
     for ref, key, candidate in _scopes(
             graph, cfg, "pattern search", quadrant, attr, space, fixed_element,
-            fixed_group, fixed_t, fixed_interval, axis, shape):
+            fixed_group, fixed_t, fixed_interval, axis, classes):
+        if candidate is None:  # a window that cannot match, left unclassified
+            continue
         score, _ = match_score(target, candidate, cfg)
         if score >= thr:
             if isinstance(ref, GroupCandidate):
@@ -249,10 +279,11 @@ def pattern_search(
 
 
 def _scopes(graph, cfg, what, quadrant, attr, space, fixed_element=None,
-            fixed_group=None, fixed_t=None, fixed_interval=None, axis=None, shape=None):
+            fixed_group=None, fixed_t=None, fixed_interval=None, axis=None, classes=None):
     """``(ref, time key, pattern)`` for every candidate scope of a quadrant:
-    elements × windows for trends (only windows that can be of ``shape``
-    are classified), groups × points or windows otherwise."""
+    elements × windows for trends (the pattern is None where a window's
+    trend cannot be one of ``classes``), groups × points or windows
+    otherwise."""
     if quadrant == Quadrant.Q3_TREND_OF_G:
         elements = [fixed_element] if fixed_element else element_candidates(
             graph, space.subset_family
@@ -260,7 +291,7 @@ def _scopes(graph, cfg, what, quadrant, attr, space, fixed_element=None,
         windows = time_windows(graph, fixed_interval, space.window_min_len)
         check_budget(len(elements) * len(windows), cfg, what)
         for el in elements:
-            for window, candidate in window_trends(graph, cfg, el, windows, attr, shape):
+            for window, candidate in window_trends(graph, cfg, el, windows, attr, classes):
                 yield el, window, candidate
     elif quadrant == Quadrant.Q2_DIST_AT_T:
         yield from scopes(
@@ -737,10 +768,12 @@ class SeekSidePatterns:
     fixed_t: Optional[int] = None
     fixed_interval: Optional[TimeInterval] = None
 
-    def resolve_bindings(self, graph: TemporalGraph, cfg: Config, space: SearchSpace) -> list:
+    def resolve_bindings(self, graph: TemporalGraph, cfg: Config, space: SearchSpace,
+                         classes=None) -> list:
         return [Binding(key, ref, pattern) for ref, key, pattern in _scopes(
             graph, cfg, "relation seeking", self.quadrant, self.attr, space,
-            self.fixed_element, self.fixed_group, self.fixed_t, self.fixed_interval, self.axis)]
+            self.fixed_element, self.fixed_group, self.fixed_t, self.fixed_interval, self.axis,
+            classes)]
 
 
 @dataclass(frozen=True)
@@ -760,11 +793,23 @@ def relation_seek(
     space: Optional[SearchSpace] = None,
 ) -> list:
     """Find binding pairs whose values/patterns stand in the requested
-    relation, subject to every auxiliary relation on their references."""
+    relation, subject to every auxiliary relation on their references.
+
+    Against one trend on side 1, side 2 classifies only the windows whose
+    class can stand in the relation to it (a semijoin); the others are
+    bindings without a pattern, counted by the budget and skipped by the join."""
     space = space or SearchSpace()
     symmetric = side1 == side2
     b1 = side1.resolve_bindings(graph, cfg, space)
-    b2 = b1 if symmetric else side2.resolve_bindings(graph, cfg, space)
+    if symmetric:
+        b2 = b1
+    elif (relation.family == RelationFamily.PATTERN and len(b1) == 1
+          and isinstance(b1[0].payload, TrendPattern)
+          and isinstance(side2, SeekSidePatterns) and side2.quadrant == Quadrant.Q3_TREND_OF_G):
+        b2 = side2.resolve_bindings(graph, cfg, space, related_classes(
+            b1[0].payload.cls, relation.op, cfg.similarity_threshold))
+    else:
+        b2 = side2.resolve_bindings(graph, cfg, space)
     check_budget(max(len(b1), len(b2)), cfg, "relation seeking")
     check_budget(len(b1) * len(b2), cfg, "relation seeking (pairs)")
 
@@ -792,6 +837,8 @@ def relation_seek(
     results = []
     for x in b1:
         for y in b2 if buckets is None else buckets.get(x.payload, ()):
+            if y.payload is None:  # a window side 2 left unclassified
+                continue
             if symmetric and (x.time_key, _binding_ref_name(x.ref_key)) == (
                 y.time_key, _binding_ref_name(y.ref_key)
             ):

@@ -13,10 +13,10 @@ def jl(records):
 
 
 def raising_value(graph, t, ref, attr, cfg):
-    """Oracle read through the raising ``value_at``: the value, or None where
+    """Oracle read through the raising ``value_at_info``: the value, or None where
     it raises ABSENT_ELEMENT or MISSING_VALUE."""
     try:
-        return graph.value_at(t, ref, attr, cfg)
+        return graph.value_at_info(t, ref, attr, cfg)[0]
     except TgqError as err:
         if err.code in (ABSENT_ELEMENT, MISSING_VALUE):
             return None

@@ -237,7 +237,7 @@ def test_criterion_3_lookup_duality(suite):
                     assert (t, ref, value) in hits
                     checked += 1
                     for ht, href, hv in hits:
-                        assert g.value_at(ht, href, attr, CFG) == value
+                        assert g.value_at_info(ht, href, attr, CFG)[0] == value
     print(f"\nACCEPTANCE 3 PASS: {checked} defined (t, g, attr) triples round-trip")
 
 

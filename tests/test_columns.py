@@ -618,18 +618,25 @@ def test_one_extended_graph_answers_every_config_like_a_fresh_graph(seed):
 
 
 def test_concurrent_readers_see_whole_columns():
-    """Threads that race to build the same columns on one graph all read
-    what one thread reads on a graph of its own."""
+    """Threads that race to build the same columns and sorted indexes on one
+    graph all read what one thread reads on a graph of its own."""
     fresh = extended_graph(7)
-    jobs = [(ref, attr, cfg) for cfg in CFGS.values() for ref in every_ref(fresh)
+    jobs = [("column", ref, attr, cfg) for cfg in CFGS.values() for ref in every_ref(fresh)
             for attr in ("w", "c", "b")]
-    want = [fresh.column(ref, attr, cfg) for ref, attr, cfg in jobs]
+    jobs += [("sorted_at", attr, t, cfg) for cfg in CFGS.values() for attr in ("w", "u")
+             for t in range(fresh.n_times)]
+    random.Random(7).shuffle(jobs)  # index builds and column reads interleaved
+
+    def read(graph, job):
+        return getattr(graph, job[0])(*job[1:])
+
+    want = [read(fresh, job) for job in jobs]
     shared = extended_graph(7)
     seen = []
 
     def reader(offset):
         order = jobs[offset:] + jobs[:offset]
-        seen.append({(ref, attr, id(cfg)): shared.column(ref, attr, cfg) for ref, attr, cfg in order})
+        seen.append({(*job[:3], id(job[3])): read(shared, job) for job in order})
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -644,4 +651,4 @@ def test_concurrent_readers_see_whole_columns():
     assert not any(th.is_alive() for th in threads)
     assert len(seen) == len(threads)
     for got in seen:
-        assert [got[(ref, attr, id(cfg))] for ref, attr, cfg in jobs] == want
+        assert [got[(*job[:3], id(job[3]))] for job in jobs] == want

@@ -233,8 +233,8 @@ class TestLoad:
 
         g = load_path(str(path))
         assert g.time_labels == (0, 1, 2)
-        assert g.value_at(0, node_ref("a"), "w", cfg) == 1.5
-        assert g.value_at(1, node_ref("b"), "color", cfg) == "red"
+        assert g.value_at_info(0, node_ref("a"), "w", cfg)[0] == 1.5
+        assert g.value_at_info(1, node_ref("b"), "color", cfg)[0] == "red"
         assert "S1" in g.subsets
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 10 ** 400],
@@ -289,16 +289,16 @@ class TestLoad:
 
 class TestEval:
     def test_recorded_value(self, mini_graph, cfg):
-        assert mini_graph.value_at(0, node_ref("a"), "w", cfg) == 1.0
-        assert mini_graph.value_at(2, node_ref("a"), "w", cfg) == 3.0
+        assert mini_graph.value_at_info(0, node_ref("a"), "w", cfg)[0] == 1.0
+        assert mini_graph.value_at_info(2, node_ref("a"), "w", cfg)[0] == 3.0
 
     def test_carry_forward(self, mini_graph, cfg):
-        assert mini_graph.value_at(1, node_ref("a"), "w", cfg) == 1.0
+        assert mini_graph.value_at_info(1, node_ref("a"), "w", cfg)[0] == 1.0
 
     def test_carry_forward_disabled(self, mini_graph):
         cfg = Config(carry_forward_default=False)
         with pytest.raises(TgqError) as e:
-            mini_graph.value_at(1, node_ref("a"), "w", cfg)
+            mini_graph.value_at_info(1, node_ref("a"), "w", cfg)[0]
         assert codes(e) == MISSING_VALUE
         assert e.value.message == "no value of 'w' for node:a at t=1"
 
@@ -310,7 +310,7 @@ class TestEval:
             {"type": "attr", "elem": "node:b", "name": "w", "t": 3, "value": 9.0},
         ]))
         with pytest.raises(TgqError) as e:
-            g.value_at(g.index_of(3), node_ref("a"), "w", cfg)
+            g.value_at_info(g.index_of(3), node_ref("a"), "w", cfg)[0]
         assert codes(e) == ABSENT_ELEMENT
         assert e.value.message == "node:a does not exist at t=3"
 
@@ -324,7 +324,7 @@ class TestEval:
         ]))
         # a is gone at t=2; the value recorded at t=1 must not persist to t=3
         with pytest.raises(TgqError) as e:
-            g.value_at(3, node_ref("a"), "w", cfg)
+            g.value_at_info(3, node_ref("a"), "w", cfg)[0]
         assert codes(e) == MISSING_VALUE
 
     def test_object_recorded_beats_aggregation(self, cfg):
@@ -350,7 +350,7 @@ class TestEval:
             {"type": "attr", "elem": "node:b", "name": "color", "t": 0, "value": "blue"},
         ]))
         # tie between red and blue -> lexicographically smaller wins
-        assert g.value_at(0, object_ref("o"), "color", cfg) == "blue"
+        assert g.value_at_info(0, object_ref("o"), "color", cfg)[0] == "blue"
 
     def test_object_without_member_value(self):
         g = load(jl([
@@ -361,7 +361,7 @@ class TestEval:
         ]))
         cfg = Config(carry_forward_default=False)
         with pytest.raises(TgqError) as e:
-            g.value_at(1, object_ref("o"), "w", cfg)
+            g.value_at_info(1, object_ref("o"), "w", cfg)[0]
         assert codes(e) == MISSING_VALUE
         assert e.value.message == "no member of object:o has a value of 'w' at t=1"
 
@@ -402,7 +402,7 @@ class TestTryValue:
                     for ref in refs:
                         got = g.try_value(t, ref, attr, cfg)
                         try:
-                            want = g.value_at(t, ref, attr, cfg)
+                            want = g.value_at_info(t, ref, attr, cfg)[0]
                         except TgqError as err:
                             assert err.code in (ABSENT_ELEMENT, MISSING_VALUE)
                             assert got is None

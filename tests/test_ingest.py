@@ -4,9 +4,12 @@
 distinct time label, element reference and element lifetime once per load.
 On valid input the two must build equal graphs that dump the same lines; on
 malformed input they must fail with the same first error (code, message and
-line). Three messages changed on purpose and have tests of their own: a time
-label that is a list or an object is rejected, and a boolean time label and
-a bad element reference at ingest name their line.
+line). Some messages changed on purpose and have tests of their own: a time
+label that is a list or an object is rejected, a boolean time label and a
+bad element reference at ingest name their line, and a record ``type`` that
+is a list or an object and an edge ``directed`` that is not a boolean are
+rejected with their line (the reference loader crashes on the first and
+reads the second as its truth value).
 """
 
 import csv
@@ -308,3 +311,44 @@ def test_unknown_element_on_a_repeated_token_names_its_first_record():
     with pytest.raises(TgqError) as e:
         load(lines_of([node("a"), attr("node:zz", 0, 1), attr("node:zz", 1, 1)]))
     assert (e.value.code, e.value.details["line"]) == (CONSISTENCY_ERROR, 2)
+
+
+# -- record type and edge direction ----------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [["node"], {"node": 1}, [], None, 3],
+                         ids=["list", "object", "empty_list", "null", "number"])
+def test_bad_record_type_names_its_line(bad):
+    with pytest.raises(TgqError) as e:
+        load(lines_of([node("a"), {"type": bad, "id": "b", "start": 0}]))
+    assert e.value.code == SCHEMA_ERROR
+    assert e.value.message == f"line 2: unknown record type {bad!r}"
+    assert e.value.details["line"] == 2
+
+
+@pytest.mark.parametrize("bad", ["false", "true", 0, 1, [True], {"directed": True}],
+                         ids=["str_false", "str_true", "zero", "one", "list", "object"])
+def test_non_boolean_directed_names_its_line(bad):
+    rec = {**edge("e", "a", "b"), "directed": bad}
+    with pytest.raises(TgqError) as e:
+        load(lines_of([node("a"), node("b"), rec]))
+    assert e.value.code == SCHEMA_ERROR
+    assert e.value.message == "line 3: 'directed' must be true or false"
+    assert e.value.details["line"] == 3
+
+
+@pytest.mark.parametrize("value, directed", [(True, True), (False, False), (None, False)],
+                         ids=["true", "false", "null"])
+def test_boolean_or_null_directed_loads_like_the_reference(value, directed):
+    pairs = numbered(lines_of([node("a"), node("b"), {**edge("e", "a", "b"), "directed": value}]))
+    assert assert_same_graph(pairs).edges["e"].directed is directed
+
+
+def test_non_boolean_directed_in_csv_names_its_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("type,id,src,dst,directed,start,end\nnode,a,,,,0,1\nnode,b,,,,0,1\n"
+                    "edge,e,a,b,no,0,1\n")
+    with pytest.raises(TgqError) as e:
+        load_path(str(path))
+    assert e.value.message == "line 4: 'directed' must be true or false"
+    assert e.value.details["line"] == 4

@@ -110,7 +110,7 @@ class TestLookup:
                 hits = inverse_lookup(shapes_graph, cfg, "w", ValueConstraint("eq", (v,)))
                 assert (t, ref, v) in hits
         for t, ref, v in inverse_lookup(shapes_graph, cfg, "w", ValueConstraint("ge", (3.0,))):
-            assert shapes_graph.value_at(t, ref, "w", cfg) >= 3.0
+            assert shapes_graph.value_at_info(t, ref, "w", cfg)[0] >= 3.0
 
 
 class TestCharacterizeAndSearch:

@@ -1,0 +1,398 @@
+"""Value constraints answered by lookup, checked against the scans they replace.
+
+``scan_inverse_lookup`` is ``inverse_lookup`` as it was before range tests
+bisected the per-time sorted index: every element's column, every time
+point. ``reference_relation_seek`` is ``relation_seek`` before side 2 was
+reduced by side 1's one trend: both sides classify every window and the
+join meets every pair. Answers, budget checks and errors must be the same.
+"""
+
+import json
+import math
+import random
+from pathlib import Path
+
+import pytest
+
+from tgq import patterns, tasks
+from tgq.config import Config
+from tgq.dsl.planner import run_query
+from tgq.errors import KIND_MISMATCH, TgqError
+from tgq.graph import TimeInterval, load, load_path, node_ref, object_ref
+from tgq.patterns import TrendClass, trend
+from tgq.relations import RelationFamily, RelationSpec
+from tgq.search import SearchSpace, check_budget, time_points, time_windows
+from tgq.tasks import (
+    AuxRelation,
+    Quadrant,
+    SeekPair,
+    SeekSidePatterns,
+    ValueConstraint,
+    inverse_lookup,
+    relation_seek,
+)
+
+from randsuite import random_graph
+
+DATA = Path(__file__).parent / "data"
+SEEDS = range(30)
+CFGS = {"carry": Config(), "no_carry": Config(carry_forward_default=False)}
+EXTREMES = (-1e308, 1e308, -5e307, 0.0, -0.0, 1e-300, 2e-300)
+
+
+# ---------------------------------------------------------------------------
+# References: the scans
+# ---------------------------------------------------------------------------
+
+
+def scan_inverse_lookup(graph, cfg, attr, constraint, t=None, ref=None, interval=None,
+                        members=None):
+    if t is not None:
+        graph.check_time(t)
+        times = [t]
+    elif interval is not None:
+        graph.check_time(interval.start, interval.end)
+        times = list(interval.indices())
+    else:
+        times = time_points(graph)
+    if ref is not None:
+        elements = [ref]
+    elif members is not None:
+        elements = list(members)
+    else:
+        elements = graph.all_refs()
+    hits = []
+    for el in elements if times else ():
+        column = graph.column(el, attr, cfg)
+        for ti in times:
+            value = column[ti]
+            if value is not None and constraint.test(value):
+                hits.append((ti, el, value))
+    hits.sort(key=lambda h: (h[0], h[1]))
+    return hits
+
+
+def reference_relation_seek(graph, cfg, relation, side1, side2, aux=(), space=None):
+    space = space or SearchSpace()
+    b1 = side1.resolve_bindings(graph, cfg, space)
+    b2 = side2.resolve_bindings(graph, cfg, space)
+    tasks.check_budget(max(len(b1), len(b2)), cfg, "relation seeking")
+    tasks.check_budget(len(b1) * len(b2), cfg, "relation seeking (pairs)")
+
+    def qualified(x, y):
+        detail = tasks._main_relation_detail(relation, x, y, cfg)
+        if detail is None:
+            return None
+        for a in aux:
+            if not a.holds(graph, cfg, x, y):
+                return None
+        return detail
+
+    results = []
+    for x in b1:
+        for y in b2:
+            detail = qualified(x, y)
+            if detail is not None:
+                results.append(SeekPair(x, y, detail))
+    results.sort(key=lambda p: (p.lhs.sort_key(), p.rhs.sort_key()))
+    return results
+
+
+def outcome(fn, *args, **kwargs):
+    try:
+        return repr(fn(*args, **kwargs))
+    except TgqError as err:
+        return ("error", err.code, err.message, err.details)
+
+
+# ---------------------------------------------------------------------------
+# Graphs: randsuite nodes and edges with values, ties and extremes
+# ---------------------------------------------------------------------------
+
+
+def index_graph(seed: int):
+    """A randsuite graph plus a node x holding extreme values (signed zeros
+    among them), values of w on edges, a categorical attribute and an object."""
+    raw = random_graph(seed)
+    rng = random.Random(3000 + seed)
+    records = list(raw.records)
+    last = raw.n_times - 1
+    records.append({"type": "node", "id": "x", "start": 0, "end": last})
+    for t in range(raw.n_times):
+        if rng.random() < 0.8:
+            records.append({"type": "attr", "elem": "node:x", "name": "w", "t": t,
+                            "value": rng.choice(EXTREMES)})
+    for edge_id, _, _, start, end in raw.edge_rows:
+        for t in range(start, end + 1):
+            if rng.random() < 0.5:
+                records.append({"type": "attr", "elem": f"edge:{edge_id}", "name": "w", "t": t,
+                                "value": rng.choice((-0.0, 0.0, 2.0, 3.0, 6.0))})
+    records.append({"type": "attr", "elem": "node:n0", "name": "c", "t": 0, "value": "hi"})
+    records.append({"type": "object", "id": "o", "nodes": sorted(raw.node_spans)[:2]})
+    return load(json.dumps(r) for r in records)
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    return [index_graph(seed) for seed in SEEDS]
+
+
+# ---------------------------------------------------------------------------
+# FIND: bisection against the scan
+# ---------------------------------------------------------------------------
+
+# Constants at, between and beyond the recorded values (integers 0..6, the
+# extremes), as floats and ints.
+POINTS = (-math.inf, -1e308, -1.0, -0.0, 0.0, 1e-300, 2, 2.0, 2.5, 6.0, 7, 5e307, 1e308, math.inf)
+BOUNDS = ((0.0, 6.0), (2.0, 2.0), (2.5, 4.0), (4.0, 2.0), (-1e308, 1e308), (-0.0, 0.0),
+          (1e-300, 2e-300), (3, 3.0), (-math.inf, 0.0))
+RANGES = [ValueConstraint(op, (c,)) for op in ("lt", "le", "gt", "ge") for c in POINTS] + [
+    ValueConstraint("between", bounds) for bounds in BOUNDS]
+# Cases that keep the scan: another op, a constant that is not a number,
+# another attribute kind, an undeclared attribute.
+SCANNED = [
+    ("w", ValueConstraint("eq", (2.0,))),
+    ("w", ValueConstraint("ne", (2.0,))),
+    ("w", ValueConstraint("in", (2.0, 1e308))),
+    ("w", ValueConstraint("gt", ("red",))),
+    ("w", ValueConstraint("between", (1.0, "x"))),
+    ("w", ValueConstraint("gt", (True,))),
+    ("w", ValueConstraint("le", (False,))),
+    ("w", ValueConstraint("gt", (math.nan,))),
+    ("w", ValueConstraint("ge", (math.nan,))),
+    ("w", ValueConstraint("between", (math.nan, 3.0))),
+    ("c", ValueConstraint("gt", (1.0,))),
+    ("c", ValueConstraint("lt", ("zz",))),
+    ("nope", ValueConstraint("gt", (0.0,))),
+]
+
+
+def when(graph):
+    last = graph.n_times - 1
+    return [{}, {"t": 0}, {"t": last}, {"t": last + 1}, {"interval": TimeInterval(0, last)},
+            {"interval": TimeInterval(min(1, last), last)}]
+
+
+@pytest.mark.parametrize("cfg_name", sorted(CFGS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_find_matches_the_scan(graphs, seed, cfg_name):
+    graph, cfg = graphs[seed], CFGS[cfg_name]
+    cases = [("w", c) for c in RANGES] + [("u", c) for c in RANGES[::5]] + SCANNED
+    for attr, constraint in cases:
+        for kwargs in when(graph):
+            got = outcome(inverse_lookup, graph, cfg, attr, constraint, **kwargs)
+            assert got == outcome(scan_inverse_lookup, graph, cfg, attr, constraint, **kwargs), (
+                attr, constraint, kwargs)
+
+
+def test_find_reads_the_index_only_for_range_tests():
+    graph, cfg = index_graph(0), Config()
+    inverse_lookup(graph, cfg, "w", ValueConstraint("eq", (2.0,)))
+    inverse_lookup(graph, cfg, "w", ValueConstraint("gt", (2.0,)), ref=node_ref("n1"))
+    inverse_lookup(graph, cfg, "w", ValueConstraint("gt", (2.0,)), members=(node_ref("n1"),))
+    inverse_lookup(graph, cfg, "c", ValueConstraint("eq", ("hi",)))
+    assert graph._sorted == {}
+    inverse_lookup(graph, cfg, "w", ValueConstraint("gt", (2.0,)), t=0)
+    assert list(graph._sorted) == [("w", True, 0)]
+    inverse_lookup(graph, Config(carry_forward_default=False), "w",
+                   ValueConstraint("between", (0.0, 2.0)))
+    assert len(graph._sorted) == 1 + graph.n_times
+
+
+def test_sorted_at_holds_every_value_ascending(graphs):
+    for graph in graphs[:10]:
+        for cfg in CFGS.values():
+            for t in range(graph.n_times):
+                values, refs = graph.sorted_at("w", t, cfg)
+                want = sorted((graph.column(r, "w", cfg)[t], r) for r in graph.all_refs()
+                              if graph.column(r, "w", cfg)[t] is not None)
+                assert values == sorted(values)
+                assert sorted(zip(values, refs)) == want
+
+
+def test_load_builds_no_index():
+    assert load_path(str(DATA / "corpus_graph.jsonl"))._sorted == {}
+
+
+# ---------------------------------------------------------------------------
+# An ordering test against a string is a coded error
+# ---------------------------------------------------------------------------
+
+
+def _error_code(query):
+    graph = load_path(str(DATA / "corpus_graph.jsonl"))
+    with pytest.raises(TgqError) as e:
+        run_query(query, graph, Config())
+    return e.value.code, e.value.message
+
+
+@pytest.mark.parametrize("query, op", [
+    ('FIND t,g WHERE w > "red"', "gt"),
+    ('FIND g WHERE w <= "red" AT t=0', "le"),
+    ('FIND t,g WHERE w BETWEEN 1 AND "x"', "between"),
+    ('FIND t WHERE w < "red" FOR node:a', "lt"),
+    ('COMPARE FIND g WHERE w > "red" AT t=0 WITH node:a AT t=0 USING GRAPH', "gt"),
+    ('NEIGHBORS(node:a, ADJACENT WITH weight > "x") AT t=0', "gt"),
+    ('NEIGHBORS(node:a, PATH <= 2 WITH weight >= "x")', "ge"),
+], ids=["find", "find_at", "find_between", "find_for", "compare_find", "edge_predicate",
+        "edge_predicate_free_t"])
+def test_ordering_against_a_string_is_kind_mismatch(query, op):
+    assert _error_code(query) == (KIND_MISMATCH, f"constraint '{op}' needs a numeric constant")
+
+
+@pytest.mark.parametrize("constraint", [
+    ValueConstraint("between", (1.0, "x")), ValueConstraint("between", ("x", 1.0)),
+    ValueConstraint("gt", (None,)), ValueConstraint("lt", ([1.0],)),
+])
+@pytest.mark.parametrize("value", [0.0, 1.0, 5.0])
+def test_a_constant_that_is_not_a_number_fails_at_any_value(constraint, value):
+    with pytest.raises(TgqError) as e:
+        constraint.test(value)
+    assert (e.value.code, e.value.message) == (
+        KIND_MISMATCH, f"constraint '{constraint.op}' needs a numeric constant")
+
+
+def test_ordering_of_a_string_value_keeps_its_message():
+    assert ValueConstraint("eq", ("red",)).test("red")
+    with pytest.raises(TgqError) as e:
+        ValueConstraint("gt", ("red",)).test("blue")
+    assert (e.value.code, e.value.message) == (
+        KIND_MISMATCH, "constraint 'gt' needs a numeric attribute")
+
+
+# ---------------------------------------------------------------------------
+# SEEK: side 2 reduced by side 1's one trend, against the full join
+# ---------------------------------------------------------------------------
+
+RELATIONS = [RelationSpec(RelationFamily.PATTERN, op) for op in ("same", "opposite", "different")]
+THRESHOLDS = (0.0, 0.5, 0.9, 1.0)
+
+
+def side_one_by_class(graph, cfg, per_class=2):
+    """Up to ``per_class`` (element, window) pairs for each trend class."""
+    found = {}
+    for el in [node_ref(n) for n in sorted(graph.nodes)] + [object_ref("o")]:
+        for window in time_windows(graph, None, 1):
+            cls = trend(graph, cfg, el, window, "w").cls
+            if len(found.setdefault(cls, [])) < per_class:
+                found[cls].append((el, window))
+    return found
+
+
+def seek_outcome(monkeypatch, fn, *args):
+    """What ``fn`` returns or raises, and the budget checks it made."""
+    calls = []
+
+    def recording(count, cfg, what):
+        calls.append((count, what))
+        return check_budget(count, cfg, what)
+
+    monkeypatch.setattr(tasks, "check_budget", recording)
+    return outcome(fn, *args), calls
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_seek_matches_the_full_join(graphs, seed, monkeypatch):
+    graph = graphs[seed]
+    seen = set()
+    last = graph.n_times - 1
+    aux = ((), (AuxRelation("graph", RelationSpec(RelationFamily.STRUCTURAL, "adjacent")),))
+    for thr in THRESHOLDS:
+        cfg = Config(similarity_threshold=thr)
+        for cls, picks in side_one_by_class(graph, cfg).items():
+            for el, window in picks:
+                side1 = SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w", fixed_element=el,
+                                         fixed_interval=window)
+                sides2 = [
+                    (SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w", fixed_interval=window),
+                     SearchSpace()),
+                    (SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w"),
+                     SearchSpace(window_min_len=max(1, last))),
+                    (SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w", fixed_element=node_ref("x")),
+                     SearchSpace(window_min_len=max(1, last - 1))),
+                ]
+                for side2, space in sides2:
+                    for relation in RELATIONS:
+                        for extra in aux:
+                            args = (graph, cfg, relation, side1, side2, extra, space)
+                            got = seek_outcome(monkeypatch, relation_seek, *args)
+                            want = seek_outcome(monkeypatch, reference_relation_seek, *args)
+                            assert got == want, (cls, el, window, side2, relation, thr)
+                seen.add(cls)
+    assert TrendClass.DEGENERATE in seen and len(seen) > 1
+
+
+def test_every_side_one_class_is_covered(graphs):
+    seen = set()
+    for graph in graphs:
+        seen |= set(side_one_by_class(graph, Config(), per_class=1))
+    assert seen == set(TrendClass)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_seek_cap_sweep_matches_the_full_join(graphs, seed, monkeypatch):
+    graph = graphs[seed]
+    window = graph.full_interval()
+    side1 = SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w", fixed_element=node_ref("n0"),
+                             fixed_interval=window)
+    side2 = SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w")
+    n2 = len(graph.nodes) * len(time_windows(graph, None, 1))
+    for cap in sorted({1, n2 - 1, n2, n2 + 1} - {0}):
+        cfg = Config(search_max_candidates=cap)
+        for relation in RELATIONS:
+            args = (graph, cfg, relation, side1, side2)
+            assert seek_outcome(monkeypatch, relation_seek, *args) == seek_outcome(
+                monkeypatch, reference_relation_seek, *args), (cap, relation)
+
+
+def _counting_classify(monkeypatch):
+    calls = []
+    real = patterns.classify_trend
+
+    def counting(samples, cfg):
+        calls.append(samples)
+        return real(samples, cfg)
+
+    monkeypatch.setattr(patterns, "classify_trend", counting)
+    return calls
+
+
+def _shapes_graph():
+    """Node a rises; b falls; c peaks; d fluctuates; e is flat."""
+    series = {"a": [1, 2, 3, 4], "b": [4, 3, 2, 1], "c": [1, 3, 2, 1], "d": [1, 3, 1, 3],
+              "e": [2, 2, 2, 2]}
+    records = [{"type": "node", "id": n, "start": 0, "end": 3} for n in series]
+    records += [{"type": "attr", "elem": f"node:{n}", "name": "w", "t": t, "value": float(v)}
+                for n, values in series.items() for t, v in enumerate(values)]
+    return load(json.dumps(r) for r in records)
+
+
+@pytest.mark.parametrize("node, op, classified", [
+    ("a", "opposite", ["b"]),          # only the falling window
+    ("c", "opposite", []),             # a peak pairs with a trough; there is none
+    ("d", "opposite", []),             # nothing is opposite to fluctuating
+    ("a", "same", ["a"]),
+    ("e", "same", list("abcde")),      # a constant trend needs every window classified
+    ("a", "different", list("abcde")),
+])
+def test_side_two_classifies_only_what_can_pair(monkeypatch, node, op, classified):
+    graph = _shapes_graph()
+    window = graph.full_interval()
+    side1 = SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w", fixed_element=node_ref(node),
+                             fixed_interval=window)
+    side2 = SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w", fixed_interval=window)
+    relation = RelationSpec(RelationFamily.PATTERN, op)
+    want = reference_relation_seek(graph, Config(), relation, side1, side2)
+    calls = _counting_classify(monkeypatch)
+    got = relation_seek(graph, Config(), relation, side1, side2)
+    assert got == want
+    values = {n: tuple(graph.column(node_ref(n), "w", Config())) for n in graph.nodes}
+    assert calls[1:] == [list(enumerate(values[n])) for n in classified]
+
+
+def test_pushdown_keeps_the_query_answer():
+    graph = _shapes_graph()
+    query = "SEEK g2 WHERE TREND(w, g1) OPPOSITE TREND(w, g2) AND g1 = node:a AND T1 = [0, 3] " \
+            "AND T2 = [0, 3]"
+    rows = run_query(query, graph, Config())["bindings"]
+    assert [r["rhs"]["ref"] for r in rows] == ["node:b"]
