@@ -12,6 +12,7 @@ errors.
 import itertools
 import json
 import random
+from collections import deque
 
 import pytest
 
@@ -22,6 +23,7 @@ from tgq.errors import (
 from tgq.graph import ElemKind, GraphElementRef, TimeInterval, edge_ref, load, node_ref, object_ref
 from tgq.search import SearchSpace, _time_sort_key, check_budget, time_points, time_windows
 from tgq import structure
+from tgq.relations import _member_nodes, shortest_connection
 from tgq.structure import (
     ConnectionSpec,
     PresenceClass,
@@ -244,6 +246,37 @@ def reference_snapshot_metrics(graph, members, t):
         "mean_degree": 2 * m_count / n,
         "cliques4": float(cliques4),
     }
+
+
+def reference_shortest_connection(graph, t, g1, g2, direction="any", max_distance=None):
+    """``relations.shortest_connection`` as a BFS over a deque that tests
+    each node for a target when it leaves the queue."""
+    sources = _member_nodes(graph, g1, t, "structural relations apply to nodes and graph objects")
+    targets = set(_member_nodes(graph, g2, t,
+                                "structural relations apply to nodes and graph objects"))
+    if not sources or not targets:
+        return None, None
+    snap = graph.snapshot(t)
+    seen = {n: None for n in sources}
+    frontier = deque((n, 0) for n in sorted(sources))
+    if g1 != g2 and set(sources) & targets:
+        return 0, [sorted(set(sources) & targets)[0]]
+    while frontier:
+        node, dist = frontier.popleft()
+        if node in targets and dist > 0:
+            path = [node]
+            while seen[path[-1]] is not None:
+                path.append(seen[path[-1]])
+            return dist, path[::-1]
+        if max_distance is not None and dist >= max_distance:
+            continue
+        for nxt in snap.neighbours(node, direction):
+            if nxt not in seen:
+                seen[nxt] = node
+                frontier.append((nxt, dist + 1))
+    if g1 == g2:
+        return 0, sources[:1]
+    return None, None
 
 
 def outcome(fn, *args, **kwargs):
@@ -534,6 +567,22 @@ def test_kind_predicate_raises(graphs):
         for graph in graphs
     }
     assert "KIND_MISMATCH" in codes
+
+
+def test_shortest_connection_matches_reference(graphs):
+    outcomes = set()
+    for graph in graphs:
+        pairs = endpoints(graph) + [(node_ref(graph.node_ids()[0]),) * 2, (object_ref("o"),) * 2,
+                                    (object_ref("o"), edge_ref(graph.edge_ids()[0]))]
+        for t in range(graph.n_times):
+            for g1, g2 in pairs:
+                for direction in ("any", "out", "in"):
+                    for bound in (None, 0, 1, 2):
+                        got = outcome(shortest_connection, graph, t, g1, g2, direction, bound)
+                        assert got == outcome(reference_shortest_connection, graph, t, g1, g2,
+                                              direction, bound), (t, g1, g2, direction, bound)
+                        outcomes.add(got[0])  # a distance, None, or an error code
+    assert {None, 0, 1, 2, 3, "FAMILY_MISMATCH"} <= outcomes
 
 
 def test_snapshot_metrics_match_reference(graphs):
