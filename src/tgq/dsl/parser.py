@@ -459,15 +459,7 @@ class _Parser:
 
     def q_characterize(self) -> ast.Characterize:
         self.expect_kw("CHARACTERIZE")
-        kind, axis = self.charac_head()
-        self.expect_kw("ON")
-        attr = self.ident("attribute")
-        self.expect_kw("OF")
-        target = self.any_target()
-        tail = self.tail_clauses("ad")
-        element = target if isinstance(target, ast.Ref) else None
-        group = target if isinstance(target, ast.GroupRef) else None
-        return ast.Characterize(kind, axis, attr, element, group, **tail)
+        return ast.Characterize(**vars(self.charac_side()))
 
     def q_search(self) -> ast.Search:
         self.expect_kw("SEARCH")
@@ -503,17 +495,8 @@ class _Parser:
         return ast.Compare(lhs, rhs, relation, tuple(families), all_pairs)
 
     def using_clause(self):
-        tok = self.peek()
-        if tok.kind == "OP" and tok.value in CMP_OPS:
-            self.advance()
-            return ast.RelOp(CMP_OPS[tok.value])
-        if self.at_kw("SAME", "DIFFERENT", "OPPOSITE"):
-            return ast.RelOp(self.advance().upper)
-        if self.take_kw("WITHIN"):
-            self.expect_op("(")
-            delta = float(self.expect_kind("NUMBER").value)
-            self.expect_op(")")
-            return ast.RelOp("within", delta)
+        if self.at_op(*CMP_OPS) or self.at_kw("SAME", "DIFFERENT", "OPPOSITE", "WITHIN"):
+            return self.seek_relop()
         families = []
         while True:
             if self.at_kw("TEMPORAL", "GRAPH", "STRUCTURAL"):

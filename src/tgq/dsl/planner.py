@@ -197,13 +197,10 @@ class _Planner:
             )
         raise TgqError(PLAN_ERROR, f"unsupported literal {type(lit).__name__}")
 
-    def label_out(self, t: int):
-        return self.graph.label_of(t)
-
     def time_key_out(self, key) -> dict:
         if isinstance(key, TimeInterval):
             return {"interval": self.graph.interval_label(key)}
-        return {"t": self.label_out(key)}
+        return {"t": self.graph.label_of(key)}
 
     # -- dispatch -------------------------------------------------------------
 
@@ -227,22 +224,16 @@ class _Planner:
 
     def p_lookup(self, node: ast.Lookup):
         ref = self.elem(node.ref)
-        t = self.t_index(node.at)
+        side = LookupSide(self.t_index(node.at), ref, node.attr)
 
         def run():
-            res = tasks.direct_lookup(self.graph, self.cfg, t, ref, node.attr)
+            row = side.resolve(self.graph, self.cfg).desc
             warnings = []
-            if res.aggregated:
+            if row["aggregated"]:
                 warnings.append(
                     f"value of '{node.attr}' aggregated from the members of {ref}"
                 )
-            return [{
-                "t": self.label_out(res.t),
-                "element": str(res.ref),
-                "attr": res.attr,
-                "value": res.value,
-                "aggregated": res.aggregated,
-            }], warnings
+            return [row], warnings
 
         return run
 
@@ -259,43 +250,38 @@ class _Planner:
                 t=t, ref=ref, interval=interval, members=members,
             )
             return [
-                {"t": self.label_out(ti), "element": str(el), "value": value}
+                {"t": self.graph.label_of(ti), "element": str(el), "value": value}
                 for ti, el, value in hits
             ], []
 
         return run
 
-    def scope_of(self, kind, axis, element, group, at, during) -> BehaviorScope:
-        if kind == "TREND":
+    def scope_of(self, node) -> BehaviorScope:
+        """The scope of a CHARACTERIZE query or a characterisation side."""
+        if node.kind == "TREND":
             return BehaviorScope(
                 Quadrant.Q3_TREND_OF_G,
-                element=self.elem(element),
-                interval=self.full_or(self.interval(during)),
+                element=self.elem(node.element),
+                interval=self.full_or(self.interval(node.during)),
             )
-        if kind == "DIST":
+        if node.kind == "DIST":
             return BehaviorScope(
                 Quadrant.Q2_DIST_AT_T,
-                group=self.group(group),
-                time_point=self.t_index(at),
+                group=self.group(node.group),
+                time_point=self.t_index(node.at),
             )
         return BehaviorScope(
             Quadrant.Q4_ASPECTUAL,
-            group=self.group(group),
-            interval=self.full_or(self.interval(during)),
-            axis=AspectAxis(axis),
+            group=self.group(node.group),
+            interval=self.full_or(self.interval(node.during)),
+            axis=AspectAxis(node.axis),
         )
 
     def p_characterize(self, node: ast.Characterize):
-        scope = self.scope_of(node.kind, node.axis, node.element, node.group,
-                              node.at, node.during)
+        side = ScopeSide(self.scope_of(node), node.attr)
 
         def run():
-            pattern = tasks.characterize(self.graph, self.cfg, scope, node.attr)
-            return [{
-                "scope": tasks._scope_desc(self.graph, scope),
-                "attr": node.attr,
-                "pattern": pattern.to_dict(),
-            }], []
+            return [side.resolve(self.graph, self.cfg).desc], []
 
         return run
 
@@ -341,12 +327,12 @@ class _Planner:
 
         def run():
             matches = tasks.pattern_search(self.graph, self.cfg, **args)
-            return [self.match_out(m) for m in matches], []
+            return [self.match_out(m.ref_name, m) for m in matches], []
 
         return run
 
-    def match_out(self, m) -> dict:
-        out = {"ref": m.ref_name}
+    def match_out(self, ref: str, m) -> dict:
+        out = {"ref": ref}
         out.update(self.time_key_out(m.time_key))
         out["score"] = m.score
         out["pattern"] = m.pattern.to_dict()
@@ -358,9 +344,7 @@ class _Planner:
         if isinstance(side, ast.SideLookup):
             return LookupSide(self.t_index(side.at), self.elem(side.ref), side.attr)
         if isinstance(side, ast.SideCharac):
-            scope = self.scope_of(side.kind, side.axis, side.element, side.group,
-                                  side.at, side.during)
-            return ScopeSide(scope, side.attr)
+            return ScopeSide(self.scope_of(side), side.attr)
         if isinstance(side, ast.SideValue):
             value = side.value
             if isinstance(value, int) and not isinstance(value, bool):
@@ -483,7 +467,7 @@ class _Planner:
                     fixed_element=el, fixed_group=grp,
                     fixed_t=fixed_t, fixed_interval=fixed_iv,
                 ))
-        relation = self.seek_relation(main)
+        relation = self.rel_spec(main.rel)
         aux = self.seek_aux(node, main, tvars, point_time)
         need_group = main.lhs.kind in ("DIST", "ASPECT", "CONFIG")
         space = self.space(node.family, node.windows,
@@ -507,13 +491,6 @@ class _Planner:
             return out, []
 
         return run
-
-    def seek_relation(self, main: ast.SeekPredNode) -> RelationSpec:
-        if main.lhs.kind == "VALUE":
-            if main.rel.op == "within":
-                return RelationSpec(RelationFamily.VALUE, "within", (main.rel.delta,))
-            return RelationSpec(RelationFamily.VALUE, main.rel.op)
-        return RelationSpec(RelationFamily.PATTERN, main.rel.op.lower())
 
     def seek_aux(self, node: ast.Seek, main, tvars, point_time) -> tuple:
         aux = []
@@ -584,7 +561,7 @@ class _Planner:
             out = []
             for ti in times:
                 rep = struct.find_connection(self.graph, self.cfg, g1, g2, ti)
-                row = {"t": self.label_out(ti)}
+                row = {"t": self.graph.label_of(ti)}
                 row.update(rep.to_dict())
                 out.append(row)
             return out, []
@@ -599,7 +576,7 @@ class _Planner:
         def run():
             hits = struct.find_connected(self.graph, self.cfg, g1, spec, t)
             return [
-                {"element": str(g2), "t": self.label_out(ti)} for g2, ti in hits
+                {"element": str(g2), "t": self.graph.label_of(ti)} for g2, ti in hits
             ], []
 
         return run
@@ -611,7 +588,7 @@ class _Planner:
         def run():
             hits = struct.find_connected_pairs(self.graph, self.cfg, spec, t)
             return [
-                {"g1": str(a), "g2": str(b), "t": self.label_out(ti)}
+                {"g1": str(a), "g2": str(b), "t": self.graph.label_of(ti)}
                 for a, b, ti in hits
             ], []
 
@@ -624,7 +601,7 @@ class _Planner:
 
         def run():
             hits = struct.connection_times(self.graph, self.cfg, g1, g2, spec)
-            return [{"t": self.label_out(ti)} for ti in hits], []
+            return [{"t": self.graph.label_of(ti)} for ti in hits], []
 
         return run
 
@@ -664,16 +641,8 @@ class _Planner:
 
         def run():
             pattern = struct.structural_characterize(self.graph, self.cfg, scope)
-            desc: dict = {"kind": scope.kind.value}
-            if scope.g1 is not None:
-                desc["pair"] = [str(scope.g1), str(scope.g2)]
-            if scope.group is not None:
-                desc["group"] = scope.group.name
-            if scope.t is not None:
-                desc["t"] = self.label_out(scope.t)
-            if scope.interval is not None:
-                desc["interval"] = self.graph.interval_label(scope.interval)
-            return [{"scope": desc, "pattern": pattern.to_dict()}], []
+            return [{"scope": scope.describe(self.graph, kind=scope.kind.value),
+                     "pattern": pattern.to_dict()}], []
 
         return run
 
@@ -695,14 +664,7 @@ class _Planner:
                 self.graph, self.cfg, target, space,
                 fixed_t=fixed_t, fixed_interval=fixed_interval,
             )
-            out = []
-            for m in matches:
-                row = {"ref": m.ref_desc}
-                row.update(self.time_key_out(m.time_key))
-                row["score"] = m.score
-                row["pattern"] = m.pattern.to_dict()
-                out.append(row)
-            return out, []
+            return [self.match_out(m.ref_desc, m) for m in matches], []
 
         return run
 

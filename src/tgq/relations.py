@@ -13,7 +13,6 @@ finishes / after only.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -31,6 +30,7 @@ from .graph import (
     TimeInterval,
 )
 from .patterns import similarity_detail
+from .search import bfs
 
 
 class RelationFamily(str, Enum):
@@ -182,32 +182,24 @@ def shortest_connection(
     free, so the distance is the minimum over cross pairs.
     """
     sources = _member_nodes(graph, g1, t, _RELATION_FAMILY)
-    targets = set(_member_nodes(graph, g2, t, _RELATION_FAMILY))
+    targets = frozenset(_member_nodes(graph, g2, t, _RELATION_FAMILY))
     if not sources or not targets:
         return None, None
-    snap = graph.snapshot(t)
-    seen = {n: None for n in sources}
-    frontier = deque((n, 0) for n in sorted(sources))
-    if g1 != g2 and set(sources) & targets:
-        # Overlapping objects touch by construction.
-        shared = sorted(set(sources) & targets)[0]
-        return 0, [shared]
-    while frontier:
-        node, dist = frontier.popleft()
-        if node in targets and dist > 0:
-            path = [node]
-            while seen[path[-1]] is not None:
-                path.append(seen[path[-1]])
-            return dist, path[::-1]
-        if max_distance is not None and dist >= max_distance:
-            continue
-        for nxt in snap.neighbours(node, direction):
-            if nxt not in seen:
-                seen[nxt] = node
-                frontier.append((nxt, dist + 1))
     if g1 == g2:
         return 0, sources[:1]
-    return None, None
+    if not targets.isdisjoint(sources):
+        # Overlapping objects touch by construction.
+        return 0, [min(targets.intersection(sources))]
+    # Sources are sorted and every neighbour tuple is too, so the first
+    # target found is the same on every run.
+    parents = bfs(graph.snapshot(t).table(direction), sources, max_distance, targets)
+    node = next((n for n in parents if n in targets), None)
+    if node is None:
+        return None, None
+    path = [node]
+    while parents[path[-1]] is not None:
+        path.append(parents[path[-1]])
+    return len(path) - 1, path[::-1]
 
 
 def are_adjacent(graph: TemporalGraph, t: int, g1: GraphElementRef, g2: GraphElementRef):
@@ -293,6 +285,14 @@ def _isomorphic(nodes1, arcs1, nodes2, arcs2) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def pattern_holds(op: str, score: float, opposite: bool, cfg: Config) -> bool:
+    """Whether the pattern relation ``op`` (same, different or opposite)
+    holds between two patterns whose match is ``(score, opposite)``."""
+    if op == "opposite":
+        return opposite
+    return (score >= cfg.similarity_threshold) == (op == "same")
+
+
 def eval_relation(
     spec: RelationSpec,
     lhs,
@@ -305,12 +305,8 @@ def eval_relation(
         return _eval_value(spec, lhs, rhs)
     if spec.family == RelationFamily.PATTERN:
         score, flag = similarity_detail(lhs, rhs, cfg)
-        witness = {"score": score, "opposite": flag}
-        if spec.op == "same":
-            return RelationResult(score >= cfg.similarity_threshold, witness)
-        if spec.op == "different":
-            return RelationResult(score < cfg.similarity_threshold, witness)
-        return RelationResult(flag, witness)
+        return RelationResult(pattern_holds(spec.op, score, flag, cfg),
+                              {"score": score, "opposite": flag})
     if spec.family == RelationFamily.TEMPORAL_POINT:
         tag = point_relation(lhs, rhs)
         return RelationResult(tag == spec.op, {"relation": tag, "t1": lhs, "t2": rhs})

@@ -5,7 +5,9 @@ over declared families (single elements, named subsets, connected
 components, k-hop balls), and free time references over single points or
 contiguous windows. Enumeration is capped so a runaway search fails fast
 instead of hanging. ``scopes`` is the one enumerator of (group, time key)
-scopes for pattern search, relation seeking and structural search.
+scopes for pattern search, relation seeking and structural search, and
+``bfs`` is the one breadth-first search: components, k-hop balls, path
+connection, shortest connections and component counts all run on it.
 """
 
 from __future__ import annotations
@@ -106,8 +108,8 @@ def group_candidates(
         for start in sorted(alive):
             if start in seen:
                 continue
-            comp = _reach(adjacency, start)
-            seen |= comp
+            comp = bfs(adjacency, (start,))
+            seen.update(comp)
             members = tuple(node_ref(n) for n in sorted(comp))
             out.append(GroupCandidate(f"component:{min(comp)}", members))
         return out
@@ -117,7 +119,7 @@ def group_candidates(
     for centre in centres:
         if centre not in alive:
             continue
-        ball = _reach(adjacency, centre, space.khop_k)
+        ball = bfs(adjacency, (centre,), space.khop_k)
         members = tuple(node_ref(n) for n in sorted(ball))
         out.append(GroupCandidate(f"khop:{centre}", members))
     return out
@@ -194,17 +196,25 @@ def _union_adjacency(graph, context: Optional[TimeInterval], at: Optional[int]):
     return adjacency, alive
 
 
-def _reach(adjacency: dict, start: str, limit: Optional[int] = None) -> set:
-    seen = {start}
-    frontier = [start]
+def bfs(adjacency: dict, starts, limit: Optional[int] = None,
+        targets: frozenset = frozenset()) -> dict:
+    """Breadth-first search from ``starts`` along ``adjacency`` (node ->
+    neighbours), level by level: at most ``limit`` levels, stopping after
+    the first level that reaches one of ``targets``. Returns the parent map,
+    node -> the node it was first reached from (None for a start), in the
+    order the nodes were reached."""
+    parents = dict.fromkeys(starts)
+    frontier = list(parents)
     depth = 0
     while frontier and (limit is None or depth < limit):
         depth += 1
-        nxt = []
+        level = []
         for u in frontier:
             for v in adjacency.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return seen
+                if v not in parents:
+                    parents[v] = u
+                    level.append(v)
+        if targets and not targets.isdisjoint(level):
+            break
+        frontier = level
+    return parents

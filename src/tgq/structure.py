@@ -42,8 +42,8 @@ from .relations import _member_nodes, are_adjacent, shortest_connection
 from .search import (
     GroupCandidate,
     SearchSpace,
-    _reach,
     _time_sort_key,
+    bfs,
     check_budget,
     scopes,
     time_points,
@@ -229,8 +229,8 @@ class _Connectivity:
         the bound and other than ``a`` (path)."""
         if self.spec.mode == "adjacent":
             return self._table(t).get(a, ())
-        reach = _reach(self._table(t), a, self.spec.max_distance)
-        reach.discard(a)
+        reach = bfs(self._table(t), (a,), self.spec.max_distance)
+        del reach[a]
         return reach
 
     def reached(self, starts, t: int) -> set:
@@ -405,17 +405,9 @@ def snapshot_metrics(graph: TemporalGraph, members, t: int) -> dict:
     components = 0
     seen: set = set()
     for start in alive:
-        if start in seen:
-            continue
-        components += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
+        if start not in seen:
+            components += 1
+            seen.update(bfs(adj, (start,)))
     # Each clique is counted once, from its smallest node.
     higher = {a: {b for b in adj[a] if b > a} for a in alive}
     triangles = cliques4 = 0
@@ -534,6 +526,19 @@ class StructScope:
     interval: Optional[TimeInterval] = None
     connection: Optional[ConnectionSpec] = None
     metrics: tuple = METRIC_NAMES
+
+    def describe(self, graph: TemporalGraph, **head) -> dict:
+        """``head``, then the pair, group, time point and interval the scope has."""
+        desc = dict(head)
+        if self.g1 is not None:
+            desc["pair"] = [str(self.g1), str(self.g2)]
+        if self.group is not None:
+            desc["group"] = self.group.name
+        if self.t is not None:
+            desc["t"] = graph.label_of(self.t)
+        if self.interval is not None:
+            desc["interval"] = graph.interval_label(self.interval)
+        return desc
 
 
 def structural_characterize(graph: TemporalGraph, cfg: Config, scope: StructScope) -> StructuralPattern:
@@ -749,16 +754,8 @@ class StructScopeSide:
             ref_key = f"{self.scope.g1}|{self.scope.g2}"
         else:
             ref_key = None
-        desc: dict = {"struct": self.scope.kind.value, "pattern": pattern.to_dict()}
-        if self.scope.g1 is not None:
-            desc["pair"] = [str(self.scope.g1), str(self.scope.g2)]
-        if self.scope.group is not None:
-            desc["group"] = self.scope.group.name
-        if self.scope.t is not None:
-            desc["t"] = graph.label_of(self.scope.t)
-        if self.scope.interval is not None:
-            desc["interval"] = graph.interval_label(self.scope.interval)
-        return Resolved(pattern, time_key, ref_key, desc)
+        return Resolved(pattern, time_key, ref_key, self.scope.describe(
+            graph, struct=self.scope.kind.value, pattern=pattern.to_dict()))
 
 
 @dataclass(frozen=True)

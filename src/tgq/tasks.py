@@ -45,6 +45,7 @@ from .relations import (
     RelationSpec,
     allen_relation,
     eval_relation,
+    pattern_holds,
     point_relation,
     set_relation,
     shortest_connection,
@@ -443,16 +444,11 @@ def direct_compare(
         raise TgqError(KIND_MISMATCH, "cannot compare a value with a pattern")
     score, flag = pattern_pair_detail(a.payload, b.payload, cfg)
     if relation is not None and relation.family == RelationFamily.PATTERN:
-        holds = {
-            "same": score >= cfg.similarity_threshold,
-            "different": score < cfg.similarity_threshold,
-            "opposite": flag,
-        }[relation.op]
+        holds = pattern_holds(relation.op, score, flag, cfg)
         return CompareReport(a.desc, b.desc, relation.op, holds, score, flag, label)
-    if flag:
-        tag = "opposite"
-    else:
-        tag = "same" if score >= cfg.similarity_threshold else "different"
+    # Without a pattern relation the label is the first of these that holds.
+    tag = next(op for op in ("opposite", "same", "different")
+               if pattern_holds(op, score, flag, cfg))
     return CompareReport(a.desc, b.desc, tag, None, score, flag, label)
 
 
@@ -860,12 +856,9 @@ def _main_relation_detail(relation: RelationSpec, x: Binding, y: Binding, cfg: C
         return {"relation": relation.op} if res.holds else None
     if relation.family == RelationFamily.PATTERN:
         score, flag = pattern_pair_detail(x.payload, y.payload, cfg)
-        holds = {
-            "same": score >= cfg.similarity_threshold,
-            "different": score < cfg.similarity_threshold,
-            "opposite": flag,
-        }[relation.op]
-        return {"relation": relation.op, "score": score} if holds else None
+        if not pattern_holds(relation.op, score, flag, cfg):
+            return None
+        return {"relation": relation.op, "score": score}
     raise TgqError(
         VALIDATION_ERROR,
         f"relation seeking relates values or patterns, not {relation.family.value}",
