@@ -43,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_load = sub.add_parser("load", help="load a dataset and report stats")
     p_load.add_argument("data", help=".jsonl or .csv event file")
-    p_load.add_argument("--check", action="store_true",
-                        help="validate only (this is also the default behaviour)")
 
     p_query = sub.add_parser("query", help="run one query")
     p_query.add_argument("data")

@@ -933,4 +933,12 @@ def _require(rec: dict, key: str, lineno: int):
 
 
 def _require_str(rec: dict, key: str, lineno: int) -> str:
-    return str(_require(rec, key, lineno))
+    """A name field: a string, or a number read as its text."""
+    value = _require(rec, key, lineno)
+    if type(value) is str:
+        return value
+    if type(value) in (int, float):  # a bool, a list or an object is no name
+        return str(value)
+    raise TgqError(
+        SCHEMA_ERROR, f"line {lineno}: '{key}' must be a string or a number", line=lineno
+    )

@@ -114,6 +114,8 @@ class ValueConstraint:
                 KIND_MISMATCH, f"constraint '{self.op}' needs a numeric attribute"
             )
         try:  # a constant that is not a number raises TypeError in any comparison
+            if bool in map(type, self.values):  # a bool would compare as 0 or 1
+                raise TypeError
             if self.op == "lt":
                 return v < self.values[0]
             if self.op == "le":
@@ -726,12 +728,11 @@ def _member_names(ref_key) -> set:
 @dataclass(frozen=True)
 class SeekSideValues:
     """Elementary relation-seeking side: attribute values with optional
-    fixed references and an optional value constraint."""
+    fixed references."""
 
     attr: str
     fixed_t: Optional[int] = None
     fixed_ref: Optional[GraphElementRef] = None
-    constraint: Optional[ValueConstraint] = None
 
     def resolve_bindings(self, graph: TemporalGraph, cfg: Config, space: SearchSpace) -> list:
         times = time_points(graph, self.fixed_t)
@@ -744,11 +745,8 @@ class SeekSideValues:
         for t in times:
             for el, column in zip(elements, columns):
                 value = column[t]
-                if value is None:
-                    continue
-                if self.constraint is not None and not self.constraint.test(value):
-                    continue
-                out.append(Binding(t, el, value))
+                if value is not None:
+                    out.append(Binding(t, el, value))
         return out
 
 

@@ -21,7 +21,7 @@ def run_cli(argv, capsys):
 
 class TestExitCodes:
     def test_load_check_ok(self, capsys, tmp_path):
-        code, out, _ = run_cli(["load", GRAPH, "--check"], capsys)
+        code, out, _ = run_cli(["load", GRAPH], capsys)
         assert code == 0
         stats = json.loads(out)["stats"]
         assert stats["nodes"] == 6
@@ -29,7 +29,7 @@ class TestExitCodes:
     def test_load_empty_file(self, capsys, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        code, out, _ = run_cli(["load", str(empty), "--check"], capsys)
+        code, out, _ = run_cli(["load", str(empty)], capsys)
         assert code == 0
         stats = json.loads(out)["stats"]
         assert all(v == 0 for v in stats.values())

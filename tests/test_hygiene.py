@@ -1,7 +1,10 @@
-"""Source hygiene: no module under src/tgq keeps an import it never uses.
+"""Source hygiene: no module under src/tgq keeps an import it never uses,
+and no private module-level function or class is left that nothing else in
+src/tgq names.
 
 There is no linter among the dependencies, so this walks each module's AST.
-A package ``__init__.py`` imports names to re-export them and is skipped.
+A package ``__init__.py`` imports names to re-export them and is skipped by
+the import check.
 """
 
 import ast
@@ -11,6 +14,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tgq"
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(SRC.rglob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -48,3 +52,39 @@ def test_detects_unused_import():
 
 def test_attribute_use_counts():
     assert unused_imports("import os.path\nos.path.join('a')\n") == []
+
+
+def unreferenced_private_defs(sources: dict) -> list:
+    """(module, name) of each private module-level function or class that
+    no other top-level statement of any module in ``sources`` names."""
+    defs, uses = [], []
+    for module, source in sources.items():
+        for i, stmt in enumerate(ast.parse(source).body):
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            uses.append(((module, i), names))
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and stmt.name.startswith("_") and not stmt.name.startswith("__")):
+                defs.append(((module, i), stmt.name))
+    return sorted((where[0], name) for where, name in defs
+                  if not any(name in names for other, names in uses if other != where))
+
+
+def test_no_unreferenced_private_defs():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in PACKAGE}
+    assert unreferenced_private_defs(sources) == []
+
+
+def test_detects_unreferenced_private_defs():
+    sources = {
+        "a.py": "def _dead():\n    return _dead()\n\n"
+                "def _used():\n    return 1\n\nclass _Kept:\n    pass\n",
+        "b.py": "from .a import _Kept\n\ndef f():\n    return a._used()\n",
+    }
+    assert unreferenced_private_defs(sources) == [("a.py", "_dead")]

@@ -313,6 +313,46 @@ def test_unknown_element_on_a_repeated_token_names_its_first_record():
     assert (e.value.code, e.value.details["line"]) == (CONSISTENCY_ERROR, 2)
 
 
+# -- name fields -------------------------------------------------------------------
+
+NAME_SITES = {
+    "id": lambda bad: node(bad),
+    "src": lambda bad: edge("e", bad, "a"),
+    "dst": lambda bad: edge("e", "a", bad),
+    "name": lambda bad: {"type": "subset", "name": bad, "members": ["node:a"]},
+    "elem": lambda bad: attr(bad, 0, 1.0),
+}
+
+
+@pytest.mark.parametrize("bad", [[1, 2], ["s"], {"id": "a"}, [], True, False],
+                         ids=["list", "str_list", "object", "empty_list", "true", "false"])
+@pytest.mark.parametrize("site", NAME_SITES)
+def test_non_scalar_name_names_its_line(site, bad):
+    with pytest.raises(TgqError) as e:
+        load(lines_of([node("a"), NAME_SITES[site](bad)]))
+    assert e.value.code == SCHEMA_ERROR
+    assert e.value.message == f"line 2: '{site}' must be a string or a number"
+    assert e.value.details["line"] == 2
+
+
+def test_numeric_names_load_as_their_text():
+    g = load(lines_of([node(1), node(2.5), edge(7, 1, "2.5"),
+                       {"type": "subset", "name": 3, "members": ["node:1"]}]))
+    assert sorted(g.nodes) == ["1", "2.5"]
+    assert (g.edges["7"].src, g.edges["7"].dst) == ("1", "2.5")
+    assert list(g.subsets) == ["3"]
+
+
+@pytest.mark.parametrize("cell", ['"[1, 2]"', "true"], ids=["list", "true"])
+def test_non_scalar_name_in_csv_names_its_line(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"type,id,start,end\nnode,a,0,1\nnode,{cell},0,1\n")
+    with pytest.raises(TgqError) as e:
+        load_path(str(path))
+    assert e.value.message == "line 3: 'id' must be a string or a number"
+    assert e.value.details["line"] == 3
+
+
 # -- record type and edge direction ----------------------------------------------
 
 

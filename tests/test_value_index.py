@@ -240,9 +240,32 @@ def test_ordering_against_a_string_is_kind_mismatch(query, op):
     assert _error_code(query) == (KIND_MISMATCH, f"constraint '{op}' needs a numeric constant")
 
 
+@pytest.mark.parametrize("query, op", [
+    ("FIND t,g WHERE w > TRUE", "gt"),
+    ("FIND g WHERE w <= FALSE AT t=0", "le"),
+    ("FIND t,g WHERE w BETWEEN TRUE AND 5", "between"),
+    ("FIND t,g WHERE w BETWEEN 0 AND FALSE", "between"),
+    ("COMPARE FIND g WHERE w > TRUE AT t=0 WITH node:a AT t=0 USING GRAPH", "gt"),
+    ("NEIGHBORS(node:a, ADJACENT WITH weight < TRUE) AT t=0", "lt"),
+], ids=["find", "find_at", "find_between_low", "find_between_high", "compare_find",
+        "edge_predicate"])
+def test_ordering_against_a_boolean_is_kind_mismatch(query, op):
+    # A bool is an int in Python: w > TRUE would compare against 1.
+    assert _error_code(query) == (KIND_MISMATCH, f"constraint '{op}' needs a numeric constant")
+
+
+def test_equality_with_a_boolean_keeps_python_equality():
+    graph = load_path(str(DATA / "corpus_graph.jsonl"))
+    as_bool = run_query("FIND t,g WHERE w IN {TRUE, 3}", graph, Config())["bindings"]
+    assert as_bool and as_bool == run_query(
+        "FIND t,g WHERE w IN {1, 3}", graph, Config())["bindings"]
+
+
 @pytest.mark.parametrize("constraint", [
     ValueConstraint("between", (1.0, "x")), ValueConstraint("between", ("x", 1.0)),
     ValueConstraint("gt", (None,)), ValueConstraint("lt", ([1.0],)),
+    ValueConstraint("ge", (True,)), ValueConstraint("between", (False, 5.0)),
+    ValueConstraint("between", (0.0, True)),
 ])
 @pytest.mark.parametrize("value", [0.0, 1.0, 5.0])
 def test_a_constant_that_is_not_a_number_fails_at_any_value(constraint, value):
