@@ -3,13 +3,14 @@
 The store keeps a discrete time domain (the sorted distinct timestamps seen
 in the data), per-element existence intervals, and per-attribute value
 series. A loaded graph is immutable and safe for concurrent reads; all query
-machinery is built on four primitives here:
+machinery is built on these primitives:
 
-- ``column(ref, attr)`` resolves one element's attribute at every time index
-  (None where it is absent or has no value; optional carry-forward of the
-  last observed value), cached on first read; scans read it whole, and
-  ``try_value(t, ref, attr)`` indexes it (``value_at_info`` raises
-  ABSENT_ELEMENT or MISSING_VALUE on a miss instead),
+- ``column(ref, attr)`` is the one reader of attribute values: one
+  element's attribute at every time index (None where it is absent or has
+  no value; optional carry-forward of the last observed value), cached on
+  first read; scans read it whole and point reads index it,
+- ``value_at_info(t, ref, attr)`` is the point read that raises
+  ABSENT_ELEMENT or MISSING_VALUE on a miss,
 - ``sorted_at(attr, t)`` holds the values at one time index of every node
   and edge, ascending, so that a range constraint is a bisection,
 - ``snapshot(t)`` materialises the static graph alive at one time point,
@@ -26,6 +27,7 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -301,20 +303,15 @@ class TemporalGraph:
             raise TgqError(VALIDATION_ERROR, f"attribute '{attr}' is not declared by the data")
         return self.attr_kinds[attr]
 
-    def try_value(self, t: int, ref: GraphElementRef, attr: str, cfg: Config):
-        """The value of ``attr`` for ``ref`` at ``t``, or None when the element
-        is absent or has no value there. None is never a recorded value, so
-        callers test ``is not None`` (False, 0.0 and "" are values)."""
-        info = self._value_info(t, ref, attr, cfg)
-        return None if info is None else info[0]
-
     def value_at_info(self, t: int, ref: GraphElementRef, attr: str, cfg: Config):
         """Evaluate the data function: ``(value, aggregated)`` of ``attr`` for
         ``ref`` at ``t``, aggregated when it comes from a graph object's
         members rather than a recorded value."""
-        info = self._value_info(t, ref, attr, cfg)
-        if info is not None:
-            return info
+        self.check_time(t)
+        value = self.column(ref, attr, cfg)[t]
+        if value is not None:
+            return value, (ref.kind == ElemKind.OBJECT
+                           and self._recorded(ref, attr, cfg.carries_forward(attr))[t] is None)
         label = self.label_of(t)
         if not self.exists_at(ref, t):
             raise TgqError(ABSENT_ELEMENT, f"{ref} does not exist at t={label}")
@@ -324,31 +321,24 @@ class TemporalGraph:
             )
         raise TgqError(MISSING_VALUE, f"no value of '{attr}' for {ref} at t={label}")
 
-    def _value_info(self, t: int, ref: GraphElementRef, attr: str, cfg: Config):
-        """``(value, aggregated)``, or None on a miss."""
-        self.attr_kind(attr)
-        if not self.exists_at(ref, t):
-            return None
-        value = self._recorded(ref, attr, cfg.carries_forward(attr))[t]
-        if value is not None:
-            return value, False
-        # Recorded object attribute wins; otherwise aggregate over members.
-        if ref.kind == ElemKind.OBJECT:
-            value = self._aggregate_members(t, ref, attr, cfg)
-            if value is not None:
-                return value, True
-        return None
-
     def column(self, ref: GraphElementRef, attr: str, cfg: Config) -> tuple:
-        """``try_value(t, ref, attr, cfg)`` for every time index t, read once
-        and cached; an object's slots include its member aggregates."""
-        self.attr_kind(attr)
+        """The value of ``attr`` for ``ref`` at every time index, None where
+        it is absent or has no value (None is never a recorded value), read
+        once and cached. A graph object's slot is its own recorded value,
+        else the mean or mode of its members' values there."""
+        kind = self.attr_kind(attr)
         carry = cfg.carries_forward(attr)
+        recorded = self._recorded(ref, attr, carry)
         if ref.kind != ElemKind.OBJECT:
-            return self._recorded(ref, attr, carry)
+            return recorded
         key = (ref.kind, ref.id, attr, carry, "resolved")
         if key not in self._columns:
-            self._columns[key] = tuple(self.try_value(t, ref, attr, cfg) for t in range(self.n_times))
+            members = self.object_members(ref.id)
+            cols = [self.column(node_ref(n), attr, cfg) for n in sorted(members.nodes)]
+            cols += [self.column(edge_ref(e), attr, cfg) for e in sorted(members.edges)]
+            self._columns[key] = tuple(
+                own if own is not None else _aggregate([c[t] for c in cols], kind)
+                for t, own in enumerate(recorded))
         return self._columns[key]
 
     def _recorded(self, ref: GraphElementRef, attr: str, carry: bool) -> tuple:
@@ -386,22 +376,6 @@ class TemporalGraph:
             index = [values[i] for i in order], [refs[i] for i in order]
             self._sorted[attr, carry, t] = index
         return index
-
-    def _aggregate_members(self, t: int, ref: GraphElementRef, attr: str, cfg: Config):
-        members = self.object_members(ref.id)
-        refs = [node_ref(n) for n in sorted(members.nodes)]
-        refs += [edge_ref(e) for e in sorted(members.edges)]
-        values = [v for v in (self.try_value(t, r, attr, cfg) for r in refs) if v is not None]
-        if not values:
-            return None
-        kind = self.attr_kind(attr)
-        if kind == AttrKind.NUMERIC:
-            return mean(values)
-        # mode with deterministic tie-break (lexicographic; False < True)
-        counts: dict = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        return min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
     # -- snapshots -----------------------------------------------------------
 
@@ -897,6 +871,18 @@ def _merge_intervals(intervals):
         else:
             merged.append((s, e))
     return tuple(merged)
+
+
+def _aggregate(slots: list, kind: AttrKind):
+    """Mean of the values among ``slots`` that are not None when numeric,
+    else their mode with a deterministic tie-break (lexicographic; False <
+    True); None when there is no value."""
+    values = [v for v in slots if v is not None]
+    if not values:
+        return None
+    if kind == AttrKind.NUMERIC:
+        return mean(values)
+    return min(Counter(values).items(), key=lambda kv: (-kv[1], kv[0]))[0]
 
 
 def _covered(intervals, t: int) -> bool:

@@ -1,9 +1,11 @@
 """Relation families over values, patterns, time references, sets, and
 graph structure.
 
-Every evaluation returns the boolean outcome together with a witness
-descriptor (the connecting path, the differing member, the interval tag),
-so results downstream stay explainable and independently checkable.
+``eval_relation`` and ``configuration_equal`` return whether the relation
+holds, a bool; the tag functions (``allen_relation``, ``point_relation``,
+``set_relation``) return the one relation that holds, and
+``are_adjacent`` and ``shortest_connection`` also return the crossing
+edges and the path that connection tasks report.
 
 Interval relations use the thirteen-relation algebra on inclusive index
 ranges. Single-point intervals embed as zero-length intervals; a point can
@@ -88,12 +90,6 @@ class RelationSpec:
     def to_dict(self) -> dict:
         return {"family": self.family.value, "op": self.op,
                 "params": list(self.params)}
-
-
-@dataclass(frozen=True)
-class RelationResult:
-    holds: bool
-    witness: dict
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +211,17 @@ def are_adjacent(graph: TemporalGraph, t: int, g1: GraphElementRef, g2: GraphEle
 
 def configuration_equal(
     graph: TemporalGraph, t: int, g1: GraphElementRef, g2: GraphElementRef
-):
+) -> bool:
     """Structural equality of two graph objects (or subsets of nodes) at t.
 
     Up to 10 alive nodes per side: exact isomorphism by backtracking.
-    Larger: identical member sets only, and the witness notes the downgrade.
+    Larger: identical member sets only.
     """
     n1 = _member_nodes(graph, g1, t, _RELATION_FAMILY)
     n2 = _member_nodes(graph, g2, t, _RELATION_FAMILY)
     if len(n1) > 10 or len(n2) > 10:
-        same = set(n1) == set(n2)
-        return same, {"method": "member_set", "note": "size over isomorphism bound"}
-    e1 = _induced_arcs(graph, t, n1)
-    e2 = _induced_arcs(graph, t, n2)
-    iso = _isomorphic(n1, e1, n2, e2)
-    return iso, {"method": "isomorphism"}
+        return set(n1) == set(n2)
+    return _isomorphic(n1, _induced_arcs(graph, t, n1), n2, _induced_arcs(graph, t, n2))
 
 
 def _induced_arcs(graph: TemporalGraph, t: int, nodes) -> set:
@@ -300,19 +292,17 @@ def eval_relation(
     cfg: Config,
     graph: Optional[TemporalGraph] = None,
     t: Optional[int] = None,
-) -> RelationResult:
+) -> bool:
+    """Whether ``lhs spec rhs`` holds; a structural relation needs the
+    graph and the time point it is evaluated at."""
     if spec.family == RelationFamily.VALUE:
         return _eval_value(spec, lhs, rhs)
     if spec.family == RelationFamily.PATTERN:
-        score, flag = similarity_detail(lhs, rhs, cfg)
-        return RelationResult(pattern_holds(spec.op, score, flag, cfg),
-                              {"score": score, "opposite": flag})
+        return pattern_holds(spec.op, *similarity_detail(lhs, rhs, cfg), cfg)
     if spec.family == RelationFamily.TEMPORAL_POINT:
-        tag = point_relation(lhs, rhs)
-        return RelationResult(tag == spec.op, {"relation": tag, "t1": lhs, "t2": rhs})
+        return point_relation(lhs, rhs) == spec.op
     if spec.family == RelationFamily.TEMPORAL_INTERVAL:
-        tag = allen_relation(lhs, rhs)
-        return RelationResult(tag == spec.op, {"relation": tag})
+        return allen_relation(lhs, rhs) == spec.op
     if spec.family == RelationFamily.SET:
         return _eval_set(spec, lhs, rhs)
     # STRUCTURAL
@@ -321,23 +311,24 @@ def eval_relation(
             MISSING_TIME_CONTEXT,
             f"structural relation '{spec.op}' needs a graph and a time point",
         )
-    return _eval_structural(spec, lhs, rhs, cfg, graph, t)
+    if spec.op == "adjacent":
+        return are_adjacent(graph, t, lhs, rhs)[0]
+    if spec.op == "connected":
+        return shortest_connection(graph, t, lhs, rhs)[0] is not None
+    if spec.op == "distance_le":
+        k = int(spec.params[0])
+        dist = shortest_connection(graph, t, lhs, rhs, max_distance=k)[0]
+        return dist is not None and dist <= k
+    return configuration_equal(graph, t, lhs, rhs)
 
 
-def _eval_value(spec: RelationSpec, lhs, rhs) -> RelationResult:
-    witness = {"lhs": lhs, "rhs": rhs}
+def _eval_value(spec: RelationSpec, lhs, rhs) -> bool:
     if spec.op in ("eq", "ne"):
-        holds = (lhs == rhs) if spec.op == "eq" else (lhs != rhs)
-        return RelationResult(holds, witness)
+        return (lhs == rhs) if spec.op == "eq" else (lhs != rhs)
     _need_numeric(spec.op, lhs, rhs)
     if spec.op == "within":
-        delta = float(spec.params[0])
-        witness["delta"] = delta
-        return RelationResult(abs(lhs - rhs) <= delta, witness)
-    holds = {
-        "lt": lhs < rhs, "le": lhs <= rhs, "gt": lhs > rhs, "ge": lhs >= rhs,
-    }[spec.op]
-    return RelationResult(holds, witness)
+        return abs(lhs - rhs) <= float(spec.params[0])
+    return {"lt": lhs < rhs, "le": lhs <= rhs, "gt": lhs > rhs, "ge": lhs >= rhs}[spec.op]
 
 
 def _need_numeric(op: str, lhs, rhs) -> None:
@@ -348,42 +339,12 @@ def _need_numeric(op: str, lhs, rhs) -> None:
             )
 
 
-def _eval_set(spec: RelationSpec, lhs, rhs) -> RelationResult:
+def _eval_set(spec: RelationSpec, lhs, rhs) -> bool:
     s1, s2 = set(lhs), set(rhs)
-    inter = s1 & s2
-    witness = {
-        "only_lhs": sorted(s1 - s2)[:3],
-        "only_rhs": sorted(s2 - s1)[:3],
-        "common": sorted(inter)[:3],
-    }
-    holds = {
+    return {
         "equal": s1 == s2,
         "subset": s1 <= s2,
         "superset": s1 >= s2,
-        "disjoint": not inter,
-        "overlapping": bool(inter),
+        "disjoint": s1.isdisjoint(s2),
+        "overlapping": not s1.isdisjoint(s2),
     }[spec.op]
-    return RelationResult(holds, witness)
-
-
-def _eval_structural(
-    spec: RelationSpec, lhs, rhs, cfg: Config, graph: TemporalGraph, t: int
-) -> RelationResult:
-    if spec.op == "adjacent":
-        flag, edges = are_adjacent(graph, t, lhs, rhs)
-        return RelationResult(flag, {"edges": edges, "t": graph.label_of(t)})
-    if spec.op == "connected":
-        dist, path = shortest_connection(graph, t, lhs, rhs)
-        return RelationResult(
-            dist is not None, {"distance": dist, "path": path, "t": graph.label_of(t)}
-        )
-    if spec.op == "distance_le":
-        k = int(spec.params[0])
-        dist, path = shortest_connection(graph, t, lhs, rhs, max_distance=k)
-        return RelationResult(
-            dist is not None and dist <= k,
-            {"distance": dist, "path": path, "k": k, "t": graph.label_of(t)},
-        )
-    same, witness = configuration_equal(graph, t, lhs, rhs)
-    witness["t"] = graph.label_of(t)
-    return RelationResult(same, witness)

@@ -29,15 +29,9 @@ class SubsetFamily(str, Enum):
     KHOP = "KHOP"
 
 
-class TimeFamily(str, Enum):
-    EACH_POINT = "EACH_POINT"
-    ALL_WINDOWS = "ALL_WINDOWS"
-
-
 @dataclass(frozen=True)
 class SearchSpace:
     subset_family: SubsetFamily = SubsetFamily.EACH_NODE
-    time_family: TimeFamily = TimeFamily.EACH_POINT
     khop_k: int = 1
     khop_center: Optional[str] = None  # node id; None enumerates every centre
     window_min_len: int = 1

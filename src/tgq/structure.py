@@ -214,7 +214,7 @@ class _Connectivity:
             table = {}
             for edge_id, src, dst, directed in snap.edges:
                 edge = GraphElementRef(ElemKind.EDGE, edge_id)
-                value = self.graph.try_value(t, edge, spec.edge_attr, self.cfg)
+                value = self.graph.column(edge, spec.edge_attr, self.cfg)[t]
                 if value is None or not spec.edge_constraint.test(value):
                     continue
                 if spec.direction != "in" or not directed:
@@ -567,7 +567,11 @@ def structural_characterize(graph: TemporalGraph, cfg: Config, scope: StructScop
 def struct_match_score(target, candidate, cfg: Config):
     """(score, opposite) of a structural candidate against a target pattern
     or literal. Presence classes match exactly; configuration vectors match
-    by relative metric proximity; trends per metric-class agreement."""
+    by relative metric proximity; trends per metric-class agreement. A
+    literal may appear on either side."""
+    literals = (PresenceLiteral, ConfigLiteral, ConfigTrendLiteral)
+    if isinstance(candidate, literals) and not isinstance(target, literals):
+        target, candidate = candidate, target
     if isinstance(target, PresenceLiteral):
         target = StructuralPattern(
             StructScopeKind.PAIR_OVER_TIME, presence_class=target.cls

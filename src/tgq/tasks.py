@@ -156,22 +156,6 @@ class ValueConstraint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LookupResult:
-    t: int
-    ref: GraphElementRef
-    attr: str
-    value: object
-    aggregated: bool
-
-
-def direct_lookup(
-    graph: TemporalGraph, cfg: Config, t: int, ref: GraphElementRef, attr: str
-) -> LookupResult:
-    value, aggregated = graph.value_at_info(t, ref, attr, cfg)
-    return LookupResult(t, ref, attr, value, aggregated)
-
-
 def inverse_lookup(
     graph: TemporalGraph,
     cfg: Config,
@@ -338,11 +322,11 @@ class LookupSide:
     attr: str
 
     def resolve(self, graph: TemporalGraph, cfg: Config) -> Resolved:
-        res = direct_lookup(graph, cfg, self.t, self.ref, self.attr)
+        value, aggregated = graph.value_at_info(self.t, self.ref, self.attr, cfg)
         return Resolved(
-            res.value, self.t, str(self.ref),
+            value, self.t, str(self.ref),
             {"t": graph.label_of(self.t), "element": str(self.ref),
-             "attr": self.attr, "value": res.value, "aggregated": res.aggregated},
+             "attr": self.attr, "value": value, "aggregated": aggregated},
         )
 
 
@@ -438,8 +422,8 @@ def direct_compare(
     label = _geometry_label(a, b)
     if _is_plain_value(a.payload) and _is_plain_value(b.payload):
         if relation is not None:
-            res = eval_relation(relation, a.payload, b.payload, cfg)
-            return CompareReport(a.desc, b.desc, relation.op, res.holds, None, False, label)
+            holds = eval_relation(relation, a.payload, b.payload, cfg)
+            return CompareReport(a.desc, b.desc, relation.op, holds, None, False, label)
         tag = _derive_value_tag(a.payload, b.payload)
         return CompareReport(a.desc, b.desc, tag, None, None, False, label)
     if _is_plain_value(a.payload) or _is_plain_value(b.payload):
@@ -698,25 +682,25 @@ class AuxRelation:
             if x.time_key is None or y.time_key is None:
                 raise TgqError(VALIDATION_ERROR, "no time references to relate")
             if self.spec.family == RelationFamily.TEMPORAL_POINT:
-                return eval_relation(self.spec, x.time_key, y.time_key, cfg).holds
+                return eval_relation(self.spec, x.time_key, y.time_key, cfg)
             i1 = x.time_key if isinstance(x.time_key, TimeInterval) else TimeInterval(x.time_key, x.time_key)
             i2 = y.time_key if isinstance(y.time_key, TimeInterval) else TimeInterval(y.time_key, y.time_key)
-            return eval_relation(self.spec, i1, i2, cfg).holds
+            return eval_relation(self.spec, i1, i2, cfg)
         if self.spec.family == RelationFamily.VALUE:
             return eval_relation(
                 self.spec, _binding_ref_name(x.ref_key), _binding_ref_name(y.ref_key), cfg
-            ).holds
+            )
         if self.spec.family == RelationFamily.SET:
             s1 = _member_names(x.ref_key)
             s2 = _member_names(y.ref_key)
-            return eval_relation(self.spec, s1, s2, cfg).holds
+            return eval_relation(self.spec, s1, s2, cfg)
         # structural: use the explicit time context, else a shared bound point
         t = self.t_context
         if t is None and isinstance(x.time_key, int) and x.time_key == y.time_key:
             t = x.time_key
         if not isinstance(x.ref_key, GraphElementRef) or not isinstance(y.ref_key, GraphElementRef):
             raise TgqError(KIND_MISMATCH, "structural relations apply to element references")
-        return eval_relation(self.spec, x.ref_key, y.ref_key, cfg, graph=graph, t=t).holds
+        return eval_relation(self.spec, x.ref_key, y.ref_key, cfg, graph=graph, t=t)
 
 
 def _member_names(ref_key) -> set:
@@ -850,8 +834,7 @@ def relation_seek(
 
 def _main_relation_detail(relation: RelationSpec, x: Binding, y: Binding, cfg: Config):
     if relation.family == RelationFamily.VALUE:
-        res = eval_relation(relation, x.payload, y.payload, cfg)
-        return {"relation": relation.op} if res.holds else None
+        return {"relation": relation.op} if eval_relation(relation, x.payload, y.payload, cfg) else None
     if relation.family == RelationFamily.PATTERN:
         score, flag = pattern_pair_detail(x.payload, y.payload, cfg)
         if not pattern_holds(relation.op, score, flag, cfg):

@@ -406,9 +406,6 @@ def test_column_matches_point_reference(seed):
                 want = outcome(lambda: tuple(
                     reference_value(graph, t, ref, attr, cfg) for t in range(n_t)))
                 assert outcome(graph.column, ref, attr, cfg) == want, (ref, attr)
-                for t in range(-1, n_t + 1):
-                    assert outcome(graph.try_value, t, ref, attr, cfg) == outcome(
-                        reference_value, graph, t, ref, attr, cfg), (t, ref, attr)
                 for t in range(n_t):
                     assert outcome(graph.value_at_info, t, ref, attr, cfg) == outcome(
                         reference_value_at_info, graph, t, ref, attr, cfg), (t, ref, attr)
@@ -425,8 +422,8 @@ def test_objects_hand_off_and_gap():
     assert graph.column(object_ref("h"), "b", carry)[last] is True
     # g is absent at t=1, so its value does not carry across; later slots are
     # member aggregates or None
-    assert graph.try_value(1, object_ref("g"), "w", carry) is None
     col = graph.column(object_ref("g"), "w", carry)
+    assert col[1] is None
     for t in range(2, graph.n_times):
         assert col[t] == reference_value(graph, t, object_ref("g"), "w", carry)
         if col[t] is not None:
@@ -434,6 +431,45 @@ def test_objects_hand_off_and_gap():
     assert graph.column(object_ref("h"), "w", no_carry)[0] == 5.0
     assert graph.column(object_ref("h"), "w", no_carry)[1:] == tuple(
         reference_value(graph, t, object_ref("h"), "w", no_carry) for t in range(1, graph.n_times))
+
+
+def test_object_slots_interleave():
+    # o = {a, b, c} is alive at t=0..2 and 5..7 and absent at 3..4. It
+    # records w at t=1 and t=6 and c at t=2; elsewhere its members' mean or
+    # mode stands in, and at t=0 and t=5 the mode of c ties between "blue"
+    # and "red". Without carry-forward neither o nor a member has a value of
+    # w at t=2 or of c at t=7.
+    records = [{"type": "node", "id": n, "start": s, "end": e}
+               for n, spans in {"a": [(0, 2), (5, 7)], "b": [(0, 2), (5, 6)],
+                                "c": [(0, 1), (6, 7)]}.items() for s, e in spans]
+    records.append({"type": "object", "id": "o", "nodes": ["a", "b", "c"]})
+    for elem, attr, t, value in [
+        ("a", "w", 0, 1.0), ("b", "w", 0, 2.0), ("a", "w", 5, 3.0), ("b", "w", 5, 4.0),
+        ("o", "w", 1, 10.0), ("o", "w", 6, 20.0), ("c", "w", 7, 6.0),
+        ("a", "c", 0, "red"), ("b", "c", 0, "blue"), ("a", "c", 5, "red"), ("b", "c", 5, "blue"),
+        ("c", "c", 1, "red"), ("o", "c", 2, "zz"), ("c", "c", 6, "red"),
+    ]:
+        kind = "object" if elem == "o" else "node"
+        records.append({"type": "attr", "elem": f"{kind}:{elem}", "name": attr, "t": t,
+                        "value": value})
+    # a record at every t puts every label 0..7 in the time domain
+    records += [{"type": "node", "id": "x", "start": t, "end": t} for t in range(8)]
+    graph = load(json.dumps(r) for r in records)
+    o = object_ref("o")
+    assert graph.column(o, "w", CFGS["no_carry"]) == (
+        1.5, 10.0, None, None, None, 3.5, 20.0, 6.0)
+    assert graph.column(o, "c", CFGS["no_carry"]) == (
+        "blue", "red", "zz", None, None, "blue", "red", None)
+    assert graph.column(o, "w", CFGS["carry"])[:3] == (1.5, 10.0, 10.0)
+    assert [graph.value_at_info(t, o, "w", CFGS["no_carry"])[1] for t in (0, 1, 5, 6, 7)] == [
+        True, False, True, False, True]
+    for cfg in CFGS.values():
+        for attr in ("w", "c"):
+            assert graph.column(o, attr, cfg) == tuple(
+                reference_value(graph, t, o, attr, cfg) for t in range(graph.n_times))
+            for t in range(graph.n_times):
+                assert outcome(graph.value_at_info, t, o, attr, cfg) == outcome(
+                    reference_value_at_info, graph, t, o, attr, cfg), (t, attr)
 
 
 def test_edge_with_two_intervals_does_not_carry_across_the_gap():

@@ -400,7 +400,7 @@ class TestTryValue:
             for attr in g.attr_kinds:
                 for t in range(g.n_times):
                     for ref in refs:
-                        got = g.try_value(t, ref, attr, cfg)
+                        got = g.column(ref, attr, cfg)[t]
                         try:
                             want = g.value_at_info(t, ref, attr, cfg)[0]
                         except TgqError as err:
@@ -415,16 +415,16 @@ class TestTryValue:
 
     def test_falsy_values_are_values(self, cfg):
         g = next(_small_graphs())
-        assert g.try_value(0, node_ref("a"), "w", cfg) == 0.0
-        assert g.try_value(1, edge_ref("e1"), "w", cfg) == 0.0
-        assert g.try_value(3, object_ref("p"), "w", cfg) == 0.0
-        assert g.try_value(0, node_ref("a"), "ok", cfg) is False
-        assert g.try_value(0, node_ref("b"), "tag", cfg) == ""
+        assert g.column(node_ref("a"), "w", cfg)[0] == 0.0
+        assert g.column(edge_ref("e1"), "w", cfg)[1] == 0.0
+        assert g.column(object_ref("p"), "w", cfg)[3] == 0.0
+        assert g.column(node_ref("a"), "ok", cfg)[0] is False
+        assert g.column(node_ref("b"), "tag", cfg)[0] == ""
         # object o aggregates its members' mode: False from both a and b
         assert g.value_at_info(1, object_ref("o"), "ok", cfg) == (False, True)
-        assert g.try_value(1, object_ref("o"), "ok", cfg) is False
-        assert g.try_value(2, node_ref("a"), "w", cfg) is None  # absent
-        assert g.try_value(2, node_ref("c"), "w", cfg) is None  # no value
+        assert g.column(object_ref("o"), "ok", cfg)[1] is False
+        assert g.column(node_ref("a"), "w", cfg)[2] is None  # absent
+        assert g.column(node_ref("c"), "w", cfg)[2] is None  # no value
 
     def test_unknown_names_still_raise(self, cfg):
         g = next(_small_graphs())
@@ -435,7 +435,11 @@ class TestTryValue:
             (object_ref("ghost"), "w"),
         ]:
             with pytest.raises(TgqError) as e:
-                g.try_value(0, ref, attr, cfg)
+                g.column(ref, attr, cfg)[0]
+            assert codes(e) == VALIDATION_ERROR
+        for t in (-1, g.n_times):  # a point read out of the domain is no slot of a column
+            with pytest.raises(TgqError) as e:
+                g.value_at_info(t, node_ref("a"), "w", cfg)
             assert codes(e) == VALIDATION_ERROR
 
 

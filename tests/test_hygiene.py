@@ -1,6 +1,6 @@
 """Source hygiene: no module under src/tgq keeps an import it never uses,
-and no private module-level function or class is left that nothing else in
-src/tgq names.
+no private module-level function or class is left that nothing else in
+src/tgq names, and no dataclass declares a field that src/tgq never reads.
 
 There is no linter among the dependencies, so this walks each module's AST.
 A package ``__init__.py`` imports names to re-export them and is skipped by
@@ -88,3 +88,38 @@ def test_detects_unreferenced_private_defs():
         "b.py": "from .a import _Kept\n\ndef f():\n    return a._used()\n",
     }
     assert unreferenced_private_defs(sources) == [("a.py", "_dead")]
+
+
+def unread_dataclass_fields(sources: dict) -> list:
+    """(module, class, field) of each field declared by a dataclass in
+    ``sources`` whose name no module there reads, as an attribute
+    (``x.field``) or as a keyword argument (``f(field=...)``)."""
+    fields, reads = [], set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                fields += [(module, node.name, stmt.target.id) for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg is not None:
+                reads.add(node.arg)
+    return sorted(f for f in fields if f[2] not in reads)
+
+
+def test_every_dataclass_field_is_read():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in PACKAGE}
+    assert unread_dataclass_fields(sources) == []
+
+
+def test_detects_unread_dataclass_fields():
+    sources = {
+        "a.py": "from dataclasses import dataclass\n\n"
+                "@dataclass(frozen=True)\nclass A:\n    kept: int\n    passed: int\n"
+                "    dead: int = 0\n\n"
+                "class Plain:\n    ignored: int\n",
+        "b.py": "import dataclasses\n\n@dataclasses.dataclass\nclass B:\n    gone: str\n\n"
+                "def f(a):\n    a.dead = 1\n    return a.kept, B(passed=2)\n",
+    }
+    assert unread_dataclass_fields(sources) == [("a.py", "A", "dead"), ("b.py", "B", "gone")]

@@ -46,3 +46,25 @@ def test_one_envelope_per_query():
 @pytest.mark.parametrize("index", range(len(QUERIES)), ids=lambda i: f"q{i:03d}")
 def test_envelope_unchanged(graph, index):
     assert corpus_line(QUERIES[index], graph) == EXPECTED[index], QUERIES[index]
+
+
+# A structural literal may stand on either side of COMPARE: each query and
+# its mirror must agree on everything but which side is which.
+MIRRORED = [
+    ("STRUCT PAIR(node:e, node:f) DURING [0, 7]", "APPEARING", "OPPOSITE"),
+    ("STRUCT PAIR(object:O1, node:c) USING PATH <= 2 DURING [0, 7]", "ALWAYS", "SAME"),
+    ("STRUCT CONFIG OF subset:S4 AT t=6", "CONFIG components=2.0", "SAME"),
+    ("STRUCT CONFIGTREND OF subset:S1 DURING [0, 7]", "CONFIGTREND density=INCREASING", "SAME"),
+]
+
+
+@pytest.mark.parametrize("pattern, literal, relation", MIRRORED)
+def test_structural_literal_on_either_side(graph, pattern, literal, relation):
+    forward = f"COMPARE {pattern} WITH {literal} USING {relation}"
+    assert forward in QUERIES
+    answers = []
+    for text in (forward, f"COMPARE {literal} WITH {pattern} USING {relation}"):
+        (binding,) = run_query(text, graph, Config())["bindings"]
+        answers.append({key: binding[key]
+                        for key in ("relation", "holds", "score", "opposite", "label")})
+    assert answers[0] == answers[1]

@@ -53,7 +53,7 @@ from randsuite import random_graph
 def reference_edge_ok(graph, cfg, edge_id, t, spec):
     if spec.edge_attr is None:
         return True
-    value = graph.try_value(t, GraphElementRef(ElemKind.EDGE, edge_id), spec.edge_attr, cfg)
+    value = graph.column(GraphElementRef(ElemKind.EDGE, edge_id), spec.edge_attr, cfg)[t]
     return value is not None and spec.edge_constraint.test(value)
 
 

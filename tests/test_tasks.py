@@ -33,7 +33,6 @@ from tgq.tasks import (
     ValueConstraint,
     characterize,
     direct_compare,
-    direct_lookup,
     inverse_compare,
     inverse_lookup,
     pattern_search,
@@ -68,8 +67,8 @@ def shapes_graph():
 
 class TestLookup:
     def test_direct(self, mini_graph, cfg):
-        res = direct_lookup(mini_graph, cfg, 2, node_ref("a"), "w")
-        assert res.value == 3.0 and not res.aggregated
+        value, aggregated = mini_graph.value_at_info(2, node_ref("a"), "w", cfg)
+        assert value == 3.0 and not aggregated
 
     def test_direct_absent(self, cfg):
         g = load(jl([
@@ -79,7 +78,7 @@ class TestLookup:
             {"type": "attr", "elem": "node:b", "name": "w", "t": 2, "value": 1.0},
         ]))
         with pytest.raises(TgqError) as e:
-            direct_lookup(g, cfg, g.index_of(2), node_ref("a"), "w")
+            g.value_at_info(g.index_of(2), node_ref("a"), "w", cfg)
         assert e.value.code == ABSENT_ELEMENT
 
     def test_inverse_with_carry(self, mini_graph, cfg):
@@ -347,7 +346,7 @@ class TestInverseCompare:
             t1 = mini_graph.index_of(rep.lhs["t"])
             t2 = mini_graph.index_of(rep.rhs["t"])
             spec = RelationSpec(RelationFamily.TEMPORAL_POINT, tag)
-            assert eval_relation(spec, t1, t2, cfg).holds
+            assert eval_relation(spec, t1, t2, cfg)
 
     def test_set_relation_between_found_subsets(self, shapes_graph, cfg):
         lhs = FixedSide(time_key=0, ref_key=GroupCandidate(
