@@ -1,9 +1,10 @@
 """Query AST: one constructor per task family.
 
 Nodes store surface-level tokens (time labels, reference ids) rather than
-resolved indices; the planner binds them to the loaded graph. Every node
-pretty-prints to a canonical form that reparses to an equal node, which is
-what the round-trip tests pin down.
+resolved indices; the planner binds them to the loaded graph. Pattern
+literals are the engine's own literal types (``patterns``, ``structure``).
+Every node and literal pretty-prints to a canonical form that reparses to an
+equal node, which is what the round-trip tests pin down.
 """
 
 from __future__ import annotations
@@ -88,78 +89,6 @@ class Predicate:
         return f"{self.attr} {_CMP_TOKENS[self.op]} {format_value(self.values[0])}"
 
 
-# -- pattern literals ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrendLit:
-    cls: str  # INCREASING | DECREASING | ...
-
-    def pp(self) -> str:
-        return self.cls
-
-
-@dataclass(frozen=True)
-class DistLit:
-    hint: str  # UNIFORM | CONCENTRATED | ...
-
-    def pp(self) -> str:
-        return f"DIST {self.hint}"
-
-
-@dataclass(frozen=True)
-class AspectFreqLit:
-    entries: tuple  # ((trend class, count), ...) sorted
-
-    def pp(self) -> str:
-        inner = ", ".join(f"{k}: {v}" for k, v in self.entries)
-        return f"ASPECT TRENDS_OVER_GRAPH {{{inner}}}"
-
-
-@dataclass(frozen=True)
-class AspectTrendLit:
-    mean_cls: str
-    stddev_cls: str
-
-    def pp(self) -> str:
-        return f"ASPECT DISTRIBUTION_OVER_TIME {self.mean_cls} {self.stddev_cls}"
-
-
-@dataclass(frozen=True)
-class PresenceLit:
-    cls: str  # ALWAYS | NEVER | APPEARING | DISAPPEARING | INTERMITTENT
-
-    def pp(self) -> str:
-        return self.cls
-
-
-@dataclass(frozen=True)
-class ConfigLit:
-    metrics: tuple  # ((name, value), ...) sorted
-
-    def pp(self) -> str:
-        inner = ", ".join(f"{k}={format_value(v)}" for k, v in self.metrics)
-        return f"CONFIG {inner}"
-
-
-@dataclass(frozen=True)
-class ConfigTrendLit:
-    trends: tuple  # ((metric, trend class), ...) sorted
-
-    def pp(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in self.trends)
-        return f"CONFIGTREND {inner}"
-
-
-@dataclass(frozen=True)
-class PairsAggLit:
-    entries: tuple  # ((presence class, count), ...) sorted
-
-    def pp(self) -> str:
-        inner = ", ".join(f"{k}: {v}" for k, v in self.entries)
-        return f"PAIRSAGG {{{inner}}}"
-
-
 # -- shared clause shapes -----------------------------------------------------
 
 
@@ -219,12 +148,10 @@ def _tail(at=None, for_ref=None, in_group=None, during=None, windows=None,
 
 @dataclass(frozen=True)
 class Lookup:
-    attr: str
-    ref: Ref
-    at: TimeRef
+    side: SideLookup
 
     def pp(self) -> str:
-        return f"LOOKUP {self.attr} OF {self.ref.pp()} AT {self.at.pp()}"
+        return f"LOOKUP {self.side.pp()}"
 
 
 @dataclass(frozen=True)
@@ -243,24 +170,15 @@ class Find:
 
 @dataclass(frozen=True)
 class Characterize:
-    kind: str  # TREND | DIST | ASPECT
-    axis: Optional[str]  # TRENDS_OVER_GRAPH | DISTRIBUTION_OVER_TIME
-    attr: str
-    element: Optional[Ref] = None
-    group: Optional[GroupRef] = None
-    at: Optional[TimeRef] = None
-    during: Optional[IntervalRef] = None
+    side: SideCharac
 
     def pp(self) -> str:
-        kind = self.kind if self.axis is None else f"{self.kind} {self.axis}"
-        target = self.element.pp() if self.element is not None else self.group.pp()
-        return (f"CHARACTERIZE {kind} ON {self.attr} OF {target}"
-                + _tail(self.at, None, None, self.during))
+        return f"CHARACTERIZE {self.side.pp()}"
 
 
 @dataclass(frozen=True)
 class Search:
-    pattern: object  # a pattern literal node
+    pattern: object  # TrendLiteral | DistLiteral | AspectFreqLiteral | AspectTrendLiteral
     attr: str
     family: Optional[FamilySpec] = None
     of_target: Optional[object] = None  # Ref | GroupRef: fixed reference, free time
@@ -290,8 +208,8 @@ class SideLookup:
 
 @dataclass(frozen=True)
 class SideCharac:
-    kind: str
-    axis: Optional[str]
+    kind: str  # TREND | DIST | ASPECT
+    axis: Optional[str]  # TRENDS_OVER_GRAPH | DISTRIBUTION_OVER_TIME
     attr: str
     element: Optional[Ref] = None
     group: Optional[GroupRef] = None
@@ -564,7 +482,7 @@ class StructCharacterize:
 
 @dataclass(frozen=True)
 class StructSearch:
-    pattern: object  # PresenceLit | ConfigLit | ConfigTrendLit | PairsAggLit
+    pattern: object  # PresenceLiteral | ConfigLiteral | ConfigTrendLiteral | StructuralPattern
     family: FamilySpec
     at: Optional[TimeRef] = None
     during: Optional[IntervalRef] = None

@@ -11,7 +11,28 @@ import math
 import re
 from dataclasses import dataclass
 
+from ..correlate import AGGREGATIONS
 from ..errors import ParseError
+from ..patterns import (
+    AspectAxis,
+    AspectFreqLiteral,
+    AspectTrendLiteral,
+    DistClass,
+    DistLiteral,
+    TrendClass,
+    TrendLiteral,
+)
+from ..relations import ALLEN_OPS
+from ..search import SubsetFamily
+from ..structure import (
+    METRIC_NAMES,
+    ConfigLiteral,
+    ConfigTrendLiteral,
+    PresenceClass,
+    PresenceLiteral,
+    StructScopeKind,
+    StructuralPattern,
+)
 from . import ast
 from .validate import validate
 
@@ -27,24 +48,19 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-TREND_CLASSES = {
-    "INCREASING", "DECREASING", "CONSTANT", "PEAK", "TROUGH",
-    "FLUCTUATING", "DEGENERATE",
-}
-DIST_CLASSES = {"UNIFORM", "CONCENTRATED", "BIMODAL", "SKEWED_LEFT", "SKEWED_RIGHT"}
-PRESENCE_CLASSES = {"ALWAYS", "NEVER", "APPEARING", "DISAPPEARING", "INTERMITTENT"}
-AXES = {"TRENDS_OVER_GRAPH", "DISTRIBUTION_OVER_TIME"}
-FAMILIES = {"EACH_NODE", "EACH_EDGE", "SUBSETS", "COMPONENTS", "KHOP", "PAIRS"}
+# The closed vocabularies are the engine's: its enums and name tables.
+TREND_CLASSES = {c.value for c in TrendClass}
+DIST_CLASSES = {c.value for c in DistClass}
+PRESENCE_CLASSES = {c.value for c in PresenceClass}
+AXES = {a.value for a in AspectAxis}
+FAMILIES = {f.value for f in SubsetFamily} | {"PAIRS"}
+METRICS = set(METRIC_NAMES)
+AGGS = set(AGGREGATIONS)
 REF_KINDS = {"node", "edge", "object", "subset"}
-ALLEN_WORDS = {
-    "BEFORE", "MEETS", "OVERLAPS", "STARTS", "DURING", "FINISHES", "EQUALS",
-    "AFTER", "MET_BY", "OVERLAPPED_BY", "STARTED_BY", "CONTAINS", "FINISHED_BY",
-}
 SET_WORDS = {"SETEQ", "SUBSETOF", "SUPERSETOF", "DISJOINT", "INTERSECTS"}
-TIME_WORDS = {"SAMETIME"} | ALLEN_WORDS
+TIME_WORDS = {"SAMETIME"} | {op.upper() for op in ALLEN_OPS}
 STRUCT_FUNCS = {"ADJACENT", "CONNECTED", "DISTANCE", "CONFIGEQUAL"}
 CMP_OPS = {"=": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
-METRICS = {"density", "components", "triangles", "mean_degree", "cliques4"}
 
 
 @dataclass(frozen=True)
@@ -175,6 +191,22 @@ class _Parser:
             raise self.error({what})
         return self.advance().value
 
+    def word(self, vocab, fold: bool = True) -> str:
+        """The next identifier if it is in ``vocab``: upper-cased for keyword
+        vocabularies (``fold``), as written for case-sensitive names."""
+        tok = self.peek()
+        word = tok.upper if fold else tok.value
+        if tok.kind != "IDENT" or word not in vocab:
+            raise self.error(vocab)
+        self.advance()
+        return word
+
+    def integer(self) -> int:
+        """A NUMBER with no fraction or exponent."""
+        if not isinstance(self.peek().value, int):
+            raise self.error({"integer"})
+        return self.advance().value
+
     def elem_ref(self) -> ast.Ref:
         tok = self.expect_kind("REF")
         kind, _, ident = tok.value.partition(":")
@@ -257,12 +289,9 @@ class _Parser:
         raise self.error(set(CMP_OPS) | {"IN", "BETWEEN"})
 
     def family(self) -> ast.FamilySpec:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.upper not in FAMILIES:
-            raise self.error(FAMILIES)
-        name = self.advance().upper
+        name = self.word(FAMILIES)
         if name == "KHOP":
-            k = int(self.expect_kind("NUMBER").value)
+            k = self.integer()
             center = self.elem_ref() if self.peek().kind == "REF" else None
             return ast.FamilySpec("KHOP", k, center)
         return ast.FamilySpec(name)
@@ -274,7 +303,7 @@ class _Parser:
             mode = "PATH"
             k = None
             if self.take_op("<="):
-                k = int(self.expect_kind("NUMBER").value)
+                k = self.integer()
         else:
             raise self.error({"ADJACENT", "PATH"})
         direction = None
@@ -310,9 +339,7 @@ class _Parser:
                 out["during"] = self.interval_ref()
             elif "w" in allowed and self.at_kw("WINDOWS") and "windows" not in out:
                 self.advance()
-                if not isinstance(self.peek().value, int):
-                    raise self.error({"integer"})
-                out["windows"] = self.advance().value
+                out["windows"] = self.integer()
             elif "o" in allowed and self.at_kw("OVER") and "family" not in out:
                 self.advance()
                 out["family"] = self.family()
@@ -323,85 +350,47 @@ class _Parser:
 
     def attr_pattern_literal(self):
         if self.peek().upper in TREND_CLASSES:
-            return ast.TrendLit(self.advance().upper)
+            return TrendLiteral(TrendClass(self.advance().upper))
         if self.take_kw("DIST"):
-            tok = self.peek()
-            if tok.kind != "IDENT" or tok.upper not in DIST_CLASSES:
-                raise self.error(DIST_CLASSES)
-            return ast.DistLit(self.advance().upper)
+            return DistLiteral(DistClass(self.word(DIST_CLASSES)))
         if self.take_kw("ASPECT"):
-            axis = self.axis()
-            if axis == "TRENDS_OVER_GRAPH":
-                return ast.AspectFreqLit(self.freq_entries(TREND_CLASSES))
-            mean_cls = self.trend_class()
-            std_cls = self.trend_class()
-            return ast.AspectTrendLit(mean_cls, std_cls)
+            if self.word(AXES) == "TRENDS_OVER_GRAPH":
+                return AspectFreqLiteral(self.freq_entries(TREND_CLASSES))
+            mean_cls = TrendClass(self.word(TREND_CLASSES))
+            return AspectTrendLiteral(mean_cls, TrendClass(self.word(TREND_CLASSES)))
         raise self.error(TREND_CLASSES | {"DIST", "ASPECT"})
 
-    def trend_class(self) -> str:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.upper not in TREND_CLASSES:
-            raise self.error(TREND_CLASSES)
-        return self.advance().upper
-
-    def axis(self) -> str:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.upper not in AXES:
-            raise self.error(AXES)
-        return self.advance().upper
+    def entries(self, key, sep: str, read) -> tuple:
+        """``key sep value, ...`` sorted, ``key`` and ``read`` reading one of each."""
+        out = []
+        while True:
+            name = key()
+            self.expect_op(sep)
+            out.append((name, read()))
+            if not self.take_op(","):
+                return tuple(sorted(out))
 
     def freq_entries(self, classes) -> tuple:
         self.expect_op("{")
-        entries = []
-        while True:
-            tok = self.peek()
-            if tok.kind != "IDENT" or tok.upper not in classes:
-                raise self.error(classes)
-            cls = self.advance().upper
-            self.expect_op(":")
-            count = int(self.expect_kind("NUMBER").value)
-            entries.append((cls, count))
-            if not self.take_op(","):
-                break
+        out = self.entries(lambda: self.word(classes), ":", self.integer)
         self.expect_op("}")
-        return tuple(sorted(entries))
+        return out
+
+    def metric_entries(self, read) -> tuple:
+        return self.entries(lambda: self.word(METRICS, fold=False), "=", read)
 
     def struct_pattern_literal(self):
         if self.peek().upper in PRESENCE_CLASSES:
-            return ast.PresenceLit(self.advance().upper)
+            return PresenceLiteral(PresenceClass(self.advance().upper))
         if self.take_kw("CONFIG"):
-            return ast.ConfigLit(self.metric_values())
+            return ConfigLiteral(self.metric_entries(
+                lambda: float(self.expect_kind("NUMBER").value)))
         if self.take_kw("CONFIGTREND"):
-            return ast.ConfigTrendLit(self.metric_trends())
+            return ConfigTrendLiteral(self.metric_entries(lambda: self.word(TREND_CLASSES)))
         if self.take_kw("PAIRSAGG"):
-            return ast.PairsAggLit(self.freq_entries(PRESENCE_CLASSES))
+            return StructuralPattern(StructScopeKind.PAIRS_AGGREGATE,
+                                     class_frequencies=self.freq_entries(PRESENCE_CLASSES))
         raise self.error(PRESENCE_CLASSES | {"CONFIG", "CONFIGTREND", "PAIRSAGG"})
-
-    def metric_name(self) -> str:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.value not in METRICS:
-            raise self.error(METRICS)
-        return self.advance().value
-
-    def metric_values(self) -> tuple:
-        entries = []
-        while True:
-            name = self.metric_name()
-            self.expect_op("=")
-            entries.append((name, float(self.expect_kind("NUMBER").value)))
-            if not self.take_op(","):
-                break
-        return tuple(sorted(entries))
-
-    def metric_trends(self) -> tuple:
-        entries = []
-        while True:
-            name = self.metric_name()
-            self.expect_op("=")
-            entries.append((name, self.trend_class()))
-            if not self.take_op(","):
-                break
-        return tuple(sorted(entries))
 
     # -- queries ---------------------------------------------------------------
 
@@ -432,11 +421,7 @@ class _Parser:
 
     def q_lookup(self) -> ast.Lookup:
         self.expect_kw("LOOKUP")
-        attr = self.ident("attribute")
-        self.expect_kw("OF")
-        ref = self.elem_ref()
-        self.expect_kw("AT")
-        return ast.Lookup(attr, ref, self.time_ref())
+        return ast.Lookup(self.lookup_side())
 
     def q_find(self) -> ast.Find:
         self.expect_kw("FIND")
@@ -448,18 +433,9 @@ class _Parser:
         tail = self.tail_clauses("afid")
         return ast.Find(tuple(targets), pred, **tail)
 
-    def charac_head(self):
-        if self.take_kw("TREND"):
-            return "TREND", None
-        if self.take_kw("DIST"):
-            return "DIST", None
-        if self.take_kw("ASPECT"):
-            return "ASPECT", self.axis()
-        raise self.error({"TREND", "DIST", "ASPECT"})
-
     def q_characterize(self) -> ast.Characterize:
         self.expect_kw("CHARACTERIZE")
-        return ast.Characterize(**vars(self.charac_side()))
+        return ast.Characterize(self.charac_side())
 
     def q_search(self) -> ast.Search:
         self.expect_kw("SEARCH")
@@ -537,11 +513,9 @@ class _Parser:
         if self.at_kw("STRUCT"):
             self.advance()
             return ast.SideStruct(self.struct_scope())
-        if tok.upper in TREND_CLASSES or tok.upper in PRESENCE_CLASSES:
-            if tok.upper in TREND_CLASSES:
-                return ast.SidePattern(ast.TrendLit(self.advance().upper))
-            return ast.SidePattern(ast.PresenceLit(self.advance().upper))
-        if self.at_kw("CONFIG", "CONFIGTREND", "PAIRSAGG"):
+        if tok.upper in TREND_CLASSES:
+            return ast.SidePattern(self.attr_pattern_literal())
+        if tok.upper in PRESENCE_CLASSES or self.at_kw("CONFIG", "CONFIGTREND", "PAIRSAGG"):
             return ast.SidePattern(self.struct_pattern_literal())
         if self.at_kw("DIST"):
             if self.peek(1).kind == "IDENT" and self.peek(1).upper in DIST_CLASSES:
@@ -558,15 +532,19 @@ class _Parser:
         if self.at_kw("TREND"):
             return self.charac_side()
         if tok.kind == "IDENT":
-            attr = self.advance().value
-            self.expect_kw("OF")
-            ref = self.elem_ref()
-            self.expect_kw("AT")
-            return ast.SideLookup(attr, ref, self.time_ref())
+            return self.lookup_side()
         raise self.error({"a comparison side"})
 
+    def lookup_side(self) -> ast.SideLookup:
+        attr = self.ident("attribute")
+        self.expect_kw("OF")
+        ref = self.elem_ref()
+        self.expect_kw("AT")
+        return ast.SideLookup(attr, ref, self.time_ref())
+
     def charac_side(self) -> ast.SideCharac:
-        kind, axis = self.charac_head()
+        kind = self.word({"TREND", "DIST", "ASPECT"})
+        axis = self.word(AXES) if kind == "ASPECT" else None
         self.expect_kw("ON")
         attr = self.ident("attribute")
         self.expect_kw("OF")
@@ -614,7 +592,7 @@ class _Parser:
         if word == "ASPECT":
             self.advance()
             self.expect_op("(")
-            axis = self.axis()
+            axis = self.word(AXES)
             self.expect_op(",")
             attr = self.ident("attribute")
             self.expect_op(",")
@@ -662,7 +640,7 @@ class _Parser:
             k = None
             if op == "DISTANCE":
                 self.expect_op("<=")
-                k = int(self.expect_kind("NUMBER").value)
+                k = self.integer()
             return ast.StructRel(op, var1, var2, t, k)
         var1 = self.ident("variable")
         tok = self.peek()
@@ -757,9 +735,9 @@ class _Parser:
             kind = "CONFIGTREND"
             metrics = None
             if not self.at_kw("OF"):
-                names = [self.metric_name()]
+                names = [self.word(METRICS, fold=False)]
                 while self.take_op(","):
-                    names.append(self.metric_name())
+                    names.append(self.word(METRICS, fold=False))
                 metrics = tuple(names)
         elif self.take_kw("PAIRS"):
             kind, metrics = "PAIRS", None
@@ -783,7 +761,7 @@ class _Parser:
         rhs = self.series_spec()
         lag = 0
         if self.take_kw("LAG"):
-            lag = int(self.expect_kind("NUMBER").value)
+            lag = self.integer()
         mode = None
         if self.at_kw("POOLED", "PERELEMENT"):
             mode = self.advance().upper
@@ -797,9 +775,6 @@ class _Parser:
         target = self.any_target()
         agg = None
         if self.take_kw("AGG"):
-            tok = self.peek()
-            if tok.kind != "IDENT" or tok.value not in ("mean", "median", "min", "max", "sum"):
-                raise self.error({"mean", "median", "min", "max", "sum"})
-            agg = self.advance().value
+            agg = self.word(AGGS, fold=False)
         tail = self.tail_clauses("ad")
         return ast.GraphSeries(attr, target, agg=agg, **tail)

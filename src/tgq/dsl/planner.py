@@ -19,22 +19,12 @@ from .. import tasks
 from ..config import Config
 from ..errors import PLAN_ERROR, TgqError, VALIDATION_ERROR
 from ..graph import ElemKind, GraphElementRef, TemporalGraph, TimeInterval
-from ..patterns import (
-    AspectAxis,
-    AspectFreqLiteral,
-    AspectTrendLiteral,
-    DistClass,
-    DistLiteral,
-    TrendClass,
-    TrendLiteral,
-)
+from ..patterns import AspectAxis, DistLiteral, TrendLiteral
 from ..relations import RelationFamily, RelationSpec
 from ..search import GroupCandidate, SearchSpace, SubsetFamily
 from ..structure import (
     ConfigLiteral,
-    ConfigTrendLiteral,
     ConnectionSpec,
-    PresenceClass,
     PresenceLiteral,
     StructScope,
     StructScopeKind,
@@ -140,20 +130,15 @@ class _Planner:
                     "a free subset reference needs an enumerable family (OVER ...)",
                 )
             return SearchSpace(window_min_len=_min_len(windows))
-        mapping = {
-            "EACH_NODE": SubsetFamily.EACH_NODE,
-            "EACH_EDGE": SubsetFamily.EACH_EDGE,
-            "SUBSETS": SubsetFamily.NAMED_SUBSETS,
-            "COMPONENTS": SubsetFamily.CONNECTED_COMPONENTS,
-            "KHOP": SubsetFamily.KHOP,
-        }
         if family.name == "PAIRS":
             raise TgqError(PLAN_ERROR, "PAIRS only enumerates structural searches")
-        centre = family.center.id if family.center is not None else None
+        centre = family.center
+        if centre is not None and centre.kind != "node":
+            raise TgqError(VALIDATION_ERROR, f"the KHOP centre is a node, not {centre.pp()}")
         return SearchSpace(
-            subset_family=mapping[family.name],
-            khop_k=family.k or 1,
-            khop_center=centre,
+            subset_family=SubsetFamily(family.name),
+            khop_k=1 if family.k is None else family.k,
+            khop_center=self.elem(centre).id if centre is not None else None,
             window_min_len=_min_len(windows),
         )
 
@@ -175,27 +160,6 @@ class _Planner:
             edge_attr=lit.pred.attr if lit.pred is not None else None,
             edge_constraint=self.constraint(lit.pred) if lit.pred is not None else None,
         )
-
-    def pattern_literal(self, lit):
-        if isinstance(lit, ast.TrendLit):
-            return TrendLiteral(TrendClass(lit.cls))
-        if isinstance(lit, ast.DistLit):
-            return DistLiteral(DistClass(lit.hint))
-        if isinstance(lit, ast.AspectFreqLit):
-            return AspectFreqLiteral(lit.entries)
-        if isinstance(lit, ast.AspectTrendLit):
-            return AspectTrendLiteral(TrendClass(lit.mean_cls), TrendClass(lit.stddev_cls))
-        if isinstance(lit, ast.PresenceLit):
-            return PresenceLiteral(PresenceClass(lit.cls))
-        if isinstance(lit, ast.ConfigLit):
-            return ConfigLiteral(lit.metrics)
-        if isinstance(lit, ast.ConfigTrendLit):
-            return ConfigTrendLiteral(lit.trends)
-        if isinstance(lit, ast.PairsAggLit):
-            return struct.StructuralPattern(
-                StructScopeKind.PAIRS_AGGREGATE, class_frequencies=lit.entries
-            )
-        raise TgqError(PLAN_ERROR, f"unsupported literal {type(lit).__name__}")
 
     def time_key_out(self, key) -> dict:
         if isinstance(key, TimeInterval):
@@ -223,15 +187,14 @@ class _Planner:
         return handlers[type(node)](node)
 
     def p_lookup(self, node: ast.Lookup):
-        ref = self.elem(node.ref)
-        side = LookupSide(self.t_index(node.at), ref, node.attr)
+        side = self.direct_side(node.side)
 
         def run():
             row = side.resolve(self.graph, self.cfg).desc
             warnings = []
             if row["aggregated"]:
                 warnings.append(
-                    f"value of '{node.attr}' aggregated from the members of {ref}"
+                    f"value of '{side.attr}' aggregated from the members of {side.ref}"
                 )
             return [row], warnings
 
@@ -256,8 +219,7 @@ class _Planner:
 
         return run
 
-    def scope_of(self, node) -> BehaviorScope:
-        """The scope of a CHARACTERIZE query or a characterisation side."""
+    def scope_of(self, node: ast.SideCharac) -> BehaviorScope:
         if node.kind == "TREND":
             return BehaviorScope(
                 Quadrant.Q3_TREND_OF_G,
@@ -278,7 +240,7 @@ class _Planner:
         )
 
     def p_characterize(self, node: ast.Characterize):
-        side = ScopeSide(self.scope_of(node), node.attr)
+        side = self.direct_side(node.side)
 
         def run():
             return [side.resolve(self.graph, self.cfg).desc], []
@@ -287,7 +249,7 @@ class _Planner:
 
     def search_args(self, node: ast.Search) -> dict:
         """Keyword arguments of ``tasks.pattern_search`` and ``SearchSide``."""
-        target = self.pattern_literal(node.pattern)
+        target = node.pattern
         if isinstance(target, TrendLiteral):
             quadrant = Quadrant.Q3_TREND_OF_G
         elif isinstance(target, DistLiteral):
@@ -351,7 +313,7 @@ class _Planner:
                 value = float(value)
             return LiteralSide(value)
         if isinstance(side, ast.SidePattern):
-            return LiteralSide(self.pattern_literal(side.pattern))
+            return LiteralSide(side.pattern)
         if isinstance(side, ast.SideStruct):
             return struct.StructScopeSide(self.struct_scope(side.scope))
         raise TgqError(PLAN_ERROR, "side cannot be resolved to a value or pattern")
@@ -647,7 +609,7 @@ class _Planner:
         return run
 
     def p_struct_search(self, node: ast.StructSearch):
-        target = self.pattern_literal(node.pattern)
+        target = node.pattern
         pair_scope = isinstance(target, PresenceLiteral)
         space = (
             SearchSpace(window_min_len=_min_len(node.windows))

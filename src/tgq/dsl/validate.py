@@ -6,6 +6,9 @@ These checks need no graph; reference resolution happens in the planner.
 from __future__ import annotations
 
 from ..errors import TgqError, VALIDATION_ERROR
+from ..patterns import DistLiteral, TrendLiteral
+from ..relations import ALLEN_OPS
+from ..structure import ConfigLiteral, PresenceLiteral
 from . import ast
 
 _DIRECT_SIDES = (ast.SideLookup, ast.SideCharac, ast.SideValue, ast.SidePattern,
@@ -14,10 +17,7 @@ _BINDING_SIDES = (ast.SideFind, ast.SideSearch, ast.SideTime, ast.SideInterval,
                   ast.SideRef)
 
 _POINT_TIME_OPS = {"before", "sametime", "after"}
-_ALLEN_OPS = {
-    "before", "meets", "overlaps", "starts", "during", "finishes", "equals",
-    "after", "met_by", "overlapped_by", "started_by", "contains", "finished_by",
-}
+_ALLEN_OPS = set(ALLEN_OPS)
 _SET_OPS = {"seteq", "subsetof", "supersetof", "disjoint", "intersects"}
 
 
@@ -32,8 +32,8 @@ def validate(node) -> None:
     handler(node)
 
 
-def _v_lookup(node: ast.Lookup) -> None:
-    if node.ref.kind == "subset":
+def _v_lookup(side: ast.SideLookup) -> None:
+    if side.ref.kind == "subset":
         _fail("LOOKUP takes a single element; use CHARACTERIZE for subsets")
 
 
@@ -51,47 +51,44 @@ def _v_find(node: ast.Find) -> None:
         _fail("AT and DURING are mutually exclusive")
     if node.for_ref is not None and node.in_group is not None:
         _fail("FOR and IN are mutually exclusive")
+    if node.for_ref is not None and node.for_ref.kind == "subset":
+        _fail("FOR takes a single element (node:, edge:, object:); use IN for subsets")
 
 
-def _v_charac_fields(kind, axis, element, group, at, during, what: str) -> None:
-    if kind == "TREND":
-        if element is None:
+def _v_charac(side: ast.SideCharac, what: str) -> None:
+    if side.kind == "TREND":
+        if side.element is None:
             _fail(f"{what} TREND needs a single element (node:, edge:, object:)")
-        if at is not None:
+        if side.at is not None:
             _fail(f"{what} TREND runs over an interval, not a single time point")
-    elif kind == "DIST":
-        if group is None:
+    elif side.kind == "DIST":
+        if side.group is None:
             _fail(f"{what} DIST needs a subset (subset:, NODES, EDGES)")
-        if at is None:
+        if side.at is None:
             _fail(f"{what} DIST needs a time point (AT t=...)")
-        if during is not None:
+        if side.during is not None:
             _fail(f"{what} DIST is a single-time behaviour")
     else:
-        if group is None:
+        if side.group is None:
             _fail(f"{what} ASPECT needs a subset")
-        if axis is None:
+        if side.axis is None:
             _fail(f"{what} ASPECT needs an axis")
-        if at is not None:
+        if side.at is not None:
             _fail(f"{what} ASPECT runs over an interval")
-
-
-def _v_characterize(node: ast.Characterize) -> None:
-    _v_charac_fields(node.kind, node.axis, node.element, node.group,
-                     node.at, node.during, "CHARACTERIZE")
 
 
 def _v_search(node: ast.Search) -> None:
     pattern = node.pattern
     if (node.family is None) == (node.of_target is None):
         _fail("SEARCH takes either OVER <family> or OF <fixed reference>")
-    if isinstance(pattern, ast.TrendLit):
+    if isinstance(pattern, TrendLiteral):
         if node.family is not None and node.family.name not in ("EACH_NODE", "EACH_EDGE"):
             _fail("trend search enumerates single elements (EACH_NODE or EACH_EDGE)")
         if node.of_target is not None and not isinstance(node.of_target, ast.Ref):
             _fail("trend search pins a single element, not a subset")
         if node.at is not None:
             _fail("trend search runs over intervals, not a single time point")
-    elif isinstance(pattern, ast.DistLit):
+    elif isinstance(pattern, DistLiteral):
         if node.during is not None or node.windows is not None:
             _fail("distribution search binds single time points (use AT or leave free)")
         if node.family is not None and node.family.name == "PAIRS":
@@ -123,9 +120,10 @@ def _v_compare(node: ast.Compare) -> None:
         if node.all_pairs:
             _fail("ALLPAIRS applies to inverse comparison only")
     for side in (node.lhs, node.rhs):
+        if isinstance(side, ast.SideLookup):
+            _v_lookup(side)
         if isinstance(side, ast.SideCharac):
-            _v_charac_fields(side.kind, side.axis, side.element,
-                             side.group, side.at, side.during, "comparison side")
+            _v_charac(side, "comparison side")
         if isinstance(side, ast.SideFind):
             _v_find(side.find)
         if isinstance(side, ast.SideSearch):
@@ -239,7 +237,7 @@ def _v_struct_characterize(node: ast.StructCharacterize) -> None:
 
 
 def _v_struct_search(node: ast.StructSearch) -> None:
-    if isinstance(node.pattern, ast.PresenceLit):
+    if isinstance(node.pattern, PresenceLiteral):
         if node.family.name != "PAIRS":
             _fail("presence-class search enumerates node pairs (OVER PAIRS)")
         if node.at is not None:
@@ -247,7 +245,7 @@ def _v_struct_search(node: ast.StructSearch) -> None:
     else:
         if node.family.name == "PAIRS":
             _fail("configuration search enumerates node sets")
-        if isinstance(node.pattern, ast.ConfigLit):
+        if isinstance(node.pattern, ConfigLiteral):
             if node.during is not None or node.windows is not None:
                 _fail("configuration search binds single time points")
         elif node.at is not None:
@@ -277,9 +275,9 @@ def _v_correlate(node: ast.Correlate) -> None:
 
 
 _HANDLERS = {
-    ast.Lookup: _v_lookup,
+    ast.Lookup: lambda node: _v_lookup(node.side),
     ast.Find: _v_find,
-    ast.Characterize: _v_characterize,
+    ast.Characterize: lambda node: _v_charac(node.side, "CHARACTERIZE"),
     ast.Search: _v_search,
     ast.Compare: _v_compare,
     ast.Seek: _v_seek,

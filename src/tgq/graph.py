@@ -574,6 +574,7 @@ def _load(numbered) -> TemporalGraph:
     nodes: dict = {}
     edge_meta: dict = {}
     edge_ivals: dict = {}
+    edge_line: dict = {}  # edge id -> line of its first record
     objects: dict = {}
     subset_raw: dict = {}
     attr_raw: list = []
@@ -612,6 +613,7 @@ def _load(numbered) -> TemporalGraph:
                     line=lineno,
                 )
             edge_ivals.setdefault(ident, []).append(interval_of(rec, lineno))
+            edge_line.setdefault(ident, lineno)
         elif rtype == "object":
             ident = _require_str(rec, "id", lineno)
             members = rec.get("nodes")
@@ -673,18 +675,22 @@ def _load(numbered) -> TemporalGraph:
 
     # Consistency: edge endpoints must exist over the edge's whole lifetime.
     for ident, e in sorted(edges.items()):
+        lineno = edge_line[ident]
         for endpoint in (e.src, e.dst):
             if endpoint not in nodes:
                 raise TgqError(
-                    CONSISTENCY_ERROR, f"edge '{ident}' references unknown node '{endpoint}'"
+                    CONSISTENCY_ERROR,
+                    f"line {lineno}: edge '{ident}' references unknown node '{endpoint}'",
+                    line=lineno,
                 )
         for s, t_ in e.intervals:
             t = min(_first_uncovered(nodes[e.src], s), _first_uncovered(nodes[e.dst], s))
             if t <= t_:
                 raise TgqError(
                     CONSISTENCY_ERROR,
-                    f"edge '{ident}' is alive at t={time_labels[t]} "
+                    f"line {lineno}: edge '{ident}' is alive at t={time_labels[t]} "
                     "but an endpoint is not",
+                    line=lineno,
                 )
 
     resolved_objects = {}

@@ -146,6 +146,9 @@ class TrendLiteral:
     def to_dict(self) -> dict:
         return {"kind": "trend_literal", "class": self.cls.value}
 
+    def pp(self) -> str:
+        return self.cls.value
+
 
 @dataclass(frozen=True)
 class DistLiteral:
@@ -153,6 +156,9 @@ class DistLiteral:
 
     def to_dict(self) -> dict:
         return {"kind": "distribution_literal", "class_hint": self.class_hint.value}
+
+    def pp(self) -> str:
+        return f"DIST {self.class_hint.value}"
 
 
 @dataclass(frozen=True)
@@ -163,6 +169,10 @@ class AspectFreqLiteral:
         return {"kind": "aspectual_literal", "axis": AspectAxis.TRENDS_OVER_GRAPH.value,
                 "frequencies": {k: v for k, v in self.frequencies}}
 
+    def pp(self) -> str:
+        inner = ", ".join(f"{k}: {v}" for k, v in self.frequencies)
+        return f"ASPECT TRENDS_OVER_GRAPH {{{inner}}}"
+
 
 @dataclass(frozen=True)
 class AspectTrendLiteral:
@@ -172,6 +182,9 @@ class AspectTrendLiteral:
     def to_dict(self) -> dict:
         return {"kind": "aspectual_literal", "axis": AspectAxis.DISTRIBUTION_OVER_TIME.value,
                 "mean_class": self.mean_cls.value, "stddev_class": self.stddev_cls.value}
+
+    def pp(self) -> str:
+        return f"ASPECT DISTRIBUTION_OVER_TIME {self.mean_cls.value} {self.stddev_cls.value}"
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,11 @@ class StructuralPattern:
             out["metric_trends"] = {k: v for k, v in self.metric_trends}
         return out
 
+    def pp(self) -> str:
+        # the one structural pattern a query spells out: a PAIRSAGG literal
+        inner = ", ".join(f"{k}: {v}" for k, v in self.class_frequencies)
+        return f"PAIRSAGG {{{inner}}}"
+
 
 # Literals for structural search / comparison sides.
 
@@ -140,6 +145,9 @@ class PresenceLiteral:
     def to_dict(self) -> dict:
         return {"kind": "presence_literal", "class": self.cls.value}
 
+    def pp(self) -> str:
+        return self.cls.value
+
 
 @dataclass(frozen=True)
 class ConfigLiteral:
@@ -148,6 +156,9 @@ class ConfigLiteral:
     def to_dict(self) -> dict:
         return {"kind": "config_literal", "metrics": {k: v for k, v in self.metrics}}
 
+    def pp(self) -> str:
+        return "CONFIG " + ", ".join(f"{k}={v!r}" for k, v in self.metrics)
+
 
 @dataclass(frozen=True)
 class ConfigTrendLiteral:
@@ -155,6 +166,9 @@ class ConfigTrendLiteral:
 
     def to_dict(self) -> dict:
         return {"kind": "config_trend_literal", "trends": {k: v for k, v in self.trends}}
+
+    def pp(self) -> str:
+        return "CONFIGTREND " + ", ".join(f"{k}={v}" for k, v in self.trends)
 
 
 # ---------------------------------------------------------------------------

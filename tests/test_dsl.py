@@ -11,8 +11,17 @@ from tgq.dsl import ast
 from tgq.dsl.planner import plan, run_query
 from tgq.errors import PLAN_ERROR, ParseError, TgqError, VALIDATION_ERROR
 from tgq.graph import load_path
+from tgq.patterns import (
+    AspectFreqLiteral, AspectTrendLiteral, DistClass, DistLiteral, TrendClass, TrendLiteral,
+)
+from tgq.structure import (
+    ConfigLiteral, ConfigTrendLiteral, PresenceClass, PresenceLiteral, StructScopeKind,
+    StructuralPattern,
+)
 
 DATA = Path(__file__).parent / "data"
+LOOKUP_SUBSET = "LOOKUP takes a single element; use CHARACTERIZE for subsets"
+FOR_SUBSET = "FOR takes a single element (node:, edge:, object:); use IN for subsets"
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +41,7 @@ def corpus_queries():
 class TestParse:
     def test_lookup_exemplar(self):
         node = parse("LOOKUP w OF node:a AT t=2")
-        assert node == ast.Lookup("w", ast.Ref("node", "a"), ast.TimeRef(2))
+        assert node == ast.Lookup(ast.SideLookup("w", ast.Ref("node", "a"), ast.TimeRef(2)))
 
     def test_find_exemplar(self):
         node = parse("FIND t,g WHERE w > 50")
@@ -47,7 +56,7 @@ class TestParse:
 
     def test_string_labels(self):
         node = parse('LOOKUP w OF node:a AT t="mar"')
-        assert node.at == ast.TimeRef("mar")
+        assert node.side.at == ast.TimeRef("mar")
         assert parse(node.pp()) == node
 
     def test_error_carries_position_and_expectations(self):
@@ -139,7 +148,7 @@ class TestPlan:
     def test_free_subset_without_family_is_plan_error(self, corpus_graph, cfg):
         # The grammar forces OVER/OF on SEARCH, so build the unbounded AST
         # directly: a free subset reference with no enumerable family.
-        node = ast.Search(ast.DistLit("UNIFORM"), "w", None, None)
+        node = ast.Search(DistLiteral(DistClass.UNIFORM), "w", None, None)
         with pytest.raises(TgqError) as e:
             plan(node, corpus_graph, cfg)
         assert e.value.code == PLAN_ERROR
@@ -179,6 +188,37 @@ class TestPlan:
             parse(f"SEARCH PEAK ON w OF node:c WINDOWS {literal}")
         assert (e.value.line, e.value.col) == (1, 36)
         assert e.value.expected == {"integer"}
+
+    @pytest.mark.parametrize("query", [
+        "NEIGHBORS(node:a, PATH <= 1.5) AT t=0",
+        "SEARCH DIST CONCENTRATED ON w OVER KHOP 1.5 AT t=0",
+        "SEEK g1,g2 WHERE w(g1) = w(g2) AND DISTANCE(g1, g2) <= 2e0",
+        "CORRELATE w OF node:a WITH u OF node:a LAG 1.0",
+        "SEARCH ASPECT TRENDS_OVER_GRAPH {INCREASING: 1.5} ON w OVER SUBSETS",
+        "STRUCT SEARCH PAIRSAGG {ALWAYS: 2.5} OVER SUBSETS",
+    ])
+    def test_integer_positions_reject_other_numbers(self, query):
+        with pytest.raises(ParseError) as e:
+            parse(query)
+        assert e.value.expected == {"integer"}
+
+    @pytest.mark.parametrize("query, message", [
+        ("LOOKUP w OF subset:S1 AT t=0", LOOKUP_SUBSET),
+        ("COMPARE w OF subset:S1 AT t=0 WITH 3", LOOKUP_SUBSET),
+        ("FIND t WHERE w > 1 FOR subset:S1", FOR_SUBSET),
+        ("COMPARE FIND t WHERE w > 1 FOR subset:S1 WITH T=0", FOR_SUBSET),
+        ("SEARCH DIST CONCENTRATED ON w OVER KHOP 0 AT t=0", "k-hop radius must be >= 1"),
+        ("SEARCH DIST CONCENTRATED ON w OVER KHOP 1 node:zzz AT t=0", "unknown node 'zzz'"),
+        ("STRUCT SEARCH CONFIG density=0.5 OVER KHOP 1 node:zzz AT t=0", "unknown node 'zzz'"),
+        ("SEARCH DIST CONCENTRATED ON w OVER KHOP 1 edge:e1 AT t=0",
+         "the KHOP centre is a node, not edge:e1"),
+        ("SEEK G1,G2 WHERE DIST(w, G1) SAME DIST(w, G2) AND t1 = 0 AND t2 = 0 "
+         "OVER KHOP 1 subset:S1", "the KHOP centre is a node, not subset:S1"),
+    ])
+    def test_bad_references_and_radius_rejected(self, corpus_graph, cfg, query, message):
+        with pytest.raises(TgqError) as e:
+            run_query(query, corpus_graph, cfg)
+        assert (e.value.code, e.value.message) == (VALIDATION_ERROR, message)
 
     def test_windows_integer_round_trips(self):
         node = parse("SEARCH PEAK ON w OF node:c WINDOWS 2")
@@ -266,13 +306,13 @@ def rand_family(rng, group_only=False):
 def rand_attr_pattern(rng, kind=None):
     kind = kind or rng.choice(["trend", "dist", "freq", "aspect_trend"])
     if kind == "trend":
-        return ast.TrendLit(rng.choice(TRENDS))
+        return TrendLiteral(TrendClass(rng.choice(TRENDS)))
     if kind == "dist":
-        return ast.DistLit(rng.choice(DISTS))
+        return DistLiteral(DistClass(rng.choice(DISTS)))
     if kind == "freq":
         classes = rng.sample(TRENDS, rng.randrange(1, 4))
-        return ast.AspectFreqLit(tuple(sorted((c, rng.randrange(1, 5)) for c in classes)))
-    return ast.AspectTrendLit(rng.choice(TRENDS), rng.choice(TRENDS))
+        return AspectFreqLiteral(tuple(sorted((c, rng.randrange(1, 5)) for c in classes)))
+    return AspectTrendLiteral(TrendClass(rng.choice(TRENDS)), TrendClass(rng.choice(TRENDS)))
 
 
 def rand_conn_spec(rng):
@@ -284,7 +324,7 @@ def rand_conn_spec(rng):
 
 
 def rand_query_lookup(rng):
-    return ast.Lookup(rng.choice(ATTRS), rand_elem(rng), rand_time(rng))
+    return ast.Lookup(ast.SideLookup(rng.choice(ATTRS), rand_elem(rng), rand_time(rng)))
 
 
 def rand_query_find(rng):
@@ -303,16 +343,16 @@ def rand_query_find(rng):
 def rand_query_characterize(rng):
     kind = rng.choice(["TREND", "DIST", "ASPECT"])
     if kind == "TREND":
-        return ast.Characterize(
+        return ast.Characterize(ast.SideCharac(
             "TREND", None, rng.choice(ATTRS), element=rand_elem(rng),
-            during=rand_interval(rng) if rng.random() < 0.7 else None)
+            during=rand_interval(rng) if rng.random() < 0.7 else None))
     if kind == "DIST":
-        return ast.Characterize("DIST", None, rng.choice(ATTRS),
-                                group=rand_group(rng), at=rand_time(rng))
+        return ast.Characterize(ast.SideCharac("DIST", None, rng.choice(ATTRS),
+                                               group=rand_group(rng), at=rand_time(rng)))
     axis = rng.choice(["TRENDS_OVER_GRAPH", "DISTRIBUTION_OVER_TIME"])
-    return ast.Characterize("ASPECT", axis, rng.choice(ATTRS),
-                            group=rand_group(rng),
-                            during=rand_interval(rng) if rng.random() < 0.7 else None)
+    return ast.Characterize(ast.SideCharac(
+        "ASPECT", axis, rng.choice(ATTRS), group=rand_group(rng),
+        during=rand_interval(rng) if rng.random() < 0.7 else None))
 
 
 def rand_query_search(rng):
@@ -342,8 +382,7 @@ def rand_side_direct(rng):
     if pick == 0:
         return ast.SideLookup(rng.choice(ATTRS), rand_elem(rng), rand_time(rng))
     if pick == 1:
-        c = rand_query_characterize(rng)
-        return ast.SideCharac(c.kind, c.axis, c.attr, c.element, c.group, c.at, c.during)
+        return rand_query_characterize(rng).side
     if pick == 2:
         return ast.SideValue(rand_value(rng))
     return ast.SidePattern(rand_attr_pattern(rng))
@@ -461,7 +500,7 @@ def rand_query_struct(rng):
         return ast.StructCharacterize(scope)
     kind = rng.choice(["presence", "config", "configtrend", "pairsagg"])
     if kind == "presence":
-        return ast.StructSearch(ast.PresenceLit(rng.choice(PRESENCE)),
+        return ast.StructSearch(PresenceLiteral(PresenceClass(rng.choice(PRESENCE))),
                                 ast.FamilySpec("PAIRS"),
                                 during=rand_interval(rng) if rng.random() < 0.5 else None,
                                 windows=rng.randrange(1, 5) if rng.random() < 0.4 else None)
@@ -470,17 +509,18 @@ def rand_query_struct(rng):
         metrics = tuple(sorted(
             (m, round(rng.uniform(0, 3), 2)) for m in rng.sample(METRICS, rng.randrange(1, 3))
         ))
-        return ast.StructSearch(ast.ConfigLit(metrics), family,
+        return ast.StructSearch(ConfigLiteral(metrics), family,
                                 at=rand_time(rng) if rng.random() < 0.5 else None)
     if kind == "configtrend":
         trends = tuple(sorted(
             (m, rng.choice(TRENDS)) for m in rng.sample(METRICS, rng.randrange(1, 3))
         ))
-        return ast.StructSearch(ast.ConfigTrendLit(trends), family,
+        return ast.StructSearch(ConfigTrendLiteral(trends), family,
                                 during=rand_interval(rng) if rng.random() < 0.5 else None)
     classes = rng.sample(PRESENCE, rng.randrange(1, 3))
     entries = tuple(sorted((c, rng.randrange(1, 5)) for c in classes))
-    return ast.StructSearch(ast.PairsAggLit(entries), family,
+    return ast.StructSearch(StructuralPattern(StructScopeKind.PAIRS_AGGREGATE,
+                                              class_frequencies=entries), family,
                             during=rand_interval(rng) if rng.random() < 0.5 else None)
 
 

@@ -86,7 +86,8 @@ class TestLoad:
                 {"type": "edge", "id": "e1", "src": "a", "dst": "b", "start": 50, "end": 80},
             ]))
         assert codes(e) == CONSISTENCY_ERROR
-        assert e.value.message == "edge 'e1' is alive at t=80 but an endpoint is not"
+        assert e.value.message == "line 4: edge 'e1' is alive at t=80 but an endpoint is not"
+        assert e.value.details["line"] == 4
 
     def test_endpoint_check_matches_pointwise_scan(self):
         # Oracle: visit every time index of every edge interval, in edge-id
@@ -106,9 +107,11 @@ class TestLoad:
                     spans[name].append((s, e))
                     records.append({"type": "node", "id": name, "start": s, "end": e})
             edges = {}  # id -> (endpoints, alive time points)
+            first_line = {}  # id -> line of the edge's first record
             for i in range(rng.randint(1, 3)):
                 src, dst = rng.sample(["a", "b", "c"], 2)
                 edges[f"e{i}"] = ((src, dst), set())
+                first_line[f"e{i}"] = len(records) + 1
                 for _ in range(rng.randint(1, 2)):
                     s = rng.randrange(t_max)
                     e = rng.randint(s, t_max - 1)
@@ -122,7 +125,8 @@ class TestLoad:
                     if not all(any(s <= t <= e for s, e in spans[n]) for n in ends)
                 ]
                 if bad:
-                    expect = f"edge '{ident}' is alive at t={bad[0]} but an endpoint is not"
+                    expect = (f"line {first_line[ident]}: edge '{ident}' is alive "
+                              f"at t={bad[0]} but an endpoint is not")
                     break
             if expect is None:
                 load(jl(records))

@@ -210,10 +210,16 @@ PINNED = {
     "bad_ref_after_unknown_node": ("line 3: bad element reference 'nod:a'", 3),
     # objects are resolved before subsets, whatever their lines
     "unknown_node_after_bad_ref": ("line 3: object 'o' references unknown node 'zz'", 3),
+    # an edge's endpoint errors carry the line of its first record
+    "edge_unknown_node": ("line 2: edge 'e' references unknown node 'zz'", 2),
+    "edge_outlives_endpoint": ("line 3: edge 'e' is alive at t=2 but an endpoint is not", 3),
 }
 
 # The messages that gained their line: the line prefix and the line detail.
-GAINED_LINE = re.compile(r"line (\d+): (bad element reference .*|boolean is not a valid timestamp)$")
+GAINED_LINE = re.compile(
+    r"line (\d+): (bad element reference .*|boolean is not a valid timestamp"
+    r"|edge '.*' references unknown node '.*'|edge '.*' is alive at t=.* but an endpoint is not)$"
+)
 
 
 def first_error(loader, pairs):
