@@ -349,7 +349,7 @@ class _Parser:
     # -- pattern literals -----------------------------------------------------
 
     def attr_pattern_literal(self):
-        if self.peek().upper in TREND_CLASSES:
+        if self.at_kw(*TREND_CLASSES):
             return TrendLiteral(TrendClass(self.advance().upper))
         if self.take_kw("DIST"):
             return DistLiteral(DistClass(self.word(DIST_CLASSES)))
@@ -380,7 +380,7 @@ class _Parser:
         return self.entries(lambda: self.word(METRICS, fold=False), "=", read)
 
     def struct_pattern_literal(self):
-        if self.peek().upper in PRESENCE_CLASSES:
+        if self.at_kw(*PRESENCE_CLASSES):
             return PresenceLiteral(PresenceClass(self.advance().upper))
         if self.take_kw("CONFIG"):
             return ConfigLiteral(self.metric_entries(

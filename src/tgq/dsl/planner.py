@@ -143,7 +143,7 @@ class _Planner:
         )
 
     def constraint(self, pred: ast.Predicate) -> ValueConstraint:
-        kind = self.graph.attr_kind(pred.attr)
+        self.graph.attr_kind(pred.attr)  # an unknown attribute is rejected
         values = tuple(
             float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else v
             for v in pred.values
@@ -469,6 +469,8 @@ class _Planner:
                     "CONFIGEQUAL": RelationSpec(RelationFamily.STRUCTURAL, "configuration_equal"),
                 }
                 if clause.op == "DISTANCE":
+                    if clause.k < 0:
+                        raise TgqError(VALIDATION_ERROR, "max distance must be >= 0")
                     spec = RelationSpec(RelationFamily.STRUCTURAL, "distance_le", (clause.k,))
                 else:
                     spec = spec_map[clause.op]

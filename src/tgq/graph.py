@@ -616,14 +616,18 @@ def _load(numbered) -> TemporalGraph:
             edge_line.setdefault(ident, lineno)
         elif rtype == "object":
             ident = _require_str(rec, "id", lineno)
-            members = rec.get("nodes")
+            members, member_edges = rec.get("nodes"), rec.get("edges")
             if not isinstance(members, list) or not members:
                 raise TgqError(
                     SCHEMA_ERROR, f"line {lineno}: object needs a non-empty 'nodes' list",
                     line=lineno,
                 )
+            if member_edges is not None and not isinstance(member_edges, list):
+                raise TgqError(
+                    SCHEMA_ERROR, f"line {lineno}: object 'edges' must be a list", line=lineno
+                )
             objects[ident] = (lineno, [str(n) for n in members],
-                              [str(e) for e in rec.get("edges", [])] if rec.get("edges") is not None else None)
+                              None if member_edges is None else [str(e) for e in member_edges])
         elif rtype == "subset":
             name = _require_str(rec, "name", lineno)
             members = rec.get("members")

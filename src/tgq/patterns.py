@@ -21,6 +21,11 @@ Rules 3-5 read only the signs of the steps, ties skipped: they are the
 ruled out without the slope (``window_trends``). The slope epsilon is
 relative to the observed value range, which makes the class invariant
 under y -> a*y + b for a > 0.
+
+``match_score`` is the one approximate-match relation, for attribute and
+structural behaviours alike: each pattern type scores another of its type
+(``similarity``), and a literal scores as the pattern it pins (``pinned``),
+a distribution literal by its class hint alone.
 """
 
 from __future__ import annotations
@@ -85,6 +90,11 @@ class TrendPattern:
             "extremum_pos": self.extremum_pos,
         }
 
+    def similarity(self, other: TrendPattern, cfg: Config):
+        if self.cls == other.cls:
+            return 1.0, False
+        return 0.0, (self.cls, other.cls) in _OPPOSITE_TRENDS
+
 
 @dataclass(frozen=True)
 class DistributionPattern:
@@ -107,6 +117,11 @@ class DistributionPattern:
             "histogram": list(self.histogram),
             "class_hint": self.class_hint.value,
         }
+
+    def similarity(self, other: DistributionPattern, cfg: Config):
+        hist = histogram_similarity(self.histogram, other.histogram)
+        loc = _location_similarity(self, other)
+        return cfg.dist_weight_histogram * hist + cfg.dist_weight_location * loc, False
 
 
 @dataclass(frozen=True)
@@ -135,8 +150,18 @@ class AspectualPattern:
             "stddev_trend": self.stddev_trend.to_dict() if self.stddev_trend else None,
         }
 
+    def similarity(self, other: AspectualPattern, cfg: Config):
+        if self.axis != other.axis:
+            raise TgqError(KIND_MISMATCH, "aspectual patterns have different axes")
+        if self.axis == AspectAxis.TRENDS_OVER_GRAPH:
+            return _frequency_similarity(self.frequency_dict(), other.frequency_dict()), False
+        s1, o1 = self.mean_trend.similarity(other.mean_trend, cfg)
+        s2, o2 = self.stddev_trend.similarity(other.stddev_trend, cfg)
+        return (s1 + s2) / 2.0, o1 and o2
+
 
 # --- pattern literals (partially specified targets used by searches) --------
+# Each literal but DistLiteral pins a pattern (``pinned``) and is scored as it.
 
 
 @dataclass(frozen=True)
@@ -148,6 +173,9 @@ class TrendLiteral:
 
     def pp(self) -> str:
         return self.cls.value
+
+    def pinned(self) -> TrendPattern:
+        return TrendPattern(self.cls)
 
 
 @dataclass(frozen=True)
@@ -173,6 +201,9 @@ class AspectFreqLiteral:
         inner = ", ".join(f"{k}: {v}" for k, v in self.frequencies)
         return f"ASPECT TRENDS_OVER_GRAPH {{{inner}}}"
 
+    def pinned(self) -> AspectualPattern:
+        return AspectualPattern(AspectAxis.TRENDS_OVER_GRAPH, frequencies=self.frequencies)
+
 
 @dataclass(frozen=True)
 class AspectTrendLiteral:
@@ -185,6 +216,11 @@ class AspectTrendLiteral:
 
     def pp(self) -> str:
         return f"ASPECT DISTRIBUTION_OVER_TIME {self.mean_cls.value} {self.stddev_cls.value}"
+
+    def pinned(self) -> AspectualPattern:
+        return AspectualPattern(AspectAxis.DISTRIBUTION_OVER_TIME,
+                                mean_trend=TrendPattern(self.mean_cls),
+                                stddev_trend=TrendPattern(self.stddev_cls))
 
 
 # ---------------------------------------------------------------------------
@@ -440,65 +476,32 @@ def aspectual(
 # ---------------------------------------------------------------------------
 
 
-def similarity_detail(p1, p2, cfg: Config):
-    """(score, opposite flag) for two patterns of the same kind: the score is
-    in [0, 1], 1 where the observed behaviours match exactly; the flag is set
-    for opposites (e.g. rising vs falling)."""
-    if isinstance(p1, TrendPattern) and isinstance(p2, TrendPattern):
-        return _trend_pair(p1.cls, p2.cls)
-    if isinstance(p1, DistributionPattern) and isinstance(p2, DistributionPattern):
-        hist = histogram_similarity(p1.histogram, p2.histogram)
-        loc = _location_similarity(p1, p2)
-        return cfg.dist_weight_histogram * hist + cfg.dist_weight_location * loc, False
-    if isinstance(p1, AspectualPattern) and isinstance(p2, AspectualPattern):
-        if p1.axis != p2.axis:
-            raise TgqError(KIND_MISMATCH, "aspectual patterns have different axes")
-        if p1.axis == AspectAxis.TRENDS_OVER_GRAPH:
-            return _frequency_similarity(p1.frequency_dict(), p2.frequency_dict()), False
-        s1, o1 = _trend_pair(p1.mean_trend.cls, p2.mean_trend.cls)
-        s2, o2 = _trend_pair(p1.stddev_trend.cls, p2.stddev_trend.cls)
-        return (s1 + s2) / 2.0, o1 and o2
-    raise TgqError(
-        KIND_MISMATCH,
-        f"cannot compare {type(p1).__name__} with {type(p2).__name__}",
-    )
+def match_score(a, b, cfg: Config):
+    """(score, opposite) of two behaviours: the score is in [0, 1], 1 where
+    they match exactly, and the flag is set for opposites (e.g. rising vs
+    falling).
 
-
-_LITERAL_KINDS = (TrendLiteral, DistLiteral, AspectFreqLiteral, AspectTrendLiteral)
-
-
-def match_score(target, candidate, cfg: Config):
-    """(score, opposite) of a candidate pattern against a search target.
-
-    The target may be a full pattern or a literal that pins only the class
-    (trend class, distribution hint, aspectual table); a literal may appear
-    on either side.
+    A literal is the target and may stand on either side. It scores as the
+    pattern it pins, a distribution literal by its class hint alone.
+    Behaviours of different kinds are KIND_MISMATCH.
     """
-    if isinstance(candidate, _LITERAL_KINDS) and not isinstance(target, _LITERAL_KINDS):
-        target, candidate = candidate, target
-    if isinstance(target, TrendLiteral):
-        if isinstance(candidate, TrendLiteral):
-            return _trend_pair(target.cls, candidate.cls)
-        if not isinstance(candidate, TrendPattern):
-            raise TgqError(KIND_MISMATCH, "trend literal vs non-trend candidate")
-        return _trend_pair(target.cls, candidate.cls)
-    if isinstance(target, DistLiteral):
-        if not isinstance(candidate, DistributionPattern):
-            raise TgqError(KIND_MISMATCH, "distribution literal vs non-distribution candidate")
-        return (1.0 if target.class_hint == candidate.class_hint else 0.0), False
-    if isinstance(target, AspectFreqLiteral):
-        if not (isinstance(candidate, AspectualPattern)
-                and candidate.axis == AspectAxis.TRENDS_OVER_GRAPH):
-            raise TgqError(KIND_MISMATCH, "aspectual frequency literal vs other candidate")
-        return _frequency_similarity(dict(target.frequencies), candidate.frequency_dict()), False
-    if isinstance(target, AspectTrendLiteral):
-        if not (isinstance(candidate, AspectualPattern)
-                and candidate.axis == AspectAxis.DISTRIBUTION_OVER_TIME):
-            raise TgqError(KIND_MISMATCH, "aspectual trend literal vs other candidate")
-        s1, o1 = _trend_pair(target.mean_cls, candidate.mean_trend.cls)
-        s2, o2 = _trend_pair(target.stddev_cls, candidate.stddev_trend.cls)
-        return (s1 + s2) / 2.0, o1 and o2
-    return similarity_detail(target, candidate, cfg)
+    if _is_literal(b) and not _is_literal(a):
+        a, b = b, a
+    if isinstance(a, DistLiteral) and isinstance(b, (DistLiteral, DistributionPattern)):
+        return (1.0 if a.class_hint == b.class_hint else 0.0), False
+    a, b = as_pattern(a), as_pattern(b)
+    if type(a) is type(b) and hasattr(a, "similarity"):
+        return a.similarity(b, cfg)
+    raise TgqError(KIND_MISMATCH, f"cannot compare {type(a).__name__} with {type(b).__name__}")
+
+
+def _is_literal(p) -> bool:
+    return isinstance(p, DistLiteral) or hasattr(p, "pinned")
+
+
+def as_pattern(p):
+    """The pattern a literal pins; anything else as it is."""
+    return p.pinned() if hasattr(p, "pinned") else p
 
 
 def histogram_similarity(h1, h2) -> float:
@@ -520,12 +523,6 @@ def _location_similarity(p1: DistributionPattern, p2: DistributionPattern) -> fl
     mean_prox = 1.0 - min(1.0, abs(p1.mean - p2.mean) / scale)
     std_prox = 1.0 - min(1.0, abs(p1.stddev - p2.stddev) / scale)
     return (mean_prox + std_prox) / 2.0
-
-
-def _trend_pair(c1: TrendClass, c2: TrendClass):
-    if c1 == c2:
-        return 1.0, False
-    return 0.0, (c1, c2) in _OPPOSITE_TRENDS
 
 
 def _frequency_similarity(f1: dict, f2: dict) -> float:

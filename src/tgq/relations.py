@@ -31,7 +31,7 @@ from .graph import (
     TemporalGraph,
     TimeInterval,
 )
-from .patterns import similarity_detail
+from .patterns import match_score
 from .search import bfs
 
 
@@ -298,7 +298,7 @@ def eval_relation(
     if spec.family == RelationFamily.VALUE:
         return _eval_value(spec, lhs, rhs)
     if spec.family == RelationFamily.PATTERN:
-        return pattern_holds(spec.op, *similarity_detail(lhs, rhs, cfg), cfg)
+        return pattern_holds(spec.op, *match_score(lhs, rhs, cfg), cfg)
     if spec.family == RelationFamily.TEMPORAL_POINT:
         return point_relation(lhs, rhs) == spec.op
     if spec.family == RelationFamily.TEMPORAL_INTERVAL:

@@ -11,6 +11,10 @@ Four structural behaviours are summarised:
   degree, 4-cliques),
 - PAIRS_AGGREGATE: the frequency table of pair presence classes over a set,
 - CONFIG_OVER_TIME: the trend of each snapshot metric over an interval.
+
+``StructuralPattern.similarity`` scores two patterns of one behaviour, and
+each structural literal pins a pattern, so ``patterns.match_score`` scores
+them as it does attribute patterns.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .graph import (
     TimeInterval,
     node_ref,
 )
-from .patterns import _OPPOSITE_TRENDS, classify_trend
+from .patterns import _OPPOSITE_TRENDS, _frequency_similarity, as_pattern, classify_trend, match_score
 from .relations import _member_nodes, are_adjacent, shortest_connection
 from .search import (
     GroupCandidate,
@@ -49,6 +53,7 @@ from .search import (
     time_points,
     time_windows,
 )
+from .tasks import Binding, Resolved
 
 METRIC_NAMES = ("density", "components", "triangles", "mean_degree", "cliques4")
 
@@ -134,8 +139,24 @@ class StructuralPattern:
         inner = ", ".join(f"{k}: {v}" for k, v in self.class_frequencies)
         return f"PAIRSAGG {{{inner}}}"
 
+    def similarity(self, other: StructuralPattern, cfg: Config):
+        """Presence classes match exactly, configurations by relative metric
+        proximity over this pattern's metrics, configuration trends by
+        per-metric class agreement, pair tables by total variation."""
+        if self.scope != other.scope:
+            raise TgqError(KIND_MISMATCH, "structural patterns describe different behaviours")
+        if self.scope == StructScopeKind.PAIR_OVER_TIME:
+            c1, c2 = self.presence_class, other.presence_class
+            return (1.0 if c1 == c2 else 0.0), (c1, c2) in _PRESENCE_OPPOSITES
+        if self.scope == StructScopeKind.SNAPSHOT_CONFIG:
+            return _metric_proximity(self.metrics_dict(), other.metrics_dict()), False
+        if self.scope == StructScopeKind.PAIRS_AGGREGATE:
+            return _frequency_similarity(
+                dict(self.class_frequencies), dict(other.class_frequencies)), False
+        return _trend_table_detail(self.trends_dict(), other.trends_dict())
 
-# Literals for structural search / comparison sides.
+
+# Literals for structural search / comparison sides: each pins a pattern.
 
 
 @dataclass(frozen=True)
@@ -148,6 +169,9 @@ class PresenceLiteral:
     def pp(self) -> str:
         return self.cls.value
 
+    def pinned(self) -> StructuralPattern:
+        return StructuralPattern(StructScopeKind.PAIR_OVER_TIME, presence_class=self.cls)
+
 
 @dataclass(frozen=True)
 class ConfigLiteral:
@@ -159,6 +183,9 @@ class ConfigLiteral:
     def pp(self) -> str:
         return "CONFIG " + ", ".join(f"{k}={v!r}" for k, v in self.metrics)
 
+    def pinned(self) -> StructuralPattern:
+        return StructuralPattern(StructScopeKind.SNAPSHOT_CONFIG, metrics=self.metrics)
+
 
 @dataclass(frozen=True)
 class ConfigTrendLiteral:
@@ -169,6 +196,9 @@ class ConfigTrendLiteral:
 
     def pp(self) -> str:
         return "CONFIGTREND " + ", ".join(f"{k}={v}" for k, v in self.trends)
+
+    def pinned(self) -> StructuralPattern:
+        return StructuralPattern(StructScopeKind.CONFIG_OVER_TIME, metric_trends=self.trends)
 
 
 # ---------------------------------------------------------------------------
@@ -578,49 +608,6 @@ def structural_characterize(graph: TemporalGraph, cfg: Config, scope: StructScop
 # ---------------------------------------------------------------------------
 
 
-def struct_match_score(target, candidate, cfg: Config):
-    """(score, opposite) of a structural candidate against a target pattern
-    or literal. Presence classes match exactly; configuration vectors match
-    by relative metric proximity; trends per metric-class agreement. A
-    literal may appear on either side."""
-    literals = (PresenceLiteral, ConfigLiteral, ConfigTrendLiteral)
-    if isinstance(candidate, literals) and not isinstance(target, literals):
-        target, candidate = candidate, target
-    if isinstance(target, PresenceLiteral):
-        target = StructuralPattern(
-            StructScopeKind.PAIR_OVER_TIME, presence_class=target.cls
-        )
-    if isinstance(target, ConfigLiteral):
-        if not _is_struct(candidate, StructScopeKind.SNAPSHOT_CONFIG):
-            raise TgqError(KIND_MISMATCH, "configuration literal vs other candidate")
-        return _metric_proximity(dict(target.metrics), candidate.metrics_dict()), False
-    if isinstance(target, ConfigTrendLiteral):
-        if not _is_struct(candidate, StructScopeKind.CONFIG_OVER_TIME):
-            raise TgqError(KIND_MISMATCH, "configuration-trend literal vs other candidate")
-        return _trend_table_detail(dict(target.trends), candidate.trends_dict())
-    if not isinstance(target, StructuralPattern) or not isinstance(candidate, StructuralPattern):
-        raise TgqError(
-            KIND_MISMATCH,
-            f"cannot compare {type(target).__name__} with {type(candidate).__name__}",
-        )
-    if target.scope != candidate.scope:
-        raise TgqError(KIND_MISMATCH, "structural patterns describe different behaviours")
-    if target.scope == StructScopeKind.PAIR_OVER_TIME:
-        same = target.presence_class == candidate.presence_class
-        return (1.0 if same else 0.0), _presence_opposite(
-            target.presence_class, candidate.presence_class
-        )
-    if target.scope == StructScopeKind.SNAPSHOT_CONFIG:
-        return _metric_proximity(target.metrics_dict(), candidate.metrics_dict()), False
-    if target.scope == StructScopeKind.PAIRS_AGGREGATE:
-        from .patterns import _frequency_similarity
-
-        return _frequency_similarity(
-            dict(target.class_frequencies), dict(candidate.class_frequencies)
-        ), False
-    return _trend_table_detail(target.trends_dict(), candidate.trends_dict())
-
-
 _PRESENCE_OPPOSITES = {
     (PresenceClass.ALWAYS, PresenceClass.NEVER),
     (PresenceClass.NEVER, PresenceClass.ALWAYS),
@@ -629,14 +616,6 @@ _PRESENCE_OPPOSITES = {
 }
 
 _OPPOSITE_TREND_NAMES = {(a.value, b.value) for a, b in _OPPOSITE_TRENDS}
-
-
-def _presence_opposite(c1, c2) -> bool:
-    return (c1, c2) in _PRESENCE_OPPOSITES
-
-
-def _is_struct(candidate, kind) -> bool:
-    return isinstance(candidate, StructuralPattern) and candidate.scope == kind
 
 
 def _metric_proximity(target: dict, candidate: dict) -> float:
@@ -697,7 +676,10 @@ def structural_search(
     pairs are walked only when that score reaches the threshold.
     """
     thr = cfg.similarity_threshold if threshold is None else threshold
-    kind = _target_scope(target)
+    target = as_pattern(target)  # a literal is scored as the pattern it pins
+    if not isinstance(target, StructuralPattern):
+        raise TgqError(KIND_MISMATCH, "not a structural search target")
+    kind = target.scope
     matches = []
     if kind == StructScopeKind.PAIR_OVER_TIME:
         windows = time_windows(graph, fixed_interval, space.window_min_len)
@@ -708,14 +690,14 @@ def structural_search(
         for window in windows:
             per_t = [conn.pairs(t) for t in window.indices()]
             never = _presence_pattern("0" * len(per_t))
-            never_score, _ = struct_match_score(target, never, cfg)
+            never_score, _ = match_score(target, never, cfg)
             touched = set().union(*per_t)
             for a, b in (itertools.combinations(names, 2) if never_score >= thr
                          else sorted(touched)):
                 if (a, b) in touched:
                     candidate = _presence_pattern(
                         "".join("1" if (a, b) in pairs else "0" for pairs in per_t))
-                    score, _ = struct_match_score(target, candidate, cfg)
+                    score, _ = match_score(target, candidate, cfg)
                 else:
                     candidate, score = never, never_score
                 if score >= thr:
@@ -735,23 +717,11 @@ def structural_search(
         }[kind]
         for grp, key, candidate in scopes(graph, cfg, "structural search", space,
                                           characterize, keys):
-            score, _ = struct_match_score(target, candidate, cfg)
+            score, _ = match_score(target, candidate, cfg)
             if score >= thr:
                 matches.append(StructMatch(grp.name, key, candidate, score))
     matches.sort(key=lambda m: (-m.score, _time_sort_key(m.time_key), m.ref_desc))
     return matches
-
-
-def _target_scope(target) -> StructScopeKind:
-    if isinstance(target, (PresenceLiteral,)):
-        return StructScopeKind.PAIR_OVER_TIME
-    if isinstance(target, ConfigLiteral):
-        return StructScopeKind.SNAPSHOT_CONFIG
-    if isinstance(target, ConfigTrendLiteral):
-        return StructScopeKind.CONFIG_OVER_TIME
-    if isinstance(target, StructuralPattern):
-        return target.scope
-    raise TgqError(KIND_MISMATCH, "not a structural search target")
 
 
 @dataclass(frozen=True)
@@ -761,9 +731,7 @@ class StructScopeSide:
 
     scope: StructScope
 
-    def resolve(self, graph: TemporalGraph, cfg: Config):
-        from .tasks import Resolved
-
+    def resolve(self, graph: TemporalGraph, cfg: Config) -> Resolved:
         pattern = structural_characterize(graph, cfg, self.scope)
         time_key = self.scope.t if self.scope.t is not None else self.scope.interval
         if self.scope.group is not None:
@@ -785,8 +753,6 @@ class SeekSideStructConfig:
     fixed_t: Optional[int] = None
 
     def resolve_bindings(self, graph: TemporalGraph, cfg: Config, space: SearchSpace) -> list:
-        from .tasks import Binding
-
         return [Binding(t, grp, pattern) for grp, t, pattern in scopes(
             graph, cfg, "relation seeking", space,
             lambda members, t: snapshot_config(graph, cfg, members, t),

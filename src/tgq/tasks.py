@@ -19,6 +19,7 @@ from typing import Optional
 from .config import Config
 from .errors import (
     KIND_MISMATCH,
+    MISSING_TIME_CONTEXT,
     TgqError,
     UNRESOLVED_SIDE,
     VALIDATION_ERROR,
@@ -26,13 +27,9 @@ from .errors import (
 from .graph import AttrKind, GraphElementRef, TemporalGraph, TimeInterval
 from .patterns import (
     AspectAxis,
-    AspectFreqLiteral,
-    AspectTrendLiteral,
     AspectualPattern,
-    DistLiteral,
-    DistributionPattern,
-    TrendLiteral,
     TrendPattern,
+    as_pattern,
     aspectual,
     distribution,
     match_score,
@@ -60,10 +57,6 @@ from .search import (
     time_points,
     time_windows,
 )
-from . import structure
-
-ATTR_PATTERNS = (TrendPattern, DistributionPattern, AspectualPattern,
-                 TrendLiteral, DistLiteral, AspectFreqLiteral, AspectTrendLiteral)
 
 
 class Quadrant(str, Enum):
@@ -240,15 +233,16 @@ def pattern_search(
     """Enumerate candidate scopes, characterize each, and keep those whose
     behaviour approximates the target pattern.
 
-    A trend class literal with a positive threshold classifies only the
-    windows whose shape can match (``patterns.window_trends``). No match is
-    lost, and every budget check and error is as if every window were
+    A trend target with a positive threshold classifies only the windows
+    whose shape can match (``patterns.window_trends``). No match is lost,
+    and every budget check and error is as if every window were
     classified."""
     thr = cfg.similarity_threshold if threshold is None else threshold
+    target = as_pattern(target)  # a literal is scored as the pattern it pins
     if quadrant == Quadrant.Q4_ASPECTUAL:
         axis = axis or _axis_of(target)
     classes = (related_classes(target.cls, "same", thr)
-               if isinstance(target, TrendLiteral) else None)
+               if isinstance(target, TrendPattern) else None)
     matches = []
     for ref, key, candidate in _scopes(
             graph, cfg, "pattern search", quadrant, attr, space, fixed_element,
@@ -295,10 +289,6 @@ def _scopes(graph, cfg, what, quadrant, attr, space, fixed_element=None,
 def _axis_of(target) -> AspectAxis:
     if isinstance(target, AspectualPattern):
         return target.axis
-    if isinstance(target, AspectFreqLiteral):
-        return AspectAxis.TRENDS_OVER_GRAPH
-    if isinstance(target, AspectTrendLiteral):
-        return AspectAxis.DISTRIBUTION_OVER_TIME
     raise TgqError(VALIDATION_ERROR, "aspectual search needs an axis")
 
 
@@ -403,13 +393,6 @@ class CompareReport:
         return out
 
 
-def pattern_pair_detail(p1, p2, cfg: Config):
-    """(score, opposite) for two resolved patterns, attribute or structural."""
-    if isinstance(p1, ATTR_PATTERNS) and isinstance(p2, ATTR_PATTERNS):
-        return match_score(p1, p2, cfg)
-    return structure.struct_match_score(p1, p2, cfg)
-
-
 def direct_compare(
     graph: TemporalGraph,
     cfg: Config,
@@ -428,7 +411,7 @@ def direct_compare(
         return CompareReport(a.desc, b.desc, tag, None, None, False, label)
     if _is_plain_value(a.payload) or _is_plain_value(b.payload):
         raise TgqError(KIND_MISMATCH, "cannot compare a value with a pattern")
-    score, flag = pattern_pair_detail(a.payload, b.payload, cfg)
+    score, flag = match_score(a.payload, b.payload, cfg)
     if relation is not None and relation.family == RelationFamily.PATTERN:
         holds = pattern_holds(relation.op, score, flag, cfg)
         return CompareReport(a.desc, b.desc, relation.op, holds, score, flag, label)
@@ -643,8 +626,6 @@ def _temporal_tag(k1, k2):
 
 
 def _structural_tag(graph, cfg, x: Binding, y: Binding) -> dict:
-    from .errors import MISSING_TIME_CONTEXT
-
     if not (isinstance(x.time_key, int) and x.time_key == y.time_key):
         raise TgqError(
             MISSING_TIME_CONTEXT,
@@ -836,7 +817,7 @@ def _main_relation_detail(relation: RelationSpec, x: Binding, y: Binding, cfg: C
     if relation.family == RelationFamily.VALUE:
         return {"relation": relation.op} if eval_relation(relation, x.payload, y.payload, cfg) else None
     if relation.family == RelationFamily.PATTERN:
-        score, flag = pattern_pair_detail(x.payload, y.payload, cfg)
+        score, flag = match_score(x.payload, y.payload, cfg)
         if not pattern_holds(relation.op, score, flag, cfg):
             return None
         return {"relation": relation.op, "score": score}

@@ -202,6 +202,17 @@ class TestPlan:
             parse(query)
         assert e.value.expected == {"integer"}
 
+    @pytest.mark.parametrize("query, expected", [
+        ('SEARCH "increasing" ON w OVER EACH_NODE',
+         {c.value for c in TrendClass} | {"DIST", "ASPECT"}),
+        ('STRUCT SEARCH "always" OVER PAIRS',
+         {c.value for c in PresenceClass} | {"CONFIG", "CONFIGTREND", "PAIRSAGG"}),
+    ])
+    def test_quoted_string_is_no_class_keyword(self, query, expected):
+        with pytest.raises(ParseError) as e:
+            parse(query)
+        assert e.value.expected == expected
+
     @pytest.mark.parametrize("query, message", [
         ("LOOKUP w OF subset:S1 AT t=0", LOOKUP_SUBSET),
         ("COMPARE w OF subset:S1 AT t=0 WITH 3", LOOKUP_SUBSET),
@@ -214,6 +225,8 @@ class TestPlan:
          "the KHOP centre is a node, not edge:e1"),
         ("SEEK G1,G2 WHERE DIST(w, G1) SAME DIST(w, G2) AND t1 = 0 AND t2 = 0 "
          "OVER KHOP 1 subset:S1", "the KHOP centre is a node, not subset:S1"),
+        ("SEEK g1,g2 WHERE w(g1) = w(g2) AND DISTANCE(g1, g2) <= -1 AND t1 = 0 AND t2 = 0",
+         "max distance must be >= 0"),
     ])
     def test_bad_references_and_radius_rejected(self, corpus_graph, cfg, query, message):
         with pytest.raises(TgqError) as e:

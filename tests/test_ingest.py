@@ -7,9 +7,11 @@ malformed input they must fail with the same first error (code, message and
 line). Some messages changed on purpose and have tests of their own: a time
 label that is a list or an object is rejected, a boolean time label and a
 bad element reference at ingest name their line, and a record ``type`` that
-is a list or an object and an edge ``directed`` that is not a boolean are
-rejected with their line (the reference loader crashes on the first and
-reads the second as its truth value).
+is a list or an object, an edge ``directed`` that is not a boolean and an
+object ``edges`` that is not a list are rejected with their line (the
+reference loader crashes on the first, reads the second as its truth value,
+and iterates the third: a string by character, an object by key, and a
+number or a boolean not at all).
 """
 
 import csv
@@ -398,3 +400,23 @@ def test_non_boolean_directed_in_csv_names_its_line(tmp_path):
         load_path(str(path))
     assert e.value.message == "line 4: 'directed' must be true or false"
     assert e.value.details["line"] == 4
+
+
+# -- object edges ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [True, False, 5, 1.5, "e", "e1", {"e": 1}],
+                         ids=["true", "false", "int", "float", "char", "string", "object"])
+def test_non_list_object_edges_names_its_line(bad):
+    rec = {"type": "object", "id": "O", "nodes": ["a", "b"], "edges": bad}
+    with pytest.raises(TgqError) as e:
+        load(lines_of([node("a"), node("b"), edge("e", "a", "b"), rec]))
+    assert e.value.code == SCHEMA_ERROR
+    assert e.value.message == "line 4: object 'edges' must be a list"
+    assert e.value.details["line"] == 4
+
+
+@pytest.mark.parametrize("edges", [["e"], [], None], ids=["list", "empty_list", "null"])
+def test_list_or_null_object_edges_loads_like_the_reference(edges):
+    rec = {"type": "object", "id": "O", "nodes": ["a", "b"], "edges": edges}
+    assert_same_graph(numbered(lines_of([node("a"), node("b"), edge("e", "a", "b"), rec])))

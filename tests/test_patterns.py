@@ -19,7 +19,7 @@ from tgq.patterns import (
     classify_trend,
     distribution,
     histogram_similarity,
-    similarity_detail,
+    match_score,
     trend,
 )
 
@@ -253,19 +253,19 @@ class TestAspectual:
 class TestSimilarity:
     def test_identity(self, cfg):
         p = classify_trend(series([1, 2, 3]), cfg)
-        assert similarity_detail(p, p, cfg)[0] == 1.0
+        assert match_score(p, p, cfg)[0] == 1.0
         d = classify_distribution([1, 2, 3, 4], cfg)
-        assert similarity_detail(d, d, cfg)[0] == 1.0
+        assert match_score(d, d, cfg)[0] == 1.0
 
     def test_opposite_trends(self, cfg):
         up = classify_trend(series([1, 2, 3]), cfg)
         down = classify_trend(series([3, 2, 1]), cfg)
-        assert similarity_detail(up, down, cfg)[0] == 0.0
-        assert similarity_detail(up, down, Config())[1]
+        assert match_score(up, down, cfg)[0] == 0.0
+        assert match_score(up, down, Config())[1]
         peak = classify_trend(series([1, 4, 2]), cfg)
         trough = classify_trend(series([4, 1, 2]), cfg)
-        assert similarity_detail(peak, trough, Config())[1]
-        assert not similarity_detail(up, peak, Config())[1]
+        assert match_score(peak, trough, Config())[1]
+        assert not match_score(up, peak, Config())[1]
 
     def test_histogram_one_bin_delta(self):
         # Oracle: L1 by hand. Shares (.5, .5) vs (.75, .25): the bins differ
@@ -280,7 +280,7 @@ class TestSimilarity:
         cfg2 = Config(histogram_bins=2)
         hist = histogram_similarity(d1.histogram, d2.histogram)
         assert hist == 0.75
-        score = similarity_detail(d1, d2, cfg2)[0]
+        score = match_score(d1, d2, cfg2)[0]
         # location part: means .5 vs .25, stddevs .5 vs ~0.433, scale 1.0
         loc = ((1 - 0.25) + (1 - abs(d1.stddev - d2.stddev))) / 2
         assert score == pytest.approx(0.7 * hist + 0.3 * loc)
@@ -289,7 +289,7 @@ class TestSimilarity:
         p = classify_trend(series([1, 2]), cfg)
         d = classify_distribution([1, 2], cfg)
         with pytest.raises(TgqError) as e:
-            similarity_detail(p, d, cfg)[0]
+            match_score(p, d, cfg)[0]
         assert e.value.code == KIND_MISMATCH
 
     @given(
@@ -301,7 +301,7 @@ class TestSimilarity:
         cfg = Config()
         d1 = classify_distribution(v1, cfg)
         d2 = classify_distribution(v2, cfg)
-        s12, _ = similarity_detail(d1, d2, cfg)
-        s21, _ = similarity_detail(d2, d1, cfg)
+        s12, _ = match_score(d1, d2, cfg)
+        s21, _ = match_score(d2, d1, cfg)
         assert s12 == pytest.approx(s21)
         assert -1e-9 <= s12 <= 1 + 1e-9

@@ -8,7 +8,7 @@ import pytest
 from tgq.config import Config
 from tgq.errors import FAMILY_MISMATCH, MISSING_TIME_CONTEXT, TgqError
 from tgq.graph import TimeInterval, load, node_ref, object_ref
-from tgq.patterns import classify_trend, similarity_detail
+from tgq.patterns import classify_trend, match_score
 from tgq.relations import (
     ALLEN_INVERSE,
     RelationFamily,
@@ -133,7 +133,7 @@ class TestValueAndPattern:
         opp = RelationSpec(RelationFamily.PATTERN, "opposite")
         assert eval_relation(same, up, up, cfg)
         assert eval_relation(opp, up, down, cfg)
-        assert similarity_detail(up, down, cfg)[0] == 0.0
+        assert match_score(up, down, cfg)[0] == 0.0
 
     def test_bad_op_rejected(self):
         with pytest.raises(TgqError):

@@ -21,6 +21,7 @@ from tgq.errors import (
     ABSENT_ELEMENT, EMPTY_SCOPE, FAMILY_MISMATCH, KIND_MISMATCH, SEARCH_SPACE_EXCEEDED, TgqError,
 )
 from tgq.graph import ElemKind, GraphElementRef, TimeInterval, edge_ref, load, node_ref, object_ref
+from tgq.patterns import match_score
 from tgq.search import SearchSpace, _time_sort_key, check_budget, time_points, time_windows
 from tgq import structure
 from tgq.relations import _member_nodes, shortest_connection
@@ -38,7 +39,6 @@ from tgq.structure import (
     pair_over_time,
     pairs_aggregate,
     snapshot_metrics,
-    struct_match_score,
     structural_search,
 )
 from tgq.tasks import ValueConstraint
@@ -199,7 +199,7 @@ def reference_search_pairs(graph, cfg, target, fixed_interval=None, connection=N
         for a, b in pairs:
             candidate = reference_pair_over_time(
                 graph, cfg, node_ref(a), node_ref(b), window, connection)
-            score, _ = struct_match_score(target, candidate, cfg)
+            score, _ = match_score(target, candidate, cfg)
             if score >= thr:
                 matches.append(StructMatch(f"node:{a}|node:{b}", window, candidate, score))
     matches.sort(key=lambda m: (-m.score, _time_sort_key(m.time_key), m.ref_desc))
