@@ -533,10 +533,3 @@ class Correlate:
         if self.mode is not None:
             out += f" {self.mode}"
         return out
-
-
-QUERY_NODES = (
-    Lookup, Find, Characterize, Search, Compare, Seek,
-    Connection, Neighbors, Pairs, Times, StructCharacterize, StructSearch,
-    Correlate,
-)

@@ -199,7 +199,7 @@ class TemporalGraph:
         self.attr_kinds = dict(attr_kinds)  # attr name -> AttrKind
         self.external_series = dict(external_series)  # name -> {t_index: float}
         self._snapshots: dict = {}
-        self._columns: dict = {}  # (kind, id, attr, carry[, "resolved"]) -> tuple
+        self._columns: dict = {}  # (kind, id, attr, carry[, "resolved" | build]) -> tuple | index
         self._refs: dict = {}  # kind -> sorted tuple of its refs, built on first use
         self._sorted: dict = {}  # (attr, carry, t) -> (values, refs), see sorted_at
         self._node_edges: dict = {}
@@ -340,6 +340,14 @@ class TemporalGraph:
                 own if own is not None else _aggregate([c[t] for c in cols], kind)
                 for t, own in enumerate(recorded))
         return self._columns[key]
+
+    def column_index(self, ref: GraphElementRef, attr: str, cfg: Config, build):
+        """``build(column(ref, attr, cfg))``, cached next to the column once whole."""
+        key = (ref.kind, ref.id, attr, cfg.carries_forward(attr), build)
+        index = self._columns.get(key)
+        if index is None:
+            self._columns[key] = index = build(self.column(ref, attr, cfg))
+        return index
 
     def _recorded(self, ref: GraphElementRef, attr: str, carry: bool) -> tuple:
         """Recorded values, carried forward when ``carry``: the one home of

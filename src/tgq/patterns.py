@@ -12,13 +12,15 @@ samples (x = time index, y = value):
 
 1. fewer than 2 samples                          -> DEGENERATE
 2. zero value range, or |LS slope| <= eps*range  -> CONSTANT
-3. only rises / only falls                       -> INCREASING / DECREASING
-4. rises, then falls                             -> PEAK (TROUGH mirrored)
-5. more than one change of step sign             -> FLUCTUATING
+3. the steps only rise / only fall               -> INCREASING / DECREASING
+4. the steps rise, then fall                     -> PEAK (TROUGH mirrored)
+5. the step sign changes more than once          -> FLUCTUATING
 
-Rules 3-5 read only the signs of the steps, ties skipped: they are the
-*shape* of the values, so classes other than DEGENERATE and CONSTANT can be
-ruled out without the slope (``window_trends``). The slope epsilon is
+Rules 3-5 read only the signs of the steps, ties skipped: the *shape* of
+the values, taken from their run index (``step_runs``). From a column's
+cached index, a window whose class cannot be one sought is ruled out
+without the slope (``window_trends``), and the windows of a start and a
+shape are one range of ends (``shaped_window_trends``). The slope epsilon is
 relative to the observed value range, which makes the class invariant
 under y -> a*y + b for a > 0.
 
@@ -31,9 +33,11 @@ a distribution literal by its class hint alone.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from itertools import zip_longest
+from typing import NamedTuple, Optional
 
 from .config import Config
 from .errors import (
@@ -249,36 +253,82 @@ def classify_trend(samples, cfg: Config) -> TrendPattern:
         return TrendPattern(TrendClass.CONSTANT, 0.0)
     if abs(slope) <= cfg.slope_epsilon * value_range:
         return TrendPattern(TrendClass.CONSTANT, norm_slope)
-    cls = _shape(ys)
+    cls = step_runs(ys).shape(0, len(ys) - 1)
     if cls in (TrendClass.PEAK, TrendClass.TROUGH):
         first = ys.index(hi if cls == TrendClass.PEAK else lo)
         return TrendPattern(cls, norm_slope, (xs[first] - xs[0]) / (xs[-1] - xs[0]))
     return TrendPattern(cls, norm_slope)
 
 
-def _shape(ys) -> TrendClass:
-    """The class that the signs of the steps of ``ys`` give, ties skipped:
-    only rises INCREASING, only falls DECREASING, rises then falls PEAK,
-    falls then rises TROUGH, more sign changes FLUCTUATING, and CONSTANT
-    when there is no rise or fall. One pass, ending at the second change."""
-    steps = iter(ys)
-    prev = next(steps, None)
-    first = rising = None
-    for y in steps:
-        if y != prev:
+# Below this magnitude no sum or product in ``_ls_slope`` overflows, so
+# ``classify_trend`` never takes its scaled path and its class is CONSTANT,
+# DEGENERATE or the shape of the values themselves.
+_UNSCALED_MAX = 2.0 ** 500
+SHAPES = frozenset(TrendClass) - {TrendClass.CONSTANT, TrendClass.DEGENERATE}
+_RISING = (TrendClass.INCREASING, TrendClass.PEAK, TrendClass.FLUCTUATING)
+_FALLING = (TrendClass.DECREASING, TrendClass.TROUGH, TrendClass.FLUCTUATING)
+
+
+class StepRuns(NamedTuple):
+    """A column's steps, ties skipped: step k joins the consecutive defined
+    slots ``starts[k]`` and ``ends[k]``, whose values differ."""
+
+    starts: list
+    ends: list
+    rising: list  # the sign of each step
+    changes: list  # changes[k]: sign changes among steps 0..k
+    extremes: list  # slots holding a value beyond _UNSCALED_MAX
+
+    def shape(self, s: int, e: int) -> TrendClass:
+        """The shape of the window [s, e]: that of the steps inside it."""
+        first = bisect_left(self.starts, s)
+        last = bisect_right(self.ends, e, first) - 1
+        if last < first:
+            return TrendClass.CONSTANT
+        shapes = _RISING if self.rising[first] else _FALLING
+        return shapes[min(self.changes[last] - self.changes[first], 2)]
+
+    def first_extreme(self, s: int) -> float:
+        i = bisect_left(self.extremes, s)
+        return self.extremes[i] if i < len(self.extremes) else math.inf
+
+    def ends_of(self, s: int, classes, first: int, stop: int) -> list:
+        """The ends e, ascending, with ``first <= e < stop``, of the windows
+        [s, e] whose shape is in ``classes`` or that hold an extreme value.
+        A growing end only moves the shape on, CONSTANT, then INCREASING or
+        DECREASING, then PEAK or TROUGH, then FLUCTUATING: each holds for
+        one range of ends, found by bisection."""
+        k = bisect_left(self.starts, s)
+        bounds = [(TrendClass.CONSTANT, s)]  # (shape, the first end it holds at)
+        if k < len(self.starts):
+            c = self.changes[k]
+            turns = (k, bisect_right(self.changes, c, k), bisect_right(self.changes, c + 1, k))
+            bounds += [(cls, self.ends[i]) for cls, i in zip(
+                _RISING if self.rising[k] else _FALLING, turns) if i < len(self.ends)]
+        extreme = min(self.first_extreme(s), stop)
+        bounds.append((None, extreme))
+        out = [e for (cls, lo), (_, hi) in zip(bounds, bounds[1:]) if cls in classes
+               for e in range(max(lo, first), min(hi, extreme))]
+        return out + list(range(max(extreme, first), stop))
+
+
+def step_runs(column) -> StepRuns:
+    """The run index of a column (None in an empty slot), in one pass."""
+    starts, ends, rising, changes, extremes = runs = StepRuns([], [], [], [], [])
+    prev_t = prev = None
+    for t, y in enumerate(column):
+        if y is None:
+            continue
+        if not -_UNSCALED_MAX <= y <= _UNSCALED_MAX:
+            extremes.append(t)
+        if prev_t is not None and y != prev:
             up = y > prev
-            if rising is None:
-                first = rising = up
-            elif up is not rising:
-                if rising is not first:
-                    return TrendClass.FLUCTUATING
-                rising = up
-            prev = y
-    if first is None:
-        return TrendClass.CONSTANT
-    if rising is first:
-        return TrendClass.INCREASING if first else TrendClass.DECREASING
-    return TrendClass.PEAK if first else TrendClass.TROUGH
+            changes.append(changes[-1] + (up is not rising[-1]) if rising else 0)
+            starts.append(prev_t)
+            ends.append(t)
+            rising.append(up)
+        prev_t, prev = t, y
+    return runs
 
 
 def trend(
@@ -290,13 +340,6 @@ def trend(
 ) -> TrendPattern:
     """Trend of one element's attribute over a time interval."""
     return window_trends(graph, cfg, ref, [interval], attr)[0][1]
-
-
-# Below this magnitude no sum or product in ``_ls_slope`` overflows, so
-# ``classify_trend`` never takes its scaled path and its class is CONSTANT,
-# DEGENERATE or the ``_shape`` of the values themselves.
-_UNSCALED_MAX = 2.0 ** 500
-_SHAPELESS = frozenset((TrendClass.CONSTANT, TrendClass.DEGENERATE))
 
 
 def related_classes(cls: TrendClass, op: str, threshold: float):
@@ -324,29 +367,44 @@ def window_trends(
     With a set of ``classes``, a window whose trend cannot be one of them
     comes back unclassified as ``(window, None)``: none if CONSTANT or
     DEGENERATE is admitted, every window if no class is, and otherwise
-    those whose steps have another shape (rules 3-5) and whose values are
-    all within ``_UNSCALED_MAX`` (larger values may be classified scaled,
-    where a tie can replace a step).
+    those of another shape whose values are all within ``_UNSCALED_MAX``
+    (larger values may be classified scaled, where a tie can replace a step).
     """
     if not windows:
         return []
     if graph.attr_kind(attr) != AttrKind.NUMERIC:
         raise TgqError(TYPE_ERROR, f"trend needs a numeric attribute, '{attr}' is not")
     column = graph.column(ref, attr, cfg)
-    if classes is not None and not _SHAPELESS.isdisjoint(classes):
+    if classes is not None and not classes <= SHAPES:
         classes = None
+    runs = graph.column_index(ref, attr, cfg, step_runs) if classes else None
     out = []
     for window in windows:
-        graph.check_time(window.start, window.end)
-        if classes is not None:
-            ys = [y for y in column[window.start:window.end + 1] if y is not None]
-            if not classes or _shape(ys) not in classes and (
-                    not ys or -_UNSCALED_MAX <= min(ys) and max(ys) <= _UNSCALED_MAX):
-                out.append((window, None))
-                continue
+        s, e = window.start, window.end
+        graph.check_time(s, e)
+        if classes is not None and (runs is None or runs.shape(s, e) not in classes
+                                    and runs.first_extreme(s) > e):
+            out.append((window, None))
+            continue
         samples = [(t, column[t]) for t in window.indices() if column[t] is not None]
         out.append((window, classify_trend(samples, cfg)))
     return out
+
+
+def shaped_window_trends(graph: TemporalGraph, cfg: Config, ref: GraphElementRef, attr: str,
+                         classes, min_len: int) -> list:
+    """``window_trends`` over the windows of ``min_len`` or more points, for
+    ``classes`` a non-empty subset of ``SHAPES``, less the unclassified ones:
+    only the windows it would classify are listed, from the step runs."""
+    n = graph.n_times
+    if n < min_len:
+        return []
+    if graph.attr_kind(attr) != AttrKind.NUMERIC:
+        raise TgqError(TYPE_ERROR, f"trend needs a numeric attribute, '{attr}' is not")
+    runs = graph.column_index(ref, attr, cfg, step_runs)
+    return window_trends(graph, cfg, ref, [TimeInterval(s, e) for s in range(n - min_len + 1)
+                                           for e in runs.ends_of(s, classes, s + min_len - 1, n)],
+                         attr)
 
 
 def classify_distribution(values, cfg: Config) -> DistributionPattern:
@@ -405,16 +463,8 @@ def _hint(values, mean, variance, histogram) -> DistClass:
 
 
 def _local_maxima(histogram) -> int:
-    count = 0
-    h = list(histogram)
-    for i, share in enumerate(h):
-        if share <= 0:
-            continue
-        left = h[i - 1] if i > 0 else -1.0
-        right = h[i + 1] if i < len(h) - 1 else -1.0
-        if share > left and share > right:
-            count += 1
-    return count
+    h = (-1.0, *histogram, -1.0)
+    return sum(h[i - 1] < h[i] > h[i + 1] and h[i] > 0 for i in range(1, len(h) - 1))
 
 
 def distribution(
@@ -507,13 +557,7 @@ def as_pattern(p):
 def histogram_similarity(h1, h2) -> float:
     """1 - L1/2 over bin shares. Degenerate single-bin histograms denote a
     point mass: alike if both degenerate, else padded with empty bins."""
-    a, b = list(h1), list(h2)
-    if len(a) != len(b):
-        width = max(len(a), len(b))
-        a = a + [0.0] * (width - len(a))
-        b = b + [0.0] * (width - len(b))
-    l1 = math.fsum(abs(x - y) for x, y in zip(a, b))
-    return 1.0 - 0.5 * l1
+    return 1.0 - 0.5 * math.fsum(abs(x - y) for x, y in zip_longest(h1, h2, fillvalue=0.0))
 
 
 def _location_similarity(p1: DistributionPattern, p2: DistributionPattern) -> float:

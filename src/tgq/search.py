@@ -77,12 +77,14 @@ def group_candidates(
     space: SearchSpace,
     context: Optional[TimeInterval] = None,
     at: Optional[int] = None,
+    union: Optional[tuple] = None,
 ) -> list:
     """Element-set candidates for subset-shaped free references.
 
     Components and k-hop balls are structural, so they need a time context:
     a single point, or an interval whose union graph (an element counts if
-    alive anywhere in it) defines connectivity.
+    alive anywhere in it) defines connectivity. ``union``, if given, is
+    that graph as ``union_graph`` built it.
     """
     fam = space.subset_family
     if fam == SubsetFamily.NAMED_SUBSETS:
@@ -95,7 +97,10 @@ def group_candidates(
             GroupCandidate(str(ref), (ref,))
             for ref in element_candidates(graph, fam)
         ]
-    adjacency, alive = _union_adjacency(graph, context, at)
+    if union is None:
+        window = TimeInterval(at, at) if at is not None else context or graph.full_interval()
+        union = union_graph(graph, window)
+    _, adjacency, alive = union
     if fam == SubsetFamily.CONNECTED_COMPONENTS:
         out = []
         seen: set = set()
@@ -125,11 +130,14 @@ def scopes(graph: TemporalGraph, cfg: Config, what: str, space: SearchSpace,
     group at every time key, a point or a window. All are counted against
     the cap before any pattern is built; EMPTY_SCOPE scopes are left out."""
     jobs = []
+    union = None
     for key in keys:
         if fixed_group:
             groups = [fixed_group]
         elif isinstance(key, TimeInterval):
-            groups = group_candidates(graph, space, context=key)
+            if space.subset_family in (SubsetFamily.CONNECTED_COMPONENTS, SubsetFamily.KHOP):
+                union = union_graph(graph, key, union)
+            groups = group_candidates(graph, space, context=key, union=union)
         else:
             groups = group_candidates(graph, space, at=key)
         jobs.extend((grp, key) for grp in groups)
@@ -145,9 +153,7 @@ def scopes(graph: TemporalGraph, cfg: Config, what: str, space: SearchSpace,
 
 
 def time_points(graph: TemporalGraph, fixed: Optional[int] = None) -> list:
-    if fixed is not None:
-        return [fixed]
-    return list(range(graph.n_times))
+    return [fixed] if fixed is not None else list(range(graph.n_times))
 
 
 def time_windows(
@@ -174,20 +180,21 @@ def _time_sort_key(key):
     return (0, key, 0)
 
 
-def _union_adjacency(graph, context: Optional[TimeInterval], at: Optional[int]):
-    if at is not None:
-        snap = graph.snapshot(at)
-        return {n: set(snap.neighbours(n)) for n in snap.nodes}, set(snap.nodes)
-    if context is None:
-        context = graph.full_interval()
-    adjacency: dict = {}
-    alive: set = set()
-    for t in context.indices():
+def union_graph(graph: TemporalGraph, window: TimeInterval, prev: Optional[tuple] = None):
+    """``(window, adjacency, alive)``, the union graph of the snapshots in
+    ``window``: ``prev``, that of the window one point shorter with the same
+    start, extended in place by one snapshot, else built afresh."""
+    if prev is not None and (prev[0].start, prev[0].end + 1) == (window.start, window.end):
+        _, adjacency, alive = prev
+        times = (window.end,)
+    else:
+        adjacency, alive, times = {}, set(), window.indices()
+    for t in times:
         snap = graph.snapshot(t)
         alive.update(snap.nodes)
         for n in snap.nodes:
             adjacency.setdefault(n, set()).update(snap.neighbours(n))
-    return adjacency, alive
+    return window, adjacency, alive
 
 
 def bfs(adjacency: dict, starts, limit: Optional[int] = None,

@@ -26,6 +26,7 @@ from .errors import (
 )
 from .graph import AttrKind, GraphElementRef, TemporalGraph, TimeInterval
 from .patterns import (
+    SHAPES,
     AspectAxis,
     AspectualPattern,
     TrendPattern,
@@ -34,6 +35,7 @@ from .patterns import (
     distribution,
     match_score,
     related_classes,
+    shaped_window_trends,
     trend,
     window_trends,
 )
@@ -234,9 +236,9 @@ def pattern_search(
     behaviour approximates the target pattern.
 
     A trend target with a positive threshold classifies only the windows
-    whose shape can match (``patterns.window_trends``). No match is lost,
-    and every budget check and error is as if every window were
-    classified."""
+    whose shape can match, and lists only those of free windows
+    (``patterns.shaped_window_trends``). No match is lost, and every budget
+    check and error is as if every window were classified."""
     thr = cfg.similarity_threshold if threshold is None else threshold
     target = as_pattern(target)  # a literal is scored as the pattern it pins
     if quadrant == Quadrant.Q4_ASPECTUAL:
@@ -246,7 +248,7 @@ def pattern_search(
     matches = []
     for ref, key, candidate in _scopes(
             graph, cfg, "pattern search", quadrant, attr, space, fixed_element,
-            fixed_group, fixed_t, fixed_interval, axis, classes):
+            fixed_group, fixed_t, fixed_interval, axis, classes, only_matching=True):
         if candidate is None:  # a window that cannot match, left unclassified
             continue
         score, _ = match_score(target, candidate, cfg)
@@ -259,20 +261,26 @@ def pattern_search(
     return matches
 
 
-def _scopes(graph, cfg, what, quadrant, attr, space, fixed_element=None,
-            fixed_group=None, fixed_t=None, fixed_interval=None, axis=None, classes=None):
+def _scopes(graph, cfg, what, quadrant, attr, space, fixed_element=None, fixed_group=None,
+            fixed_t=None, fixed_interval=None, axis=None, classes=None, only_matching=False):
     """``(ref, time key, pattern)`` for every candidate scope of a quadrant:
     elements × windows for trends (the pattern is None where a window's
     trend cannot be one of ``classes``), groups × points or windows
-    otherwise."""
+    otherwise. ``only_matching`` leaves out the free windows whose trend
+    cannot be one of ``classes`` where it can; the budget counts them all."""
     if quadrant == Quadrant.Q3_TREND_OF_G:
         elements = [fixed_element] if fixed_element else element_candidates(
             graph, space.subset_family
         )
-        windows = time_windows(graph, fixed_interval, space.window_min_len)
-        check_budget(len(elements) * len(windows), cfg, what)
+        min_len = space.window_min_len
+        k = max(0, graph.n_times - min_len + 1)  # k(k+1)/2 windows of min_len or more points
+        check_budget(len(elements) * (1 if fixed_interval else k * (k + 1) // 2), cfg, what)
+        shaped = only_matching and fixed_interval is None and classes and classes <= SHAPES
+        windows = None if shaped else time_windows(graph, fixed_interval, min_len)
         for el in elements:
-            for window, candidate in window_trends(graph, cfg, el, windows, attr, classes):
+            for window, candidate in (
+                    shaped_window_trends(graph, cfg, el, attr, classes, min_len) if shaped
+                    else window_trends(graph, cfg, el, windows, attr, classes)):
                 yield el, window, candidate
     elif quadrant == Quadrant.Q2_DIST_AT_T:
         yield from scopes(

@@ -53,6 +53,7 @@ from tgq.patterns import (
     classify_distribution,
     classify_trend,
     distribution,
+    step_runs,
     trend,
 )
 from tgq.search import GroupCandidate, SearchSpace, SubsetFamily, element_candidates, time_points
@@ -650,11 +651,13 @@ def test_one_extended_graph_answers_every_config_like_a_fresh_graph(seed):
 
 
 def test_concurrent_readers_see_whole_columns():
-    """Threads that race to build the same columns and sorted indexes on one
-    graph all read what one thread reads on a graph of its own."""
+    """Threads that race to build the same columns, sorted indexes and step
+    runs on one graph all read what one thread reads on a graph of its own."""
     fresh = extended_graph(7)
     jobs = [("column", ref, attr, cfg) for cfg in CFGS.values() for ref in every_ref(fresh)
             for attr in ("w", "c", "b")]
+    jobs += [("column_index", ref, "w", cfg, step_runs) for cfg in CFGS.values()
+             for ref in every_ref(fresh)]
     jobs += [("sorted_at", attr, t, cfg) for cfg in CFGS.values() for attr in ("w", "u")
              for t in range(fresh.n_times)]
     random.Random(7).shuffle(jobs)  # index builds and column reads interleaved

@@ -22,7 +22,10 @@ from tgq.errors import (
 )
 from tgq.graph import ElemKind, GraphElementRef, TimeInterval, edge_ref, load, node_ref, object_ref
 from tgq.patterns import match_score
-from tgq.search import SearchSpace, _time_sort_key, check_budget, time_points, time_windows
+from tgq.search import (
+    SearchSpace, SubsetFamily, _time_sort_key, check_budget, group_candidates, scopes, time_points,
+    time_windows, union_graph,
+)
 from tgq import structure
 from tgq.relations import _member_nodes, shortest_connection
 from tgq.structure import (
@@ -277,6 +280,23 @@ def reference_shortest_connection(graph, t, g1, g2, direction="any", max_distanc
     if g1 == g2:
         return 0, sources[:1]
     return None, None
+
+
+def reference_union_adjacency(graph, context, at):
+    """The union graph of a point, or of every snapshot of a window, built afresh."""
+    if at is not None:
+        snap = graph.snapshot(at)
+        return {n: set(snap.neighbours(n)) for n in snap.nodes}, set(snap.nodes)
+    if context is None:
+        context = graph.full_interval()
+    adjacency: dict = {}
+    alive: set = set()
+    for t in context.indices():
+        snap = graph.snapshot(t)
+        alive.update(snap.nodes)
+        for n in snap.nodes:
+            adjacency.setdefault(n, set()).update(snap.neighbours(n))
+    return adjacency, alive
 
 
 def outcome(fn, *args, **kwargs):
@@ -650,3 +670,29 @@ def test_cap_sweep_errors_identical(graphs):
                                   graph.full_interval(), spec)
             exceeded += isinstance(got, tuple) and got[0] == SEARCH_SPACE_EXCEEDED
     assert exceeded > 0
+
+
+def test_grown_window_unions_match_reference(graphs):
+    for graph in graphs:
+        union = None
+        for window in time_windows(graph):
+            union = union_graph(graph, window, union)
+            assert union == (window, *reference_union_adjacency(graph, window, None))
+        for t in time_points(graph):
+            assert union_graph(graph, TimeInterval(t, t))[1:] == reference_union_adjacency(
+                graph, None, t)
+
+
+@pytest.mark.parametrize("family, centre", [(SubsetFamily.CONNECTED_COMPONENTS, None),
+                                            (SubsetFamily.KHOP, None), (SubsetFamily.KHOP, "n0")])
+def test_window_scopes_match_reference_unions(graphs, family, centre):
+    cfg = Config(search_max_candidates=10 ** 6)
+    for graph in graphs:
+        for min_len in (1, 2):
+            space = SearchSpace(subset_family=family, khop_center=centre, window_min_len=min_len)
+            keys = time_windows(graph, None, min_len)
+            got = [(grp, key) for grp, key, _ in scopes(
+                graph, cfg, "search", space, lambda members, key: None, keys)]
+            want = [(grp, key) for key in keys for grp in group_candidates(
+                graph, space, union=(key, *reference_union_adjacency(graph, key, None)))]
+            assert got == want

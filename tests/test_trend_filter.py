@@ -2,30 +2,37 @@
 
 ``reference_classify_trend`` is the trend rule as ``classify_trend`` wrote
 it before the step-sign shape: monotone steps, then a single apex found
-from the first and last position of the extremum. ``reference_pattern_search``
-is the Q3 search loop that classified every (element, window) job before
-scoring it. The filtered search must return the same matches, raise the
-same errors and make the same budget checks.
+from the first and last position of the extremum. ``reference_shape`` is
+the one-pass shape of a window's values that the run index of
+``step_runs`` replaced. ``reference_pattern_search`` is the Q3 search loop
+that classified every (element, window) job before scoring it. The
+filtered search, and the windows it enumerates, must give the same
+matches, raise the same errors and make the same budget checks.
 """
 
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from tgq import patterns
 from tgq.config import Config
+from tgq.dsl.planner import run_query
 from tgq.errors import SEARCH_SPACE_EXCEEDED, TYPE_ERROR, VALIDATION_ERROR, TgqError
-from tgq.graph import AttrKind, load, node_ref, object_ref
+from tgq.graph import AttrKind, load, load_path, node_ref, object_ref
 from tgq.patterns import (
+    SHAPES,
     TrendClass,
     TrendLiteral,
     TrendPattern,
     _ls_slope,
-    _shape,
     classify_trend,
     match_score,
+    shaped_window_trends,
+    step_runs,
+    window_trends,
 )
 from tgq.search import (
     SearchSpace,
@@ -38,6 +45,8 @@ from tgq.search import (
 from tgq.tasks import Quadrant, SearchMatch, pattern_search
 
 from randsuite import random_graph
+
+CORPUS_GRAPH = Path(__file__).parent / "data" / "corpus_graph.jsonl"
 
 SEEDS = range(30)
 CFGS = {"carry": Config(), "no_carry": Config(carry_forward_default=False)}
@@ -91,6 +100,31 @@ def reference_classify_trend(samples, cfg):
             pos = (xs[first] - xs[0]) / (xs[-1] - xs[0])
             return TrendPattern(cls, norm_slope, pos)
     return TrendPattern(TrendClass.FLUCTUATING, norm_slope)
+
+
+def reference_shape(ys) -> TrendClass:
+    """The class that the signs of the steps of ``ys`` give, ties skipped:
+    only rises INCREASING, only falls DECREASING, rises then falls PEAK,
+    falls then rises TROUGH, more sign changes FLUCTUATING, and CONSTANT
+    when there is no rise or fall. One pass, ending at the second change."""
+    steps = iter(ys)
+    prev = next(steps, None)
+    first = rising = None
+    for y in steps:
+        if y != prev:
+            up = y > prev
+            if rising is None:
+                first = rising = up
+            elif up is not rising:
+                if rising is not first:
+                    return TrendClass.FLUCTUATING
+                rising = up
+            prev = y
+    if first is None:
+        return TrendClass.CONSTANT
+    if rising is first:
+        return TrendClass.INCREASING if first else TrendClass.DECREASING
+    return TrendClass.PEAK if first else TrendClass.TROUGH
 
 
 def reference_trend(graph, cfg, ref, interval, attr):
@@ -197,7 +231,7 @@ def test_scaled_class_can_differ_from_the_shape():
     p = classify_trend(_series(SCALED_NOT_SHAPE), Config())
     assert p == reference_classify_trend(_series(SCALED_NOT_SHAPE), Config())
     assert p.cls == TrendClass.INCREASING
-    assert _shape(SCALED_NOT_SHAPE) == TrendClass.FLUCTUATING
+    assert reference_shape(SCALED_NOT_SHAPE) == TrendClass.FLUCTUATING
 
 
 def test_shape_is_the_class_whenever_not_constant():
@@ -206,7 +240,7 @@ def test_shape_is_the_class_whenever_not_constant():
     for _ in range(10000):
         ys = [float(rng.randint(-2, 2)) for _ in range(rng.randint(2, 9))]
         cls = classify_trend(_series(ys), cfg).cls
-        assert cls in (TrendClass.CONSTANT, _shape(ys)), ys
+        assert cls in (TrendClass.CONSTANT, reference_shape(ys)), ys
 
 
 @pytest.mark.parametrize("ys, cls", [
@@ -221,7 +255,8 @@ def test_shape_is_the_class_whenever_not_constant():
     ([2.0, 1.0, 2.0, 1.0, 1.0], TrendClass.FLUCTUATING),
 ])
 def test_shape_table(ys, cls):
-    assert _shape(ys) == cls
+    assert reference_shape(ys) == cls
+    assert step_runs(ys).shape(0, max(len(ys) - 1, 0)) == cls
 
 
 # ---------------------------------------------------------------------------
@@ -347,3 +382,82 @@ def test_cap_sweep_errors_identical(graphs):
                                           space, fixed_element=el)
                     exceeded += got[:2] == ("error", SEARCH_SPACE_EXCEEDED)
     assert exceeded > 0
+
+
+def test_budget_edges_pinned():
+    # 6 nodes × 21 windows of 3 or more of the corpus graph's 8 time points
+    graph = load_path(str(CORPUS_GRAPH))
+    query = "SEARCH PEAK ON w OVER EACH_NODE WINDOWS 3"
+    assert run_query(query, graph, Config(search_max_candidates=126))["bindings"]
+    with pytest.raises(TgqError) as err:
+        run_query(query, graph, Config(search_max_candidates=125))
+    assert (err.value.code, err.value.details) == (SEARCH_SPACE_EXCEEDED, {"count": 126})
+    assert run_query("SEARCH PEAK ON kind OF node:a WINDOWS 100", graph, Config())["bindings"] == []
+    with pytest.raises(TgqError) as err:
+        run_query("SEARCH PEAK ON kind OF node:a", graph, Config())
+    assert err.value.code == TYPE_ERROR
+
+
+# ---------------------------------------------------------------------------
+# The run index against the per-window shape
+# ---------------------------------------------------------------------------
+
+COLUMN_VALUES = (None, None, 0.0, 1.0, 2.0, 2.0, 3.0, -1e308, 1e308)
+
+
+def random_columns(seed, count, longest=12):
+    rng = random.Random(seed)
+    return [tuple(rng.choice(COLUMN_VALUES) for _ in range(rng.randint(1, longest)))
+            for _ in range(count)]
+
+
+def reference_filter(column, classes, min_len):
+    """The windows the per-window filter classifies: shape among ``classes``
+    or a value beyond 2**500, in ``time_windows`` order."""
+    out = []
+    for s in range(len(column)):
+        for e in range(s + min_len - 1, len(column)):
+            ys = [y for y in column[s:e + 1] if y is not None]
+            if reference_shape(ys) in classes or any(abs(y) > 2.0 ** 500 for y in ys):
+                out.append((s, e))
+    return out
+
+
+def test_run_index_shape_matches_reference_on_every_window():
+    for column in random_columns(3, 400):
+        runs = step_runs(column)
+        for s in range(len(column)):
+            for e in range(s, len(column)):
+                ys = [y for y in column[s:e + 1] if y is not None]
+                assert runs.shape(s, e) == reference_shape(ys), (column, s, e)
+                assert (runs.first_extreme(s) <= e) == any(abs(y) > 2.0 ** 500 for y in ys)
+
+
+def test_enumerated_windows_match_the_per_window_filter():
+    columns = random_columns(4, 40)
+    records = []
+    for i, column in enumerate(columns):
+        records.append({"type": "node", "id": f"v{i}", "start": 0, "end": 11})
+        records += [{"type": "attr", "elem": f"node:v{i}", "name": "w", "t": t, "value": y}
+                    for t, y in enumerate(column) if y is not None]
+    graph = load(json.dumps(r) for r in records)
+    cfg = Config(carry_forward_default=False)
+    class_sets = [{cls} for cls in SHAPES] + [set(SHAPES), {TrendClass.PEAK, TrendClass.TROUGH}]
+    for i, column in enumerate(columns):
+        column = column + (None,) * (graph.n_times - len(column))
+        ref = node_ref(f"v{i}")
+        for min_len in (1, 2, 3, 5):
+            windows = time_windows(graph, None, min_len)
+            for classes in class_sets:
+                got = shaped_window_trends(graph, cfg, ref, "w", classes, min_len)
+                assert [(w.start, w.end) for w, _ in got] == reference_filter(
+                    column, classes, min_len)
+                assert got == [(w, p) for w, p in window_trends(
+                    graph, cfg, ref, windows, "w", classes) if p is not None]
+    for cls in TrendClass:
+        for min_len in (1, 2, 3, 5):
+            space = SearchSpace(window_min_len=min_len)
+            for ref in (node_ref("v0"), node_ref("v1")):
+                got = search(graph, cfg, TrendLiteral(cls), "w", space, fixed_element=ref)
+                assert got == reference_pattern_search(graph, cfg, TrendLiteral(cls), "w", space,
+                                                       fixed_element=ref)
