@@ -44,6 +44,7 @@ from ..tasks import (
     ValueConstraint,
 )
 from . import ast
+from .validate import BINDING_SIDES
 
 
 @dataclass
@@ -160,11 +161,6 @@ class _Planner:
             edge_attr=lit.pred.attr if lit.pred is not None else None,
             edge_constraint=self.constraint(lit.pred) if lit.pred is not None else None,
         )
-
-    def time_key_out(self, key) -> dict:
-        if isinstance(key, TimeInterval):
-            return {"interval": self.graph.interval_label(key)}
-        return {"t": self.graph.label_of(key)}
 
     # -- dispatch -------------------------------------------------------------
 
@@ -289,15 +285,15 @@ class _Planner:
 
         def run():
             matches = tasks.pattern_search(self.graph, self.cfg, **args)
-            return [self.match_out(m.ref_name, m) for m in matches], []
+            return [self.match_out(m) for m in matches], []
 
         return run
 
-    def match_out(self, ref: str, m) -> dict:
-        out = {"ref": ref}
-        out.update(self.time_key_out(m.time_key))
-        out["score"] = m.score
-        out["pattern"] = m.pattern.to_dict()
+    def match_out(self, match: tasks.Binding) -> dict:
+        out = {"ref": match.ref_name}
+        out.update(self.graph.key_label(match.time_key))
+        out["score"] = match.score
+        out["pattern"] = match.payload.to_dict()
         return out
 
     # comparison
@@ -346,9 +342,7 @@ class _Planner:
         raise TgqError(PLAN_ERROR, "side does not resolve to reference bindings")
 
     def p_compare(self, node: ast.Compare):
-        inverse = isinstance(node.lhs, (ast.SideFind, ast.SideSearch, ast.SideTime,
-                                        ast.SideInterval, ast.SideRef))
-        if inverse:
+        if isinstance(node.lhs, BINDING_SIDES):
             lhs = self.binding_side(node.lhs)
             rhs = self.binding_side(node.rhs)
             families = tuple(f.lower() for f in node.families) or None
@@ -409,18 +403,17 @@ class _Planner:
                 sides.append(SeekSideValues(term.attr, fixed_t=t_key, fixed_ref=el))
             elif term.kind == "CONFIG":
                 sides.append(struct.SeekSideStructConfig(fixed_group=grp, fixed_t=t_key))
+            elif term.kind == "CONFIGTREND":
+                raise TgqError(
+                    PLAN_ERROR,
+                    "CONFIGTREND terms are not supported in SEEK; use STRUCT SEARCH or COMPARE",
+                )
             else:
                 quadrant = {
                     "TREND": Quadrant.Q3_TREND_OF_G,
                     "DIST": Quadrant.Q2_DIST_AT_T,
                     "ASPECT": Quadrant.Q4_ASPECTUAL,
-                }[term.kind if term.kind != "CONFIGTREND" else "TREND"]
-                if term.kind == "CONFIGTREND":
-                    raise TgqError(
-                        PLAN_ERROR,
-                        "CONFIGTREND terms are not supported in SEEK; "
-                        "use STRUCT SEARCH or COMPARE",
-                    )
+                }[term.kind]
                 axis = AspectAxis(term.axis) if term.axis is not None else None
                 fixed_t = t_key if term.kind == "DIST" else None
                 fixed_iv = t_key if term.kind != "DIST" else None
@@ -628,7 +621,7 @@ class _Planner:
                 self.graph, self.cfg, target, space,
                 fixed_t=fixed_t, fixed_interval=fixed_interval,
             )
-            return [self.match_out(m.ref_desc, m) for m in matches], []
+            return [self.match_out(m) for m in matches], []
 
         return run
 

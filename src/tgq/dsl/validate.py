@@ -13,7 +13,7 @@ from . import ast
 
 _DIRECT_SIDES = (ast.SideLookup, ast.SideCharac, ast.SideValue, ast.SidePattern,
                  ast.SideStruct)
-_BINDING_SIDES = (ast.SideFind, ast.SideSearch, ast.SideTime, ast.SideInterval,
+BINDING_SIDES = (ast.SideFind, ast.SideSearch, ast.SideTime, ast.SideInterval,
                   ast.SideRef)
 
 _POINT_TIME_OPS = {"before", "sametime", "after"}
@@ -105,7 +105,7 @@ def _v_search(node: ast.Search) -> None:
 
 
 def _v_compare(node: ast.Compare) -> None:
-    binding = [isinstance(s, _BINDING_SIDES) for s in (node.lhs, node.rhs)]
+    binding = [isinstance(s, BINDING_SIDES) for s in (node.lhs, node.rhs)]
     direct = [isinstance(s, _DIRECT_SIDES) for s in (node.lhs, node.rhs)]
     if not all(b or d for b, d in zip(binding, direct)):
         _fail("unrecognised comparison side")
@@ -205,10 +205,6 @@ def _v_neighbors(node: ast.Neighbors) -> None:
         _fail("connection tasks relate nodes or graph objects")
 
 
-def _v_pairs(node: ast.Pairs) -> None:
-    pass
-
-
 def _v_times(node: ast.Times) -> None:
     _v_connection(node)
 
@@ -283,7 +279,7 @@ _HANDLERS = {
     ast.Seek: _v_seek,
     ast.Connection: _v_connection,
     ast.Neighbors: _v_neighbors,
-    ast.Pairs: _v_pairs,
+    ast.Pairs: lambda node: None,
     ast.Times: _v_times,
     ast.StructCharacterize: _v_struct_characterize,
     ast.StructSearch: _v_struct_search,

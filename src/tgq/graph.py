@@ -237,8 +237,15 @@ class TemporalGraph:
     def label_of(self, t: int):
         return self.time_labels[t]
 
-    def interval_label(self, iv: TimeInterval) -> dict:
-        return {"start": self.label_of(iv.start), "end": self.label_of(iv.end)}
+    def key_label(self, key) -> dict:
+        """A time key as output shows it: ``{"t": label}`` for a point,
+        ``{"interval": {"start": ..., "end": ...}}`` for a window, and
+        nothing for no time reference."""
+        if key is None:
+            return {}
+        if isinstance(key, TimeInterval):
+            return {"interval": {"start": self.label_of(key.start), "end": self.label_of(key.end)}}
+        return {"t": self.label_of(key)}
 
     def node_ids(self) -> list:
         return sorted(self.nodes)

@@ -4,8 +4,18 @@ Free graph references are never quantified over all 2^N subsets; they range
 over declared families (single elements, named subsets, connected
 components, k-hop balls), and free time references over single points or
 contiguous windows. Enumeration is capped so a runaway search fails fast
-instead of hanging. ``scopes`` is the one enumerator of (group, time key)
-scopes for pattern search, relation seeking and structural search, and
+instead of hanging.
+
+``scopes`` enumerates (group, time key) scopes: distribution and aspectual
+search, the relation-seeking sides of those patterns and of snapshot
+configurations, and structural search over node sets all go through it.
+Two enumerations do not, because each skips candidates ``scopes`` would
+characterise: trend windows (``tasks._scopes``) range over single elements
+and list only the windows whose shape can match, from a cached step-run
+index, and presence pairs (``structure.structural_search``) follow each
+window's connected-pair sets so that pairs that never connect are scored
+once.
+
 ``bfs`` is the one breadth-first search: components, k-hop balls, path
 connection, shortest connections and component counts all run on it.
 """

@@ -46,7 +46,6 @@ from .relations import _member_nodes, are_adjacent, shortest_connection
 from .search import (
     GroupCandidate,
     SearchSpace,
-    _time_sort_key,
     bfs,
     check_budget,
     scopes,
@@ -571,17 +570,18 @@ class StructScope:
     connection: Optional[ConnectionSpec] = None
     metrics: tuple = METRIC_NAMES
 
+    @property
+    def time_key(self):
+        return self.t if self.t is not None else self.interval
+
     def describe(self, graph: TemporalGraph, **head) -> dict:
-        """``head``, then the pair, group, time point and interval the scope has."""
+        """``head``, then the pair, group and time key the scope has."""
         desc = dict(head)
         if self.g1 is not None:
             desc["pair"] = [str(self.g1), str(self.g2)]
         if self.group is not None:
             desc["group"] = self.group.name
-        if self.t is not None:
-            desc["t"] = graph.label_of(self.t)
-        if self.interval is not None:
-            desc["interval"] = graph.interval_label(self.interval)
+        desc.update(graph.key_label(self.time_key))
         return desc
 
 
@@ -648,14 +648,6 @@ def _trend_table_detail(target: dict, candidate: dict):
     return hits / len(target), opposites == len(target)
 
 
-@dataclass(frozen=True)
-class StructMatch:
-    ref_desc: str
-    time_key: object
-    pattern: StructuralPattern
-    score: float
-
-
 def structural_search(
     graph: TemporalGraph,
     cfg: Config,
@@ -667,8 +659,9 @@ def structural_search(
     threshold: Optional[float] = None,
 ) -> list:
     """Find the references whose structural behaviour approximates the
-    target. The target's scope decides what gets enumerated: node pairs for
-    presence patterns, node sets for configurations.
+    target: ``Binding``s with their scores, in (-score, time key, ref name)
+    order. The target's scope decides what gets enumerated: node pairs for
+    presence patterns (ref ``node:a|node:b``), node sets for configurations.
 
     Presence search works in proportion to the pairs that connect: per
     window, only pairs in some time point's connected-pair set get their own
@@ -701,9 +694,7 @@ def structural_search(
                 else:
                     candidate, score = never, never_score
                 if score >= thr:
-                    matches.append(StructMatch(
-                        f"node:{a}|node:{b}", window, candidate, score
-                    ))
+                    matches.append(Binding(window, f"node:{a}|node:{b}", candidate, score))
     else:
         keys = (time_points(graph, fixed_t) if kind == StructScopeKind.SNAPSHOT_CONFIG
                 else time_windows(graph, fixed_interval, space.window_min_len))
@@ -719,8 +710,8 @@ def structural_search(
                                           characterize, keys):
             score, _ = match_score(target, candidate, cfg)
             if score >= thr:
-                matches.append(StructMatch(grp.name, key, candidate, score))
-    matches.sort(key=lambda m: (-m.score, _time_sort_key(m.time_key), m.ref_desc))
+                matches.append(Binding(key, grp, candidate, score))
+    matches.sort(key=lambda m: (-m.score, *m.sort_key()))
     return matches
 
 
@@ -733,14 +724,13 @@ class StructScopeSide:
 
     def resolve(self, graph: TemporalGraph, cfg: Config) -> Resolved:
         pattern = structural_characterize(graph, cfg, self.scope)
-        time_key = self.scope.t if self.scope.t is not None else self.scope.interval
         if self.scope.group is not None:
             ref_key = self.scope.group.name
         elif self.scope.g1 is not None:
             ref_key = f"{self.scope.g1}|{self.scope.g2}"
         else:
             ref_key = None
-        return Resolved(pattern, time_key, ref_key, self.scope.describe(
+        return Resolved(pattern, self.scope.time_key, ref_key, self.scope.describe(
             graph, struct=self.scope.kind.value, pattern=pattern.to_dict()))
 
 

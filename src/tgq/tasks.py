@@ -76,6 +76,10 @@ class BehaviorScope:
     interval: Optional[TimeInterval] = None
     axis: Optional[AspectAxis] = None
 
+    @property
+    def time_key(self):
+        return self.time_point if self.quadrant == Quadrant.Q2_DIST_AT_T else self.interval
+
     def validate(self) -> None:
         if self.quadrant == Quadrant.Q3_TREND_OF_G:
             missing = self.element is None or self.interval is None
@@ -210,12 +214,35 @@ def characterize(graph: TemporalGraph, cfg: Config, scope: BehaviorScope, attr: 
 
 
 @dataclass(frozen=True)
-class SearchMatch:
-    ref_name: str
-    members: Optional[tuple]
-    time_key: object  # int for Q2, TimeInterval otherwise
-    pattern: object
-    score: float
+class Binding:
+    """A found reference: a time key, a graph reference and what was found
+    there, with its score against the target when a search found it."""
+
+    time_key: object  # int | TimeInterval | None
+    ref_key: object  # GraphElementRef | GroupCandidate | "node:a|node:b" (a pair) | None
+    payload: object
+    score: Optional[float] = None
+
+    @property
+    def ref_name(self) -> str:
+        if self.ref_key is None:
+            return ""
+        if isinstance(self.ref_key, GroupCandidate):
+            return self.ref_key.name
+        return str(self.ref_key)
+
+    def sort_key(self):
+        return (_time_sort_key(self.time_key), self.ref_name)
+
+    def describe(self, graph: TemporalGraph) -> dict:
+        out = graph.key_label(self.time_key)
+        if self.ref_key is not None:
+            out["ref"] = self.ref_name
+        if self.payload is not None:
+            out["found"] = (
+                self.payload.to_dict() if hasattr(self.payload, "to_dict") else self.payload
+            )
+        return out
 
 
 def pattern_search(
@@ -233,7 +260,8 @@ def pattern_search(
     threshold: Optional[float] = None,
 ) -> list:
     """Enumerate candidate scopes, characterize each, and keep those whose
-    behaviour approximates the target pattern.
+    behaviour approximates the target pattern: ``Binding``s with their
+    scores, in (-score, time key, ref name) order.
 
     A trend target with a positive threshold classifies only the windows
     whose shape can match, and lists only those of free windows
@@ -253,11 +281,8 @@ def pattern_search(
             continue
         score, _ = match_score(target, candidate, cfg)
         if score >= thr:
-            if isinstance(ref, GroupCandidate):
-                matches.append(SearchMatch(ref.name, ref.members, key, candidate, score))
-            else:
-                matches.append(SearchMatch(str(ref), None, key, candidate, score))
-    matches.sort(key=lambda m: (-m.score, _time_sort_key(m.time_key), m.ref_name))
+            matches.append(Binding(key, ref, candidate, score))
+    matches.sort(key=lambda m: (-m.score, *m.sort_key()))
     return matches
 
 
@@ -335,18 +360,13 @@ class ScopeSide:
 
     def resolve(self, graph: TemporalGraph, cfg: Config) -> Resolved:
         pattern = characterize(graph, cfg, self.scope, self.attr)
-        time_key = (
-            self.scope.time_point
-            if self.scope.quadrant == Quadrant.Q2_DIST_AT_T
-            else self.scope.interval
-        )
         ref_key = (
             str(self.scope.element)
             if self.scope.element is not None
             else self.scope.group.name
         )
         return Resolved(
-            pattern, time_key, ref_key,
+            pattern, self.scope.time_key, ref_key,
             {"scope": _scope_desc(graph, self.scope), "attr": self.attr,
              "pattern": pattern.to_dict()},
         )
@@ -371,10 +391,7 @@ def _scope_desc(graph: TemporalGraph, scope: BehaviorScope) -> dict:
         out["element"] = str(scope.element)
     if scope.group is not None:
         out["group"] = scope.group.name
-    if scope.time_point is not None:
-        out["t"] = graph.label_of(scope.time_point)
-    if scope.interval is not None:
-        out["interval"] = graph.interval_label(scope.interval)
+    out.update(graph.key_label(scope.time_key))
     if scope.axis is not None:
         out["axis"] = scope.axis.value
     return out
@@ -467,38 +484,6 @@ def _geometry_label(a: Resolved, b: Resolved) -> str:
 
 
 @dataclass(frozen=True)
-class Binding:
-    time_key: object  # int | TimeInterval | None
-    ref_key: object  # GraphElementRef | GroupCandidate | None
-    payload: object
-
-    def sort_key(self):
-        return (_time_sort_key(self.time_key), _binding_ref_name(self.ref_key))
-
-    def describe(self, graph: TemporalGraph) -> dict:
-        out: dict = {}
-        if isinstance(self.time_key, TimeInterval):
-            out["interval"] = graph.interval_label(self.time_key)
-        elif self.time_key is not None:
-            out["t"] = graph.label_of(self.time_key)
-        if self.ref_key is not None:
-            out["ref"] = _binding_ref_name(self.ref_key)
-        if self.payload is not None:
-            out["found"] = (
-                self.payload.to_dict() if hasattr(self.payload, "to_dict") else self.payload
-            )
-        return out
-
-
-def _binding_ref_name(ref_key) -> str:
-    if ref_key is None:
-        return ""
-    if isinstance(ref_key, GroupCandidate):
-        return ref_key.name
-    return str(ref_key)
-
-
-@dataclass(frozen=True)
 class FindSide:
     """Inverse-lookup side: bindings are the (t, g) pairs whose value
     satisfies the constraint."""
@@ -534,20 +519,11 @@ class SearchSide:
     axis: Optional[AspectAxis] = None
 
     def resolve_bindings(self, graph: TemporalGraph, cfg: Config) -> list:
-        matches = pattern_search(
+        return pattern_search(
             graph, cfg, self.target, self.quadrant, self.attr, self.space,
             fixed_element=self.fixed_element, fixed_group=self.fixed_group,
             fixed_t=self.fixed_t, fixed_interval=self.fixed_interval, axis=self.axis,
         )
-        out = []
-        for m in matches:
-            ref_key = (
-                GroupCandidate(m.ref_name, m.members)
-                if m.members is not None
-                else GraphElementRef.parse(m.ref_name)
-            )
-            out.append(Binding(m.time_key, ref_key, m.pattern))
-        return out
 
 
 @dataclass(frozen=True)
@@ -595,12 +571,12 @@ def inverse_compare(
     for x, y in pairs:
         reports.append(
             PairReport(x.describe(graph), y.describe(graph),
-                       _pair_relations(graph, cfg, x, y, families))
+                       _pair_relations(graph, x, y, families))
         )
     return reports
 
 
-def _pair_relations(graph, cfg, x: Binding, y: Binding, families) -> dict:
+def _pair_relations(graph, x: Binding, y: Binding, families) -> dict:
     requested = families or ("temporal", "graph")
     out: dict = {}
     if "temporal" in requested:
@@ -609,17 +585,11 @@ def _pair_relations(graph, cfg, x: Binding, y: Binding, families) -> dict:
             out["temporal"] = tag
     if "graph" in requested and x.ref_key is not None and y.ref_key is not None:
         if isinstance(x.ref_key, GroupCandidate) and isinstance(y.ref_key, GroupCandidate):
-            out["set"] = set_relation(
-                {str(m) for m in x.ref_key.members},
-                {str(m) for m in y.ref_key.members},
-            )
+            out["set"] = set_relation(_member_names(x.ref_key), _member_names(y.ref_key))
         else:
-            out["element"] = (
-                "same" if _binding_ref_name(x.ref_key) == _binding_ref_name(y.ref_key)
-                else "different"
-            )
+            out["element"] = "same" if x.ref_name == y.ref_name else "different"
     if "structural" in requested:
-        out["structural"] = _structural_tag(graph, cfg, x, y)
+        out["structural"] = _structural_tag(graph, x, y)
     return out
 
 
@@ -627,30 +597,31 @@ def _temporal_tag(k1, k2):
     if k1 is None or k2 is None:
         return None
     if isinstance(k1, TimeInterval) or isinstance(k2, TimeInterval):
-        i1 = k1 if isinstance(k1, TimeInterval) else TimeInterval(k1, k1)
-        i2 = k2 if isinstance(k2, TimeInterval) else TimeInterval(k2, k2)
-        return allen_relation(i1, i2)
+        return allen_relation(_as_interval(k1), _as_interval(k2))
     return point_relation(k1, k2)
 
 
-def _structural_tag(graph, cfg, x: Binding, y: Binding) -> dict:
+def _as_interval(key) -> TimeInterval:
+    """A time key as an interval: a point t is [t, t]."""
+    return key if isinstance(key, TimeInterval) else TimeInterval(key, key)
+
+
+def _structural_tag(graph, x: Binding, y: Binding) -> dict:
     if not (isinstance(x.time_key, int) and x.time_key == y.time_key):
         raise TgqError(
             MISSING_TIME_CONTEXT,
             "structural relation between found references needs a shared time point",
         )
-    g1 = _as_element(graph, x.ref_key)
-    g2 = _as_element(graph, y.ref_key)
+    g1 = _as_element(x.ref_key)
+    g2 = _as_element(y.ref_key)
     dist, path = shortest_connection(graph, x.time_key, g1, g2)
     return {"connected": dist is not None, "distance": dist, "path": path}
 
 
-def _as_element(graph, ref_key) -> GraphElementRef:
+def _as_element(ref_key) -> GraphElementRef:
     if isinstance(ref_key, GraphElementRef):
         return ref_key
-    raise TgqError(
-        KIND_MISMATCH, "structural relations apply to element references"
-    )
+    raise TgqError(KIND_MISMATCH, "structural relations apply to element references")
 
 
 # ---------------------------------------------------------------------------
@@ -672,24 +643,17 @@ class AuxRelation:
                 raise TgqError(VALIDATION_ERROR, "no time references to relate")
             if self.spec.family == RelationFamily.TEMPORAL_POINT:
                 return eval_relation(self.spec, x.time_key, y.time_key, cfg)
-            i1 = x.time_key if isinstance(x.time_key, TimeInterval) else TimeInterval(x.time_key, x.time_key)
-            i2 = y.time_key if isinstance(y.time_key, TimeInterval) else TimeInterval(y.time_key, y.time_key)
-            return eval_relation(self.spec, i1, i2, cfg)
+            return eval_relation(self.spec, _as_interval(x.time_key), _as_interval(y.time_key), cfg)
         if self.spec.family == RelationFamily.VALUE:
-            return eval_relation(
-                self.spec, _binding_ref_name(x.ref_key), _binding_ref_name(y.ref_key), cfg
-            )
+            return eval_relation(self.spec, x.ref_name, y.ref_name, cfg)
         if self.spec.family == RelationFamily.SET:
-            s1 = _member_names(x.ref_key)
-            s2 = _member_names(y.ref_key)
-            return eval_relation(self.spec, s1, s2, cfg)
+            return eval_relation(self.spec, _member_names(x.ref_key), _member_names(y.ref_key), cfg)
         # structural: use the explicit time context, else a shared bound point
         t = self.t_context
         if t is None and isinstance(x.time_key, int) and x.time_key == y.time_key:
             t = x.time_key
-        if not isinstance(x.ref_key, GraphElementRef) or not isinstance(y.ref_key, GraphElementRef):
-            raise TgqError(KIND_MISMATCH, "structural relations apply to element references")
-        return eval_relation(self.spec, x.ref_key, y.ref_key, cfg, graph=graph, t=t)
+        g1, g2 = _as_element(x.ref_key), _as_element(y.ref_key)
+        return eval_relation(self.spec, g1, g2, cfg, graph=graph, t=t)
 
 
 def _member_names(ref_key) -> set:
@@ -806,9 +770,7 @@ def relation_seek(
         for y in b2 if buckets is None else buckets.get(x.payload, ()):
             if y.payload is None:  # a window side 2 left unclassified
                 continue
-            if symmetric and (x.time_key, _binding_ref_name(x.ref_key)) == (
-                y.time_key, _binding_ref_name(y.ref_key)
-            ):
+            if symmetric and (x.time_key, x.ref_name) == (y.time_key, y.ref_name):
                 continue
             detail = qualified(x, y)
             if detail is None:

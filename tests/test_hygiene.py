@@ -1,6 +1,7 @@
 """Source hygiene: no module under src/tgq keeps an import it never uses,
 no private module-level function or class is left that nothing else in
-src/tgq names, and no dataclass declares a field that src/tgq never reads.
+src/tgq names, no private module-level function takes a parameter it never
+reads, and no dataclass declares a field that src/tgq never reads.
 
 There is no linter among the dependencies, so this walks each module's AST.
 A package ``__init__.py`` imports names to re-export them and is skipped by
@@ -88,6 +89,38 @@ def test_detects_unreferenced_private_defs():
         "b.py": "from .a import _Kept\n\ndef f():\n    return a._used()\n",
     }
     assert unreferenced_private_defs(sources) == [("a.py", "_dead")]
+
+
+def unread_parameters(sources: dict) -> list:
+    """(module, function, parameter) of each parameter of a private
+    module-level function in ``sources`` that its body never reads."""
+    out = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and stmt.name.startswith("_") and not stmt.name.startswith("__")):
+                args = stmt.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+                read = {n.id for body in stmt.body for n in ast.walk(body)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                out += [(module, stmt.name, p) for p in params if p not in read]
+    return sorted(out)
+
+
+def test_every_private_function_parameter_is_read():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in PACKAGE}
+    assert unread_parameters(sources) == []
+
+
+def test_detects_unread_parameters():
+    sources = {
+        "a.py": "def _f(a, b, *rest, c=1, **extra):\n    b = c\n    return [a for _ in extra]\n\n"
+                "def _g(x):\n    return lambda: x\n\n"
+                "def public(unused):\n    pass\n\n"
+                "class K:\n    def _m(self, unused):\n        pass\n",
+    }
+    assert unread_parameters(sources) == [("a.py", "_f", "b"), ("a.py", "_f", "rest")]
 
 
 def unread_dataclass_fields(sources: dict) -> list:

@@ -21,7 +21,6 @@ from tgq.tasks import (
     Binding,
     SeekPair,
     SeekSideValues,
-    _binding_ref_name,
     _main_relation_detail,
     relation_seek,
 )
@@ -49,9 +48,7 @@ def reference_relation_seek(graph, cfg, relation, side1, side2, aux=(), space=No
     results = []
     for x in b1:
         for y in b2:
-            if symmetric and (x.time_key, _binding_ref_name(x.ref_key)) == (
-                y.time_key, _binding_ref_name(y.ref_key)
-            ):
+            if symmetric and (x.time_key, x.ref_name) == (y.time_key, y.ref_name):
                 continue
             detail = qualified(x, y)
             if detail is None:

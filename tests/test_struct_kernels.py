@@ -23,7 +23,7 @@ from tgq.errors import (
 from tgq.graph import ElemKind, GraphElementRef, TimeInterval, edge_ref, load, node_ref, object_ref
 from tgq.patterns import match_score
 from tgq.search import (
-    SearchSpace, SubsetFamily, _time_sort_key, check_budget, group_candidates, scopes, time_points,
+    SearchSpace, SubsetFamily, check_budget, group_candidates, scopes, time_points,
     time_windows, union_graph,
 )
 from tgq import structure
@@ -32,7 +32,6 @@ from tgq.structure import (
     ConnectionSpec,
     PresenceClass,
     PresenceLiteral,
-    StructMatch,
     StructScopeKind,
     StructuralPattern,
     classify_presence,
@@ -44,7 +43,7 @@ from tgq.structure import (
     snapshot_metrics,
     structural_search,
 )
-from tgq.tasks import ValueConstraint
+from tgq.tasks import Binding, ValueConstraint
 
 from randsuite import random_graph
 
@@ -204,8 +203,8 @@ def reference_search_pairs(graph, cfg, target, fixed_interval=None, connection=N
                 graph, cfg, node_ref(a), node_ref(b), window, connection)
             score, _ = match_score(target, candidate, cfg)
             if score >= thr:
-                matches.append(StructMatch(f"node:{a}|node:{b}", window, candidate, score))
-    matches.sort(key=lambda m: (-m.score, _time_sort_key(m.time_key), m.ref_desc))
+                matches.append(Binding(window, f"node:{a}|node:{b}", candidate, score))
+    matches.sort(key=lambda m: (-m.score, *m.sort_key()))
     return matches
 
 
@@ -566,7 +565,7 @@ def test_search_builds_bits_only_for_connecting_pairs(monkeypatch):
                         lambda bits: calls.append(bits) or real(bits))
     got = structural_search(graph, Config(), PresenceLiteral(PresenceClass.APPEARING),
                             SearchSpace(), fixed_interval=graph.full_interval())
-    assert [(m.ref_desc, m.pattern.presence_bits) for m in got] == [("node:v03|node:v07", "011")]
+    assert [(m.ref_name, m.payload.presence_bits) for m in got] == [("node:v03|node:v07", "011")]
     assert sorted(calls) == ["000", "011"]
 
 

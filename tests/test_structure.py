@@ -280,10 +280,10 @@ class TestStructuralSearch:
             wheel_graph, cfg, PresenceLiteral(PresenceClass.APPEARING),
             SearchSpace(), fixed_interval=TimeInterval(0, 3),
         )
-        names = [m.ref_desc for m in matches]
+        names = [m.ref_name for m in matches]
         assert "node:b|node:c" in names
         for m in matches:
-            assert m.pattern.presence_class == PresenceClass.APPEARING
+            assert m.payload.presence_class == PresenceClass.APPEARING
 
     def test_density_one_finds_cliques(self, cfg):
         g = load(jl([
@@ -302,7 +302,7 @@ class TestStructuralSearch:
             SearchSpace(subset_family=SubsetFamily.NAMED_SUBSETS),
             fixed_t=0, threshold=1.0,
         )
-        assert [m.ref_desc for m in matches] == ["subset:pair", "subset:tri"]
+        assert [m.ref_name for m in matches] == ["subset:pair", "subset:tri"]
 
     def test_threshold_zero_returns_all(self, wheel_graph, cfg):
         matches = structural_search(
@@ -321,8 +321,8 @@ class TestStructuralSearch:
             SearchSpace(subset_family=SubsetFamily.NAMED_SUBSETS),
             fixed_interval=TimeInterval(0, 4), threshold=1.0,
         )
-        assert [m.ref_desc for m in matches] == ["subset:ALL"]
-        assert matches[0].pattern.class_frequencies == target.class_frequencies
+        assert [m.ref_name for m in matches] == ["subset:ALL"]
+        assert matches[0].payload.class_frequencies == target.class_frequencies
 
     def test_components_candidates_use_union_graph(self, cfg):
         # Over an interval, component candidates come from the graph whose
@@ -384,7 +384,7 @@ class TestStructuralSearch:
             SearchSpace(subset_family=SubsetFamily.NAMED_SUBSETS),
             fixed_interval=TimeInterval(0, 3), threshold=1.0,
         )
-        assert [m.ref_desc for m in matches] == ["subset:ALL"]
+        assert [m.ref_name for m in matches] == ["subset:ALL"]
 
 
 class TestStructuralCompare:

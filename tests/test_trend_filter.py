@@ -37,12 +37,11 @@ from tgq.patterns import (
 from tgq.search import (
     SearchSpace,
     SubsetFamily,
-    _time_sort_key,
     check_budget,
     element_candidates,
     time_windows,
 )
-from tgq.tasks import Quadrant, SearchMatch, pattern_search
+from tgq.tasks import Binding, Quadrant, pattern_search
 
 from randsuite import random_graph
 
@@ -147,8 +146,8 @@ def reference_pattern_search(graph, cfg, target, attr, space, fixed_element=None
             candidate = reference_trend(graph, cfg, el, window, attr)
             score, _ = match_score(target, candidate, cfg)
             if score >= thr:
-                matches.append(SearchMatch(str(el), None, window, candidate, score))
-    matches.sort(key=lambda m: (-m.score, _time_sort_key(m.time_key), m.ref_name))
+                matches.append(Binding(window, el, candidate, score))
+    matches.sort(key=lambda m: (-m.score, *m.sort_key()))
     return matches
 
 
@@ -329,7 +328,7 @@ def test_filter_finds_scaled_match():
     graph = load(json.dumps(r) for r in records)
     target = TrendLiteral(TrendClass.INCREASING)
     got = search(graph, Config(), target, "w", SearchSpace(), fixed_interval=graph.full_interval())
-    assert [m.pattern.cls for m in got] == [TrendClass.INCREASING]
+    assert [m.payload.cls for m in got] == [TrendClass.INCREASING]
     assert got == reference_pattern_search(graph, Config(), target, "w", SearchSpace(),
                                            fixed_interval=graph.full_interval())
 
