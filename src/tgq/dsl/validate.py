@@ -14,7 +14,7 @@ from . import ast
 _DIRECT_SIDES = (ast.SideLookup, ast.SideCharac, ast.SideValue, ast.SidePattern,
                  ast.SideStruct)
 BINDING_SIDES = (ast.SideFind, ast.SideSearch, ast.SideTime, ast.SideInterval,
-                  ast.SideRef)
+                 ast.SideRef)
 
 _POINT_TIME_OPS = {"before", "sametime", "after"}
 _ALLEN_OPS = set(ALLEN_OPS)

@@ -13,8 +13,8 @@ Two enumerations do not, because each skips candidates ``scopes`` would
 characterise: trend windows (``tasks._scopes``) range over single elements
 and list only the windows whose shape can match, from a cached step-run
 index, and presence pairs (``structure.structural_search``) follow each
-window's connected-pair sets so that pairs that never connect are scored
-once.
+window's connected-pair sets so that the pairs that never connect are
+scored once per window.
 
 ``bfs`` is the one breadth-first search: components, k-hop balls, path
 connection, shortest connections and component counts all run on it.
