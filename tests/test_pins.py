@@ -3,8 +3,9 @@
 ``data/pin_queries.txt`` lists direct comparisons with SAME / DIFFERENT /
 OPPOSITE over every side kind, relation seeking with DISTANCE and
 CONNECTED side relations, connection tasks with objects and directions,
-structural characterisation over sets with several components, and
-stand-alone lookups and characterisations. ``data/pin_expected.jsonl``
+structural characterisation over sets with several components,
+stand-alone lookups and characterisations, and trend searches and seeks
+over one window of every node or edge. ``data/pin_expected.jsonl``
 holds the line ``tgq corpus`` prints for each: elapsed_ms pinned to 0, a
 failure as an error envelope. A change that alters one changes an answer.
 """
