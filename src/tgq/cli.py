@@ -14,7 +14,7 @@ import os
 import sys
 
 from .config import Config, load_config
-from .errors import DATA_CODES, TgqError
+from .errors import DATA_CODES, TgqError, read_utf8
 from .graph import TemporalGraph, load_path
 from .dsl.planner import run_query
 
@@ -134,8 +134,7 @@ def cmd_corpus(args, cfg: Config, out) -> int:
     and flip the exit code to 3 after the batch completes."""
     graph = _load_graph(args.data)
     try:
-        with open(args.queries, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        lines = read_utf8(args.queries, "SCHEMA_ERROR", "query file line").splitlines()
     except OSError as err:
         raise TgqError("SCHEMA_ERROR",
                        f"cannot read '{args.queries}': {err.strerror}") from None

@@ -6,7 +6,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
-from .errors import TgqError, VALIDATION_ERROR
+from .errors import TgqError, VALIDATION_ERROR, read_utf8
 
 _BOOL_TOKENS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
@@ -101,8 +101,7 @@ def parse_config_text(text: str) -> Config:
 
 
 def load_config(path: str) -> Config:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    return parse_config_text(read_utf8(path, VALIDATION_ERROR, "config line"))
 
 
 def _parse_float(value: str, key: str, lineno: int) -> float:

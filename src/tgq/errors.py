@@ -66,3 +66,16 @@ class ParseError(TgqError):
         self.col = col
         self.expected = frozenset(expected)
         self.found = found
+
+
+def read_utf8(path: str, code: str, what: str = "line") -> str:
+    """The text of the UTF-8 file at ``path``. Bytes that do not decode are
+    a TgqError ``code``, '<what> N: invalid UTF-8 (...)', N their line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        # read() decodes the file in one piece, so err.start is a file offset;
+        # lines are counted as str.splitlines counts them
+        line = len((err.object[:err.start].decode("utf-8") + "x").splitlines())
+        raise TgqError(code, f"{what} {line}: invalid UTF-8 ({err.reason})", line=line) from None

@@ -40,6 +40,7 @@ from .errors import (
     SCHEMA_ERROR,
     TgqError,
     VALIDATION_ERROR,
+    read_utf8,
 )
 
 
@@ -199,7 +200,9 @@ class TemporalGraph:
         self.attr_kinds = dict(attr_kinds)  # attr name -> AttrKind
         self.external_series = dict(external_series)  # name -> {t_index: float}
         self._snapshots: dict = {}
-        self._columns: dict = {}  # (kind, id, attr, carry[, "resolved" | build]) -> tuple | index
+        # (kind, id, attr, carry[, "resolved" | build]) -> tuple | index, and
+        # (kind, attr, carry, build, *args) -> index, see family_index
+        self._columns: dict = {}
         self._refs: dict = {}  # kind -> sorted tuple of its refs, built on first use
         self._sorted: dict = {}  # (attr, carry, t) -> (values, refs), see sorted_at
         self._node_edges: dict = {}
@@ -354,6 +357,16 @@ class TemporalGraph:
         index = self._columns.get(key)
         if index is None:
             self._columns[key] = index = build(self.column(ref, attr, cfg))
+        return index
+
+    def family_index(self, kind: ElemKind, attr: str, cfg: Config, each, build, *args):
+        """``build([column_index(ref, attr, cfg, each) for each ref of kind],
+        *args)``, cached next to the columns once whole."""
+        key = (kind, attr, cfg.carries_forward(attr), build, *args)
+        index = self._columns.get(key)
+        if index is None:
+            self._columns[key] = index = build(
+                [self.column_index(ref, attr, cfg, each) for ref in self.all_refs((kind,))], *args)
         return index
 
     def _recorded(self, ref: GraphElementRef, attr: str, carry: bool) -> tuple:
@@ -531,7 +544,11 @@ def _load(numbered) -> TemporalGraph:
     records = []
     for lineno, item in numbered:
         if isinstance(item, (bytes, str)):
-            text = item.decode("utf-8") if isinstance(item, bytes) else item
+            try:
+                text = item.decode("utf-8") if isinstance(item, bytes) else item
+            except UnicodeDecodeError as err:
+                raise TgqError(SCHEMA_ERROR, f"line {lineno}: invalid UTF-8 ({err.reason})",
+                               line=lineno) from None
             if not text.strip():
                 continue
             try:
@@ -820,8 +837,7 @@ def _load(numbered) -> TemporalGraph:
 
 def load_path(path: str) -> TemporalGraph:
     """Load from a .jsonl (default) or .csv file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_utf8(path, SCHEMA_ERROR)
     if path.endswith(".csv"):
         return _load(_csv_records(text))
     return load(text.splitlines())
@@ -835,20 +851,24 @@ def _csv_records(text: str):
     """
     reader = csv.DictReader(io.StringIO(text))
     list_cols = {"members", "nodes", "edges"}
-    for row in reader:
-        rec = {}
-        for key, cell in row.items():
-            if key is None or cell is None or cell == "":
-                continue
-            if key in list_cols and row.get("type") in ("subset", "object"):
-                rec[key] = cell.split(";")
-            else:
-                try:
-                    rec[key] = json.loads(cell)
-                except json.JSONDecodeError:
-                    rec[key] = cell
-        if rec:
-            yield reader.line_num, rec
+    try:
+        for row in reader:
+            rec = {}
+            for key, cell in row.items():
+                if key is None or cell is None or cell == "":
+                    continue
+                if key in list_cols and row.get("type") in ("subset", "object"):
+                    rec[key] = cell.split(";")
+                else:
+                    try:
+                        rec[key] = json.loads(cell)
+                    except json.JSONDecodeError:
+                        rec[key] = cell
+            if rec:
+                yield reader.line_num, rec
+    except csv.Error as err:  # e.g. a field over the csv module's size limit
+        line = reader.reader.line_num  # DictReader's own count stops at the last whole row
+        raise TgqError(SCHEMA_ERROR, f"line {line}: invalid CSV ({err})", line=line) from None
 
 
 # ---------------------------------------------------------------------------

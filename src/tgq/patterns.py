@@ -19,10 +19,12 @@ samples (x = time index, y = value):
 Rules 3-5 read only the signs of the steps, ties skipped: the *shape* of
 the values, taken from their run index (``step_runs``). From a column's
 cached index, a window whose class cannot be one sought is ruled out
-without the slope (``window_trends``), and the windows of a start and a
-shape are one range of ends (``shaped_window_trends``). The slope epsilon is
-relative to the observed value range, which makes the class invariant
-under y -> a*y + b for a > 0.
+without the slope, and the windows of a start and a shape are one range of
+ends (``shaped_window_trends``). For one window over every node or edge,
+a per-start index of the families' run indexes (``start_index``) rules
+out, by one bisection, the elements whose steps change sign too often
+(``window_candidates``). The slope epsilon is relative to the observed
+value range, which makes the class invariant under y -> a*y + b for a > 0.
 
 ``match_score`` is the one approximate-match relation, for attribute and
 structural behaviours alike: each pattern type scores another of its type
@@ -33,6 +35,7 @@ a distribution literal by its class hint alone.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -292,21 +295,35 @@ class StepRuns(NamedTuple):
         i = bisect_left(self.extremes, s)
         return self.extremes[i] if i < len(self.extremes) else math.inf
 
-    def ends_of(self, s: int, classes, first: int, stop: int) -> list:
-        """The ends e, ascending, with ``first <= e < stop``, of the windows
-        [s, e] whose shape is in ``classes`` or that hold an extreme value.
-        A growing end only moves the shape on, CONSTANT, then INCREASING or
-        DECREASING, then PEAK or TROUGH, then FLUCTUATING: each holds for
-        one range of ends, found by bisection."""
+    def may_be(self, s: int, e: int, classes) -> bool:
+        """Whether the trend of the window [s, e] may be one of ``classes``:
+        its shape is one of them, or there is a class and the window holds
+        an extreme value (which may be classified scaled, where a tie can
+        replace a step)."""
+        return self.shape(s, e) in classes or bool(classes) and self.first_extreme(s) <= e
+
+    def turns(self, s: int) -> list:
+        """``(shape, first end)`` for each shape a window [s, e] takes as e
+        grows: CONSTANT from s, then INCREASING or DECREASING from its first
+        step, PEAK or TROUGH from its first sign change and FLUCTUATING from
+        its second, those it reaches."""
+        out = [(TrendClass.CONSTANT, s)]
         k = bisect_left(self.starts, s)
-        bounds = [(TrendClass.CONSTANT, s)]  # (shape, the first end it holds at)
         if k < len(self.starts):
             c = self.changes[k]
-            turns = (k, bisect_right(self.changes, c, k), bisect_right(self.changes, c + 1, k))
-            bounds += [(cls, self.ends[i]) for cls, i in zip(
-                _RISING if self.rising[k] else _FALLING, turns) if i < len(self.ends)]
+            steps = (k, bisect_right(self.changes, c, k), bisect_right(self.changes, c + 1, k))
+            out += [(cls, self.ends[i]) for cls, i in zip(
+                _RISING if self.rising[k] else _FALLING, steps) if i < len(self.ends)]
+        return out
+
+    def ends_of(self, s: int, classes, first: int, stop: int) -> list:
+        """The ends e, ascending, with ``first <= e < stop``, of the windows
+        [s, e] that ``may_be`` admits. Each shape holds for one range of
+        ends (``turns``)."""
+        if not classes:
+            return []
         extreme = min(self.first_extreme(s), stop)
-        bounds.append((None, extreme))
+        bounds = self.turns(s) + [(None, extreme)]
         out = [e for (cls, lo), (_, hi) in zip(bounds, bounds[1:]) if cls in classes
                for e in range(max(lo, first), min(hi, extreme))]
         return out + list(range(max(extreme, first), stop))
@@ -359,52 +376,84 @@ def window_trends(
     ref: GraphElementRef,
     windows,
     attr: str,
-    classes=None,
 ) -> list:
     """``(window, trend(graph, cfg, ref, window, attr))`` for each window, in
-    order, reading the element's column once; no window, no read.
-
-    With a set of ``classes``, a window whose trend cannot be one of them
-    comes back unclassified as ``(window, None)``: none if CONSTANT or
-    DEGENERATE is admitted, every window if no class is, and otherwise
-    those of another shape whose values are all within ``_UNSCALED_MAX``
-    (larger values may be classified scaled, where a tie can replace a step).
-    """
+    order, reading the element's column once; no window, no read. Every
+    window is classified; ``shaped_window_trends`` lists only those whose
+    class can be sought."""
     if not windows:
         return []
-    if graph.attr_kind(attr) != AttrKind.NUMERIC:
-        raise TgqError(TYPE_ERROR, f"trend needs a numeric attribute, '{attr}' is not")
+    _check_numeric(graph, attr)
     column = graph.column(ref, attr, cfg)
-    if classes is not None and not classes <= SHAPES:
-        classes = None
-    runs = graph.column_index(ref, attr, cfg, step_runs) if classes else None
     out = []
     for window in windows:
-        s, e = window.start, window.end
-        graph.check_time(s, e)
-        if classes is not None and (runs is None or runs.shape(s, e) not in classes
-                                    and runs.first_extreme(s) > e):
-            out.append((window, None))
-            continue
+        graph.check_time(window.start, window.end)
         samples = [(t, column[t]) for t in window.indices() if column[t] is not None]
         out.append((window, classify_trend(samples, cfg)))
     return out
 
 
 def shaped_window_trends(graph: TemporalGraph, cfg: Config, ref: GraphElementRef, attr: str,
-                         classes, min_len: int) -> list:
-    """``window_trends`` over the windows of ``min_len`` or more points, for
-    ``classes`` a non-empty subset of ``SHAPES``, less the unclassified ones:
-    only the windows it would classify are listed, from the step runs."""
+                         classes, min_len: int, fixed: Optional[TimeInterval] = None) -> list:
+    """``window_trends`` over ``fixed``, else over the windows of ``min_len``
+    or more points, less those whose trend cannot be one of ``classes``, a
+    subset of ``SHAPES``: only the windows that ``StepRuns.may_be`` admits
+    are listed. Errors are those of ``window_trends`` over every window."""
     n = graph.n_times
-    if n < min_len:
+    if fixed is None and n < min_len:
         return []
+    _check_numeric(graph, attr)
+    runs = graph.column_index(ref, attr, cfg, step_runs)
+    if fixed is not None:
+        graph.check_time(fixed.start, fixed.end)
+        windows = [fixed] if runs.may_be(fixed.start, fixed.end, classes) else []
+    else:
+        windows = [TimeInterval(s, e) for s in range(n - min_len + 1)
+                   for e in runs.ends_of(s, classes, s + min_len - 1, n)]
+    return window_trends(graph, cfg, ref, windows, attr)
+
+
+def window_candidates(graph: TemporalGraph, cfg: Config, refs: list, attr: str,
+                      window: TimeInterval, classes) -> list:
+    """The refs of ``refs`` (every node or every edge, in order) for which
+    ``shaped_window_trends(..., fixed=window)`` may list the window: all but
+    those the per-start index (``start_index``) rules out, found without
+    reading them. Raises what that call would raise for the first ref; no
+    ref, no error."""
+    if not refs:
+        return []
+    _check_numeric(graph, attr)
+    graph.check_time(window.start, window.end)
+    if not classes:
+        return []
+    if TrendClass.FLUCTUATING in classes:
+        return refs
+    j = 0 if classes <= {TrendClass.INCREASING, TrendClass.DECREASING} else 1
+    ms, order = graph.family_index(refs[0].kind, attr, cfg, step_runs, start_index,
+                                   window.start, j)
+    return [refs[i] for i in sorted(order[bisect_right(ms, window.end):])]
+
+
+def start_index(runs: list, s: int, j: int) -> tuple:
+    """``(ms, order)`` for the run indexes of a family's elements and a
+    start s: ``order`` lists their positions by m_j(s), the end of the step
+    that makes the (j+1)-th sign change from s, and ``ms`` holds those ends,
+    ascending. A window [s, e] has at most j sign changes exactly where
+    m_j(s) > e. m_j(s) is infinite where there is no such step, and where a
+    value beyond ``_UNSCALED_MAX`` follows s, so that no window of such an
+    element is ruled out."""
+    keyed = []
+    for pos, r in enumerate(runs):
+        turns = r.turns(s)
+        m = turns[j + 2][1] if j + 2 < len(turns) and r.first_extreme(s) == math.inf else math.inf
+        keyed.append((m, pos))
+    keyed.sort()
+    return array("d", [m for m, _ in keyed]), array("i", [pos for _, pos in keyed])
+
+
+def _check_numeric(graph: TemporalGraph, attr: str) -> None:
     if graph.attr_kind(attr) != AttrKind.NUMERIC:
         raise TgqError(TYPE_ERROR, f"trend needs a numeric attribute, '{attr}' is not")
-    runs = graph.column_index(ref, attr, cfg, step_runs)
-    return window_trends(graph, cfg, ref, [TimeInterval(s, e) for s in range(n - min_len + 1)
-                                           for e in runs.ends_of(s, classes, s + min_len - 1, n)],
-                         attr)
 
 
 def classify_distribution(values, cfg: Config) -> DistributionPattern:

@@ -10,11 +10,17 @@ instead of hanging.
 search, the relation-seeking sides of those patterns and of snapshot
 configurations, and structural search over node sets all go through it.
 Two enumerations do not, because each skips candidates ``scopes`` would
-characterise: trend windows (``tasks._scopes``) range over single elements
-and list only the windows whose shape can match, from a cached step-run
-index, and presence pairs (``structure.structural_search``) follow each
-window's connected-pair sets so that the pairs that never connect are
-scored once per window.
+characterise, though the cap still counts them:
+
+- Trend windows (``tasks._scopes``) range over single elements. Free
+  windows are listed from each element's cached step-run index
+  (``patterns.step_runs``), only those whose shape can match. One fixed
+  window over every node or edge reads only the elements that the
+  per-start index of their step runs (``patterns.start_index``, cached by
+  ``TemporalGraph.family_index``) cannot rule out.
+- Presence pairs (``structure.structural_search``) follow each window's
+  connected-pair sets, so that the pairs that never connect are scored
+  once per window.
 
 ``bfs`` is the one breadth-first search: components, k-hop balls, path
 connection, shortest connections and component counts all run on it.

@@ -37,6 +37,7 @@ from .patterns import (
     related_classes,
     shaped_window_trends,
     trend,
+    window_candidates,
     window_trends,
 )
 from .relations import (
@@ -264,8 +265,7 @@ def pattern_search(
     scores, in (-score, time key, ref name) order.
 
     A trend target with a positive threshold classifies only the windows
-    whose shape can match, and lists only those of free windows
-    (``patterns.shaped_window_trends``). No match is lost, and every budget
+    whose shape can match (``_scopes``). No match is lost, and every budget
     check and error is as if every window were classified."""
     thr = cfg.similarity_threshold if threshold is None else threshold
     target = as_pattern(target)  # a literal is scored as the pattern it pins
@@ -276,9 +276,7 @@ def pattern_search(
     matches = []
     for ref, key, candidate in _scopes(
             graph, cfg, "pattern search", quadrant, attr, space, fixed_element,
-            fixed_group, fixed_t, fixed_interval, axis, classes, only_matching=True):
-        if candidate is None:  # a window that cannot match, left unclassified
-            continue
+            fixed_group, fixed_t, fixed_interval, axis, classes):
         score, _ = match_score(target, candidate, cfg)
         if score >= thr:
             matches.append(Binding(key, ref, candidate, score))
@@ -287,25 +285,27 @@ def pattern_search(
 
 
 def _scopes(graph, cfg, what, quadrant, attr, space, fixed_element=None, fixed_group=None,
-            fixed_t=None, fixed_interval=None, axis=None, classes=None, only_matching=False):
+            fixed_t=None, fixed_interval=None, axis=None, classes=None):
     """``(ref, time key, pattern)`` for every candidate scope of a quadrant:
-    elements × windows for trends (the pattern is None where a window's
-    trend cannot be one of ``classes``), groups × points or windows
-    otherwise. ``only_matching`` leaves out the free windows whose trend
-    cannot be one of ``classes`` where it can; the budget counts them all."""
+    elements × windows for trends, groups × points or windows otherwise.
+    With a set of ``classes`` within ``SHAPES``, only the trend scopes whose
+    class can be one of them are classified and listed: from each element's
+    step runs, and for one window over every node or edge from the
+    per-start index. The budget counts every scope."""
     if quadrant == Quadrant.Q3_TREND_OF_G:
-        elements = [fixed_element] if fixed_element else element_candidates(
-            graph, space.subset_family
-        )
-        min_len = space.window_min_len
-        k = max(0, graph.n_times - min_len + 1)  # k(k+1)/2 windows of min_len or more points
-        check_budget(len(elements) * (1 if fixed_interval else k * (k + 1) // 2), cfg, what)
-        shaped = only_matching and fixed_interval is None and classes and classes <= SHAPES
-        windows = None if shaped else time_windows(graph, fixed_interval, min_len)
+        elements, n_windows = _trend_jobs(graph, space, fixed_element, fixed_interval)
+        check_budget(len(elements) * n_windows, cfg, what)
+        if classes is not None and not classes <= SHAPES:
+            classes = None
+        if classes is None:
+            windows = time_windows(graph, fixed_interval, space.window_min_len)
+        elif fixed_interval and not fixed_element:
+            elements = window_candidates(graph, cfg, elements, attr, fixed_interval, classes)
         for el in elements:
             for window, candidate in (
-                    shaped_window_trends(graph, cfg, el, attr, classes, min_len) if shaped
-                    else window_trends(graph, cfg, el, windows, attr, classes)):
+                    window_trends(graph, cfg, el, windows, attr) if classes is None
+                    else shaped_window_trends(graph, cfg, el, attr, classes,
+                                              space.window_min_len, fixed_interval)):
                 yield el, window, candidate
     elif quadrant == Quadrant.Q2_DIST_AT_T:
         yield from scopes(
@@ -317,6 +317,17 @@ def _scopes(graph, cfg, what, quadrant, attr, space, fixed_element=None, fixed_g
             graph, cfg, what, space,
             lambda members, window: aspectual(graph, cfg, members, window, attr, axis),
             time_windows(graph, fixed_interval, space.window_min_len), fixed_group)
+
+
+def _trend_jobs(graph, space, fixed_element, fixed_interval) -> tuple:
+    """The elements a trend search ranges over, and the number of windows of
+    each: k(k+1)/2 of ``window_min_len`` or more points, k = n - min_len + 1."""
+    elements = [fixed_element] if fixed_element else element_candidates(
+        graph, space.subset_family)
+    if fixed_interval:
+        return elements, 1
+    k = max(0, graph.n_times - space.window_min_len + 1)
+    return elements, k * (k + 1) // 2
 
 
 def _axis_of(target) -> AspectAxis:
@@ -726,12 +737,12 @@ def relation_seek(
     """Find binding pairs whose values/patterns stand in the requested
     relation, subject to every auxiliary relation on their references.
 
-    Against one trend on side 1, side 2 classifies only the windows whose
-    class can stand in the relation to it (a semijoin); the others are
-    bindings without a pattern, counted by the budget and skipped by the join."""
+    Against one trend on side 1, side 2 lists only the windows whose class
+    can stand in the relation to it (a semijoin); the budget counts them all."""
     space = space or SearchSpace()
     symmetric = side1 == side2
     b1 = side1.resolve_bindings(graph, cfg, space)
+    n2 = None  # side 2's scope count, where it lists fewer
     if symmetric:
         b2 = b1
     elif (relation.family == RelationFamily.PATTERN and len(b1) == 1
@@ -739,10 +750,13 @@ def relation_seek(
           and isinstance(side2, SeekSidePatterns) and side2.quadrant == Quadrant.Q3_TREND_OF_G):
         b2 = side2.resolve_bindings(graph, cfg, space, related_classes(
             b1[0].payload.cls, relation.op, cfg.similarity_threshold))
+        elements, n_windows = _trend_jobs(graph, space, side2.fixed_element, side2.fixed_interval)
+        n2 = len(elements) * n_windows
     else:
         b2 = side2.resolve_bindings(graph, cfg, space)
-    check_budget(max(len(b1), len(b2)), cfg, "relation seeking")
-    check_budget(len(b1) * len(b2), cfg, "relation seeking (pairs)")
+    n2 = len(b2) if n2 is None else n2
+    check_budget(max(len(b1), n2), cfg, "relation seeking")
+    check_budget(len(b1) * n2, cfg, "relation seeking (pairs)")
 
     # Candidates for each x: all of b2, or for value equality only the y
     # with an equal payload (a hash join). Payloads are floats, strs and
@@ -768,8 +782,6 @@ def relation_seek(
     results = []
     for x in b1:
         for y in b2 if buckets is None else buckets.get(x.payload, ()):
-            if y.payload is None:  # a window side 2 left unclassified
-                continue
             if symmetric and (x.time_key, x.ref_name) == (y.time_key, y.ref_name):
                 continue
             detail = qualified(x, y)

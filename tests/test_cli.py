@@ -158,6 +158,43 @@ class TestExitCodes:
         code, _, err = run_cli(["load", "/nonexistent.jsonl"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("name, content, line, reason", [
+        ("bad.jsonl", b'{"type":"node","id":"a","start":0,"end":1}\n{"type":"node","id":"\xff"}\n',
+         2, "invalid start byte"),
+        ("cut.jsonl", b'{"type":"node","id":"a","start":0,"end":1}\r\n\r\n{"id":"\xe2\x82', 3,
+         "unexpected end of data"),
+        ("bad.csv", b"type,id,start,end\nnode,a,0,1\nnode,\xe2\x82x,0,1\n", 3,
+         "invalid continuation byte"),
+    ], ids=["jsonl", "truncated", "csv"])
+    def test_undecodable_data_file(self, capsys, tmp_path, name, content, line, reason):
+        data = tmp_path / name
+        data.write_bytes(content)
+        for argv in (["load", str(data)], ["query", str(data), "LOOKUP w OF node:a AT t=0"]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (2, "")
+            assert err == f"error: SCHEMA_ERROR: line {line}: invalid UTF-8 ({reason})\n"
+
+    def test_oversized_csv_field(self, capsys, tmp_path):
+        data = tmp_path / "big.csv"
+        data.write_text("type,id,start,end\nnode,a,0,1\n" + f'node,"{"a" * 200_000}",0,1\n')
+        code, out, err = run_cli(["load", str(data)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: SCHEMA_ERROR: line 3: invalid CSV (field larger than")
+
+    def test_undecodable_config_file(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"slope_epsilon=0.1\n# caf\xc3\n")
+        code, out, err = run_cli(["--config", str(cfg), "load", GRAPH], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: USAGE: config line 2: invalid UTF-8 (invalid continuation byte)\n"
+
+    def test_undecodable_query_file(self, capsys, tmp_path):
+        queries = tmp_path / "queries.txt"
+        queries.write_bytes(b"LOOKUP w OF node:a AT t=0\n\x00\xff\n")
+        code, out, err = run_cli(["corpus", GRAPH, str(queries)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: SCHEMA_ERROR: query file line 2: invalid UTF-8 (invalid start byte)\n"
+
 
 class TestQuery:
     def test_envelope_shape(self, capsys):

@@ -53,6 +53,7 @@ from tgq.patterns import (
     classify_distribution,
     classify_trend,
     distribution,
+    start_index,
     step_runs,
     trend,
 )
@@ -651,8 +652,9 @@ def test_one_extended_graph_answers_every_config_like_a_fresh_graph(seed):
 
 
 def test_concurrent_readers_see_whole_columns():
-    """Threads that race to build the same columns, sorted indexes and step
-    runs on one graph all read what one thread reads on a graph of its own."""
+    """Threads that race to build the same columns, sorted indexes, step
+    runs and per-start indexes on one graph all read what one thread reads
+    on a graph of its own."""
     fresh = extended_graph(7)
     jobs = [("column", ref, attr, cfg) for cfg in CFGS.values() for ref in every_ref(fresh)
             for attr in ("w", "c", "b")]
@@ -660,6 +662,9 @@ def test_concurrent_readers_see_whole_columns():
              for ref in every_ref(fresh)]
     jobs += [("sorted_at", attr, t, cfg) for cfg in CFGS.values() for attr in ("w", "u")
              for t in range(fresh.n_times)]
+    jobs += [("family_index", kind, "w", cfg, step_runs, start_index, s, j)
+             for cfg in CFGS.values() for kind in (ElemKind.NODE, ElemKind.EDGE)
+             for s in range(fresh.n_times) for j in (0, 1)]
     random.Random(7).shuffle(jobs)  # index builds and column reads interleaved
 
     def read(graph, job):
@@ -671,7 +676,7 @@ def test_concurrent_readers_see_whole_columns():
 
     def reader(offset):
         order = jobs[offset:] + jobs[:offset]
-        seen.append({(*job[:3], id(job[3])): read(shared, job) for job in order})
+        seen.append({(*job[:3], id(job[3]), *job[4:]): read(shared, job) for job in order})
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -686,4 +691,4 @@ def test_concurrent_readers_see_whole_columns():
     assert not any(th.is_alive() for th in threads)
     assert len(seen) == len(threads)
     for got in seen:
-        assert [got[(*job[:3], id(job[3]))] for job in jobs] == want
+        assert [got[(*job[:3], id(job[3]), *job[4:])] for job in jobs] == want

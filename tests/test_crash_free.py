@@ -5,7 +5,9 @@ Two seeded slices of larger sweeps (QuickCheck-style, Claessen & Hughes,
 ICFP 2000):
 
 - ingest: one field of one corpus record replaced by a value of another
-  JSON type or an extreme number, loaded as JSON lines and as CSV;
+  JSON type or an extreme number, loaded as JSON lines and as CSV; and
+  the corpus file's bytes with an invalid UTF-8 byte, a truncated
+  multibyte sequence or a NUL written into them;
 - queries: ``test_dsl.random_query`` bound to the ids, subsets and
   attributes of real graphs. Each envelope must serialise as strict JSON
   and each query's canonical text must parse back to the same tree.
@@ -77,6 +79,40 @@ def test_mutated_csv_loads_or_fails_cleanly(tmp_path):
     for records in mutations(60, seed=2):
         path.write_text(as_csv(records))
         loads_or_fails(load_path, str(path))
+
+
+# Bytes that are not UTF-8 (a lone continuation or invalid byte, an overlong
+# form, multibyte sequences cut short), a NUL, and a valid two-byte character.
+BYTE_MUTANTS = (b"\xff", b"\x80", b"\xc0\xaf", b"\xe2\x82", b"\xf0\x9f\x98", b"\x00",
+                "\u00e9".encode())
+
+
+def byte_mutations(data: bytes, count: int, seed: int):
+    """``count`` copies of ``data``, each with one mutant written over or in
+    front of the bytes at one position (the end included)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        pos = rng.randrange(len(data) + 1)
+        mutant = rng.choice(BYTE_MUTANTS)
+        yield data[:pos] + mutant + data[pos + rng.choice((0, len(mutant))):]
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_byte_mutations_load_or_fail_cleanly(tmp_path, suffix):
+    data = (CORPUS.read_bytes() if suffix == ".jsonl"
+            else as_csv(corpus_records()).encode())
+    path = tmp_path / f"mutant{suffix}"
+    undecodable = 0
+    for mutated in byte_mutations(data, 80, seed=4):
+        path.write_bytes(mutated)
+        loads_or_fails(load_path, str(path))
+        if suffix == ".jsonl":
+            loads_or_fails(load, mutated.splitlines())
+        try:
+            mutated.decode("utf-8")
+        except UnicodeDecodeError:
+            undecodable += 1
+    assert undecodable > 40
 
 
 def bind(monkeypatch, graph):

@@ -5,23 +5,26 @@ it before the step-sign shape: monotone steps, then a single apex found
 from the first and last position of the extremum. ``reference_shape`` is
 the one-pass shape of a window's values that the run index of
 ``step_runs`` replaced. ``reference_pattern_search`` is the Q3 search loop
-that classified every (element, window) job before scoring it. The
-filtered search, and the windows it enumerates, must give the same
-matches, raise the same errors and make the same budget checks.
+that classified every (element, window) job before scoring it, and
+``reference_window_scan`` the loop that tested one window of every node or
+edge before the per-start index. The filtered search, and the windows it
+enumerates, must give the same matches, raise the same errors and make the
+same budget checks.
 """
 
 import json
 import math
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from tgq import patterns
+from tgq import patterns, tasks
 from tgq.config import Config
 from tgq.dsl.planner import run_query
 from tgq.errors import SEARCH_SPACE_EXCEEDED, TYPE_ERROR, VALIDATION_ERROR, TgqError
-from tgq.graph import AttrKind, load, load_path, node_ref, object_ref
+from tgq.graph import AttrKind, ElemKind, TimeInterval, load, load_path, node_ref, object_ref
 from tgq.patterns import (
     SHAPES,
     TrendClass,
@@ -31,6 +34,7 @@ from tgq.patterns import (
     classify_trend,
     match_score,
     shaped_window_trends,
+    start_index,
     step_runs,
     window_trends,
 )
@@ -41,7 +45,7 @@ from tgq.search import (
     element_candidates,
     time_windows,
 )
-from tgq.tasks import Binding, Quadrant, pattern_search
+from tgq.tasks import Binding, Quadrant, _scopes, pattern_search
 
 from randsuite import random_graph
 
@@ -412,12 +416,14 @@ def random_columns(seed, count, longest=12):
 
 def reference_filter(column, classes, min_len):
     """The windows the per-window filter classifies: shape among ``classes``
-    or a value beyond 2**500, in ``time_windows`` order."""
+    or, if there is a class, a value beyond 2**500, in ``time_windows``
+    order."""
     out = []
     for s in range(len(column)):
         for e in range(s + min_len - 1, len(column)):
             ys = [y for y in column[s:e + 1] if y is not None]
-            if reference_shape(ys) in classes or any(abs(y) > 2.0 ** 500 for y in ys):
+            if classes and (reference_shape(ys) in classes
+                            or any(abs(y) > 2.0 ** 500 for y in ys)):
                 out.append((s, e))
     return out
 
@@ -441,7 +447,8 @@ def test_enumerated_windows_match_the_per_window_filter():
                     for t, y in enumerate(column) if y is not None]
     graph = load(json.dumps(r) for r in records)
     cfg = Config(carry_forward_default=False)
-    class_sets = [{cls} for cls in SHAPES] + [set(SHAPES), {TrendClass.PEAK, TrendClass.TROUGH}]
+    class_sets = [{cls} for cls in SHAPES] + [set(SHAPES), {TrendClass.PEAK, TrendClass.TROUGH},
+                                              set()]
     for i, column in enumerate(columns):
         column = column + (None,) * (graph.n_times - len(column))
         ref = node_ref(f"v{i}")
@@ -449,10 +456,10 @@ def test_enumerated_windows_match_the_per_window_filter():
             windows = time_windows(graph, None, min_len)
             for classes in class_sets:
                 got = shaped_window_trends(graph, cfg, ref, "w", classes, min_len)
-                assert [(w.start, w.end) for w, _ in got] == reference_filter(
-                    column, classes, min_len)
-                assert got == [(w, p) for w, p in window_trends(
-                    graph, cfg, ref, windows, "w", classes) if p is not None]
+                listed = reference_filter(column, classes, min_len)
+                assert [(w.start, w.end) for w, _ in got] == listed
+                assert got == [(w, p) for w, p in window_trends(graph, cfg, ref, windows, "w")
+                               if (w.start, w.end) in listed]
     for cls in TrendClass:
         for min_len in (1, 2, 3, 5):
             space = SearchSpace(window_min_len=min_len)
@@ -460,3 +467,183 @@ def test_enumerated_windows_match_the_per_window_filter():
                 got = search(graph, cfg, TrendLiteral(cls), "w", space, fixed_element=ref)
                 assert got == reference_pattern_search(graph, cfg, TrendLiteral(cls), "w", space,
                                                        fixed_element=ref)
+
+
+# ---------------------------------------------------------------------------
+# One window over every node or edge, from the per-start index
+# ---------------------------------------------------------------------------
+
+N_TIMES = 12
+CLASS_SUBSETS = [set(c) for r in range(len(SHAPES) + 1) for c in combinations(sorted(SHAPES), r)]
+FAMILIES = {SubsetFamily.EACH_NODE: ElemKind.NODE, SubsetFamily.EACH_EDGE: ElemKind.EDGE}
+
+
+def index_graph(seed: int):
+    """Nodes v0..v11 (v4..v11 may have an existence gap) and edges e0..e11
+    among v0..v3, each with a random column of ``w`` (gaps, ties, and for
+    about a third of them ±1e308) where it is alive; v0 and e0 also hold a
+    categorical ``c``."""
+    rng = random.Random(seed)
+    records, spans = [], {}
+    for i in range(12):
+        spans[f"node:v{i}"] = [(0, N_TIMES - 1)]
+        if i >= 4 and rng.random() < 0.5:
+            a = rng.randrange(N_TIMES - 2)
+            spans[f"node:v{i}"] = [(0, a), (rng.randrange(a + 2, N_TIMES), N_TIMES - 1)]
+        records += [{"type": "node", "id": f"v{i}", "start": s, "end": e}
+                    for s, e in spans[f"node:v{i}"]]
+    for i in range(12):
+        src, dst = rng.sample(range(4), 2)
+        records.append({"type": "edge", "id": f"e{i}", "src": f"v{src}", "dst": f"v{dst}",
+                        "start": 0, "end": N_TIMES - 1})
+        spans[f"edge:e{i}"] = [(0, N_TIMES - 1)]
+    for elem, alive in spans.items():
+        values = COLUMN_VALUES if rng.random() < 0.3 else COLUMN_VALUES[:-2]
+        for s, e in alive:
+            for t in range(s, e + 1):
+                y = rng.choice(values)
+                if y is not None:
+                    records.append({"type": "attr", "elem": elem, "name": "w", "t": t, "value": y})
+    records += [{"type": "attr", "elem": elem, "name": "c", "t": 0, "value": "hi"}
+                for elem in ("node:v0", "edge:e0")]
+    return load(json.dumps(r) for r in records)
+
+
+def reference_window_scan(graph, cfg, elements, attr, window, classes):
+    """The fixed-window loop the per-start index replaced: each element's
+    window, classified where a class is sought and its shape is one of
+    ``classes`` or it holds a value beyond 2**500."""
+    if not elements:
+        return []
+    if graph.attr_kind(attr) != AttrKind.NUMERIC:
+        raise TgqError(TYPE_ERROR, f"trend needs a numeric attribute, '{attr}' is not")
+    out = []
+    for el in elements:
+        column = graph.column(el, attr, cfg)
+        graph.check_time(window.start, window.end)
+        ys = [column[t] for t in window.indices() if column[t] is not None]
+        if classes and (reference_shape(ys) in classes or any(abs(y) > 2.0 ** 500 for y in ys)):
+            out.append((el, window, reference_trend(graph, cfg, el, window, attr)))
+    return out
+
+
+def window_scan(graph, cfg, family, attr, window, classes, fixed_element=None):
+    return list(_scopes(graph, cfg, "pattern search", Quadrant.Q3_TREND_OF_G, attr,
+                        SearchSpace(subset_family=family), fixed_element=fixed_element,
+                        fixed_interval=window, classes=classes))
+
+
+def reference_sign_changes(ys) -> int:
+    rising = [b > a for a, b in zip(ys, ys[1:]) if a != b]
+    return sum(x != y for x, y in zip(rising, rising[1:]))
+
+
+@pytest.fixture(scope="module")
+def index_graphs():
+    return [index_graph(seed) for seed in range(3)]
+
+
+@pytest.mark.parametrize("cfg_name", sorted(CFGS))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_start_index_bounds_the_sign_changes(index_graphs, cfg_name, family):
+    cfg = CFGS[cfg_name]
+    for graph in index_graphs:
+        columns = [graph.column(el, "w", cfg) for el in element_candidates(graph, family)]
+        for s in range(N_TIMES):
+            for j in (0, 1):
+                ms, order = graph.family_index(
+                    FAMILIES[family], "w", cfg, step_runs, start_index, s, j)
+                assert list(ms) == sorted(ms) and sorted(order) == list(range(len(columns)))
+                # an element holding a value beyond 2**500 from s on is never ruled out
+                extreme = {i for i, col in enumerate(columns)
+                           if any(y is not None and abs(y) > 2.0 ** 500 for y in col[s:])}
+                for e in range(s, N_TIMES):
+                    few = {i for i, col in enumerate(columns) if reference_sign_changes(
+                        [y for y in col[s:e + 1] if y is not None]) <= j}
+                    assert {pos for m, pos in zip(ms, order) if m > e} == few | extreme, (s, e, j)
+
+
+@pytest.mark.parametrize("cfg_name", sorted(CFGS))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_window_scan_matches_reference(monkeypatch, index_graphs, cfg_name, family):
+    # Every subset of SHAPES, the empty one included, on random windows, over
+    # the family and over each of its elements: the same trends, and
+    # classify_trend called for exactly the listed windows.
+    cfg = CFGS[cfg_name]
+    calls = []
+    real = patterns.classify_trend
+
+    def counting(samples, cfg):
+        calls.append(samples)
+        return real(samples, cfg)
+
+    monkeypatch.setattr(patterns, "classify_trend", counting)
+    rng = random.Random(17)
+    for graph in index_graphs:
+        elements = element_candidates(graph, family)
+        for classes in CLASS_SUBSETS:
+            for window in rng.sample(time_windows(graph), 8):
+                for el in [None] + elements:
+                    calls.clear()
+                    want = reference_window_scan(graph, cfg, [el] if el else elements, "w",
+                                                 window, classes)
+                    assert window_scan(graph, cfg, family, "w", window, classes, el) == want
+                    assert len(calls) == len(want)
+
+
+def test_empty_class_set_reads_no_element(monkeypatch, index_graphs):
+    graph = index_graphs[0]
+    reads = []
+    for name in ("column", "column_index", "family_index"):
+        monkeypatch.setattr(graph, name, lambda *args, name=name: reads.append(name))
+    for family in FAMILIES:
+        assert window_scan(graph, Config(), family, "w", TimeInterval(0, 11), set()) == []
+    assert reads == []
+
+
+def test_window_scan_errors_match_reference(index_graphs):
+    no_edges = load(json.dumps(r) for r in [
+        {"type": "node", "id": "a", "start": 0, "end": 3},
+        {"type": "attr", "elem": "node:a", "name": "c", "t": 0, "value": "hi"},
+        {"type": "attr", "elem": "node:a", "name": "w", "t": 0, "value": 1.0}])
+    cases = [(graph, family, attr, window) for graph in (index_graphs[0], no_edges)
+             for family in FAMILIES for attr in ("w", "c", "nope")
+             for window in (TimeInterval(0, 3), TimeInterval(2, 40))]
+    codes = set()
+    for graph, family, attr, window in cases:
+        for classes in (set(), {TrendClass.PEAK}, {TrendClass.FLUCTUATING}):
+            got = outcome(window_scan, graph, Config(), family, attr, window, classes)
+            assert got == outcome(reference_window_scan, graph, Config(),
+                                  element_candidates(graph, family), attr, window, classes)
+            codes.add(got[1] if got[0] == "error" else None)
+    assert codes == {TYPE_ERROR, VALIDATION_ERROR, None}
+
+
+@pytest.mark.parametrize("family", ["EACH_NODE", "EACH_EDGE"])
+def test_window_scan_budget_edge(family):
+    graph = load_path(str(CORPUS_GRAPH))
+    size = len(graph.nodes if family == "EACH_NODE" else graph.edges)
+    query = f"SEARCH PEAK ON w OVER {family} DURING [0, 7]"
+    assert "bindings" in run_query(query, graph, Config(search_max_candidates=size))
+    with pytest.raises(TgqError) as err:
+        run_query(query, graph, Config(search_max_candidates=size - 1))
+    assert (err.value.code, err.value.details) == (SEARCH_SPACE_EXCEEDED, {"count": size})
+
+
+@pytest.mark.parametrize("node, t2, scopes", [
+    ("d", " AND T2 = [0, 7]", 6),  # CONSTANT: no class can be opposite
+    ("f", " AND T2 = [0, 7]", 6),  # TROUGH against PEAK
+    ("f", "", 6 * 36),  # every window of every node
+])
+def test_seek_budget_counts_every_scope(monkeypatch, node, t2, scopes):
+    # Side 2 lists only the windows that can pair; the budget checks see
+    # every (element, window) scope, as when each was a binding.
+    graph = load_path(str(CORPUS_GRAPH))
+    seen = []
+    real = tasks.check_budget
+    monkeypatch.setattr(tasks, "check_budget",
+                        lambda count, cfg, what: seen.append((what, count)) or real(count, cfg, what))
+    run_query(f"SEEK g2 WHERE TREND(w, g1) OPPOSITE TREND(w, g2) AND g1 = node:{node} "
+              f"AND T1 = [0, 7]{t2}", graph, Config())
+    assert seen == [("relation seeking", 1), ("relation seeking", scopes),
+                    ("relation seeking", scopes), ("relation seeking (pairs)", scopes)]
