@@ -359,14 +359,14 @@ class TemporalGraph:
             self._columns[key] = index = build(self.column(ref, attr, cfg))
         return index
 
-    def family_index(self, kind: ElemKind, attr: str, cfg: Config, each, build, *args):
-        """``build([column_index(ref, attr, cfg, each) for each ref of kind],
-        *args)``, cached next to the columns once whole."""
+    def family_index(self, kind: ElemKind, attr: str, cfg: Config, build, *args):
+        """``build(self, kind, attr, cfg, *args)``, cached next to the columns
+        once whole. ``build`` may read ``cfg`` only through the attribute's
+        carry flag, which keys the cache with ``build`` and ``args``."""
         key = (kind, attr, cfg.carries_forward(attr), build, *args)
         index = self._columns.get(key)
         if index is None:
-            self._columns[key] = index = build(
-                [self.column_index(ref, attr, cfg, each) for ref in self.all_refs((kind,))], *args)
+            self._columns[key] = index = build(self, kind, attr, cfg, *args)
         return index
 
     def _recorded(self, ref: GraphElementRef, attr: str, carry: bool) -> tuple:

@@ -21,9 +21,11 @@ the values, taken from their run index (``step_runs``). From a column's
 cached index, a window whose class cannot be one sought is ruled out
 without the slope, and the windows of a start and a shape are one range of
 ends (``shaped_window_trends``). For one window over every node or edge,
-a per-start index of the families' run indexes (``start_index``) rules
-out, by one bisection, the elements whose steps change sign too often
-(``window_candidates``). The slope epsilon is relative to the observed
+a per-start index of their run indexes (``start_index``) rules out, by one
+bisection, the elements whose steps change sign too often
+(``window_candidates``). Its first build for a start costs about what
+testing each element's run index would; it pays off when the start comes
+back on a loaded graph. The slope epsilon is relative to the observed
 value range, which makes the class invariant under y -> a*y + b for a > 0.
 
 ``match_score`` is the one approximate-match relation, for attribute and
@@ -49,7 +51,7 @@ from .errors import (
     TYPE_ERROR,
     TgqError,
 )
-from .graph import AttrKind, GraphElementRef, TemporalGraph, TimeInterval, unit_scaled
+from .graph import AttrKind, ElemKind, GraphElementRef, TemporalGraph, TimeInterval, unit_scaled
 
 
 class TrendClass(str, Enum):
@@ -302,28 +304,23 @@ class StepRuns(NamedTuple):
         replace a step)."""
         return self.shape(s, e) in classes or bool(classes) and self.first_extreme(s) <= e
 
-    def turns(self, s: int) -> list:
-        """``(shape, first end)`` for each shape a window [s, e] takes as e
-        grows: CONSTANT from s, then INCREASING or DECREASING from its first
-        step, PEAK or TROUGH from its first sign change and FLUCTUATING from
-        its second, those it reaches."""
-        out = [(TrendClass.CONSTANT, s)]
-        k = bisect_left(self.starts, s)
-        if k < len(self.starts):
-            c = self.changes[k]
-            steps = (k, bisect_right(self.changes, c, k), bisect_right(self.changes, c + 1, k))
-            out += [(cls, self.ends[i]) for cls, i in zip(
-                _RISING if self.rising[k] else _FALLING, steps) if i < len(self.ends)]
-        return out
-
     def ends_of(self, s: int, classes, first: int, stop: int) -> list:
         """The ends e, ascending, with ``first <= e < stop``, of the windows
-        [s, e] that ``may_be`` admits. Each shape holds for one range of
-        ends (``turns``)."""
+        [s, e] that ``may_be`` admits. A growing end only moves the shape
+        on, CONSTANT, then INCREASING or DECREASING, then PEAK or TROUGH,
+        then FLUCTUATING: each holds for one range of ends, found by
+        bisection."""
         if not classes:
             return []
+        k = bisect_left(self.starts, s)
+        bounds = [(TrendClass.CONSTANT, s)]  # (shape, the first end it holds at)
+        if k < len(self.starts):
+            c = self.changes[k]
+            turns = (k, bisect_right(self.changes, c, k), bisect_right(self.changes, c + 1, k))
+            bounds += [(cls, self.ends[i]) for cls, i in zip(
+                _RISING if self.rising[k] else _FALLING, turns) if i < len(self.ends)]
         extreme = min(self.first_extreme(s), stop)
-        bounds = self.turns(s) + [(None, extreme)]
+        bounds.append((None, extreme))
         out = [e for (cls, lo), (_, hi) in zip(bounds, bounds[1:]) if cls in classes
                for e in range(max(lo, first), min(hi, extreme))]
         return out + list(range(max(extreme, first), stop))
@@ -417,8 +414,8 @@ def window_candidates(graph: TemporalGraph, cfg: Config, refs: list, attr: str,
                       window: TimeInterval, classes) -> list:
     """The refs of ``refs`` (every node or every edge, in order) for which
     ``shaped_window_trends(..., fixed=window)`` may list the window: all but
-    those the per-start index (``start_index``) rules out, found without
-    reading them. Raises what that call would raise for the first ref; no
+    those the per-start index (``start_index``) rules out, which are never
+    classified. Raises what that call would raise for the first ref; no
     ref, no error."""
     if not refs:
         return []
@@ -429,26 +426,28 @@ def window_candidates(graph: TemporalGraph, cfg: Config, refs: list, attr: str,
     if TrendClass.FLUCTUATING in classes:
         return refs
     j = 0 if classes <= {TrendClass.INCREASING, TrendClass.DECREASING} else 1
-    ms, order = graph.family_index(refs[0].kind, attr, cfg, step_runs, start_index,
-                                   window.start, j)
+    ms, order = graph.family_index(refs[0].kind, attr, cfg, start_index, window.start, j)
     return [refs[i] for i in sorted(order[bisect_right(ms, window.end):])]
 
 
-def start_index(runs: list, s: int, j: int) -> tuple:
-    """``(ms, order)`` for the run indexes of a family's elements and a
-    start s: ``order`` lists their positions by m_j(s), the end of the step
-    that makes the (j+1)-th sign change from s, and ``ms`` holds those ends,
-    ascending. A window [s, e] has at most j sign changes exactly where
-    m_j(s) > e. m_j(s) is infinite where there is no such step, and where a
-    value beyond ``_UNSCALED_MAX`` follows s, so that no window of such an
-    element is ruled out."""
-    keyed = []
-    for pos, r in enumerate(runs):
-        turns = r.turns(s)
-        m = turns[j + 2][1] if j + 2 < len(turns) and r.first_extreme(s) == math.inf else math.inf
-        keyed.append((m, pos))
-    keyed.sort()
-    return array("d", [m for m, _ in keyed]), array("i", [pos for _, pos in keyed])
+def start_index(graph: TemporalGraph, kind: ElemKind, attr: str, cfg: Config,
+                s: int, j: int) -> tuple:
+    """``(ms, order)`` for the elements of one kind (``graph.all_refs``) and
+    a start s, from their cached run indexes: ``order`` lists their
+    positions by m_j(s), the end of the step that makes the (j+1)-th sign
+    change from s, and ``ms`` holds those ends, ascending. A window [s, e]
+    has at most j sign changes exactly where m_j(s) > e. m_j(s) is infinite
+    where there is no such step, and where a value beyond ``_UNSCALED_MAX``
+    follows s, so that no window of such an element is ruled out."""
+    ms = []
+    for ref in graph.all_refs((kind,)):
+        runs = graph.column_index(ref, attr, cfg, step_runs)
+        k = bisect_left(runs.starts, s)
+        i = bisect_right(runs.changes, runs.changes[k] + j, k) if k < len(runs.starts) else k
+        ms.append(runs.ends[i] if i < len(runs.ends) and runs.first_extreme(s) == math.inf
+                  else math.inf)
+    order = sorted(range(len(ms)), key=ms.__getitem__)
+    return array("d", [ms[i] for i in order]), array("i", order)
 
 
 def _check_numeric(graph: TemporalGraph, attr: str) -> None:

@@ -15,7 +15,7 @@ characterise, though the cap still counts them:
 - Trend windows (``tasks._scopes``) range over single elements. Free
   windows are listed from each element's cached step-run index
   (``patterns.step_runs``), only those whose shape can match. One fixed
-  window over every node or edge reads only the elements that the
+  window over every node or edge classifies only the elements that the
   per-start index of their step runs (``patterns.start_index``, cached by
   ``TemporalGraph.family_index``) cannot rule out.
 - Presence pairs (``structure.structural_search``) follow each window's

@@ -662,7 +662,7 @@ def test_concurrent_readers_see_whole_columns():
              for ref in every_ref(fresh)]
     jobs += [("sorted_at", attr, t, cfg) for cfg in CFGS.values() for attr in ("w", "u")
              for t in range(fresh.n_times)]
-    jobs += [("family_index", kind, "w", cfg, step_runs, start_index, s, j)
+    jobs += [("family_index", kind, "w", cfg, start_index, s, j)
              for cfg in CFGS.values() for kind in (ElemKind.NODE, ElemKind.EDGE)
              for s in range(fresh.n_times) for j in (0, 1)]
     random.Random(7).shuffle(jobs)  # index builds and column reads interleaved

@@ -551,8 +551,7 @@ def test_start_index_bounds_the_sign_changes(index_graphs, cfg_name, family):
         columns = [graph.column(el, "w", cfg) for el in element_candidates(graph, family)]
         for s in range(N_TIMES):
             for j in (0, 1):
-                ms, order = graph.family_index(
-                    FAMILIES[family], "w", cfg, step_runs, start_index, s, j)
+                ms, order = graph.family_index(FAMILIES[family], "w", cfg, start_index, s, j)
                 assert list(ms) == sorted(ms) and sorted(order) == list(range(len(columns)))
                 # an element holding a value beyond 2**500 from s on is never ruled out
                 extreme = {i for i, col in enumerate(columns)
@@ -561,6 +560,28 @@ def test_start_index_bounds_the_sign_changes(index_graphs, cfg_name, family):
                     few = {i for i, col in enumerate(columns) if reference_sign_changes(
                         [y for y in col[s:e + 1] if y is not None]) <= j}
                     assert {pos for m, pos in zip(ms, order) if m > e} == few | extreme, (s, e, j)
+
+
+def test_family_index_cache_keys_every_input(index_graphs):
+    # Cached per (kind, attr, carry flag, build, args): a change in any one
+    # builds anew, and the same inputs read the first build.
+    graph = index_graphs[0]
+    builds = []
+
+    def first(graph, kind, attr, cfg, *args):
+        builds.append(("first", kind, attr, cfg.carries_forward(attr), args))
+        return len(builds)
+
+    def second(graph, kind, attr, cfg, *args):
+        builds.append(("second", kind, attr, cfg.carries_forward(attr), args))
+        return len(builds)
+
+    jobs = [(kind, attr, cfg, build, args) for kind in FAMILIES.values() for attr in ("w", "c")
+            for cfg in CFGS.values() for build in (first, second) for args in ((0, 0), (0, 1))]
+    got = [graph.family_index(kind, attr, cfg, build, *args)
+           for kind, attr, cfg, build, args in jobs + jobs]
+    assert got == list(range(1, len(jobs) + 1)) * 2
+    assert len(set(builds)) == len(jobs)
 
 
 @pytest.mark.parametrize("cfg_name", sorted(CFGS))
