@@ -11,8 +11,11 @@ machinery is built on these primitives:
   first read; scans read it whole and point reads index it,
 - ``value_at_info(t, ref, attr)`` is the point read that raises
   ABSENT_ELEMENT or MISSING_VALUE on a miss,
-- ``sorted_at(attr, t)`` holds the values at one time index of every node
-  and edge, ascending, so that a range constraint is a bisection,
+- ``sorted_at(attr, t, cfg, kind)`` holds the values at one time index of
+  every node, or of every edge, ascending: a FIND range test over every
+  element bisects it, a distribution over every node or edge reads its
+  values already sorted, and a value SEEK against every node or edge at
+  one time point bisects the run each value on the other side admits,
 - ``snapshot(t)`` materialises the static graph alive at one time point,
 - ``exists_at(ref, t)`` tests interval cover.
 
@@ -204,7 +207,6 @@ class TemporalGraph:
         # (kind, attr, carry, build, *args) -> index, see family_index
         self._columns: dict = {}
         self._refs: dict = {}  # kind -> sorted tuple of its refs, built on first use
-        self._sorted: dict = {}  # (attr, carry, t) -> (values, refs), see sorted_at
         self._node_edges: dict = {}
         for edge_id, e in self.edges.items():
             self._node_edges.setdefault(e.src, []).append(edge_id)
@@ -388,22 +390,18 @@ class TemporalGraph:
             self._columns[key] = col = tuple(slots)
         return col
 
-    def sorted_at(self, attr: str, t: int, cfg: Config) -> tuple:
+    def sorted_at(self, attr: str, t: int, cfg: Config, kind: ElemKind) -> tuple:
         """``(values, refs)``: the values of ``attr`` at time index ``t`` of
-        every node and edge that has one, ascending, and the ref holding
-        each. Read from the columns on first use and cached only once whole."""
-        carry = cfg.carries_forward(attr)
-        index = self._sorted.get((attr, carry, t))
-        if index is None:
-            self.attr_kind(attr)
-            self.check_time(t)
-            refs = self.all_refs()
-            values = [self._recorded(ref, attr, carry)[t] for ref in refs]
-            order = sorted((i for i, v in enumerate(values) if v is not None),
-                           key=values.__getitem__)
-            index = [values[i] for i in order], [refs[i] for i in order]
-            self._sorted[attr, carry, t] = index
-        return index
+        every element of ``kind`` (every node, or every edge) that has one,
+        ascending with ties in ``all_refs`` order, and the ref holding each.
+        Read from the columns on first use and cached once whole, by
+        ``family_index``. It has three readers: a range test over every
+        element in FIND (``tasks.inverse_lookup``) bisects it, a
+        distribution over every node or edge (``patterns.distribution``)
+        takes its values, and a value SEEK whose side 2 is every node or
+        edge at one time point (``tasks.relation_seek``) bisects the run of
+        it that each side-1 value admits."""
+        return self.family_index(kind, attr, cfg, _sorted_values, t)
 
     # -- snapshots -----------------------------------------------------------
 
@@ -874,6 +872,17 @@ def _csv_records(text: str):
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
+
+
+def _sorted_values(graph: TemporalGraph, kind: ElemKind, attr: str, cfg: Config, t: int) -> tuple:
+    """``TemporalGraph.sorted_at``, built from the columns."""
+    graph.attr_kind(attr)
+    graph.check_time(t)
+    carry = cfg.carries_forward(attr)
+    refs = graph.all_refs((kind,))
+    values = [graph._recorded(ref, attr, carry)[t] for ref in refs]
+    order = sorted((i for i, v in enumerate(values) if v is not None), key=values.__getitem__)
+    return tuple(values[i] for i in order), tuple(refs[i] for i in order)
 
 
 def _norm_label(label, lineno: Optional[int] = None):

@@ -455,10 +455,13 @@ def _check_numeric(graph: TemporalGraph, attr: str) -> None:
         raise TgqError(TYPE_ERROR, f"trend needs a numeric attribute, '{attr}' is not")
 
 
-def classify_distribution(values, cfg: Config) -> DistributionPattern:
+def classify_distribution(values, cfg: Config, ascending: bool = False) -> DistributionPattern:
+    """The distribution pattern of ``values``; ``ascending`` values are
+    floats in ascending order already and are not sorted again."""
     if not values:
         raise TgqError(EMPTY_SCOPE, "no defined values in scope")
-    values = sorted(float(v) for v in values)
+    if not ascending:
+        values = sorted(float(v) for v in values)
     try:
         n = len(values)
         mean = math.fsum(values) / n
@@ -482,7 +485,7 @@ def classify_distribution(values, cfg: Config) -> DistributionPattern:
     except OverflowError:
         # Finite extremes overflow the moments; only mean and stddev have a scale.
         scale, unit = unit_scaled(values)
-        p = classify_distribution(unit, cfg)
+        p = classify_distribution(unit, cfg, ascending=True)
         return replace(p, mean=p.mean * scale, stddev=p.stddev * scale, min=values[0], max=values[-1])
 
 
@@ -522,16 +525,34 @@ def distribution(
     t: int,
     attr: str,
 ) -> DistributionPattern:
-    """Distribution of an attribute over a set of elements at one time point."""
+    """Distribution of an attribute over a set of elements at one time point.
+
+    Members that are every node or every edge, in ``all_refs`` order (the
+    NODES and EDGES groups), take their values from
+    ``TemporalGraph.sorted_at``, sorted already; others read each column."""
     if graph.attr_kind(attr) != AttrKind.NUMERIC:
         raise TgqError(TYPE_ERROR, f"distribution needs a numeric attribute, '{attr}' is not")
     graph.check_time(t)
-    values = [v for v in (graph.column(m, attr, cfg)[t] for m in members) if v is not None]
+    kind = _whole_kind(graph, members)
+    if kind is not None:
+        values = graph.sorted_at(attr, t, cfg, kind)[0]
+    else:
+        values = [v for v in (graph.column(m, attr, cfg)[t] for m in members) if v is not None]
     if not values:
         raise TgqError(
             EMPTY_SCOPE, f"no member has a value of '{attr}' at t={graph.label_of(t)}"
         )
-    return classify_distribution(values, cfg)
+    return classify_distribution(values, cfg, ascending=kind is not None)
+
+
+def _whole_kind(graph: TemporalGraph, members) -> Optional[ElemKind]:
+    """The kind whose every element ``members`` lists, in ``all_refs``
+    order: a node or an edge; else None."""
+    kind = members[0].kind if members else None
+    table = {ElemKind.NODE: graph.nodes, ElemKind.EDGE: graph.edges}.get(kind)
+    if table is None or len(members) != len(table):
+        return None
+    return kind if list(members) == graph.all_refs((kind,)) else None
 
 
 def aspectual(

@@ -24,7 +24,7 @@ from .errors import (
     UNRESOLVED_SIDE,
     VALIDATION_ERROR,
 )
-from .graph import AttrKind, GraphElementRef, TemporalGraph, TimeInterval
+from .graph import AttrKind, ElemKind, GraphElementRef, TemporalGraph, TimeInterval
 from .patterns import (
     SHAPES,
     AspectAxis,
@@ -171,7 +171,8 @@ def inverse_lookup(
     graph objects participate only when passed explicitly.
 
     A range test of a numeric attribute over every element bisects each
-    time point's ``TemporalGraph.sorted_at``; the rest scan columns."""
+    time point's ``TemporalGraph.sorted_at`` of the nodes and of the edges;
+    the rest scan columns. Hits come in (t, ref) order either way."""
     if t is not None:
         graph.check_time(t)
         times = [t]
@@ -184,9 +185,10 @@ def inverse_lookup(
     if (ref is None and members is None and constraint.is_range()
             and graph.attr_kinds.get(attr) == AttrKind.NUMERIC):
         for ti in times:
-            values, refs = graph.sorted_at(attr, ti, cfg)
-            span = constraint.span(values)
-            hits.extend(zip(repeat(ti), refs[span], values[span]))
+            for kind in (ElemKind.NODE, ElemKind.EDGE):
+                values, refs = graph.sorted_at(attr, ti, cfg, kind)
+                span = constraint.span(values)
+                hits.extend(zip(repeat(ti), refs[span], values[span]))
     else:
         elements = ([ref] if ref is not None else list(members) if members is not None
                     else graph.all_refs())
@@ -683,11 +685,7 @@ class SeekSideValues:
     fixed_ref: Optional[GraphElementRef] = None
 
     def resolve_bindings(self, graph: TemporalGraph, cfg: Config, space: SearchSpace) -> list:
-        times = time_points(graph, self.fixed_t)
-        elements = (
-            [self.fixed_ref] if self.fixed_ref else element_candidates(graph, space.subset_family)
-        )
-        check_budget(len(times) * len(elements), cfg, "relation seeking")
+        times, elements = self._scope(graph, cfg, space)
         columns = [graph.column(el, self.attr, cfg) for el in elements] if times else []
         out = []
         for t in times:
@@ -696,6 +694,24 @@ class SeekSideValues:
                 if value is not None:
                     out.append(Binding(t, el, value))
         return out
+
+    def sorted_values(self, graph: TemporalGraph, cfg: Config, space: SearchSpace) -> tuple:
+        """``(values, refs)``: what ``resolve_bindings`` lists, in ascending
+        value order (``TemporalGraph.sorted_at``), after the same budget
+        check; for a side with a fixed t and no fixed ref."""
+        _, elements = self._scope(graph, cfg, space)
+        if not elements:
+            return (), ()
+        return graph.sorted_at(self.attr, self.fixed_t, cfg, elements[0].kind)
+
+    def _scope(self, graph: TemporalGraph, cfg: Config, space: SearchSpace) -> tuple:
+        """The side's time points and elements, counted against the cap."""
+        times = time_points(graph, self.fixed_t)
+        elements = (
+            [self.fixed_ref] if self.fixed_ref else element_candidates(graph, space.subset_family)
+        )
+        check_budget(len(times) * len(elements), cfg, "relation seeking")
+        return times, elements
 
 
 @dataclass(frozen=True)
@@ -738,13 +754,21 @@ def relation_seek(
     relation, subject to every auxiliary relation on their references.
 
     Against one trend on side 1, side 2 lists only the windows whose class
-    can stand in the relation to it (a semijoin); the budget counts them all."""
+    can stand in the relation to it (a semijoin); the budget counts them all.
+    A value relation other than ``ne`` between numbers on side 1 and every
+    node or edge at one time point on side 2 is a band join: each x pairs
+    only with the run of side 2's ``TemporalGraph.sorted_at`` that the
+    relation admits (``_band``), in ref order, as the loop would."""
     space = space or SearchSpace()
     symmetric = side1 == side2
     b1 = side1.resolve_bindings(graph, cfg, space)
     n2 = None  # side 2's scope count, where it lists fewer
+    band = None  # side 2's (values, refs) for a band join
     if symmetric:
         b2 = b1
+    elif _band_joins(graph, relation, b1, side2):
+        band = side2.sorted_values(graph, cfg, space)
+        n2 = len(band[0])
     elif (relation.family == RelationFamily.PATTERN and len(b1) == 1
           and isinstance(b1[0].payload, TrendPattern)
           and isinstance(side2, SeekSidePatterns) and side2.quadrant == Quadrant.Q3_TREND_OF_G):
@@ -758,17 +782,32 @@ def relation_seek(
     check_budget(max(len(b1), n2), cfg, "relation seeking")
     check_budget(len(b1) * n2, cfg, "relation seeking (pairs)")
 
-    # Candidates for each x: all of b2, or for value equality only the y
-    # with an equal payload (a hash join). Payloads are floats, strs and
-    # bools, for which a == b implies hash(a) == hash(b), so each bucket
-    # holds exactly the y the nested loop would pair, in b2 order; a NaN
-    # equals nothing, itself included, and is left out.
-    buckets = None
-    if relation.family == RelationFamily.VALUE and relation.op == "eq":
+    # Candidates for each x: in a band join only the y of its run, sorted
+    # back into ref order (each pair is still tested, so a run may hold
+    # more than the pairs that hold, never fewer); for value equality only
+    # the y with an equal payload (a hash join); else all of b2. Hashed
+    # payloads are floats, strs and bools, for which a == b implies
+    # hash(a) == hash(b), so each bucket holds exactly the y the nested
+    # loop would pair, in b2 order; a NaN equals nothing, itself included,
+    # and is left out.
+    if band is not None:
+        values, refs = band
+
+        def candidates(x):
+            run = _band(relation, x.payload, values)
+            return [Binding(side2.fixed_t, ref, y)
+                    for ref, y in sorted(zip(refs[run], values[run]))]
+    elif relation.family == RelationFamily.VALUE and relation.op == "eq":
         buckets = {}
         for y in b2:
             if y.payload == y.payload:
                 buckets.setdefault(y.payload, []).append(y)
+
+        def candidates(x):
+            return buckets.get(x.payload, ())
+    else:
+        def candidates(x):
+            return b2
 
     def qualified(x: Binding, y: Binding):
         detail = _main_relation_detail(relation, x, y, cfg)
@@ -781,7 +820,7 @@ def relation_seek(
 
     results = []
     for x in b1:
-        for y in b2 if buckets is None else buckets.get(x.payload, ()):
+        for y in candidates(x):
             if symmetric and (x.time_key, x.ref_name) == (y.time_key, y.ref_name):
                 continue
             detail = qualified(x, y)
@@ -793,6 +832,34 @@ def relation_seek(
             results.append(SeekPair(x, y, detail))
     results.sort(key=lambda p: (p.lhs.sort_key(), p.rhs.sort_key()))
     return results
+
+
+# x op y for a value x, as the ValueConstraint op that tests y
+_BAND_OPS = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le", "eq": "between"}
+
+
+def _band_joins(graph: TemporalGraph, relation: RelationSpec, b1: list, side2) -> bool:
+    """Whether ``relation_seek`` joins ``b1`` with ``side2`` by ``_band``:
+    side 2 is every node or edge at one time point, the relation an
+    ordering, equality or WITHIN, and every value on either side a number,
+    so that no pair the join skips could have raised."""
+    return (isinstance(side2, SeekSideValues) and side2.fixed_t is not None
+            and side2.fixed_ref is None and relation.family == RelationFamily.VALUE
+            and (relation.op in _BAND_OPS or relation.op == "within")
+            and graph.attr_kinds.get(side2.attr) == AttrKind.NUMERIC
+            and all(type(x.payload) in (int, float) for x in b1))
+
+
+def _band(relation: RelationSpec, v, values) -> slice:
+    """The run of ascending ``values`` y for which ``v relation y`` holds.
+    WITHIN bisects on the relation's own test, ``abs(v - y) <= d``, which
+    holds on one run on either side of v."""
+    if relation.op != "within":
+        return ValueConstraint(_BAND_OPS[relation.op], (v, v)).span(values)
+    d = float(relation.params[0])
+    m = bisect_left(values, v)
+    return slice(bisect_left(values, True, 0, m, key=lambda y: abs(v - y) <= d),
+                 bisect_left(values, True, m, key=lambda y: abs(v - y) > d))
 
 
 def _main_relation_detail(relation: RelationSpec, x: Binding, y: Binding, cfg: Config):

@@ -652,16 +652,16 @@ def test_one_extended_graph_answers_every_config_like_a_fresh_graph(seed):
 
 
 def test_concurrent_readers_see_whole_columns():
-    """Threads that race to build the same columns, sorted indexes, step
-    runs and per-start indexes on one graph all read what one thread reads
-    on a graph of its own."""
+    """Threads that race to build the same columns, per-kind sorted indexes,
+    step runs and per-start indexes on one graph all read what one thread
+    reads on a graph of its own."""
     fresh = extended_graph(7)
     jobs = [("column", ref, attr, cfg) for cfg in CFGS.values() for ref in every_ref(fresh)
             for attr in ("w", "c", "b")]
     jobs += [("column_index", ref, "w", cfg, step_runs) for cfg in CFGS.values()
              for ref in every_ref(fresh)]
-    jobs += [("sorted_at", attr, t, cfg) for cfg in CFGS.values() for attr in ("w", "u")
-             for t in range(fresh.n_times)]
+    jobs += [("sorted_at", attr, t, cfg, kind) for cfg in CFGS.values() for attr in ("w", "u")
+             for t in range(fresh.n_times) for kind in (ElemKind.NODE, ElemKind.EDGE)]
     jobs += [("family_index", kind, "w", cfg, start_index, s, j)
              for cfg in CFGS.values() for kind in (ElemKind.NODE, ElemKind.EDGE)
              for s in range(fresh.n_times) for j in (0, 1)]

@@ -10,6 +10,7 @@ join meets every pair. Answers, budget checks and errors must be the same.
 import json
 import math
 import random
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -17,16 +18,26 @@ import pytest
 from tgq import patterns, tasks
 from tgq.config import Config
 from tgq.dsl.planner import run_query
-from tgq.errors import KIND_MISMATCH, TgqError
-from tgq.graph import TimeInterval, load, load_path, node_ref, object_ref
+from tgq.errors import EMPTY_SCOPE, KIND_MISMATCH, TYPE_ERROR, TgqError
+from tgq.graph import (
+    AttrKind,
+    ElemKind,
+    TimeInterval,
+    _sorted_values,
+    load,
+    load_path,
+    node_ref,
+    object_ref,
+)
 from tgq.patterns import TrendClass, trend
 from tgq.relations import RelationFamily, RelationSpec
-from tgq.search import SearchSpace, check_budget, time_points, time_windows
+from tgq.search import SearchSpace, SubsetFamily, check_budget, time_points, time_windows
 from tgq.tasks import (
     AuxRelation,
     Quadrant,
     SeekPair,
     SeekSidePatterns,
+    SeekSideValues,
     ValueConstraint,
     inverse_lookup,
     relation_seek,
@@ -185,33 +196,40 @@ def test_find_matches_the_scan(graphs, seed, cfg_name):
                 attr, constraint, kwargs)
 
 
+def sorted_indexes(graph) -> list:
+    """(kind, attr, carry, t) of every ``sorted_at`` index built on ``graph``."""
+    return sorted((key[0].value, key[1], key[2], key[4]) for key in graph._columns
+                  if len(key) == 5 and key[3] is _sorted_values)
+
+
 def test_find_reads_the_index_only_for_range_tests():
     graph, cfg = index_graph(0), Config()
     inverse_lookup(graph, cfg, "w", ValueConstraint("eq", (2.0,)))
     inverse_lookup(graph, cfg, "w", ValueConstraint("gt", (2.0,)), ref=node_ref("n1"))
     inverse_lookup(graph, cfg, "w", ValueConstraint("gt", (2.0,)), members=(node_ref("n1"),))
     inverse_lookup(graph, cfg, "c", ValueConstraint("eq", ("hi",)))
-    assert graph._sorted == {}
+    assert sorted_indexes(graph) == []
     inverse_lookup(graph, cfg, "w", ValueConstraint("gt", (2.0,)), t=0)
-    assert list(graph._sorted) == [("w", True, 0)]
+    assert sorted_indexes(graph) == [("edge", "w", True, 0), ("node", "w", True, 0)]
     inverse_lookup(graph, Config(carry_forward_default=False), "w",
                    ValueConstraint("between", (0.0, 2.0)))
-    assert len(graph._sorted) == 1 + graph.n_times
+    assert len(sorted_indexes(graph)) == 2 * (1 + graph.n_times)
 
 
 def test_sorted_at_holds_every_value_ascending(graphs):
     for graph in graphs[:10]:
         for cfg in CFGS.values():
             for t in range(graph.n_times):
-                values, refs = graph.sorted_at("w", t, cfg)
-                want = sorted((graph.column(r, "w", cfg)[t], r) for r in graph.all_refs()
-                              if graph.column(r, "w", cfg)[t] is not None)
-                assert values == sorted(values)
-                assert sorted(zip(values, refs)) == want
+                for kind in (ElemKind.NODE, ElemKind.EDGE):
+                    values, refs = graph.sorted_at("w", t, cfg, kind)
+                    column = [(graph.column(r, "w", cfg)[t], r) for r in graph.all_refs((kind,))]
+                    # ties (signed zeros among them) keep ref order
+                    assert list(zip(values, refs)) == sorted(
+                        ((v, r) for v, r in column if v is not None), key=lambda vr: vr[0])
 
 
 def test_load_builds_no_index():
-    assert load_path(str(DATA / "corpus_graph.jsonl"))._sorted == {}
+    assert load_path(str(DATA / "corpus_graph.jsonl"))._columns == {}
 
 
 # ---------------------------------------------------------------------------
@@ -419,3 +437,228 @@ def test_pushdown_keeps_the_query_answer():
             "AND T2 = [0, 3]"
     rows = run_query(query, graph, Config())["bindings"]
     assert [r["rhs"]["ref"] for r in rows] == ["node:b"]
+
+
+# ---------------------------------------------------------------------------
+# Value SEEK against every node or edge at t: the band join against the loop
+# ---------------------------------------------------------------------------
+
+# Every relation the band join answers (WITHIN at tolerances that land on
+# recorded values exactly, zero of either sign, overflow-wide and, as an API
+# call can pass, below zero), and ne, which keeps the loop.
+VALUE_RELATIONS = [RelationSpec(RelationFamily.VALUE, op)
+                   for op in ("lt", "le", "gt", "ge", "eq", "ne")] + [
+    RelationSpec(RelationFamily.VALUE, "within", (d,))
+    for d in (0.0, -0.0, 0.5, 1.0, 2.0, 1e308, math.inf, -1.0)]
+SEEK_AUX = (
+    (),
+    (AuxRelation("graph", RelationSpec(RelationFamily.STRUCTURAL, "adjacent")),),
+    (AuxRelation("graph", RelationSpec(RelationFamily.STRUCTURAL, "distance_le", (1,))),),
+    (AuxRelation("graph", RelationSpec(RelationFamily.STRUCTURAL, "distance_le", (2,)), 0),),
+)
+FAMILIES = (SearchSpace(), SearchSpace(subset_family=SubsetFamily.EACH_EDGE))
+
+
+def value_sides_one(graph, t):
+    """Side-1 value scopes: node x (extremes, ±1e308 among them) at t and at
+    every t, each other node and edge at t (some with no value there), the
+    object, and a categorical value."""
+    refs = [node_ref("x")] + graph.all_refs() + [object_ref("o")]
+    sides = [SeekSideValues("w", fixed_t=t, fixed_ref=ref) for ref in refs]
+    sides += [SeekSideValues("w", fixed_ref=ref) for ref in (node_ref("x"), node_ref("n1"),
+                                                              object_ref("o"))]
+    return sides + [SeekSideValues("c", fixed_t=0, fixed_ref=node_ref("n0"))]
+
+
+@pytest.mark.parametrize("cfg_name", sorted(CFGS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_value_seek_matches_the_loop(graphs, seed, cfg_name, monkeypatch):
+    graph, cfg = graphs[seed], CFGS[cfg_name]
+    t2 = random.Random(seed).randrange(graph.n_times)
+    # every node or edge at t2 (a band join where side 1 is numeric), and
+    # sides that keep the loop: another attribute kind, an undeclared one,
+    # a fixed ref, a free t
+    sides2 = [SeekSideValues(attr, fixed_t=t2) for attr in ("w", "c", "nope")] + [
+        SeekSideValues("w", fixed_t=t2, fixed_ref=node_ref("n1")), SeekSideValues("w")]
+    for side1 in value_sides_one(graph, t2):
+        for space in FAMILIES:
+            for side2 in sides2:
+                if side2 == side1:
+                    continue  # a symmetric seek, which the reference does not model
+                relations = VALUE_RELATIONS if side2 == sides2[0] else VALUE_RELATIONS[::4]
+                for relation in relations:
+                    for aux in SEEK_AUX:
+                        args = (graph, cfg, relation, side1, side2, aux, space)
+                        got = seek_outcome(monkeypatch, relation_seek, *args)
+                        want = seek_outcome(monkeypatch, reference_relation_seek, *args)
+                        assert got == want, (side1, side2, space, relation, aux)
+
+
+def test_value_seek_cases_are_reached(graphs):
+    """The graphs hold what the join must get right: a side-1 element with
+    no value at t, values at v ± d and at ±1e308, and a WITHIN whose
+    v - y overflows."""
+    no_value = overflow = at_tolerance = False
+    for graph in graphs:
+        cfg = Config()
+        for ref in graph.all_refs():
+            no_value |= None in graph.column(ref, "w", cfg)
+        column = [v for v in graph.column(node_ref("x"), "w", cfg) if v is not None]
+        overflow |= 1e308 in column and -1e308 in column
+        for t in range(graph.n_times):
+            values = graph.sorted_at("w", t, cfg, ElemKind.NODE)[0]
+            at_tolerance |= any(v + 1.0 in values for v in values)
+    assert no_value and overflow and at_tolerance
+
+
+def test_band_pairs_only_the_run(monkeypatch):
+    """Side 2 of a band join meets only the pairs that hold, in ref order."""
+    graph = load(json.dumps(r) for r in [
+        {"type": "node", "id": n, "start": 0, "end": 0} for n in "abcdef"] + [
+        {"type": "attr", "elem": f"node:{n}", "name": "w", "t": 0, "value": v}
+        for n, v in zip("abcdef", (3.0, 1.0, 2.0, 4.0, 2.0, 0.5))])
+    evaluated = []
+    real = tasks._main_relation_detail
+
+    def counting(relation, x, y, cfg):
+        evaluated.append(str(y.ref_key))
+        return real(relation, x, y, cfg)
+
+    monkeypatch.setattr(tasks, "_main_relation_detail", counting)
+    side1 = SeekSideValues("w", fixed_t=0, fixed_ref=node_ref("c"))
+    side2 = SeekSideValues("w", fixed_t=0)
+    within = RelationSpec(RelationFamily.VALUE, "within", (1.0,))
+    got = relation_seek(graph, Config(), within, side1, side2)
+    assert [str(p.rhs.ref_key) for p in got] == ["node:a", "node:b", "node:c", "node:e"]
+    assert evaluated == ["node:a", "node:b", "node:c", "node:e"]
+
+
+@dataclass(frozen=True)
+class ListedSide:
+    """A seek side that lists the bindings it is given."""
+
+    bindings: tuple
+
+    def resolve_bindings(self, graph, cfg, space):
+        return list(self.bindings)
+
+
+def test_a_nan_on_side_one_pairs_with_nothing():
+    """A NaN can bisect to a run of every value; each pair is still tested,
+    so the join pairs it with nothing, as the loop does."""
+    graph = index_graph(0)
+    side2 = SeekSideValues("w", fixed_t=0)
+    for payload in (math.nan, 2.0):
+        side1 = ListedSide((tasks.Binding(0, node_ref("n0"), payload),))
+        for relation in VALUE_RELATIONS:
+            args = (graph, Config(), relation, side1, side2)
+            assert outcome(relation_seek, *args) == outcome(reference_relation_seek, *args)
+
+
+@pytest.mark.parametrize("v, d, y, holds", [
+    (0.2, 0.7, 0.9, True),    # 0.2 + 0.7 < 0.9, yet abs(0.2 - 0.9) <= 0.7
+    (2.0, 0.3, 1.7, False),   # 2.0 - 0.3 <= 1.7, yet abs(2.0 - 1.7) > 0.3
+    (8.3, 0.3, 8.0, False),
+])
+def test_within_bisects_on_the_relations_own_test(v, d, y, holds):
+    """Bounds v - d and v + d round otherwise than abs(v - y) <= d: the
+    band join must pair exactly what the relation holds for."""
+    graph = load(json.dumps(r) for r in [
+        {"type": "node", "id": n, "start": 0, "end": 0} for n in "abc"] + [
+        {"type": "attr", "elem": f"node:{n}", "name": "w", "t": 0, "value": value}
+        for n, value in (("a", v), ("b", y), ("c", 2 * y + 10))])
+    within = RelationSpec(RelationFamily.VALUE, "within", (d,))
+    args = (graph, Config(), within, SeekSideValues("w", fixed_t=0, fixed_ref=node_ref("a")),
+            SeekSideValues("w", fixed_t=0))
+    got = relation_seek(*args)
+    assert got == reference_relation_seek(*args)
+    assert [str(p.rhs.ref_key) for p in got] == ["node:a"] + ["node:b"] * holds
+
+
+def test_value_seek_budget_counts_side_two_values(monkeypatch):
+    """With every side-2 element holding a value, a cap of that count
+    answers and one less is SEARCH_SPACE_EXCEEDED with the count; with some
+    holding none, a cap between the value and element counts fails at the
+    element count, and caps around the pair count behave as the loop's."""
+    records = [{"type": "node", "id": n, "start": 0, "end": 1 if n in "abc" else 0}
+               for n in "abcde"]
+    records += [{"type": "attr", "elem": f"node:{n}", "name": "w", "t": 0, "value": float(i)}
+                for i, n in enumerate("abcde")]
+    records += [{"type": "attr", "elem": f"node:{n}", "name": "w", "t": 1, "value": 1.0}
+                for n in "abc"]
+    graph = load(json.dumps(r) for r in records)
+    within = RelationSpec(RelationFamily.VALUE, "within", (1.0,))
+    one = SeekSideValues("w", fixed_t=0, fixed_ref=node_ref("b"))
+    answered = relation_seek(graph, Config(search_max_candidates=5), within, one,
+                             SeekSideValues("w", fixed_t=0))
+    assert [str(p.rhs.ref_key) for p in answered] == ["node:a", "node:b", "node:c"]
+    with pytest.raises(TgqError) as err:
+        relation_seek(graph, Config(search_max_candidates=4), within, one,
+                      SeekSideValues("w", fixed_t=0))
+    assert (err.value.code, err.value.details) == ("SEARCH_SPACE_EXCEEDED", {"count": 5})
+    # at t=1 three of five nodes exist and hold a value: n2 = 3, elements = 5
+    free = SeekSideValues("w", fixed_ref=node_ref("b"))  # two side-1 bindings
+    for side1 in (one, free):
+        for cap in range(1, 12):
+            args = (graph, Config(search_max_candidates=cap), within, side1,
+                    SeekSideValues("w", fixed_t=1))
+            got = seek_outcome(monkeypatch, relation_seek, *args)
+            assert got == seek_outcome(monkeypatch, reference_relation_seek, *args), (side1, cap)
+    counts = seek_outcome(monkeypatch, relation_seek, graph, Config(), within, free,
+                          SeekSideValues("w", fixed_t=1))[1]
+    assert counts == [(2, "relation seeking"), (5, "relation seeking"),
+                      (3, "relation seeking"), (6, "relation seeking (pairs)")]
+
+
+# ---------------------------------------------------------------------------
+# Distributions over every node or edge: the index against the member reads
+# ---------------------------------------------------------------------------
+
+
+def reference_distribution(graph, cfg, members, t, attr):
+    if graph.attr_kind(attr) != AttrKind.NUMERIC:
+        raise TgqError(TYPE_ERROR, f"distribution needs a numeric attribute, '{attr}' is not")
+    graph.check_time(t)
+    values = [v for v in (graph.column(m, attr, cfg)[t] for m in members) if v is not None]
+    if not values:
+        raise TgqError(
+            EMPTY_SCOPE, f"no member has a value of '{attr}' at t={graph.label_of(t)}"
+        )
+    return patterns.classify_distribution(values, cfg)
+
+
+@pytest.mark.parametrize("cfg_name", sorted(CFGS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_whole_family_distribution_matches_the_member_reads(graphs, seed, cfg_name):
+    graph, cfg = graphs[seed], CFGS[cfg_name]
+    for kind in (ElemKind.NODE, ElemKind.EDGE):
+        refs = graph.all_refs((kind,))
+        for members in (tuple(refs), refs, refs[::-1], refs[1:], refs + refs[:1]):
+            for attr in ("w", "u", "c", "nope"):
+                for t in range(-1, graph.n_times + 1):
+                    got = outcome(patterns.distribution, graph, cfg, members, t, attr)
+                    want = outcome(reference_distribution, graph, cfg, members, t, attr)
+                    assert got == want, (kind, members, attr, t)
+
+
+def test_only_whole_families_skip_the_sort(monkeypatch):
+    graph, cfg = index_graph(3), Config()
+    nodes, edges = graph.all_refs((ElemKind.NODE,)), graph.all_refs((ElemKind.EDGE,))
+    cases = [(tuple(nodes), True), (tuple(edges), True), (nodes[:1], False),
+             (nodes[::-1], False), (edges + nodes[:1], False), ([object_ref("o")], False)]
+    answered = []
+    real = patterns.classify_distribution
+    seen = []
+
+    def recording(values, cfg, ascending=False):
+        seen.append(ascending)
+        return real(values, cfg, ascending)
+
+    monkeypatch.setattr(patterns, "classify_distribution", recording)
+    for members, whole in cases:
+        for t in range(graph.n_times):
+            seen.clear()
+            if outcome(patterns.distribution, graph, cfg, members, t, "w")[0] != "error":
+                assert seen[0] == whole, (members, t)  # then True where extremes rescale
+                answered.append(whole)
+    assert True in answered and False in answered
