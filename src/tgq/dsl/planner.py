@@ -369,6 +369,8 @@ class _Planner:
         if rel.op in ("SAME", "DIFFERENT", "OPPOSITE"):
             return RelationSpec(RelationFamily.PATTERN, rel.op.lower())
         if rel.op == "within":
+            if rel.delta < 0:
+                raise TgqError(VALIDATION_ERROR, "WITHIN tolerance must be >= 0")
             return RelationSpec(RelationFamily.VALUE, "within", (rel.delta,))
         return RelationSpec(RelationFamily.VALUE, rel.op)
 

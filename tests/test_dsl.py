@@ -227,6 +227,10 @@ class TestPlan:
          "OVER KHOP 1 subset:S1", "the KHOP centre is a node, not subset:S1"),
         ("SEEK g1,g2 WHERE w(g1) = w(g2) AND DISTANCE(g1, g2) <= -1 AND t1 = 0 AND t2 = 0",
          "max distance must be >= 0"),
+        ("COMPARE w OF node:a AT t=0 WITH w OF node:c AT t=0 USING WITHIN(-1.0)",
+         "WITHIN tolerance must be >= 0"),
+        ("SEEK g2 WHERE w(g1) WITHIN(-1e-300) w(g2) AND g1 = node:a AND t1 = 0 AND t2 = 0",
+         "WITHIN tolerance must be >= 0"),
     ])
     def test_bad_references_and_radius_rejected(self, corpus_graph, cfg, query, message):
         with pytest.raises(TgqError) as e:
