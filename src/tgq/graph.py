@@ -14,7 +14,7 @@ machinery is built on these primitives:
 - ``sorted_at(attr, t, cfg, kind)`` holds the values at one time index of
   every node, or of every edge, ascending: a FIND range test over every
   element bisects it, a distribution over every node or edge reads its
-  values already sorted, and a value SEEK against every node or edge at
+  values already sorted, and a WITHIN SEEK against every node or edge at
   one time point bisects the run each value on the other side admits,
 - ``snapshot(t)`` materialises the static graph alive at one time point,
 - ``exists_at(ref, t)`` tests interval cover.
@@ -30,6 +30,7 @@ import csv
 import io
 import json
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -391,16 +392,18 @@ class TemporalGraph:
         return col
 
     def sorted_at(self, attr: str, t: int, cfg: Config, kind: ElemKind) -> tuple:
-        """``(values, refs)``: the values of ``attr`` at time index ``t`` of
-        every element of ``kind`` (every node, or every edge) that has one,
-        ascending with ties in ``all_refs`` order, and the ref holding each.
+        """``(values, refs, positions)``: the values of ``attr`` at time
+        index ``t`` of every element of ``kind`` (every node, or every edge)
+        that has one, ascending with ties in ``all_refs`` order, the ref
+        holding each, and that ref's position in ``all_refs``.
         Read from the columns on first use and cached once whole, by
         ``family_index``. It has three readers: a range test over every
         element in FIND (``tasks.inverse_lookup``) bisects it, a
         distribution over every node or edge (``patterns.distribution``)
-        takes its values, and a value SEEK whose side 2 is every node or
+        takes its values, and a WITHIN SEEK whose side 2 is every node or
         edge at one time point (``tasks.relation_seek``) bisects the run of
-        it that each side-1 value admits."""
+        it that each side-1 value admits, which ``positions`` puts back
+        into ref order."""
         return self.family_index(kind, attr, cfg, _sorted_values, t)
 
     # -- snapshots -----------------------------------------------------------
@@ -882,7 +885,7 @@ def _sorted_values(graph: TemporalGraph, kind: ElemKind, attr: str, cfg: Config,
     refs = graph.all_refs((kind,))
     values = [graph._recorded(ref, attr, carry)[t] for ref in refs]
     order = sorted((i for i, v in enumerate(values) if v is not None), key=values.__getitem__)
-    return tuple(values[i] for i in order), tuple(refs[i] for i in order)
+    return tuple(values[i] for i in order), tuple(refs[i] for i in order), array("i", order)
 
 
 def _norm_label(label, lineno: Optional[int] = None):

@@ -455,13 +455,10 @@ def _check_numeric(graph: TemporalGraph, attr: str) -> None:
         raise TgqError(TYPE_ERROR, f"trend needs a numeric attribute, '{attr}' is not")
 
 
-def classify_distribution(values, cfg: Config, ascending: bool = False) -> DistributionPattern:
-    """The distribution pattern of ``values``; ``ascending`` values are
-    floats in ascending order already and are not sorted again."""
+def classify_distribution(values, cfg: Config) -> DistributionPattern:
     if not values:
         raise TgqError(EMPTY_SCOPE, "no defined values in scope")
-    if not ascending:
-        values = sorted(float(v) for v in values)
+    values = sorted(map(float, values))
     try:
         n = len(values)
         mean = math.fsum(values) / n
@@ -485,7 +482,7 @@ def classify_distribution(values, cfg: Config, ascending: bool = False) -> Distr
     except OverflowError:
         # Finite extremes overflow the moments; only mean and stddev have a scale.
         scale, unit = unit_scaled(values)
-        p = classify_distribution(unit, cfg, ascending=True)
+        p = classify_distribution(unit, cfg)
         return replace(p, mean=p.mean * scale, stddev=p.stddev * scale, min=values[0], max=values[-1])
 
 
@@ -529,7 +526,7 @@ def distribution(
 
     Members that are every node or every edge, in ``all_refs`` order (the
     NODES and EDGES groups), take their values from
-    ``TemporalGraph.sorted_at``, sorted already; others read each column."""
+    ``TemporalGraph.sorted_at`` in one read; others read each column."""
     if graph.attr_kind(attr) != AttrKind.NUMERIC:
         raise TgqError(TYPE_ERROR, f"distribution needs a numeric attribute, '{attr}' is not")
     graph.check_time(t)
@@ -542,7 +539,7 @@ def distribution(
         raise TgqError(
             EMPTY_SCOPE, f"no member has a value of '{attr}' at t={graph.label_of(t)}"
         )
-    return classify_distribution(values, cfg, ascending=kind is not None)
+    return classify_distribution(values, cfg)
 
 
 def _whole_kind(graph: TemporalGraph, members) -> Optional[ElemKind]:

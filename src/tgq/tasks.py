@@ -186,7 +186,7 @@ def inverse_lookup(
             and graph.attr_kinds.get(attr) == AttrKind.NUMERIC):
         for ti in times:
             for kind in (ElemKind.NODE, ElemKind.EDGE):
-                values, refs = graph.sorted_at(attr, ti, cfg, kind)
+                values, refs, _ = graph.sorted_at(attr, ti, cfg, kind)
                 span = constraint.span(values)
                 hits.extend(zip(repeat(ti), refs[span], values[span]))
     else:
@@ -696,12 +696,12 @@ class SeekSideValues:
         return out
 
     def sorted_values(self, graph: TemporalGraph, cfg: Config, space: SearchSpace) -> tuple:
-        """``(values, refs)``: what ``resolve_bindings`` lists, in ascending
-        value order (``TemporalGraph.sorted_at``), after the same budget
-        check; for a side with a fixed t and no fixed ref."""
+        """``(values, refs, positions)``: what ``resolve_bindings`` lists, in
+        ascending value order (``TemporalGraph.sorted_at``), after the same
+        budget check; for a side with a fixed t and no fixed ref."""
         _, elements = self._scope(graph, cfg, space)
         if not elements:
-            return (), ()
+            return (), (), ()
         return graph.sorted_at(self.attr, self.fixed_t, cfg, elements[0].kind)
 
     def _scope(self, graph: TemporalGraph, cfg: Config, space: SearchSpace) -> tuple:
@@ -755,15 +755,15 @@ def relation_seek(
 
     Against one trend on side 1, side 2 lists only the windows whose class
     can stand in the relation to it (a semijoin); the budget counts them all.
-    A value relation other than ``ne`` between numbers on side 1 and every
-    node or edge at one time point on side 2 is a band join: each x pairs
-    only with the run of side 2's ``TemporalGraph.sorted_at`` that the
-    relation admits (``_band``), in ref order, as the loop would."""
+    WITHIN between numbers on side 1 and every node or edge at one time
+    point on side 2 is a band join: each x pairs only with the run of side
+    2's ``TemporalGraph.sorted_at`` that the tolerance admits (``_band``),
+    in ref order, as the loop would."""
     space = space or SearchSpace()
     symmetric = side1 == side2
     b1 = side1.resolve_bindings(graph, cfg, space)
     n2 = None  # side 2's scope count, where it lists fewer
-    band = None  # side 2's (values, refs) for a band join
+    band = None  # side 2's (values, refs, positions) for a band join
     if symmetric:
         b2 = b1
     elif _band_joins(graph, relation, b1, side2):
@@ -783,20 +783,25 @@ def relation_seek(
     check_budget(len(b1) * n2, cfg, "relation seeking (pairs)")
 
     # Candidates for each x: in a band join only the y of its run, sorted
-    # back into ref order (each pair is still tested, so a run may hold
-    # more than the pairs that hold, never fewer); for value equality only
-    # the y with an equal payload (a hash join); else all of b2. Hashed
-    # payloads are floats, strs and bools, for which a == b implies
-    # hash(a) == hash(b), so each bucket holds exactly the y the nested
-    # loop would pair, in b2 order; a NaN equals nothing, itself included,
-    # and is left out.
+    # back into ref order by position, each Binding made once (each pair is
+    # still tested, so a run may hold more than the pairs that hold, never
+    # fewer); for value equality only the y with an equal payload (a hash
+    # join); else all of b2. Hashed payloads are floats, strs and bools,
+    # for which a == b implies hash(a) == hash(b), so each bucket holds
+    # exactly the y the nested loop would pair, in b2 order; a NaN equals
+    # nothing, itself included, and is left out.
     if band is not None:
-        values, refs = band
+        values, refs, positions = band
+        made = [None] * len(values)
 
         def candidates(x):
-            run = _band(relation, x.payload, values)
-            return [Binding(side2.fixed_t, ref, y)
-                    for ref, y in sorted(zip(refs[run], values[run]))]
+            run = _band(x.payload, float(relation.params[0]), values)
+            out = []
+            for k in sorted(range(run.start, run.stop), key=positions.__getitem__):
+                if made[k] is None:
+                    made[k] = Binding(side2.fixed_t, refs[k], values[k])
+                out.append(made[k])
+            return out
     elif relation.family == RelationFamily.VALUE and relation.op == "eq":
         buckets = {}
         for y in b2:
@@ -834,29 +839,22 @@ def relation_seek(
     return results
 
 
-# x op y for a value x, as the ValueConstraint op that tests y
-_BAND_OPS = {"lt": "gt", "le": "ge", "gt": "lt", "ge": "le", "eq": "between"}
-
-
 def _band_joins(graph: TemporalGraph, relation: RelationSpec, b1: list, side2) -> bool:
     """Whether ``relation_seek`` joins ``b1`` with ``side2`` by ``_band``:
-    side 2 is every node or edge at one time point, the relation an
-    ordering, equality or WITHIN, and every value on either side a number,
-    so that no pair the join skips could have raised."""
+    side 2 is every node or edge at one time point, the relation WITHIN,
+    and every value on either side a number, so that no pair the join
+    skips could have raised."""
     return (isinstance(side2, SeekSideValues) and side2.fixed_t is not None
             and side2.fixed_ref is None and relation.family == RelationFamily.VALUE
-            and (relation.op in _BAND_OPS or relation.op == "within")
+            and relation.op == "within"
             and graph.attr_kinds.get(side2.attr) == AttrKind.NUMERIC
             and all(type(x.payload) in (int, float) for x in b1))
 
 
-def _band(relation: RelationSpec, v, values) -> slice:
-    """The run of ascending ``values`` y for which ``v relation y`` holds.
-    WITHIN bisects on the relation's own test, ``abs(v - y) <= d``, which
-    holds on one run on either side of v."""
-    if relation.op != "within":
-        return ValueConstraint(_BAND_OPS[relation.op], (v, v)).span(values)
-    d = float(relation.params[0])
+def _band(v, d: float, values) -> slice:
+    """The run of ascending ``values`` y within ``d`` of ``v``. It bisects
+    on the relation's own test, ``abs(v - y) <= d``, which holds on one
+    run on either side of v."""
     m = bisect_left(values, v)
     return slice(bisect_left(values, True, 0, m, key=lambda y: abs(v - y) <= d),
                  bisect_left(values, True, m, key=lambda y: abs(v - y) > d))

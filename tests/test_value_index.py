@@ -221,11 +221,13 @@ def test_sorted_at_holds_every_value_ascending(graphs):
         for cfg in CFGS.values():
             for t in range(graph.n_times):
                 for kind in (ElemKind.NODE, ElemKind.EDGE):
-                    values, refs = graph.sorted_at("w", t, cfg, kind)
-                    column = [(graph.column(r, "w", cfg)[t], r) for r in graph.all_refs((kind,))]
+                    values, refs, positions = graph.sorted_at("w", t, cfg, kind)
+                    every = graph.all_refs((kind,))
+                    column = [(graph.column(r, "w", cfg)[t], r) for r in every]
                     # ties (signed zeros among them) keep ref order
                     assert list(zip(values, refs)) == sorted(
                         ((v, r) for v, r in column if v is not None), key=lambda vr: vr[0])
+                    assert [every[p] for p in positions] == list(refs)
 
 
 def test_load_builds_no_index():
@@ -443,9 +445,10 @@ def test_pushdown_keeps_the_query_answer():
 # Value SEEK against every node or edge at t: the band join against the loop
 # ---------------------------------------------------------------------------
 
-# Every relation the band join answers (WITHIN at tolerances that land on
-# recorded values exactly, zero of either sign, overflow-wide and, as an API
-# call can pass, below zero), and ne, which keeps the loop.
+# WITHIN, which the band join answers, at tolerances that land on recorded
+# values exactly, zero of either sign, overflow-wide and, as an API call can
+# pass, below zero; and the other value relations, which keep the loop or
+# the hash join.
 VALUE_RELATIONS = [RelationSpec(RelationFamily.VALUE, op)
                    for op in ("lt", "le", "gt", "ge", "eq", "ne")] + [
     RelationSpec(RelationFamily.VALUE, "within", (d,))
@@ -531,6 +534,34 @@ def test_band_pairs_only_the_run(monkeypatch):
     got = relation_seek(graph, Config(), within, side1, side2)
     assert [str(p.rhs.ref_key) for p in got] == ["node:a", "node:b", "node:c", "node:e"]
     assert evaluated == ["node:a", "node:b", "node:c", "node:e"]
+
+
+def test_only_within_reads_the_index():
+    """The ordering relations and equality keep the loop and the hash join:
+    no side-2 index is built for them."""
+    graph = index_graph(0)
+    side1 = SeekSideValues("w", fixed_t=0, fixed_ref=node_ref("n0"))
+    side2 = SeekSideValues("w", fixed_t=0)
+    for relation in VALUE_RELATIONS[:6]:
+        relation_seek(graph, Config(), relation, side1, side2)
+    assert sorted_indexes(graph) == []
+    relation_seek(graph, Config(), VALUE_RELATIONS[-1], side1, side2)
+    assert sorted_indexes(graph) == [("node", "w", True, 0)]
+
+
+def test_a_wide_run_makes_each_binding_once(monkeypatch):
+    """Where every value is within the tolerance of every side-1 value,
+    each x meets every y in ref order, and side 2's Bindings are shared."""
+    graph = index_graph(0)
+    cfg = Config()
+    wide = RelationSpec(RelationFamily.VALUE, "within", (math.inf,))
+    side1, side2 = SeekSideValues("w", fixed_ref=node_ref("x")), SeekSideValues("w", fixed_t=0)
+    got = relation_seek(graph, cfg, wide, side1, side2)
+    assert got == reference_relation_seek(graph, cfg, wide, side1, side2)
+    rhs = {}
+    for pair in got:
+        assert rhs.setdefault(pair.rhs.ref_key, pair.rhs) is pair.rhs
+    assert len(got) > len(rhs) == len(graph.sorted_at("w", 0, cfg, ElemKind.NODE)[0])
 
 
 @dataclass(frozen=True)
@@ -641,24 +672,12 @@ def test_whole_family_distribution_matches_the_member_reads(graphs, seed, cfg_na
                     assert got == want, (kind, members, attr, t)
 
 
-def test_only_whole_families_skip_the_sort(monkeypatch):
+def test_only_whole_families_read_the_index():
     graph, cfg = index_graph(3), Config()
     nodes, edges = graph.all_refs((ElemKind.NODE,)), graph.all_refs((ElemKind.EDGE,))
-    cases = [(tuple(nodes), True), (tuple(edges), True), (nodes[:1], False),
-             (nodes[::-1], False), (edges + nodes[:1], False), ([object_ref("o")], False)]
-    answered = []
-    real = patterns.classify_distribution
-    seen = []
-
-    def recording(values, cfg, ascending=False):
-        seen.append(ascending)
-        return real(values, cfg, ascending)
-
-    monkeypatch.setattr(patterns, "classify_distribution", recording)
-    for members, whole in cases:
-        for t in range(graph.n_times):
-            seen.clear()
-            if outcome(patterns.distribution, graph, cfg, members, t, "w")[0] != "error":
-                assert seen[0] == whole, (members, t)  # then True where extremes rescale
-                answered.append(whole)
-    assert True in answered and False in answered
+    for members in (nodes[:1], nodes[::-1], edges + nodes[:1], [object_ref("o")]):
+        outcome(patterns.distribution, graph, cfg, members, 0, "w")
+    assert sorted_indexes(graph) == []
+    for members in (tuple(nodes), edges):
+        outcome(patterns.distribution, graph, cfg, members, 0, "w")
+    assert sorted_indexes(graph) == [("edge", "w", True, 0), ("node", "w", True, 0)]
