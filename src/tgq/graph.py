@@ -526,7 +526,11 @@ class TemporalGraph:
 # Loading
 # ---------------------------------------------------------------------------
 
-_RECORD_TYPES = {"node", "edge", "attr", "subset", "object", "series"}
+# The fields each record type's checks read, in its load tuple's order; pass 1
+# reads a node's or edge's start and end, or a t, from the tuple's end.
+_FIELDS = {"node": ("id", "start", "end"), "edge": ("id", "src", "dst", "directed", "start", "end"),
+           "object": ("id", "nodes", "edges"), "subset": ("name", "members"),
+           "attr": ("elem", "name", "t", "value"), "series": ("name", "t", "value")}
 
 
 def load(stream: Iterable) -> TemporalGraph:
@@ -541,7 +545,10 @@ def load(stream: Iterable) -> TemporalGraph:
 
 
 def _load(numbered) -> TemporalGraph:
-    """:func:`load` over ``(line number, item)`` pairs."""
+    """:func:`load` over ``(line number, item)`` pairs. Each record is kept as
+    ``(line, type, *fields)``, its type's ``_FIELDS`` (None if missing or null),
+    and pass 2 writes the attr rows back over the list's head: at its peak a
+    load holds the graph being built plus one small tuple per record."""
     records = []
     for lineno, item in numbered:
         if isinstance(item, (bytes, str)):
@@ -562,7 +569,9 @@ def _load(numbered) -> TemporalGraph:
             rec = item
         if not isinstance(rec, dict):
             raise TgqError(SCHEMA_ERROR, f"line {lineno}: record must be an object", line=lineno)
-        records.append((lineno, rec))
+        rtype = rec.get("type")
+        fields = _FIELDS.get(rtype, ()) if isinstance(rtype, str) else ()
+        records.append((lineno, rtype, *map(rec.get, fields)))
 
     # Pass 1: collect every timestamp so intervals can be index-resolved.
     # Each distinct raw label is normalised once, keyed by (type, value) so
@@ -577,25 +586,24 @@ def _load(numbered) -> TemporalGraph:
         if (type(raw), raw) not in norm:
             norm[type(raw), raw] = _norm_label(raw, lineno)
 
-    for lineno, rec in records:
-        rtype = rec.get("type")
-        if not isinstance(rtype, str) or rtype not in _RECORD_TYPES:
+    for rec in records:
+        lineno, rtype = rec[0], rec[1]
+        if not isinstance(rtype, str) or rtype not in _FIELDS:
             raise TgqError(
                 SCHEMA_ERROR, f"line {lineno}: unknown record type {rtype!r}", line=lineno
             )
         if rtype in ("node", "edge"):
-            note(_require(rec, "start", lineno), lineno)
-            if rec.get("end") is not None:
-                note(rec["end"], lineno)
+            note(_require(rec[-2], "start", lineno), lineno)
+            if rec[-1] is not None:
+                note(rec[-1], lineno)
         elif rtype in ("attr", "series"):
-            note(_require(rec, "t", lineno), lineno)
+            note(_require(rec[-2], "t", lineno), lineno)
     time_labels = _sort_labels(set(norm.values()))
     index = {label: i for i, label in enumerate(time_labels)}
     slot = {key: index[label] for key, label in norm.items()}  # (type, raw) -> time index
     last = len(time_labels) - 1
 
-    def interval_of(rec, lineno):
-        start, end = rec["start"], rec.get("end")
+    def interval_of(start, end, lineno):
         start = slot[type(start), start]
         end = last if end is None else slot[type(end), end]
         if start > end:
@@ -610,7 +618,6 @@ def _load(numbered) -> TemporalGraph:
     edge_line: dict = {}  # edge id -> line of its first record
     objects: dict = {}
     subset_raw: dict = {}
-    attr_raw: list = []
     attr_kinds: dict = {}
     external: dict = {}
     parsed: dict = {}  # element token -> GraphElementRef, parsed once
@@ -624,16 +631,18 @@ def _load(numbered) -> TemporalGraph:
                 raise TgqError(SCHEMA_ERROR, f"line {lineno}: {err.message}", line=lineno) from None
         return ref
 
-    for lineno, rec in records:
-        rtype = rec["type"]
+    kept = 0  # attr rows so far, written back over records[:kept]
+    for rec in records:
+        rtype = rec[1]
         if rtype == "node":
-            ident = _require_str(rec, "id", lineno)
-            nodes.setdefault(ident, []).append(interval_of(rec, lineno))
+            lineno, _, ident, start, end = rec
+            ident = _require_str(ident, "id", lineno)
+            nodes.setdefault(ident, []).append(interval_of(start, end, lineno))
         elif rtype == "edge":
-            ident = _require_str(rec, "id", lineno)
-            src = _require_str(rec, "src", lineno)
-            dst = _require_str(rec, "dst", lineno)
-            directed = rec.get("directed")
+            lineno, _, ident, src, dst, directed, start, end = rec
+            ident = _require_str(ident, "id", lineno)
+            src = _require_str(src, "src", lineno)
+            dst = _require_str(dst, "dst", lineno)
             if directed is not None and not isinstance(directed, bool):
                 raise TgqError(
                     SCHEMA_ERROR, f"line {lineno}: 'directed' must be true or false", line=lineno
@@ -645,11 +654,11 @@ def _load(numbered) -> TemporalGraph:
                     f"line {lineno}: edge '{ident}' re-declared with different endpoints",
                     line=lineno,
                 )
-            edge_ivals.setdefault(ident, []).append(interval_of(rec, lineno))
+            edge_ivals.setdefault(ident, []).append(interval_of(start, end, lineno))
             edge_line.setdefault(ident, lineno)
         elif rtype == "object":
-            ident = _require_str(rec, "id", lineno)
-            members, member_edges = rec.get("nodes"), rec.get("edges")
+            lineno, _, ident, members, member_edges = rec
+            ident = _require_str(ident, "id", lineno)
             if not isinstance(members, list) or not members:
                 raise TgqError(
                     SCHEMA_ERROR, f"line {lineno}: object needs a non-empty 'nodes' list",
@@ -662,8 +671,8 @@ def _load(numbered) -> TemporalGraph:
             objects[ident] = (lineno, [str(n) for n in members],
                               None if member_edges is None else [str(e) for e in member_edges])
         elif rtype == "subset":
-            name = _require_str(rec, "name", lineno)
-            members = rec.get("members")
+            lineno, _, name, members = rec
+            name = _require_str(name, "name", lineno)
             if not isinstance(members, list) or not members:
                 raise TgqError(
                     SCHEMA_ERROR, f"line {lineno}: subset needs a non-empty 'members' list",
@@ -671,11 +680,11 @@ def _load(numbered) -> TemporalGraph:
                 )
             subset_raw[name] = (lineno, [str(m) for m in members])
         elif rtype == "attr":
-            elem = _require_str(rec, "elem", lineno)
-            name = _require_str(rec, "name", lineno)
-            t = rec["t"]
+            lineno, _, elem, name, t, value = rec
+            elem = _require_str(elem, "elem", lineno)
+            name = _require_str(name, "name", lineno)
             t = slot[type(t), t]
-            value = _require(rec, "value", lineno)
+            value = _require(value, "value", lineno)
             kind = _value_kind(value, lineno)
             declared = attr_kinds.setdefault(name, kind)
             if declared != kind:
@@ -687,12 +696,13 @@ def _load(numbered) -> TemporalGraph:
                 )
             if kind == AttrKind.NUMERIC:
                 value = _finite(value, lineno, "attribute value")
-            attr_raw.append((lineno, elem, ref_of(elem, lineno), name, t, value))
+            records[kept] = (lineno, elem, ref_of(elem, lineno), name, t, value)
+            kept += 1
         elif rtype == "series":
-            name = _require_str(rec, "name", lineno)
-            t = rec["t"]
-            t = slot[type(t), t]
-            value = _require(rec, "value", lineno)
+            lineno, _, name, label, value = rec
+            name = _require_str(name, "name", lineno)
+            t = slot[type(label), label]
+            value = _require(value, "value", lineno)
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise TgqError(
                     SCHEMA_ERROR, f"line {lineno}: series values must be numeric", line=lineno
@@ -700,10 +710,11 @@ def _load(numbered) -> TemporalGraph:
             if t in external.setdefault(name, {}):
                 raise TgqError(
                     CONSISTENCY_ERROR,
-                    f"line {lineno}: duplicate point t={rec['t']} in series '{name}'",
+                    f"line {lineno}: duplicate point t={label} in series '{name}'",
                     line=lineno,
                 )
             external[name][t] = _finite(value, lineno, "series value")
+    del records[kept:]
 
     nodes = {i: _merge_intervals(v) for i, v in nodes.items()}
     edges = {}
@@ -784,7 +795,7 @@ def _load(numbered) -> TemporalGraph:
     # Attr checks, with each element's lifetime read into a table once.
     alive: dict = {}  # element token -> bytes, nonzero where it exists
     attrs: dict = {}  # (element token, attr) -> {t: value}
-    for lineno, elem, ref, name, t, value in attr_raw:
+    for lineno, elem, ref, name, t, value in records:
         row = alive.get(elem)
         if row is None:
             if ref.id not in tables[ref.kind]:
@@ -818,6 +829,7 @@ def _load(numbered) -> TemporalGraph:
                 line=lineno,
             )
         series[t] = value
+    del records
 
     attrs_sorted = {
         (parsed[elem].kind, parsed[elem].id, name): tuple(sorted(series.items()))
@@ -841,7 +853,9 @@ def load_path(path: str) -> TemporalGraph:
     text = read_utf8(path, SCHEMA_ERROR)
     if path.endswith(".csv"):
         return _load(_csv_records(text))
-    return load(text.splitlines())
+    lines = text.splitlines()[::-1]
+    del text  # popped from the end, each line goes once it is decoded
+    return load(lines.pop() for _ in range(len(lines)))
 
 
 def _csv_records(text: str):
@@ -967,17 +981,18 @@ def _value_kind(value, lineno: int) -> AttrKind:
     )
 
 
-def _require(rec: dict, key: str, lineno: int):
-    if key not in rec or rec[key] is None:
+def _require(value, key: str, lineno: int):
+    """``value``, the field ``key`` of a record; None means missing or null."""
+    if value is None:
         raise TgqError(
             SCHEMA_ERROR, f"line {lineno}: missing required field '{key}'", line=lineno
         )
-    return rec[key]
+    return value
 
 
-def _require_str(rec: dict, key: str, lineno: int) -> str:
+def _require_str(value, key: str, lineno: int) -> str:
     """A name field: a string, or a number read as its text."""
-    value = _require(rec, key, lineno)
+    _require(value, key, lineno)
     if type(value) is str:
         return value
     if type(value) in (int, float):  # a bool, a list or an object is no name

@@ -479,8 +479,8 @@ def classify_distribution(values, cfg: Config) -> DistributionPattern:
             histogram=histogram,
             class_hint=_hint(values, mean, variance, histogram),
         )
-    except OverflowError:
-        # Finite extremes overflow the moments; only mean and stddev have a scale.
+    except (OverflowError, ZeroDivisionError):
+        # Overflowing moments or an underflowing bin width: only mean and stddev have a scale.
         scale, unit = unit_scaled(values)
         p = classify_distribution(unit, cfg)
         return replace(p, mean=p.mean * scale, stddev=p.stddev * scale, min=values[0], max=values[-1])

@@ -87,10 +87,6 @@ class RelationSpec:
                 f"operator '{self.op}' is not in the {self.family.value} family",
             )
 
-    def to_dict(self) -> dict:
-        return {"family": self.family.value, "op": self.op,
-                "params": list(self.params)}
-
 
 # ---------------------------------------------------------------------------
 # Interval algebra

@@ -93,15 +93,6 @@ class ConnectionSpec:
         if (self.edge_attr is None) != (self.edge_constraint is None):
             raise TgqError(VALIDATION_ERROR, "edge predicate needs attr and constraint")
 
-    def to_dict(self) -> dict:
-        out: dict = {"mode": self.mode, "direction": self.direction}
-        if self.max_distance is not None:
-            out["max_distance"] = self.max_distance
-        if self.edge_attr is not None:
-            out["edge_attr"] = self.edge_attr
-            out["edge_constraint"] = self.edge_constraint.to_dict()
-        return out
-
 
 @dataclass(frozen=True)
 class StructuralPattern:

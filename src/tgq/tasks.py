@@ -132,9 +132,6 @@ class ValueConstraint:
             ) from None
         raise TgqError(VALIDATION_ERROR, f"unknown constraint op '{self.op}'")
 
-    def to_dict(self) -> dict:
-        return {"op": self.op, "values": list(self.values)}
-
     def is_range(self) -> bool:
         """An ordering test against numbers (no bool, no NaN): the values
         that pass it form one run of any ascending list."""

@@ -4,15 +4,15 @@ This is ``graph._load`` as it was before ingest resolved each distinct time
 label, element reference and element lifetime once per load: it normalises
 every label, parses every reference and scans every lifetime once per
 record. It is kept as written, so that the memoised loader can be compared
-with it graph for graph and error for error. It shares the unchanged record
-helpers of ``tgq.graph``.
+with it graph for graph and error for error. The record helpers
+``_RECORD_TYPES``, ``_require`` and ``_require_str`` are copied here as they
+were, since ``tgq.graph``'s own now take a field's value, not its record.
 """
 
 import json
 
 from tgq.errors import CONSISTENCY_ERROR, SCHEMA_ERROR, TgqError
 from tgq.graph import (
-    _RECORD_TYPES,
     AttrKind,
     EdgeDef,
     ElemKind,
@@ -25,11 +25,31 @@ from tgq.graph import (
     _first_uncovered,
     _merge_intervals,
     _norm_label,
-    _require,
-    _require_str,
     _sort_labels,
     _value_kind,
 )
+
+_RECORD_TYPES = {"node", "edge", "attr", "subset", "object", "series"}
+
+
+def _require(rec: dict, key: str, lineno: int):
+    if key not in rec or rec[key] is None:
+        raise TgqError(
+            SCHEMA_ERROR, f"line {lineno}: missing required field '{key}'", line=lineno
+        )
+    return rec[key]
+
+
+def _require_str(rec: dict, key: str, lineno: int) -> str:
+    """A name field: a string, or a number read as its text."""
+    value = _require(rec, key, lineno)
+    if type(value) is str:
+        return value
+    if type(value) in (int, float):  # a bool, a list or an object is no name
+        return str(value)
+    raise TgqError(
+        SCHEMA_ERROR, f"line {lineno}: '{key}' must be a string or a number", line=lineno
+    )
 
 
 def reference_load(numbered) -> TemporalGraph:

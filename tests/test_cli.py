@@ -121,6 +121,23 @@ class TestExitCodes:
         assert (pattern["mean"], pattern["stddev"], pattern["class_hint"]) == (
             1e308, 0.0, "CONCENTRATED")
 
+    def test_distribution_over_a_tiny_range(self, capsys, tmp_path):
+        # (hi - lo) / bins underflows to 0: the bins come from unit-scaled values.
+        data = tmp_path / "tiny.jsonl"
+        data.write_text(
+            '{"type":"node","id":"a","start":0,"end":0}\n'
+            '{"type":"node","id":"b","start":0,"end":0}\n'
+            '{"type":"attr","elem":"node:a","name":"w","t":0,"value":0.0}\n'
+            '{"type":"attr","elem":"node:b","name":"w","t":0,"value":5e-324}\n')
+        code, out, _ = run_cli(
+            ["query", str(data), "CHARACTERIZE DIST ON w OF NODES AT t=0"], capsys)
+        assert code == 0
+        pattern = json.loads(out, parse_constant=pytest.fail)["bindings"][0]["pattern"]
+        assert pattern == {
+            "kind": "distribution", "count": 2, "mean": 0.0, "stddev": 0.0,
+            "min": 0.0, "max": 5e-324, "histogram": [0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5],
+            "class_hint": "BIMODAL"}
+
     @pytest.mark.parametrize("query, field, expected", [
         ("LOOKUP w OF object:o AT t=0", "value", 1e308),
         ("CHARACTERIZE TREND ON w OF object:o DURING [0, 2]", "pattern", "CONSTANT"),

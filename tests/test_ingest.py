@@ -17,8 +17,11 @@ number or a boolean not at all).
 import csv
 import io
 import json
+import math
+import random
 import re
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -90,23 +93,55 @@ def test_perfbench_dataset(workload):
     assert_same_graph(numbered(perfbench_dataset(workload).lines()))
 
 
-def test_csv_round_trip(tmp_path):
-    records = perfbench_dataset("cold_query").records()
-    columns = ["type", "id", "src", "dst", "directed", "start", "end",
-               "elem", "name", "t", "value", "members"]
+CSV_COLUMNS = ["type", "id", "src", "dst", "directed", "start", "end",
+               "elem", "name", "t", "value", "members", "nodes", "edges"]
+
+
+def csv_of(records) -> str:
+    """Records as a CSV file: a string cell as it is, a member list joined
+    with ';', any other cell (a list name or type too) as JSON."""
     out = io.StringIO()
-    writer = csv.DictWriter(out, columns)
+    writer = csv.DictWriter(out, CSV_COLUMNS)
     writer.writeheader()
     for rec in records:
         writer.writerow({
-            key: ";".join(value) if isinstance(value, list)
-            else value if isinstance(value, str) else json.dumps(value)
+            key: value if isinstance(value, str)
+            else ";".join(value) if key in ("members", "nodes", "edges") and isinstance(value, list)
+            else json.dumps(value)
             for key, value in rec.items()
         })
+    return out.getvalue()
+
+
+def test_csv_round_trip(tmp_path):
+    records = perfbench_dataset("cold_query").records()
+    text = csv_of(records)
     path = tmp_path / "cold_query.csv"
-    path.write_text(out.getvalue())
-    got = assert_same_graph(list(_csv_records(out.getvalue())))
+    path.write_text(text)
+    got = assert_same_graph(list(_csv_records(text)))
     assert load_path(str(path)) == got == load(lines_of(records))
+
+
+def test_each_decoded_record_is_dropped():
+    # Records held by weak references only: the loader keeps the fields it
+    # checks, so as each record is made, only the last one (still named by
+    # the loop variables) is alive.
+    class Record(dict):
+        pass
+
+    held, most_alive = [], 0
+
+    def records():
+        nonlocal most_alive
+        for i in range(200):
+            most_alive = max(most_alive, sum(ref() is not None for ref in held))
+            rec = Record(node(f"n{i}") if i % 2 == 0 else attr(f"node:n{i - 1}", 1, float(i)))
+            held.append(weakref.ref(rec))
+            yield rec
+
+    g = load(records())
+    assert len(g.nodes) == 100 and len(g.attrs) == 100
+    assert most_alive <= 1
 
 
 VALID = {
@@ -420,3 +455,113 @@ def test_non_list_object_edges_names_its_line(bad):
 def test_list_or_null_object_edges_loads_like_the_reference(edges):
     rec = {"type": "object", "id": "O", "nodes": ["a", "b"], "edges": edges}
     assert_same_graph(numbered(lines_of([node("a"), node("b"), edge("e", "a", "b"), rec])))
+
+
+# -- seeded files with several faults ------------------------------------------
+
+# A valid record of each type that randsuite's records accept (node n0 lives
+# at t=0), and the fields its checks require.
+TEMPLATES = {
+    "node": (node("n0", 0, 0), ["id", "start"]),
+    "edge": (edge("ef", "n0", "n0", 0, 0), ["id", "src", "dst", "start"]),
+    "object": ({"type": "object", "id": "Of", "nodes": ["n0"]}, ["id", "nodes"]),
+    "subset": ({"type": "subset", "name": "Sf", "members": ["node:n0"]}, ["name", "members"]),
+    "attr": (attr("node:n0", 0, 1.0, name="f"), ["elem", "name", "t", "value"]),
+    "series": ({"type": "series", "name": "sf", "t": 0, "value": 1.0}, ["name", "t", "value"]),
+}
+NAMES = [(rtype, key) for rtype, (_, required) in TEMPLATES.items()
+         for key in required if key in ("id", "src", "dst", "name", "elem")]
+TIMES = [("node", "start"), ("node", "end"), ("edge", "start"), ("edge", "end"),
+         ("attr", "t"), ("series", "t")]
+
+
+def template(rtype):
+    return dict(TEMPLATES[rtype][0])
+
+
+def missing_field(rng, records):
+    rtype = rng.choice(sorted(TEMPLATES))
+    rec, key = template(rtype), rng.choice(TEMPLATES[rtype][1])
+    if rng.random() < 0.5:
+        del rec[key]
+    else:
+        rec[key] = None
+    return rec
+
+
+def list_name(rng, records):
+    rtype, key = rng.choice(NAMES)
+    return {**template(rtype), key: rng.choice([[1, 2], ["n0"], []])}
+
+
+def bad_type(rng, records):
+    return {**rng.choice(records), "type": rng.choice(["vertex", ["node"], ["attr", "edge"]])}
+
+
+def boolean_time(rng, records):
+    rtype, key = rng.choice(TIMES)
+    return {**template(rtype), key: rng.random() < 0.5}
+
+
+def non_finite(rng, records):
+    rtype, key = rng.choice(TIMES + [("attr", "value"), ("series", "value")])
+    return {**template(rtype), key: rng.choice([math.nan, math.inf, -math.inf])}
+
+
+def unknown_element(rng, records):
+    return rng.choice([
+        {**template("attr"), "elem": rng.choice(["node:zz", "edge:zz", "object:zz"])},
+        {**template("subset"), "members": ["node:n0", "node:zz"]},
+        {**template("object"), "nodes": ["n0", "zz"]},
+    ])
+
+
+def conflicting_value(rng, records):
+    rec = rng.choice([r for r in records if r["type"] == "attr"])
+    return {**rec, "value": rec["value"] + 1}
+
+
+def edge_to_unknown_node(rng, records):
+    return {**template("edge"), rng.choice(["src", "dst"]): "zz"}
+
+
+FAULTS = [missing_field, list_name, bad_type, boolean_time, non_finite, unknown_element,
+          conflicting_value, edge_to_unknown_node]
+
+
+def faulty_records(seed):
+    """randsuite's graph ``seed`` with 1-3 faulty records put in at random
+    lines, and the faults chosen."""
+    rng = random.Random(seed)
+    records = list(random_graph(seed).records)
+    chosen = [rng.choice(FAULTS) for _ in range(rng.randint(1, 3))]
+    for fault in chosen:
+        records.insert(rng.randint(0, len(records)), fault(rng, records))
+    return records, chosen
+
+
+def reference_first_error(pairs):
+    """The reference loader's first error. A list ``type`` crashes it as it
+    reaches the first such record; the loader rejects that record instead."""
+    try:
+        reference_load(pairs)
+    except TgqError as err:
+        return err.code, err.message, err.details.get("line")
+    except TypeError:
+        decoded = ((n, json.loads(r) if isinstance(r, str) else r) for n, r in pairs)
+        line, rtype = next((n, r["type"]) for n, r in decoded if isinstance(r.get("type"), list))
+        return SCHEMA_ERROR, f"line {line}: unknown record type {rtype!r}", line
+    pytest.fail("the reference loader took a faulty file")
+
+
+def test_every_fault_is_planted():
+    planted = {fault for seed in range(30) for fault in faulty_records(seed)[1]}
+    assert planted == set(FAULTS)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("seed", range(30))
+def test_several_faults_fail_like_the_reference(seed, fmt):
+    records = faulty_records(seed)[0]
+    pairs = list(_csv_records(csv_of(records))) if fmt == "csv" else numbered(lines_of(records))
+    assert as_before(first_error(_load, pairs)) == reference_first_error(pairs)

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tgq.config import Config
@@ -169,10 +169,12 @@ class TestDistribution:
 
     @pytest.mark.parametrize("values", [
         [1e308, 1e308], [-1e308, 1e308], [0.0, 1e120], [-1e308, 0.0, 0.0, 1e308, 1e308],
+        [0.0, 5e-324], [-5e-324, 0.0, 5e-324],
     ])
     def test_finite_extremes_do_not_overflow(self, cfg, values):
-        # The moments overflow at this scale; histogram and hint are those of
-        # the values scaled down, and mean and stddev scale back.
+        # The moments overflow at this scale, or the bin width underflows to 0;
+        # histogram and hint are those of the values unit-scaled, and mean
+        # and stddev scale back.
         d = classify_distribution(values, cfg)
         scale = max(abs(v) for v in values)
         small = classify_distribution([v / scale for v in values], cfg)
@@ -296,6 +298,7 @@ class TestSimilarity:
         st.lists(st.floats(-100, 100), min_size=1, max_size=20),
         st.lists(st.floats(-100, 100), min_size=1, max_size=20),
     )
+    @example(v1=[0.0], v2=[0.0, 5e-324])  # a range whose bin width underflows
     @settings(max_examples=200)
     def test_symmetric_and_bounded(self, v1, v2):
         cfg = Config()

@@ -6,7 +6,8 @@ CONNECTED side relations, connection tasks with objects and directions,
 structural characterisation over sets with several components,
 stand-alone lookups and characterisations, trend searches and seeks
 over one window of every node or edge, value seeks and distributions over
-every node or edge at one time point, and WITHIN tolerances below zero.
+every node or edge at one time point, WITHIN tolerances below zero, and
+duplicate FIND and SEEK targets.
 ``data/pin_expected.jsonl`` holds the line ``tgq corpus`` prints for each:
 elapsed_ms pinned to 0, a failure as an error envelope. A change that alters one changes an answer.
 """
