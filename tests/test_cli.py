@@ -175,6 +175,20 @@ class TestExitCodes:
         code, _, err = run_cli(["load", "/nonexistent.jsonl"], capsys)
         assert code == 2
 
+    def test_query_over_an_empty_data_file(self, capsys, tmp_path):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        code, out, err = run_cli(["query", str(empty), "STRUCT SEARCH ALWAYS OVER PAIRS"],
+                                 capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: VALIDATION_ERROR: graph has an empty time domain\n"
+
+    def test_missing_query_file(self, capsys, tmp_path):
+        missing = tmp_path / "missing.txt"
+        code, out, err = run_cli(["corpus", GRAPH, str(missing)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: SCHEMA_ERROR: cannot read '{missing}': No such file or directory\n"
+
     @pytest.mark.parametrize("name, content, line, reason", [
         ("bad.jsonl", b'{"type":"node","id":"a","start":0,"end":1}\n{"type":"node","id":"\xff"}\n',
          2, "invalid start byte"),

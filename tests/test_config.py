@@ -68,3 +68,20 @@ def test_non_finite_float_rejected(key, text):
             build()
         assert e.value.code == VALIDATION_ERROR
         assert e.value.message == f"{key} must be a finite number"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("slope_epsilon=-0.1", "slope_epsilon must be >= 0"),
+    ("search_max_candidates=0", "search_max_candidates must be >= 1"),
+    ("correlation_threshold=1.5", "correlation_threshold must be in [0,1]"),
+    ("dist_weight_histogram=-0.5\ndist_weight_location=1.5",
+     "distribution similarity weights must be >= 0"),
+    ("output_format=xml", "output_format must be 'json' or 'table'"),
+    ("# comment\nhistogram_bins 4", "config line 2: expected key=value"),
+    ("slope_epsilon=steep", "config line 1: slope_epsilon expects a number"),
+    ("carry_forward.w=maybe", "config line 1: carry_forward.w expects true/false"),
+])
+def test_each_rejection_names_its_rule(text, message):
+    with pytest.raises(TgqError) as e:
+        parse_config_text(text + "\n")
+    assert (e.value.code, e.value.message) == (VALIDATION_ERROR, message)

@@ -66,6 +66,11 @@ class TestParse:
         assert e.value.col == 10
         assert "OF" in e.value.expected
 
+    def test_query_must_be_text(self):
+        with pytest.raises(ParseError) as e:
+            parse(None)
+        assert e.value.message == "query must be text at line 1, col 1"
+
     def test_error_on_unknown_ref_kind(self):
         with pytest.raises(ParseError):
             parse("LOOKUP w OF vertex:a AT t=2")

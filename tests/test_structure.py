@@ -5,7 +5,8 @@ import re
 
 import pytest
 
-from tgq.errors import ABSENT_ELEMENT, TgqError
+from tgq.dsl.planner import run_query
+from tgq.errors import ABSENT_ELEMENT, FAMILY_MISMATCH, VALIDATION_ERROR, TgqError
 from tgq.graph import TimeInterval, load, node_ref, object_ref
 from tgq.patterns import TrendClass
 from tgq.search import GroupCandidate, SearchSpace, SubsetFamily
@@ -385,6 +386,27 @@ class TestStructuralSearch:
             fixed_interval=TimeInterval(0, 3), threshold=1.0,
         )
         assert [m.ref_name for m in matches] == ["subset:ALL"]
+
+
+    def test_structural_behaviours_need_node_members(self, cfg):
+        # The corpus subsets hold nodes only. A named subset of edges is
+        # rejected where a query names it, and where SUBSETS enumerates it
+        # the snapshot kernel's FAMILY_MISMATCH passes through config_over_time.
+        g = load(jl([
+            {"type": "node", "id": n, "start": 0, "end": 1} for n in "ab"
+        ] + [
+            {"type": "edge", "id": "e1", "src": "a", "dst": "b", "start": 0, "end": 1},
+            {"type": "subset", "name": "links", "members": ["edge:e1"]},
+        ]))
+        for text, code, message in [
+            ("STRUCT CHARACTERIZE CONFIG OF subset:links AT t=0", VALIDATION_ERROR,
+             "structural behaviours need node members (edge:e1 is not)"),
+            ("STRUCT SEARCH CONFIGTREND density=INCREASING OVER SUBSETS", FAMILY_MISMATCH,
+             "snapshot configuration is defined over node sets"),
+        ]:
+            with pytest.raises(TgqError) as e:
+                run_query(text, g, cfg)
+            assert (e.value.code, e.value.message) == (code, message)
 
 
 class TestStructuralCompare:
