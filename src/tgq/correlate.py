@@ -174,25 +174,23 @@ def correlate_attributes(
             if a is not None and b is not None:
                 pairs.append((a, b))
         return pearson(pairs, 0, cfg)
-    if element is not None and interval is not None:
+    if element is not None:
         a = element_series(graph, cfg, element, attr_a, interval)
         b = element_series(graph, cfg, element, attr_b, interval)
         return pearson(_lag_pairs(a, b, lag), lag, cfg)
-    if group is not None and interval is not None:
-        if per_element:
-            return [
-                (str(m), correlate_attributes(
-                    graph, cfg, attr_a, attr_b, element=m, interval=interval, lag=lag
-                ))
-                for m in group.members
-            ]
-        pairs = []
-        for m in group.members:
-            a = element_series(graph, cfg, m, attr_a, interval)
-            b = element_series(graph, cfg, m, attr_b, interval)
-            pairs.extend(_lag_pairs(a, b, lag))
-        return pearson(pairs, lag, cfg)
-    raise TgqError(VALIDATION_ERROR, "correlation scope is not fully constrained")
+    if per_element:
+        return [
+            (str(m), correlate_attributes(
+                graph, cfg, attr_a, attr_b, element=m, interval=interval, lag=lag
+            ))
+            for m in group.members
+        ]
+    pairs = []
+    for m in group.members:
+        a = element_series(graph, cfg, m, attr_a, interval)
+        b = element_series(graph, cfg, m, attr_b, interval)
+        pairs.extend(_lag_pairs(a, b, lag))
+    return pearson(pairs, lag, cfg)
 
 
 def correlate_with_external(

@@ -310,9 +310,7 @@ class _Planner:
             return LiteralSide(value)
         if isinstance(side, ast.SidePattern):
             return LiteralSide(side.pattern)
-        if isinstance(side, ast.SideStruct):
-            return struct.StructScopeSide(self.struct_scope(side.scope))
-        raise TgqError(PLAN_ERROR, "side cannot be resolved to a value or pattern")
+        return struct.StructScopeSide(self.struct_scope(side.scope))  # ast.SideStruct
 
     def binding_side(self, side):
         if isinstance(side, ast.SideFind):
@@ -330,16 +328,15 @@ class _Planner:
             return FixedSide(time_key=self.t_index(side.at))
         if isinstance(side, ast.SideInterval):
             return FixedSide(time_key=self.interval(side.interval))
-        if isinstance(side, ast.SideRef):
-            if isinstance(side.ref, ast.GroupRef):
-                ref_key = self.group(side.ref)
-            else:
-                ref_key = self.elem(side.ref)
-            time_key = self.t_index(side.at)
-            if time_key is None:
-                time_key = self.interval(side.during)
-            return FixedSide(time_key=time_key, ref_key=ref_key)
-        raise TgqError(PLAN_ERROR, "side does not resolve to reference bindings")
+        # ast.SideRef
+        if isinstance(side.ref, ast.GroupRef):
+            ref_key = self.group(side.ref)
+        else:
+            ref_key = self.elem(side.ref)
+        time_key = self.t_index(side.at)
+        if time_key is None:
+            time_key = self.interval(side.during)
+        return FixedSide(time_key=time_key, ref_key=ref_key)
 
     def p_compare(self, node: ast.Compare):
         if isinstance(node.lhs, BINDING_SIDES):
@@ -701,44 +698,21 @@ class _Planner:
                 "(homogeneous or external pairing)",
             )
         target = self.resolve_series_target(lhs)
-        if lhs.at is not None:
-            if not isinstance(target, GroupCandidate):
-                raise TgqError(
-                    VALIDATION_ERROR, "a cross-section correlates over a subset"
-                )
-            t = self.t_index(lhs.at)
-
-            def run():
-                rep = corr.correlate_attributes(
-                    self.graph, self.cfg, lhs.attr, rhs.attr, group=target, t=t,
-                    lag=node.lag,
-                )
-                return [rep.to_dict()], []
-
-            return run
-        interval = self.full_or(self.interval(lhs.during))
-        if isinstance(target, GroupCandidate):
-            per_element = node.mode == "PERELEMENT"
-
-            def run():
-                result = corr.correlate_attributes(
-                    self.graph, self.cfg, lhs.attr, rhs.attr,
-                    group=target, interval=interval, lag=node.lag,
-                    per_element=per_element,
-                )
-                if per_element:
-                    return [
-                        {"element": name, **rep.to_dict()} for name, rep in result
-                    ], []
-                return [result.to_dict()], []
-
-            return run
+        group = target if isinstance(target, GroupCandidate) else None
+        if lhs.at is not None and group is None:
+            raise TgqError(VALIDATION_ERROR, "a cross-section correlates over a subset")
+        t = self.t_index(lhs.at)
+        interval = None if lhs.at is not None else self.full_or(self.interval(lhs.during))
+        per_element = node.mode == "PERELEMENT" and group is not None
 
         def run():
-            rep = corr.correlate_attributes(
+            result = corr.correlate_attributes(
                 self.graph, self.cfg, lhs.attr, rhs.attr,
-                element=target, interval=interval, lag=node.lag,
+                group=group, element=target if group is None else None, t=t, interval=interval,
+                lag=node.lag, per_element=per_element,
             )
-            return [rep.to_dict()], []
+            if per_element:
+                return [{"element": name, **rep.to_dict()} for name, rep in result], []
+            return [result.to_dict()], []
 
         return run

@@ -11,8 +11,6 @@ from ..relations import ALLEN_OPS
 from ..structure import ConfigLiteral, PresenceLiteral
 from . import ast
 
-_DIRECT_SIDES = (ast.SideLookup, ast.SideCharac, ast.SideValue, ast.SidePattern,
-                 ast.SideStruct)
 BINDING_SIDES = (ast.SideFind, ast.SideSearch, ast.SideTime, ast.SideInterval,
                  ast.SideRef)
 
@@ -26,10 +24,7 @@ def _fail(msg: str):
 
 
 def validate(node) -> None:
-    handler = _HANDLERS.get(type(node))
-    if handler is None:
-        _fail(f"unknown query node {type(node).__name__}")
-    handler(node)
+    _HANDLERS[type(node)](node)
 
 
 def _v_lookup(side: ast.SideLookup) -> None:
@@ -41,8 +36,6 @@ def _v_find(node: ast.Find) -> None:
     bad = [v for v in node.targets if v not in ("t", "g")]
     if bad:
         _fail(f"FIND targets must be among t,g (got {','.join(bad)})")
-    if not node.targets:
-        _fail("FIND needs at least one target")
     if "t" in node.targets and node.at is not None:
         _fail("t is both a target and fixed with AT")
     if "g" in node.targets and node.for_ref is not None:
@@ -71,16 +64,12 @@ def _v_charac(side: ast.SideCharac, what: str) -> None:
     else:
         if side.group is None:
             _fail(f"{what} ASPECT needs a subset")
-        if side.axis is None:
-            _fail(f"{what} ASPECT needs an axis")
         if side.at is not None:
             _fail(f"{what} ASPECT runs over an interval")
 
 
 def _v_search(node: ast.Search) -> None:
     pattern = node.pattern
-    if (node.family is None) == (node.of_target is None):
-        _fail("SEARCH takes either OVER <family> or OF <fixed reference>")
     if isinstance(pattern, TrendLiteral):
         if node.family is not None and node.family.name not in ("EACH_NODE", "EACH_EDGE"):
             _fail("trend search enumerates single elements (EACH_NODE or EACH_EDGE)")
@@ -106,9 +95,6 @@ def _v_search(node: ast.Search) -> None:
 
 def _v_compare(node: ast.Compare) -> None:
     binding = [isinstance(s, BINDING_SIDES) for s in (node.lhs, node.rhs)]
-    direct = [isinstance(s, _DIRECT_SIDES) for s in (node.lhs, node.rhs)]
-    if not all(b or d for b, d in zip(binding, direct)):
-        _fail("unrecognised comparison side")
     if any(binding):
         if not all(binding):
             _fail("inverse comparison needs found or fixed references on both sides")
@@ -205,10 +191,6 @@ def _v_neighbors(node: ast.Neighbors) -> None:
         _fail("connection tasks relate nodes or graph objects")
 
 
-def _v_times(node: ast.Times) -> None:
-    _v_connection(node)
-
-
 def _v_struct_scope(scope: ast.StructScopeNode) -> None:
     if scope.kind == "PAIR":
         for ref in (scope.g1, scope.g2):
@@ -226,10 +208,6 @@ def _v_struct_scope(scope: ast.StructScopeNode) -> None:
             _fail(f"{scope.kind} runs over an interval")
     if scope.group is not None and scope.group.kind == "edges":
         _fail("structural behaviours are defined over node sets")
-
-
-def _v_struct_characterize(node: ast.StructCharacterize) -> None:
-    _v_struct_scope(node.scope)
 
 
 def _v_struct_search(node: ast.StructSearch) -> None:
@@ -280,8 +258,8 @@ _HANDLERS = {
     ast.Connection: _v_connection,
     ast.Neighbors: _v_neighbors,
     ast.Pairs: lambda node: None,
-    ast.Times: _v_times,
-    ast.StructCharacterize: _v_struct_characterize,
+    ast.Times: _v_connection,
+    ast.StructCharacterize: lambda node: _v_struct_scope(node.scope),
     ast.StructSearch: _v_struct_search,
     ast.Correlate: _v_correlate,
 }

@@ -84,14 +84,8 @@ class ConnectionSpec:
     edge_constraint: Optional[object] = None  # ValueConstraint on edge_attr
 
     def __post_init__(self):
-        if self.mode not in ("adjacent", "path"):
-            raise TgqError(VALIDATION_ERROR, f"unknown connection mode '{self.mode}'")
-        if self.direction not in ("any", "out", "in"):
-            raise TgqError(VALIDATION_ERROR, f"unknown direction '{self.direction}'")
         if self.max_distance is not None and self.max_distance < 1:
             raise TgqError(VALIDATION_ERROR, "max distance must be >= 1")
-        if (self.edge_attr is None) != (self.edge_constraint is None):
-            raise TgqError(VALIDATION_ERROR, "edge predicate needs attr and constraint")
 
 
 @dataclass(frozen=True)
@@ -578,19 +572,11 @@ class StructScope:
 
 def structural_characterize(graph: TemporalGraph, cfg: Config, scope: StructScope) -> StructuralPattern:
     if scope.kind == StructScopeKind.PAIR_OVER_TIME:
-        if scope.g1 is None or scope.g2 is None or scope.interval is None:
-            raise TgqError(VALIDATION_ERROR, "pair behaviour needs two elements and an interval")
         return pair_over_time(graph, cfg, scope.g1, scope.g2, scope.interval, scope.connection)
     if scope.kind == StructScopeKind.SNAPSHOT_CONFIG:
-        if scope.group is None or scope.t is None:
-            raise TgqError(VALIDATION_ERROR, "configuration needs a node set and a time point")
         return snapshot_config(graph, cfg, scope.group.members, scope.t)
     if scope.kind == StructScopeKind.PAIRS_AGGREGATE:
-        if scope.group is None or scope.interval is None:
-            raise TgqError(VALIDATION_ERROR, "pair aggregation needs a node set and an interval")
         return pairs_aggregate(graph, cfg, scope.group.members, scope.interval, scope.connection)
-    if scope.group is None or scope.interval is None:
-        raise TgqError(VALIDATION_ERROR, "configuration trend needs a node set and an interval")
     return config_over_time(graph, cfg, scope.group.members, scope.interval, scope.metrics)
 
 
@@ -661,8 +647,6 @@ def structural_search(
     """
     thr = cfg.similarity_threshold if threshold is None else threshold
     target = as_pattern(target)  # a literal is scored as the pattern it pins
-    if not isinstance(target, StructuralPattern):
-        raise TgqError(KIND_MISMATCH, "not a structural search target")
     kind = target.scope
     matches = []
     if kind == StructScopeKind.PAIR_OVER_TIME:

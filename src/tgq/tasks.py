@@ -22,13 +22,11 @@ from .errors import (
     MISSING_TIME_CONTEXT,
     TgqError,
     UNRESOLVED_SIDE,
-    VALIDATION_ERROR,
 )
 from .graph import AttrKind, ElemKind, GraphElementRef, TemporalGraph, TimeInterval
 from .patterns import (
     SHAPES,
     AspectAxis,
-    AspectualPattern,
     TrendPattern,
     as_pattern,
     aspectual,
@@ -81,19 +79,6 @@ class BehaviorScope:
     def time_key(self):
         return self.time_point if self.quadrant == Quadrant.Q2_DIST_AT_T else self.interval
 
-    def validate(self) -> None:
-        if self.quadrant == Quadrant.Q3_TREND_OF_G:
-            missing = self.element is None or self.interval is None
-        elif self.quadrant == Quadrant.Q2_DIST_AT_T:
-            missing = self.group is None or self.time_point is None
-        else:
-            missing = self.group is None or self.interval is None or self.axis is None
-        if missing:
-            raise TgqError(
-                VALIDATION_ERROR,
-                f"scope for {self.quadrant.value} is not fully constrained",
-            )
-
 
 @dataclass(frozen=True)
 class ValueConstraint:
@@ -124,13 +109,12 @@ class ValueConstraint:
                 return v > self.values[0]
             if self.op == "ge":
                 return v >= self.values[0]
-            if self.op == "between":  # both bounds compared, whatever the first gives
-                return (self.values[0] <= v) & (v <= self.values[1])
+            # between: both bounds compared, whatever the first gives
+            return (self.values[0] <= v) & (v <= self.values[1])
         except TypeError:
             raise TgqError(
                 KIND_MISMATCH, f"constraint '{self.op}' needs a numeric constant"
             ) from None
-        raise TgqError(VALIDATION_ERROR, f"unknown constraint op '{self.op}'")
 
     def is_range(self) -> bool:
         """An ordering test against numbers (no bool, no NaN): the values
@@ -205,7 +189,6 @@ def inverse_lookup(
 
 
 def characterize(graph: TemporalGraph, cfg: Config, scope: BehaviorScope, attr: str):
-    scope.validate()
     if scope.quadrant == Quadrant.Q3_TREND_OF_G:
         return trend(graph, cfg, scope.element, scope.interval, attr)
     if scope.quadrant == Quadrant.Q2_DIST_AT_T:
@@ -256,7 +239,6 @@ def pattern_search(
     fixed_group: Optional[GroupCandidate] = None,
     fixed_t: Optional[int] = None,
     fixed_interval: Optional[TimeInterval] = None,
-    axis: Optional[AspectAxis] = None,
     threshold: Optional[float] = None,
 ) -> list:
     """Enumerate candidate scopes, characterize each, and keep those whose
@@ -268,8 +250,7 @@ def pattern_search(
     check and error is as if every window were classified."""
     thr = cfg.similarity_threshold if threshold is None else threshold
     target = as_pattern(target)  # a literal is scored as the pattern it pins
-    if quadrant == Quadrant.Q4_ASPECTUAL:
-        axis = axis or _axis_of(target)
+    axis = target.axis if quadrant == Quadrant.Q4_ASPECTUAL else None
     classes = (related_classes(target.cls, "same", thr)
                if isinstance(target, TrendPattern) else None)
     matches = []
@@ -327,12 +308,6 @@ def _trend_jobs(graph, space, fixed_element, fixed_interval) -> tuple:
         return elements, 1
     k = max(0, graph.n_times - space.window_min_len + 1)
     return elements, k * (k + 1) // 2
-
-
-def _axis_of(target) -> AspectAxis:
-    if isinstance(target, AspectualPattern):
-        return target.axis
-    raise TgqError(VALIDATION_ERROR, "aspectual search needs an axis")
 
 
 # ---------------------------------------------------------------------------
@@ -526,13 +501,12 @@ class SearchSide:
     fixed_group: Optional[GroupCandidate] = None
     fixed_t: Optional[int] = None
     fixed_interval: Optional[TimeInterval] = None
-    axis: Optional[AspectAxis] = None
 
     def resolve_bindings(self, graph: TemporalGraph, cfg: Config) -> list:
         return pattern_search(
             graph, cfg, self.target, self.quadrant, self.attr, self.space,
             fixed_element=self.fixed_element, fixed_group=self.fixed_group,
-            fixed_t=self.fixed_t, fixed_interval=self.fixed_interval, axis=self.axis,
+            fixed_t=self.fixed_t, fixed_interval=self.fixed_interval,
         )
 
 
@@ -649,8 +623,6 @@ class AuxRelation:
 
     def holds(self, graph, cfg, x: Binding, y: Binding) -> bool:
         if self.target == "time":
-            if x.time_key is None or y.time_key is None:
-                raise TgqError(VALIDATION_ERROR, "no time references to relate")
             if self.spec.family == RelationFamily.TEMPORAL_POINT:
                 return eval_relation(self.spec, x.time_key, y.time_key, cfg)
             return eval_relation(self.spec, _as_interval(x.time_key), _as_interval(y.time_key), cfg)
@@ -860,12 +832,7 @@ def _band(v, d: float, values) -> slice:
 def _main_relation_detail(relation: RelationSpec, x: Binding, y: Binding, cfg: Config):
     if relation.family == RelationFamily.VALUE:
         return {"relation": relation.op} if eval_relation(relation, x.payload, y.payload, cfg) else None
-    if relation.family == RelationFamily.PATTERN:
-        score, flag = match_score(x.payload, y.payload, cfg)
-        if not pattern_holds(relation.op, score, flag, cfg):
-            return None
-        return {"relation": relation.op, "score": score}
-    raise TgqError(
-        VALIDATION_ERROR,
-        f"relation seeking relates values or patterns, not {relation.family.value}",
-    )
+    score, flag = match_score(x.payload, y.payload, cfg)  # PATTERN
+    if not pattern_holds(relation.op, score, flag, cfg):
+        return None
+    return {"relation": relation.op, "score": score}

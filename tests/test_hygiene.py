@@ -9,6 +9,8 @@ the import check.
 """
 
 import ast
+import json
+import re
 from pathlib import Path
 
 import pytest
@@ -156,3 +158,58 @@ def test_detects_unread_dataclass_fields():
                 "def f(a):\n    a.dead = 1\n    return a.kept, B(passed=2)\n",
     }
     assert unread_dataclass_fields(sources) == [("a.py", "A", "dead"), ("b.py", "B", "gone")]
+
+
+TESTS = Path(__file__).resolve().parent
+DSL = sorted((SRC / "dsl").glob("*.py"))
+_MESSAGE_ARG = {"_fail": 0, "ParseError": 0, "TgqError": 1}
+
+
+def error_messages(source: str) -> list:
+    """(line, regex) of the message of each ``_fail(...)``, ``TgqError(...)``
+    and ``ParseError(...)`` call in ``source`` whose message is written out:
+    the literal text, or an f-string with each field read as any run of
+    characters on one line."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in _MESSAGE_ARG and len(node.args) > _MESSAGE_ARG[node.func.id]):
+            continue
+        msg = node.args[_MESSAGE_ARG[node.func.id]]
+        if isinstance(msg, ast.Constant) and isinstance(msg.value, str):
+            out.append((node.lineno, re.escape(msg.value)))
+        elif isinstance(msg, ast.JoinedStr):
+            out.append((node.lineno, "".join(
+                re.escape(part.value) if isinstance(part, ast.Constant) else '[^"\n]*?'
+                for part in msg.values)))
+    return out
+
+
+def unpinned_messages(sources: dict, pinned: str) -> list:
+    """(module, line) of each message in ``sources`` that ``pinned`` never shows."""
+    return sorted((module, line) for module, source in sources.items()
+                  for line, pattern in error_messages(source)
+                  if re.search(pattern, pinned) is None)
+
+
+def pinned_text() -> str:
+    """Every message of a pinned error envelope, and the text of every test."""
+    envelopes = [json.loads(line) for line in
+                 (TESTS / "data" / "pin_expected.jsonl").read_text().splitlines()]
+    return "\n".join([e["error"]["message"] for e in envelopes if "error" in e]
+                     + [p.read_text() for p in sorted(TESTS.glob("test_*.py"))])
+
+
+def test_every_dsl_error_message_is_pinned():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in DSL}
+    assert unpinned_messages(sources, pinned_text()) == []
+
+
+def test_detects_unpinned_messages():
+    sources = {"a.py": "def f(x):\n"
+                       "    _fail('kept rule')\n"
+                       "    _fail(f'{x} is not a node')\n"
+                       "    raise TgqError(CODE, f'unknown {x} here')\n"
+                       "    raise ParseError('dropped rule', 1, 1)\n"}
+    assert unpinned_messages(sources, "kept rule\nnode:a is not a node\nunknown\n") == [
+        ("a.py", 4), ("a.py", 5)]
