@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Optional
 
 from .config import Config
 from .errors import (
@@ -147,48 +146,42 @@ def correlate_attributes(
     cfg: Config,
     attr_a: str,
     attr_b: str,
-    group: Optional[GroupCandidate] = None,
-    element: Optional[GraphElementRef] = None,
-    t: Optional[int] = None,
-    interval: Optional[TimeInterval] = None,
+    time_key,
+    ref_key,
     lag: int = 0,
     per_element: bool = False,
 ):
     """Correlation between two attributes over one reference scope.
 
-    group + t         -> cross-section over the members at one time point
+    group + time point -> cross-section over the members at that point
     element + interval -> the two per-time series of one element
-    group + interval  -> pooled (element, time) pairs, or one report per
-                         member with ``per_element``
+    group + interval   -> pooled (element, time) pairs, or one report per
+                          member with ``per_element``
     """
     _check_numeric(graph, attr_a)
     _check_numeric(graph, attr_b)
-    if group is not None and t is not None:
+    if not isinstance(time_key, TimeInterval):
         if lag:
             raise TgqError(VALIDATION_ERROR, "lag does not apply to a cross-section")
-        graph.check_time(t)
+        graph.check_time(time_key)
         pairs = []
-        for m in group.members:
-            a = graph.column(m, attr_a, cfg)[t]
-            b = graph.column(m, attr_b, cfg)[t]
+        for m in ref_key.members:
+            a = graph.column(m, attr_a, cfg)[time_key]
+            b = graph.column(m, attr_b, cfg)[time_key]
             if a is not None and b is not None:
                 pairs.append((a, b))
         return pearson(pairs, 0, cfg)
-    if element is not None:
-        a = element_series(graph, cfg, element, attr_a, interval)
-        b = element_series(graph, cfg, element, attr_b, interval)
+    if not isinstance(ref_key, GroupCandidate):
+        a = element_series(graph, cfg, ref_key, attr_a, time_key)
+        b = element_series(graph, cfg, ref_key, attr_b, time_key)
         return pearson(_lag_pairs(a, b, lag), lag, cfg)
     if per_element:
-        return [
-            (str(m), correlate_attributes(
-                graph, cfg, attr_a, attr_b, element=m, interval=interval, lag=lag
-            ))
-            for m in group.members
-        ]
+        return [(str(m), correlate_attributes(graph, cfg, attr_a, attr_b, time_key, m, lag))
+                for m in ref_key.members]
     pairs = []
-    for m in group.members:
-        a = element_series(graph, cfg, m, attr_a, interval)
-        b = element_series(graph, cfg, m, attr_b, interval)
+    for m in ref_key.members:
+        a = element_series(graph, cfg, m, attr_a, time_key)
+        b = element_series(graph, cfg, m, attr_b, time_key)
         pairs.extend(_lag_pairs(a, b, lag))
     return pearson(pairs, lag, cfg)
 

@@ -211,15 +211,14 @@ class SideCharac:
     kind: str  # TREND | DIST | ASPECT
     axis: Optional[str]  # TRENDS_OVER_GRAPH | DISTRIBUTION_OVER_TIME
     attr: str
-    element: Optional[Ref] = None
-    group: Optional[GroupRef] = None
+    target: object  # Ref | GroupRef
     at: Optional[TimeRef] = None
     during: Optional[IntervalRef] = None
 
     def pp(self) -> str:
         kind = self.kind if self.axis is None else f"{self.kind} {self.axis}"
-        target = self.element.pp() if self.element is not None else self.group.pp()
-        return f"{kind} ON {self.attr} OF {target}" + _tail(self.at, None, None, self.during)
+        return (f"{kind} ON {self.attr} OF {self.target.pp()}"
+                + _tail(self.at, None, None, self.during))
 
 
 @dataclass(frozen=True)

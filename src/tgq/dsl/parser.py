@@ -220,10 +220,10 @@ class _Parser:
             return ast.GroupRef("nodes")
         if self.take_kw("EDGES"):
             return ast.GroupRef("edges")
-        ref = self.elem_ref()
-        if ref.kind != "subset":
-            raise self.error({"subset:<name>", "NODES", "EDGES"})
-        return ast.GroupRef("subset", ref.id)
+        tok = self.peek()
+        if tok.kind == "REF" and tok.value.partition(":")[0] in REF_KINDS - {"subset"}:
+            raise self.error({"subset:<name>", "NODES", "EDGES"})  # an element
+        return ast.GroupRef("subset", self.elem_ref().id)
 
     def any_target(self):
         """An element reference or a group reference."""
@@ -549,10 +549,7 @@ class _Parser:
         attr = self.ident("attribute")
         self.expect_kw("OF")
         target = self.any_target()
-        tail = self.tail_clauses("ad")
-        element = target if isinstance(target, ast.Ref) else None
-        group = target if isinstance(target, ast.GroupRef) else None
-        return ast.SideCharac(kind, axis, attr, element, group, **tail)
+        return ast.SideCharac(kind, axis, attr, target, **self.tail_clauses("ad"))
 
     # relation seeking
 

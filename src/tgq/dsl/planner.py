@@ -78,6 +78,14 @@ def run_query(text: str, graph: TemporalGraph, cfg: Config) -> dict:
     return plan(parse(text), graph, cfg).run()
 
 
+_QUADRANTS = {"TREND": Quadrant.Q3_TREND_OF_G, "DIST": Quadrant.Q2_DIST_AT_T,
+              "ASPECT": Quadrant.Q4_ASPECTUAL}
+
+
+# PERELEMENT reports one correlation for each member of one subset.
+_PER_ELEMENT = "PERELEMENT needs one shared subset scope"
+
+
 def _min_len(windows: Optional[int]) -> int:
     """``WINDOWS n`` as a minimum window length; 1 when the clause is absent.
     ``SearchSpace`` rejects n < 1."""
@@ -105,6 +113,13 @@ class _Planner:
             return GroupCandidate("NODES", tuple(self.graph.all_refs((ElemKind.NODE,))))
         return GroupCandidate("EDGES", tuple(self.graph.all_refs((ElemKind.EDGE,))))
 
+    def ref_key(self, ref):
+        """An element (``ast.Ref``) or a subset (``ast.GroupRef``) resolved;
+        None, a free reference, stays None."""
+        if ref is None:
+            return None
+        return self.group(ref) if isinstance(ref, ast.GroupRef) else self.elem(ref)
+
     def t_index(self, ref: Optional[ast.TimeRef]) -> Optional[int]:
         if ref is None:
             return None
@@ -119,8 +134,15 @@ class _Planner:
             raise TgqError(VALIDATION_ERROR, "interval start is after its end")
         return TimeInterval(start, end)
 
-    def full_or(self, interval: Optional[TimeInterval]) -> TimeInterval:
-        return interval if interval is not None else self.graph.full_interval()
+    def time_key(self, at: Optional[ast.TimeRef], during: Optional[ast.IntervalRef],
+                 whole: bool = False):
+        """AT's time point or DURING's interval; with neither, the whole time
+        domain if ``whole``, else None (a free time reference)."""
+        if at is not None:
+            return self.t_index(at)
+        if during is not None:
+            return self.interval(during)
+        return self.graph.full_interval() if whole else None
 
     def space(self, family: Optional[ast.FamilySpec], windows: Optional[int],
               need_group: bool = False) -> SearchSpace:
@@ -196,18 +218,21 @@ class _Planner:
 
         return run
 
+    def find_args(self, node: ast.Find) -> dict:
+        """Keyword arguments of ``tasks.inverse_lookup`` and ``FindSide``."""
+        return {
+            "attr": node.predicate.attr,
+            "constraint": self.constraint(node.predicate),
+            "time_key": self.time_key(node.at, node.during),
+            "ref_key": self.ref_key(node.for_ref if node.for_ref is not None
+                                    else node.in_group),
+        }
+
     def p_find(self, node: ast.Find):
-        constraint = self.constraint(node.predicate)
-        t = self.t_index(node.at)
-        ref = self.elem(node.for_ref) if node.for_ref is not None else None
-        interval = self.interval(node.during)
-        members = self.group(node.in_group).members if node.in_group is not None else None
+        args = self.find_args(node)
 
         def run():
-            hits = tasks.inverse_lookup(
-                self.graph, self.cfg, node.predicate.attr, constraint,
-                t=t, ref=ref, interval=interval, members=members,
-            )
+            hits = tasks.inverse_lookup(self.graph, self.cfg, **args)
             return [
                 {"t": self.graph.label_of(ti), "element": str(el), "value": value}
                 for ti, el, value in hits
@@ -216,24 +241,10 @@ class _Planner:
         return run
 
     def scope_of(self, node: ast.SideCharac) -> BehaviorScope:
-        if node.kind == "TREND":
-            return BehaviorScope(
-                Quadrant.Q3_TREND_OF_G,
-                element=self.elem(node.element),
-                interval=self.full_or(self.interval(node.during)),
-            )
-        if node.kind == "DIST":
-            return BehaviorScope(
-                Quadrant.Q2_DIST_AT_T,
-                group=self.group(node.group),
-                time_point=self.t_index(node.at),
-            )
+        ref_key = self.ref_key(node.target)
         return BehaviorScope(
-            Quadrant.Q4_ASPECTUAL,
-            group=self.group(node.group),
-            interval=self.full_or(self.interval(node.during)),
-            axis=AspectAxis(node.axis),
-        )
+            _QUADRANTS[node.kind], self.time_key(node.at, node.during, whole=True), ref_key,
+            AspectAxis(node.axis) if node.axis is not None else None)
 
     def p_characterize(self, node: ast.Characterize):
         side = self.direct_side(node.side)
@@ -252,32 +263,18 @@ class _Planner:
             quadrant = Quadrant.Q2_DIST_AT_T
         else:
             quadrant = Quadrant.Q4_ASPECTUAL
-        fixed_element = fixed_group = None
-        if node.of_target is not None:
-            if isinstance(node.of_target, ast.GroupRef):
-                fixed_group = self.group(node.of_target)
-            else:
-                fixed_element = self.elem(node.of_target)
-        interval_quadrant = quadrant != Quadrant.Q2_DIST_AT_T
-        if node.during is not None:
-            fixed_interval = self.interval(node.during)
-        elif node.windows is not None or node.of_target is not None or not interval_quadrant:
-            # free time reference: enumerate points/windows
-            fixed_interval = None
-        else:
-            fixed_interval = self.graph.full_interval()
-        need_group = interval_quadrant is False or quadrant == Quadrant.Q4_ASPECTUAL
-        need_group = need_group and fixed_group is None
+        ref_key = self.ref_key(node.of_target)
+        # With no OF and no WINDOWS, an interval search runs over the whole domain.
+        time_key = self.time_key(node.at, node.during, whole=(
+            quadrant != Quadrant.Q2_DIST_AT_T and node.windows is None and ref_key is None))
         return {
             "target": target,
             "quadrant": quadrant,
             "attr": node.attr,
             "space": self.space(node.family, node.windows,
-                                need_group and node.of_target is None),
-            "fixed_element": fixed_element,
-            "fixed_group": fixed_group,
-            "fixed_t": self.t_index(node.at),
-            "fixed_interval": fixed_interval,
+                                quadrant != Quadrant.Q3_TREND_OF_G and ref_key is None),
+            "time_key": time_key,
+            "ref_key": ref_key,
         }
 
     def p_search(self, node: ast.Search):
@@ -314,29 +311,15 @@ class _Planner:
 
     def binding_side(self, side):
         if isinstance(side, ast.SideFind):
-            f = side.find
-            return FindSide(
-                f.predicate.attr, self.constraint(f.predicate),
-                fixed_t=self.t_index(f.at),
-                fixed_ref=self.elem(f.for_ref) if f.for_ref is not None else None,
-                interval=self.interval(f.during),
-                members=self.group(f.in_group).members if f.in_group is not None else None,
-            )
+            return FindSide(**self.find_args(side.find))
         if isinstance(side, ast.SideSearch):
             return SearchSide(**self.search_args(side.search))
         if isinstance(side, ast.SideTime):
             return FixedSide(time_key=self.t_index(side.at))
         if isinstance(side, ast.SideInterval):
             return FixedSide(time_key=self.interval(side.interval))
-        # ast.SideRef
-        if isinstance(side.ref, ast.GroupRef):
-            ref_key = self.group(side.ref)
-        else:
-            ref_key = self.elem(side.ref)
-        time_key = self.t_index(side.at)
-        if time_key is None:
-            time_key = self.interval(side.during)
-        return FixedSide(time_key=time_key, ref_key=ref_key)
+        ref_key = self.ref_key(side.ref)  # ast.SideRef
+        return FixedSide(self.time_key(side.at, side.during), ref_key)
 
     def p_compare(self, node: ast.Compare):
         if isinstance(node.lhs, BINDING_SIDES):
@@ -377,59 +360,32 @@ class _Planner:
         main = node.main
         point_time = main.lhs.kind in ("VALUE", "DIST", "CONFIG")
         tvars = ("t1", "t2") if point_time else ("T1", "T2")
-        assigns = {c.var: c for c in node.clauses if isinstance(c, ast.Assign)}
-
-        def fixed_time(var):
-            if var not in assigns:
-                return None
-            value = assigns[var].value
-            return self.t_index(value) if point_time else self.interval(value)
-
-        def fixed_ref(term):
-            if term.var not in assigns:
-                return None, None
-            value = assigns[term.var].value
-            if isinstance(value, ast.GroupRef):
-                return None, self.group(value)
-            resolved = self.elem(value)
-            return resolved, None
+        assigns = {c.var: c.value for c in node.clauses if isinstance(c, ast.Assign)}
 
         sides = []
-        for i, term in enumerate((main.lhs, main.rhs)):
-            t_key = fixed_time(tvars[i])
-            el, grp = fixed_ref(term)
+        for tvar, term in zip(tvars, (main.lhs, main.rhs)):
+            value = assigns.get(tvar)
+            time_key = self.t_index(value) if point_time else self.interval(value)
+            ref_key = self.ref_key(assigns.get(term.var))
             if term.kind == "VALUE":
-                sides.append(SeekSideValues(term.attr, fixed_t=t_key, fixed_ref=el))
+                sides.append(SeekSideValues(term.attr, time_key, ref_key))
             elif term.kind == "CONFIG":
-                sides.append(struct.SeekSideStructConfig(fixed_group=grp, fixed_t=t_key))
+                sides.append(struct.SeekSideStructConfig(time_key, ref_key))
             elif term.kind == "CONFIGTREND":
                 raise TgqError(
                     PLAN_ERROR,
                     "CONFIGTREND terms are not supported in SEEK; use STRUCT SEARCH or COMPARE",
                 )
             else:
-                quadrant = {
-                    "TREND": Quadrant.Q3_TREND_OF_G,
-                    "DIST": Quadrant.Q2_DIST_AT_T,
-                    "ASPECT": Quadrant.Q4_ASPECTUAL,
-                }[term.kind]
                 axis = AspectAxis(term.axis) if term.axis is not None else None
-                fixed_t = t_key if term.kind == "DIST" else None
-                fixed_iv = t_key if term.kind != "DIST" else None
                 sides.append(SeekSidePatterns(
-                    quadrant, term.attr, axis=axis,
-                    fixed_element=el, fixed_group=grp,
-                    fixed_t=fixed_t, fixed_interval=fixed_iv,
-                ))
+                    _QUADRANTS[term.kind], term.attr, axis, time_key, ref_key))
         relation = self.rel_spec(main.rel)
         aux = self.seek_aux(node, main, tvars, point_time)
+        # a free DIST, ASPECT or CONFIG side ranges over subsets
         need_group = main.lhs.kind in ("DIST", "ASPECT", "CONFIG")
         space = self.space(node.family, node.windows,
-                           need_group and not all(
-                               isinstance(s, (SeekSidePatterns, struct.SeekSideStructConfig))
-                               and (s.fixed_group is not None)
-                               for s in sides
-                           ))
+                           need_group and any(s.ref_key is None for s in sides))
 
         def run():
             pairs = tasks.relation_seek(
@@ -576,18 +532,13 @@ class _Planner:
                     VALIDATION_ERROR,
                     f"structural behaviours need node members ({bad[0]} is not)",
                 )
-        interval = (
-            self.full_or(self.interval(scope.during))
-            if kind != StructScopeKind.SNAPSHOT_CONFIG
-            else None
-        )
+        time_key = self.time_key(scope.at, scope.during, whole=True)
         return StructScope(
             kind,
             g1=self.elem(scope.g1) if scope.g1 is not None else None,
             g2=self.elem(scope.g2) if scope.g2 is not None else None,
             group=group,
-            t=self.t_index(scope.at),
-            interval=interval,
+            time_key=time_key,
             connection=self.conn_spec(scope.conn) if scope.conn is not None else None,
             metrics=scope.metrics or struct.METRIC_NAMES,
         )
@@ -610,16 +561,12 @@ class _Planner:
             if pair_scope
             else self.space(node.family, node.windows, need_group=True)
         )
-        fixed_t = self.t_index(node.at)
-        fixed_interval = self.interval(node.during)
-        if fixed_interval is None and node.windows is None and not isinstance(target, ConfigLiteral):
-            fixed_interval = self.graph.full_interval()
+        # With no WINDOWS, an interval search runs over the whole domain.
+        time_key = self.time_key(node.at, node.during, whole=(
+            node.windows is None and not isinstance(target, ConfigLiteral)))
 
         def run():
-            matches = struct.structural_search(
-                self.graph, self.cfg, target, space,
-                fixed_t=fixed_t, fixed_interval=fixed_interval,
-            )
+            matches = struct.structural_search(self.graph, self.cfg, target, space, time_key)
             return [self.match_out(m) for m in matches], []
 
         return run
@@ -634,11 +581,6 @@ class _Planner:
             return self.p_correlate_external(node, graph_sides[0])
         return self.p_correlate_graph(node)
 
-    def resolve_series_target(self, side: ast.GraphSeries):
-        if isinstance(side.target, ast.GroupRef):
-            return self.group(side.target)
-        return self.elem(side.target)
-
     def p_correlate_external(self, node: ast.Correlate, graph_side: ast.GraphSeries):
         external = node.lhs if isinstance(node.lhs, ast.ExternalSeries) else node.rhs
         if isinstance(node.lhs, ast.ExternalSeries):
@@ -649,8 +591,8 @@ class _Planner:
             raise TgqError(
                 VALIDATION_ERROR, "correlation with an external series runs over time"
             )
-        target = self.resolve_series_target(graph_side)
-        interval = self.full_or(self.interval(graph_side.during))
+        target = self.ref_key(graph_side.target)
+        interval = self.time_key(graph_side.at, graph_side.during, whole=True)
 
         def run():
             rep = corr.correlate_with_external(
@@ -673,10 +615,12 @@ class _Planner:
                     VALIDATION_ERROR,
                     "homogeneous correlation pairs two interval series",
                 )
-            ta = self.resolve_series_target(lhs)
-            tb = self.resolve_series_target(rhs)
-            ia = self.full_or(self.interval(lhs.during))
-            ib = self.full_or(self.interval(rhs.during))
+            ta = self.ref_key(lhs.target)
+            tb = self.ref_key(rhs.target)
+            ia = self.time_key(lhs.at, lhs.during, whole=True)
+            ib = self.time_key(rhs.at, rhs.during, whole=True)
+            if node.mode == "PERELEMENT":
+                raise TgqError(VALIDATION_ERROR, _PER_ELEMENT)
 
             def run():
                 rep = corr.correlate_homogeneous(
@@ -697,18 +641,18 @@ class _Planner:
                 "aggregation applies when a side reduces to one series "
                 "(homogeneous or external pairing)",
             )
-        target = self.resolve_series_target(lhs)
-        group = target if isinstance(target, GroupCandidate) else None
-        if lhs.at is not None and group is None:
-            raise TgqError(VALIDATION_ERROR, "a cross-section correlates over a subset")
-        t = self.t_index(lhs.at)
-        interval = None if lhs.at is not None else self.full_or(self.interval(lhs.during))
-        per_element = node.mode == "PERELEMENT" and group is not None
+        ref_key = self.ref_key(lhs.target)
+        if not isinstance(ref_key, GroupCandidate):
+            if lhs.at is not None:
+                raise TgqError(VALIDATION_ERROR, "a cross-section correlates over a subset")
+            if node.mode == "PERELEMENT":
+                raise TgqError(VALIDATION_ERROR, _PER_ELEMENT)
+        time_key = self.time_key(lhs.at, lhs.during, whole=True)
+        per_element = node.mode == "PERELEMENT"
 
         def run():
             result = corr.correlate_attributes(
-                self.graph, self.cfg, lhs.attr, rhs.attr,
-                group=group, element=target if group is None else None, t=t, interval=interval,
+                self.graph, self.cfg, lhs.attr, rhs.attr, time_key, ref_key,
                 lag=node.lag, per_element=per_element,
             )
             if per_element:

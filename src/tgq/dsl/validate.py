@@ -50,19 +50,19 @@ def _v_find(node: ast.Find) -> None:
 
 def _v_charac(side: ast.SideCharac, what: str) -> None:
     if side.kind == "TREND":
-        if side.element is None:
+        if not isinstance(side.target, ast.Ref):
             _fail(f"{what} TREND needs a single element (node:, edge:, object:)")
         if side.at is not None:
             _fail(f"{what} TREND runs over an interval, not a single time point")
     elif side.kind == "DIST":
-        if side.group is None:
+        if not isinstance(side.target, ast.GroupRef):
             _fail(f"{what} DIST needs a subset (subset:, NODES, EDGES)")
         if side.at is None:
             _fail(f"{what} DIST needs a time point (AT t=...)")
         if side.during is not None:
             _fail(f"{what} DIST is a single-time behaviour")
     else:
-        if side.group is None:
+        if not isinstance(side.target, ast.GroupRef):
             _fail(f"{what} ASPECT needs a subset")
         if side.at is not None:
             _fail(f"{what} ASPECT runs over an interval")
@@ -121,6 +121,8 @@ def _v_compare(node: ast.Compare) -> None:
 _TIME_VARS_POINT = {"t1", "t2"}
 _TIME_VARS_INTERVAL = {"T1", "T2"}
 _POINT_TERMS = {"VALUE", "DIST", "CONFIG"}
+_ELEMENT_TERMS = {"VALUE", "TREND"}  # a reference variable takes an element
+_GROUP_TERMS = {"DIST", "ASPECT", "CONFIG"}  # ... or a subset
 
 
 def _v_seek(node: ast.Seek) -> None:
@@ -157,9 +159,14 @@ def _v_seek(node: ast.Seek) -> None:
                 if not isinstance(clause.value, want):
                     _fail(f"'{clause.var}' needs a "
                           f"{'time interval' if not point_time else 'time point'}")
-            else:
-                if isinstance(clause.value, (ast.TimeRef, ast.IntervalRef)):
-                    _fail(f"'{clause.var}' is a graph reference variable")
+            elif isinstance(clause.value, (ast.TimeRef, ast.IntervalRef)):
+                _fail(f"'{clause.var}' is a graph reference variable")
+            elif main.lhs.kind in _ELEMENT_TERMS and isinstance(clause.value, ast.GroupRef):
+                _fail(f"'{clause.var}' of a {main.lhs.kind} term takes a single element "
+                      "(node:, edge:, object:)")
+            elif main.lhs.kind in _GROUP_TERMS and isinstance(clause.value, ast.Ref):
+                _fail(f"'{clause.var}' of a {main.lhs.kind} term takes a subset "
+                      "(subset:, NODES, EDGES)")
         elif isinstance(clause, ast.RefRel):
             for v in (clause.var1, clause.var2):
                 if v not in known:

@@ -141,15 +141,16 @@ def group_candidates(
 
 
 def scopes(graph: TemporalGraph, cfg: Config, what: str, space: SearchSpace,
-           characterize, keys: list, fixed_group: Optional[GroupCandidate] = None):
+           characterize, keys: list, ref_key: Optional[GroupCandidate] = None):
     """``(group, key, characterize(group.members, key))`` for every candidate
-    group at every time key, a point or a window. All are counted against
-    the cap before any pattern is built; EMPTY_SCOPE scopes are left out."""
+    group (only ``ref_key`` when it is fixed) at every time key, a point or a
+    window. All are counted against the cap before any pattern is built;
+    EMPTY_SCOPE scopes are left out."""
     jobs = []
     union = None
     for key in keys:
-        if fixed_group:
-            groups = [fixed_group]
+        if ref_key is not None:
+            groups = [ref_key]
         elif isinstance(key, TimeInterval):
             if space.subset_family in (SubsetFamily.CONNECTED_COMPONENTS, SubsetFamily.KHOP):
                 union = union_graph(graph, key, union)

@@ -550,14 +550,9 @@ class StructScope:
     g1: Optional[GraphElementRef] = None
     g2: Optional[GraphElementRef] = None
     group: Optional[GroupCandidate] = None
-    t: Optional[int] = None
-    interval: Optional[TimeInterval] = None
+    time_key: object = None  # int (SNAPSHOT_CONFIG) | TimeInterval (the others)
     connection: Optional[ConnectionSpec] = None
     metrics: tuple = METRIC_NAMES
-
-    @property
-    def time_key(self):
-        return self.t if self.t is not None else self.interval
 
     def describe(self, graph: TemporalGraph, **head) -> dict:
         """``head``, then the pair, group and time key the scope has."""
@@ -572,12 +567,12 @@ class StructScope:
 
 def structural_characterize(graph: TemporalGraph, cfg: Config, scope: StructScope) -> StructuralPattern:
     if scope.kind == StructScopeKind.PAIR_OVER_TIME:
-        return pair_over_time(graph, cfg, scope.g1, scope.g2, scope.interval, scope.connection)
+        return pair_over_time(graph, cfg, scope.g1, scope.g2, scope.time_key, scope.connection)
     if scope.kind == StructScopeKind.SNAPSHOT_CONFIG:
-        return snapshot_config(graph, cfg, scope.group.members, scope.t)
+        return snapshot_config(graph, cfg, scope.group.members, scope.time_key)
     if scope.kind == StructScopeKind.PAIRS_AGGREGATE:
-        return pairs_aggregate(graph, cfg, scope.group.members, scope.interval, scope.connection)
-    return config_over_time(graph, cfg, scope.group.members, scope.interval, scope.metrics)
+        return pairs_aggregate(graph, cfg, scope.group.members, scope.time_key, scope.connection)
+    return config_over_time(graph, cfg, scope.group.members, scope.time_key, scope.metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -630,8 +625,7 @@ def structural_search(
     cfg: Config,
     target,
     space: SearchSpace,
-    fixed_t: Optional[int] = None,
-    fixed_interval: Optional[TimeInterval] = None,
+    time_key=None,
     connection: Optional[ConnectionSpec] = None,
     threshold: Optional[float] = None,
 ) -> list:
@@ -650,7 +644,7 @@ def structural_search(
     kind = target.scope
     matches = []
     if kind == StructScopeKind.PAIR_OVER_TIME:
-        windows = time_windows(graph, fixed_interval, space.window_min_len)
+        windows = time_windows(graph, time_key, space.window_min_len)
         names = graph.node_ids()
         check_budget(len(names) * (len(names) - 1) // 2 * len(windows), cfg,
                      "structural search")
@@ -671,8 +665,8 @@ def structural_search(
                 if score >= thr:
                     matches.append(Binding(window, f"node:{a}|node:{b}", candidate, score))
     else:
-        keys = (time_points(graph, fixed_t) if kind == StructScopeKind.SNAPSHOT_CONFIG
-                else time_windows(graph, fixed_interval, space.window_min_len))
+        keys = (time_points(graph, time_key) if kind == StructScopeKind.SNAPSHOT_CONFIG
+                else time_windows(graph, time_key, space.window_min_len))
         characterize = {
             StructScopeKind.SNAPSHOT_CONFIG:
                 lambda members, t: snapshot_config(graph, cfg, members, t),
@@ -714,11 +708,11 @@ class SeekSideStructConfig:
     """Synoptic structural relation-seeking side: snapshot configurations
     over enumerated node sets."""
 
-    fixed_group: Optional[GroupCandidate] = None
-    fixed_t: Optional[int] = None
+    time_key: Optional[int] = None
+    ref_key: Optional[GroupCandidate] = None
 
     def resolve_bindings(self, graph: TemporalGraph, cfg: Config, space: SearchSpace) -> list:
         return [Binding(t, grp, pattern) for grp, t, pattern in scopes(
             graph, cfg, "relation seeking", space,
             lambda members, t: snapshot_config(graph, cfg, members, t),
-            time_points(graph, self.fixed_t), self.fixed_group)]
+            time_points(graph, self.time_key), self.ref_key)]

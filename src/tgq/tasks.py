@@ -1,11 +1,14 @@
 """Attribute-based task families: lookup, behaviour characterisation,
 pattern search, direct and inverse comparison, and relation seeking.
 
-Each task-matrix cell is one binding pattern of these operations: fixed
-fields are constraints, omitted fields are search targets. Everything is
-evaluated against the immutable graph, and results come back in canonical
-order (time index, then element id) so serialized output is reproducible
-byte for byte.
+Each task-matrix cell is one binding pattern of these operations: a fixed
+reference is a constraint, an omitted one a search target. Every entry
+point takes its fixed references as one pair, as ``Binding`` holds a found
+one: ``time_key`` (a time point or a ``TimeInterval``) and ``ref_key`` (a
+``GraphElementRef`` or a ``GroupCandidate``), None where free. Everything
+is evaluated against the immutable graph, and results come back in
+canonical order (time index, then element id) so serialized output is
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -69,15 +72,9 @@ class Quadrant(str, Enum):
 @dataclass(frozen=True)
 class BehaviorScope:
     quadrant: Quadrant
-    element: Optional[GraphElementRef] = None
-    group: Optional[GroupCandidate] = None
-    time_point: Optional[int] = None
-    interval: Optional[TimeInterval] = None
+    time_key: object  # int (Q2) | TimeInterval (Q3, Q4)
+    ref_key: object  # GraphElementRef (Q3) | GroupCandidate (Q2, Q4)
     axis: Optional[AspectAxis] = None
-
-    @property
-    def time_key(self):
-        return self.time_point if self.quadrant == Quadrant.Q2_DIST_AT_T else self.interval
 
 
 @dataclass(frozen=True)
@@ -142,28 +139,27 @@ def inverse_lookup(
     cfg: Config,
     attr: str,
     constraint: ValueConstraint,
-    t: Optional[int] = None,
-    ref: Optional[GraphElementRef] = None,
-    interval: Optional[TimeInterval] = None,
-    members=None,
+    time_key=None,
+    ref_key=None,
 ) -> list:
     """All (t, element, value) satisfying the constraint, narrowed by any
     supplied reference constraints. Elements range over nodes and edges;
-    graph objects participate only when passed explicitly.
+    graph objects participate only when passed explicitly, and a group
+    stands for its members.
 
     A range test of a numeric attribute over every element bisects each
     time point's ``TemporalGraph.sorted_at`` of the nodes and of the edges;
     the rest scan columns. Hits come in (t, ref) order either way."""
-    if t is not None:
-        graph.check_time(t)
-        times = [t]
-    elif interval is not None:
-        graph.check_time(interval.start, interval.end)
-        times = list(interval.indices())
+    if isinstance(time_key, TimeInterval):
+        graph.check_time(time_key.start, time_key.end)
+        times = list(time_key.indices())
+    elif time_key is not None:
+        graph.check_time(time_key)
+        times = [time_key]
     else:
         times = time_points(graph)
     hits = []
-    if (ref is None and members is None and constraint.is_range()
+    if (ref_key is None and constraint.is_range()
             and graph.attr_kinds.get(attr) == AttrKind.NUMERIC):
         for ti in times:
             for kind in (ElemKind.NODE, ElemKind.EDGE):
@@ -171,8 +167,9 @@ def inverse_lookup(
                 span = constraint.span(values)
                 hits.extend(zip(repeat(ti), refs[span], values[span]))
     else:
-        elements = ([ref] if ref is not None else list(members) if members is not None
-                    else graph.all_refs())
+        elements = (graph.all_refs() if ref_key is None
+                    else list(ref_key.members) if isinstance(ref_key, GroupCandidate)
+                    else [ref_key])
         for el in elements if times else ():
             column = graph.column(el, attr, cfg)
             for ti in times:
@@ -190,10 +187,19 @@ def inverse_lookup(
 
 def characterize(graph: TemporalGraph, cfg: Config, scope: BehaviorScope, attr: str):
     if scope.quadrant == Quadrant.Q3_TREND_OF_G:
-        return trend(graph, cfg, scope.element, scope.interval, attr)
+        return trend(graph, cfg, scope.ref_key, scope.time_key, attr)
     if scope.quadrant == Quadrant.Q2_DIST_AT_T:
-        return distribution(graph, cfg, scope.group.members, scope.time_point, attr)
-    return aspectual(graph, cfg, scope.group.members, scope.interval, attr, scope.axis)
+        return distribution(graph, cfg, scope.ref_key.members, scope.time_key, attr)
+    return aspectual(graph, cfg, scope.ref_key.members, scope.time_key, attr, scope.axis)
+
+
+def _ref_name(ref_key) -> str:
+    """A group by its name, an element or a pair by its text, nothing as ""."""
+    if ref_key is None:
+        return ""
+    if isinstance(ref_key, GroupCandidate):
+        return ref_key.name
+    return str(ref_key)
 
 
 @dataclass(frozen=True)
@@ -208,11 +214,7 @@ class Binding:
 
     @property
     def ref_name(self) -> str:
-        if self.ref_key is None:
-            return ""
-        if isinstance(self.ref_key, GroupCandidate):
-            return self.ref_key.name
-        return str(self.ref_key)
+        return _ref_name(self.ref_key)
 
     def sort_key(self):
         return (_time_sort_key(self.time_key), self.ref_name)
@@ -235,10 +237,8 @@ def pattern_search(
     quadrant: Quadrant,
     attr: str,
     space: SearchSpace,
-    fixed_element: Optional[GraphElementRef] = None,
-    fixed_group: Optional[GroupCandidate] = None,
-    fixed_t: Optional[int] = None,
-    fixed_interval: Optional[TimeInterval] = None,
+    time_key=None,
+    ref_key=None,
     threshold: Optional[float] = None,
 ) -> list:
     """Enumerate candidate scopes, characterize each, and keep those whose
@@ -255,8 +255,8 @@ def pattern_search(
                if isinstance(target, TrendPattern) else None)
     matches = []
     for ref, key, candidate in _scopes(
-            graph, cfg, "pattern search", quadrant, attr, space, fixed_element,
-            fixed_group, fixed_t, fixed_interval, axis, classes):
+            graph, cfg, "pattern search", quadrant, attr, space, time_key, ref_key,
+            axis, classes):
         score, _ = match_score(target, candidate, cfg)
         if score >= thr:
             matches.append(Binding(key, ref, candidate, score))
@@ -264,8 +264,8 @@ def pattern_search(
     return matches
 
 
-def _scopes(graph, cfg, what, quadrant, attr, space, fixed_element=None, fixed_group=None,
-            fixed_t=None, fixed_interval=None, axis=None, classes=None):
+def _scopes(graph, cfg, what, quadrant, attr, space, time_key=None, ref_key=None, axis=None,
+            classes=None):
     """``(ref, time key, pattern)`` for every candidate scope of a quadrant:
     elements × windows for trends, groups × points or windows otherwise.
     With a set of ``classes`` within ``SHAPES``, only the trend scopes whose
@@ -273,38 +273,38 @@ def _scopes(graph, cfg, what, quadrant, attr, space, fixed_element=None, fixed_g
     step runs, and for one window over every node or edge from the
     per-start index. The budget counts every scope."""
     if quadrant == Quadrant.Q3_TREND_OF_G:
-        elements, n_windows = _trend_jobs(graph, space, fixed_element, fixed_interval)
+        elements, n_windows = _trend_jobs(graph, space, time_key, ref_key)
         check_budget(len(elements) * n_windows, cfg, what)
         if classes is not None and not classes <= SHAPES:
             classes = None
         if classes is None:
-            windows = time_windows(graph, fixed_interval, space.window_min_len)
-        elif fixed_interval and not fixed_element:
-            elements = window_candidates(graph, cfg, elements, attr, fixed_interval, classes)
+            windows = time_windows(graph, time_key, space.window_min_len)
+        elif time_key is not None and ref_key is None:
+            elements = window_candidates(graph, cfg, elements, attr, time_key, classes)
         for el in elements:
             for window, candidate in (
                     window_trends(graph, cfg, el, windows, attr) if classes is None
                     else shaped_window_trends(graph, cfg, el, attr, classes,
-                                              space.window_min_len, fixed_interval)):
+                                              space.window_min_len, time_key)):
                 yield el, window, candidate
     elif quadrant == Quadrant.Q2_DIST_AT_T:
         yield from scopes(
             graph, cfg, what, space,
             lambda members, t: distribution(graph, cfg, members, t, attr),
-            time_points(graph, fixed_t), fixed_group)
+            time_points(graph, time_key), ref_key)
     else:
         yield from scopes(
             graph, cfg, what, space,
             lambda members, window: aspectual(graph, cfg, members, window, attr, axis),
-            time_windows(graph, fixed_interval, space.window_min_len), fixed_group)
+            time_windows(graph, time_key, space.window_min_len), ref_key)
 
 
-def _trend_jobs(graph, space, fixed_element, fixed_interval) -> tuple:
+def _trend_jobs(graph, space, time_key, ref_key) -> tuple:
     """The elements a trend search ranges over, and the number of windows of
     each: k(k+1)/2 of ``window_min_len`` or more points, k = n - min_len + 1."""
-    elements = [fixed_element] if fixed_element else element_candidates(
+    elements = [ref_key] if ref_key is not None else element_candidates(
         graph, space.subset_family)
-    if fixed_interval:
+    if time_key is not None:
         return elements, 1
     k = max(0, graph.n_times - space.window_min_len + 1)
     return elements, k * (k + 1) // 2
@@ -345,13 +345,8 @@ class ScopeSide:
 
     def resolve(self, graph: TemporalGraph, cfg: Config) -> Resolved:
         pattern = characterize(graph, cfg, self.scope, self.attr)
-        ref_key = (
-            str(self.scope.element)
-            if self.scope.element is not None
-            else self.scope.group.name
-        )
         return Resolved(
-            pattern, self.scope.time_key, ref_key,
+            pattern, self.scope.time_key, _ref_name(self.scope.ref_key),
             {"scope": _scope_desc(graph, self.scope), "attr": self.attr,
              "pattern": pattern.to_dict()},
         )
@@ -371,11 +366,8 @@ class LiteralSide:
 
 
 def _scope_desc(graph: TemporalGraph, scope: BehaviorScope) -> dict:
-    out: dict = {"quadrant": scope.quadrant.value}
-    if scope.element is not None:
-        out["element"] = str(scope.element)
-    if scope.group is not None:
-        out["group"] = scope.group.name
+    kind = "group" if isinstance(scope.ref_key, GroupCandidate) else "element"
+    out = {"quadrant": scope.quadrant.value, kind: _ref_name(scope.ref_key)}
     out.update(graph.key_label(scope.time_key))
     if scope.axis is not None:
         out["axis"] = scope.axis.value
@@ -475,17 +467,11 @@ class FindSide:
 
     attr: str
     constraint: ValueConstraint
-    fixed_t: Optional[int] = None
-    fixed_ref: Optional[GraphElementRef] = None
-    interval: Optional[TimeInterval] = None
-    members: Optional[tuple] = None
+    time_key: object = None
+    ref_key: object = None
 
     def resolve_bindings(self, graph: TemporalGraph, cfg: Config) -> list:
-        hits = inverse_lookup(
-            graph, cfg, self.attr, self.constraint,
-            t=self.fixed_t, ref=self.fixed_ref,
-            interval=self.interval, members=self.members,
-        )
+        hits = inverse_lookup(graph, cfg, self.attr, self.constraint, self.time_key, self.ref_key)
         return [Binding(t, ref, value) for t, ref, value in hits]
 
 
@@ -497,17 +483,12 @@ class SearchSide:
     quadrant: Quadrant
     attr: str
     space: SearchSpace
-    fixed_element: Optional[GraphElementRef] = None
-    fixed_group: Optional[GroupCandidate] = None
-    fixed_t: Optional[int] = None
-    fixed_interval: Optional[TimeInterval] = None
+    time_key: object = None
+    ref_key: object = None
 
     def resolve_bindings(self, graph: TemporalGraph, cfg: Config) -> list:
-        return pattern_search(
-            graph, cfg, self.target, self.quadrant, self.attr, self.space,
-            fixed_element=self.fixed_element, fixed_group=self.fixed_group,
-            fixed_t=self.fixed_t, fixed_interval=self.fixed_interval,
-        )
+        return pattern_search(graph, cfg, self.target, self.quadrant, self.attr, self.space,
+                              self.time_key, self.ref_key)
 
 
 @dataclass(frozen=True)
@@ -650,8 +631,8 @@ class SeekSideValues:
     fixed references."""
 
     attr: str
-    fixed_t: Optional[int] = None
-    fixed_ref: Optional[GraphElementRef] = None
+    time_key: Optional[int] = None
+    ref_key: Optional[GraphElementRef] = None
 
     def resolve_bindings(self, graph: TemporalGraph, cfg: Config, space: SearchSpace) -> list:
         times, elements = self._scope(graph, cfg, space)
@@ -671,14 +652,13 @@ class SeekSideValues:
         _, elements = self._scope(graph, cfg, space)
         if not elements:
             return (), (), ()
-        return graph.sorted_at(self.attr, self.fixed_t, cfg, elements[0].kind)
+        return graph.sorted_at(self.attr, self.time_key, cfg, elements[0].kind)
 
     def _scope(self, graph: TemporalGraph, cfg: Config, space: SearchSpace) -> tuple:
         """The side's time points and elements, counted against the cap."""
-        times = time_points(graph, self.fixed_t)
-        elements = (
-            [self.fixed_ref] if self.fixed_ref else element_candidates(graph, space.subset_family)
-        )
+        times = time_points(graph, self.time_key)
+        elements = ([self.ref_key] if self.ref_key is not None
+                    else element_candidates(graph, space.subset_family))
         check_budget(len(times) * len(elements), cfg, "relation seeking")
         return times, elements
 
@@ -690,17 +670,14 @@ class SeekSidePatterns:
     quadrant: Quadrant
     attr: str
     axis: Optional[AspectAxis] = None
-    fixed_element: Optional[GraphElementRef] = None
-    fixed_group: Optional[GroupCandidate] = None
-    fixed_t: Optional[int] = None
-    fixed_interval: Optional[TimeInterval] = None
+    time_key: object = None
+    ref_key: object = None
 
     def resolve_bindings(self, graph: TemporalGraph, cfg: Config, space: SearchSpace,
                          classes=None) -> list:
         return [Binding(key, ref, pattern) for ref, key, pattern in _scopes(
             graph, cfg, "relation seeking", self.quadrant, self.attr, space,
-            self.fixed_element, self.fixed_group, self.fixed_t, self.fixed_interval, self.axis,
-            classes)]
+            self.time_key, self.ref_key, self.axis, classes)]
 
 
 @dataclass(frozen=True)
@@ -743,7 +720,7 @@ def relation_seek(
           and isinstance(side2, SeekSidePatterns) and side2.quadrant == Quadrant.Q3_TREND_OF_G):
         b2 = side2.resolve_bindings(graph, cfg, space, related_classes(
             b1[0].payload.cls, relation.op, cfg.similarity_threshold))
-        elements, n_windows = _trend_jobs(graph, space, side2.fixed_element, side2.fixed_interval)
+        elements, n_windows = _trend_jobs(graph, space, side2.time_key, side2.ref_key)
         n2 = len(elements) * n_windows
     else:
         b2 = side2.resolve_bindings(graph, cfg, space)
@@ -768,7 +745,7 @@ def relation_seek(
             out = []
             for k in sorted(range(run.start, run.stop), key=positions.__getitem__):
                 if made[k] is None:
-                    made[k] = Binding(side2.fixed_t, refs[k], values[k])
+                    made[k] = Binding(side2.time_key, refs[k], values[k])
                 out.append(made[k])
             return out
     elif relation.family == RelationFamily.VALUE and relation.op == "eq":
@@ -813,8 +790,8 @@ def _band_joins(graph: TemporalGraph, relation: RelationSpec, b1: list, side2) -
     side 2 is every node or edge at one time point, the relation WITHIN,
     and every value on either side a number, so that no pair the join
     skips could have raised."""
-    return (isinstance(side2, SeekSideValues) and side2.fixed_t is not None
-            and side2.fixed_ref is None and relation.family == RelationFamily.VALUE
+    return (isinstance(side2, SeekSideValues) and side2.time_key is not None
+            and side2.ref_key is None and relation.family == RelationFamily.VALUE
             and relation.op == "within"
             and graph.attr_kinds.get(side2.attr) == AttrKind.NUMERIC
             and all(type(x.payload) in (int, float) for x in b1))

@@ -160,12 +160,12 @@ def test_criterion_2_oracle_equivalence(suite):
         target = TrendLiteral(TrendClass.INCREASING)
         matches = pattern_search(
             g, CFG, target, Quadrant.Q3_TREND_OF_G, "w",
-            SearchSpace(SubsetFamily.EACH_NODE), fixed_interval=full,
+            SearchSpace(SubsetFamily.EACH_NODE), time_key=full,
         )
         got_names = {m.ref_name for m in matches}
         expect_names = set()
         for ref in nodes:
-            scope = BehaviorScope(Quadrant.Q3_TREND_OF_G, element=ref, interval=full)
+            scope = BehaviorScope(Quadrant.Q3_TREND_OF_G, ref_key=ref, time_key=full)
             p = characterize(g, CFG, scope, "w")
             score, _ = match_score(target, p, CFG)
             if score >= CFG.similarity_threshold:
@@ -249,12 +249,12 @@ def test_criterion_4_characterize_search_duality(suite):
         g = raw.graph
         full = g.full_interval()
         for name in sorted(raw.node_spans):
-            scope = BehaviorScope(Quadrant.Q3_TREND_OF_G, element=node_ref(name),
-                                  interval=full)
+            scope = BehaviorScope(Quadrant.Q3_TREND_OF_G, ref_key=node_ref(name),
+                                  time_key=full)
             p = characterize(g, CFG, scope, "w")
             matches = pattern_search(
                 g, CFG, p, Quadrant.Q3_TREND_OF_G, "w",
-                SearchSpace(SubsetFamily.EACH_NODE), fixed_interval=full,
+                SearchSpace(SubsetFamily.EACH_NODE), time_key=full,
             )
             hit = [m for m in matches if m.ref_name == f"node:{name}"]
             assert hit and hit[0].score == 1.0
@@ -262,14 +262,14 @@ def test_criterion_4_characterize_search_duality(suite):
         for sname, members in raw.subsets.items():
             grp = GroupCandidate(f"subset:{sname}", g.subsets[sname].members)
             for t in range(g.n_times):
-                scope = BehaviorScope(Quadrant.Q2_DIST_AT_T, group=grp, time_point=t)
+                scope = BehaviorScope(Quadrant.Q2_DIST_AT_T, ref_key=grp, time_key=t)
                 try:
                     p = characterize(g, CFG, scope, "w")
                 except Exception:
                     continue  # no member carries a value here
                 matches = pattern_search(
                     g, CFG, p, Quadrant.Q2_DIST_AT_T, "w",
-                    SearchSpace(SubsetFamily.NAMED_SUBSETS), fixed_t=t,
+                    SearchSpace(SubsetFamily.NAMED_SUBSETS), time_key=t,
                 )
                 hit = [m for m in matches if m.ref_name == f"subset:{sname}"]
                 assert hit and hit[0].score == 1.0

@@ -164,18 +164,17 @@ def reference_value_at_info(graph, t, ref, attr, cfg):
 # ---------------------------------------------------------------------------
 
 
-def reference_inverse_lookup(graph, cfg, attr, constraint, t=None, ref=None, interval=None,
-                             members=None):
-    if t is not None:
-        times = [t]
-    elif interval is not None:
-        times = list(interval.indices())
+def reference_inverse_lookup(graph, cfg, attr, constraint, time_key=None, ref_key=None):
+    if isinstance(time_key, TimeInterval):
+        times = list(time_key.indices())
+    elif time_key is not None:
+        times = [time_key]
     else:
         times = time_points(graph)
-    if ref is not None:
-        elements = [ref]
-    elif members is not None:
-        elements = list(members)
+    if isinstance(ref_key, GroupCandidate):
+        elements = list(ref_key.members)
+    elif ref_key is not None:
+        elements = [ref_key]
     else:
         elements = graph.all_refs()
     hits = []
@@ -267,8 +266,9 @@ def reference_cross_section(graph, cfg, attr_a, attr_b, group, t):
 
 
 def reference_seek_values(side, graph, cfg, space):
-    times = time_points(graph, side.fixed_t)
-    elements = [side.fixed_ref] if side.fixed_ref else element_candidates(graph, space.subset_family)
+    times = time_points(graph, side.time_key)
+    elements = ([side.ref_key] if side.ref_key is not None
+                else element_candidates(graph, space.subset_family))
     out = []
     for t in times:
         for el in elements:
@@ -509,10 +509,11 @@ CONSTRAINTS = (
 def test_inverse_lookup_matches_reference(seed):
     graph = extended_graph(seed)
     last = graph.n_times - 1
-    times = [{}, {"t": 0}, {"t": last}, {"interval": TimeInterval(1, last)}]
-    elements = [{}, {"ref": node_ref("n1")}, {"ref": edge_ref("em")}, {"ref": object_ref("h")},
-                {"ref": node_ref("zz")}, {"members": graph.subsets["A"].members},
-                {"members": graph.subsets["O"].members}, {"members": ()}]
+    times = [{}, {"time_key": 0}, {"time_key": last}, {"time_key": TimeInterval(1, last)}]
+    elements = [{}] + [{"ref_key": ref} for ref in (
+        node_ref("n1"), edge_ref("em"), object_ref("h"), node_ref("zz"),
+        GroupCandidate("subset:A", graph.subsets["A"].members),
+        GroupCandidate("subset:O", graph.subsets["O"].members), GroupCandidate("none", ()))]
     for cfg in CFGS.values():
         for attr, constraint in CONSTRAINTS:
             for when in times:
@@ -561,7 +562,7 @@ def test_correlation_series_match_reference(seed):
             for group in groups(graph):
                 for t in range(graph.n_times):
                     assert outcome(correlate_attributes, graph, cfg, attr_a, attr_b,
-                                   group=group, t=t) == outcome(
+                                   time_key=t, ref_key=group) == outcome(
                         reference_cross_section, graph, cfg, attr_a, attr_b, group, t)
 
 
@@ -570,10 +571,10 @@ def test_seek_side_values_matches_reference(seed):
     graph = extended_graph(seed)
     for cfg in CFGS.values():
         for attr in ("w", "c", "b", "nope"):
-            for fixed_t in (None, 0):
-                for fixed_ref in (None, node_ref("m"), edge_ref("em"), object_ref("g"),
-                                  node_ref("zz")):
-                    side = SeekSideValues(attr, fixed_t=fixed_t, fixed_ref=fixed_ref)
+            for time_key in (None, 0):
+                for ref_key in (None, node_ref("m"), edge_ref("em"), object_ref("g"),
+                                node_ref("zz")):
+                    side = SeekSideValues(attr, time_key=time_key, ref_key=ref_key)
                     for family in (SubsetFamily.EACH_NODE, SubsetFamily.EACH_EDGE):
                         space = SearchSpace(subset_family=family)
                         assert outcome(side.resolve_bindings, graph, cfg, space) == outcome(
@@ -585,10 +586,12 @@ def test_empty_scans_make_no_read():
     cfg = Config()
     # an undeclared attribute raises on the first read; a scan over no
     # elements makes none
-    assert inverse_lookup(graph, cfg, "nope", ValueConstraint("gt", (0.0,)), members=()) == []
+    assert inverse_lookup(graph, cfg, "nope", ValueConstraint("gt", (0.0,)),
+                          ref_key=GroupCandidate("none", ())) == []
     assert graph._columns == {}
     with pytest.raises(TgqError) as e:
-        inverse_lookup(graph, cfg, "nope", ValueConstraint("gt", (0.0,)), members=(node_ref("n0"),))
+        inverse_lookup(graph, cfg, "nope", ValueConstraint("gt", (0.0,)),
+                       ref_key=GroupCandidate("n0", (node_ref("n0"),)))
     assert e.value.code == VALIDATION_ERROR
 
 

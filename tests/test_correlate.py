@@ -59,14 +59,14 @@ class TestPearson:
     def test_self_correlation(self, series_graph, cfg):
         rep = correlate_attributes(
             series_graph, cfg, "w", "same",
-            element=node_ref("n"), interval=TimeInterval(0, 5),
+            ref_key=node_ref("n"), time_key=TimeInterval(0, 5),
         )
         assert rep.coefficient == 1.0 and rep.classification == "POSITIVE"
 
     def test_negated(self, series_graph, cfg):
         rep = correlate_attributes(
             series_graph, cfg, "w", "neg",
-            element=node_ref("n"), interval=TimeInterval(0, 5),
+            ref_key=node_ref("n"), time_key=TimeInterval(0, 5),
         )
         assert rep.coefficient == -1.0 and rep.classification == "NEGATIVE"
 
@@ -88,7 +88,7 @@ class TestPearson:
                             "t": 0, "value": float(indeg[n])})
         g = load(jl(records))
         grp = GroupCandidate("all", tuple(node_ref(n) for n in nodes))
-        rep = correlate_attributes(g, cfg, "outdeg", "indeg", group=grp, t=0)
+        rep = correlate_attributes(g, cfg, "outdeg", "indeg", ref_key=grp, time_key=0)
         expect = oracle_pearson([outdeg[n] for n in nodes], [indeg[n] for n in nodes])
         assert rep.coefficient == pytest.approx(expect, abs=1e-12)
         assert rep.n == 4

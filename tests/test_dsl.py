@@ -366,14 +366,14 @@ def rand_query_characterize(rng):
     kind = rng.choice(["TREND", "DIST", "ASPECT"])
     if kind == "TREND":
         return ast.Characterize(ast.SideCharac(
-            "TREND", None, rng.choice(ATTRS), element=rand_elem(rng),
+            "TREND", None, rng.choice(ATTRS), target=rand_elem(rng),
             during=rand_interval(rng) if rng.random() < 0.7 else None))
     if kind == "DIST":
         return ast.Characterize(ast.SideCharac("DIST", None, rng.choice(ATTRS),
-                                               group=rand_group(rng), at=rand_time(rng)))
+                                               target=rand_group(rng), at=rand_time(rng)))
     axis = rng.choice(["TRENDS_OVER_GRAPH", "DISTRIBUTION_OVER_TIME"])
     return ast.Characterize(ast.SideCharac(
-        "ASPECT", axis, rng.choice(ATTRS), group=rand_group(rng),
+        "ASPECT", axis, rng.choice(ATTRS), target=rand_group(rng),
         during=rand_interval(rng) if rng.random() < 0.7 else None))
 
 

@@ -101,8 +101,8 @@ def extended_graph(seed: int):
 
 EQ = RelationSpec(RelationFamily.VALUE, "eq")
 W = SeekSideValues("w")
-W0 = SeekSideValues("w", fixed_t=0)
-W1 = SeekSideValues("w", fixed_t=1)
+W0 = SeekSideValues("w", time_key=0)
+W1 = SeekSideValues("w", time_key=1)
 ADJACENT = RelationSpec(RelationFamily.STRUCTURAL, "adjacent")
 
 # name -> (relation, side1, side2, aux)
@@ -119,7 +119,7 @@ CASES = {
     "eq adjacent without t": (EQ, W, W, (AuxRelation("graph", ADJACENT),)),
     "eq categorical": (EQ, SeekSideValues("c"), SeekSideValues("c"), ()),
     "eq bool against numeric": (EQ, SeekSideValues("b"), W, ()),
-    "eq object aggregate": (EQ, SeekSideValues("w", fixed_ref=object_ref("o")), W, ()),
+    "eq object aggregate": (EQ, SeekSideValues("w", ref_key=object_ref("o")), W, ()),
     "lt symmetric": (RelationSpec(RelationFamily.VALUE, "lt"), W0, W0, ()),
     "ne asymmetric": (RelationSpec(RelationFamily.VALUE, "ne"), W0, W1, ()),
 }

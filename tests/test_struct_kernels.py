@@ -189,11 +189,11 @@ def reference_pairs_aggregate(graph, cfg, members, interval, spec=None):
                              class_frequencies=tuple(sorted(counts.items())))
 
 
-def reference_search_pairs(graph, cfg, target, fixed_interval=None, connection=None,
+def reference_search_pairs(graph, cfg, target, time_key=None, connection=None,
                            threshold=None, window_min_len=1):
     """The PAIRS branch of ``structural_search`` (a presence target)."""
     thr = cfg.similarity_threshold if threshold is None else threshold
-    windows = time_windows(graph, fixed_interval, window_min_len)
+    windows = time_windows(graph, time_key, window_min_len)
     pairs = list(itertools.combinations(graph.node_ids(), 2))
     check_budget(len(pairs) * len(windows), cfg, "structural search")
     matches = []
@@ -447,7 +447,7 @@ def test_structural_search_pairs_matches_reference(graphs, name):
             # every window on a few graphs, the whole domain on all of them
             fixed = None if i < 3 else graph.full_interval()
             got = outcome(structural_search, graph, cfg, target, SearchSpace(),
-                          fixed_interval=fixed, connection=spec)
+                          time_key=fixed, connection=spec)
             assert got == outcome(reference_search_pairs, graph, cfg, target, fixed, spec)
 
 
@@ -470,7 +470,7 @@ def test_structural_search_pairs_targets_and_thresholds(graphs, name, threshold)
         fixed = None if i < 2 else graph.full_interval()
         for target in PAIR_TARGETS:
             got = outcome(structural_search, graph, cfg, target, SearchSpace(),
-                          fixed_interval=fixed, connection=spec, threshold=threshold)
+                          time_key=fixed, connection=spec, threshold=threshold)
             assert got == outcome(reference_search_pairs, graph, cfg, target, fixed, spec,
                                   threshold=threshold), (i, target)
 
@@ -517,7 +517,7 @@ def test_presence_across_a_death_matches_reference(graphs):
             for target in (PresenceLiteral(PresenceClass.INTERMITTENT),
                            PresenceLiteral(PresenceClass.NEVER)):
                 got = outcome(structural_search, graph, cfg, target, SearchSpace(),
-                              fixed_interval=window, connection=spec)
+                              time_key=window, connection=spec)
                 assert got == outcome(reference_search_pairs, graph, cfg, target, window, spec)
     # some pair connects on both sides of a gap, so its bits are 1...0...1
     assert broken > 0
@@ -564,7 +564,7 @@ def test_search_builds_bits_only_for_connecting_pairs(monkeypatch):
     monkeypatch.setattr(structure, "classify_presence",
                         lambda bits: calls.append(bits) or real(bits))
     got = structural_search(graph, Config(), PresenceLiteral(PresenceClass.APPEARING),
-                            SearchSpace(), fixed_interval=graph.full_interval())
+                            SearchSpace(), time_key=graph.full_interval())
     assert [(m.ref_name, m.payload.presence_bits) for m in got] == [("node:v03|node:v07", "011")]
     assert sorted(calls) == ["000", "011"]
 
@@ -664,7 +664,7 @@ def test_cap_sweep_errors_identical(graphs):
                 assert got == outcome(reference_find_connected_pairs, graph, cfg, spec, t)
                 exceeded += isinstance(got, tuple) and got[0] == SEARCH_SPACE_EXCEEDED
             got = outcome(structural_search, graph, cfg, target, SearchSpace(),
-                          fixed_interval=graph.full_interval(), connection=spec)
+                          time_key=graph.full_interval(), connection=spec)
             assert got == outcome(reference_search_pairs, graph, cfg, target,
                                   graph.full_interval(), spec)
             exceeded += isinstance(got, tuple) and got[0] == SEARCH_SPACE_EXCEEDED

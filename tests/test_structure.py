@@ -279,7 +279,7 @@ class TestStructuralSearch:
         # over [0,3] restricted it is APPEARING.
         matches = structural_search(
             wheel_graph, cfg, PresenceLiteral(PresenceClass.APPEARING),
-            SearchSpace(), fixed_interval=TimeInterval(0, 3),
+            SearchSpace(), time_key=TimeInterval(0, 3),
         )
         names = [m.ref_name for m in matches]
         assert "node:b|node:c" in names
@@ -301,14 +301,14 @@ class TestStructuralSearch:
         matches = structural_search(
             g, cfg, ConfigLiteral((("density", 1.0),)),
             SearchSpace(subset_family=SubsetFamily.NAMED_SUBSETS),
-            fixed_t=0, threshold=1.0,
+            time_key=0, threshold=1.0,
         )
         assert [m.ref_name for m in matches] == ["subset:pair", "subset:tri"]
 
     def test_threshold_zero_returns_all(self, wheel_graph, cfg):
         matches = structural_search(
             wheel_graph, cfg, PresenceLiteral(PresenceClass.ALWAYS),
-            SearchSpace(), fixed_interval=TimeInterval(0, 4), threshold=0.0,
+            SearchSpace(), time_key=TimeInterval(0, 4), threshold=0.0,
         )
         assert len(matches) == 6
 
@@ -320,7 +320,7 @@ class TestStructuralSearch:
         matches = structural_search(
             wheel_graph, cfg, target,
             SearchSpace(subset_family=SubsetFamily.NAMED_SUBSETS),
-            fixed_interval=TimeInterval(0, 4), threshold=1.0,
+            time_key=TimeInterval(0, 4), threshold=1.0,
         )
         assert [m.ref_name for m in matches] == ["subset:ALL"]
         assert matches[0].payload.class_frequencies == target.class_frequencies
@@ -383,7 +383,7 @@ class TestStructuralSearch:
         matches = structural_search(
             g, cfg, ConfigTrendLiteral((("density", "INCREASING"),)),
             SearchSpace(subset_family=SubsetFamily.NAMED_SUBSETS),
-            fixed_interval=TimeInterval(0, 3), threshold=1.0,
+            time_key=TimeInterval(0, 3), threshold=1.0,
         )
         assert [m.ref_name for m in matches] == ["subset:ALL"]
 
@@ -413,10 +413,10 @@ class TestStructuralCompare:
     def test_same_pair_two_intervals(self, wheel_graph, cfg):
         lhs = StructScopeSide(StructScope(
             StructScopeKind.PAIR_OVER_TIME, g1=node_ref("a"), g2=node_ref("b"),
-            interval=TimeInterval(0, 1)))
+            time_key=TimeInterval(0, 1)))
         rhs = StructScopeSide(StructScope(
             StructScopeKind.PAIR_OVER_TIME, g1=node_ref("a"), g2=node_ref("b"),
-            interval=TimeInterval(3, 4)))
+            time_key=TimeInterval(3, 4)))
         report = direct_compare(wheel_graph, cfg, lhs, rhs)
         assert report.relation == "same" and report.score == 1.0
         assert report.label == "EVOLUTIONARY"
@@ -441,7 +441,7 @@ class TestStructuralCompare:
         side = lambda name: StructScopeSide(StructScope(
             StructScopeKind.CONFIG_OVER_TIME,
             group=GroupCandidate(f"subset:{name}", g.subsets[name].members),
-            interval=TimeInterval(0, 3), metrics=("density",)))
+            time_key=TimeInterval(0, 3), metrics=("density",)))
         report = direct_compare(g, cfg, side("G1"), side("G2"))
         assert report.relation == "opposite" and report.opposite
 
@@ -460,7 +460,7 @@ class TestStructuralCompare:
             {"type": "subset", "name": "P2", "members": ["node:c", "node:d"]},
             {"type": "subset", "name": "P3", "members": ["node:a", "node:c"]},
         ]))
-        side = SeekSideStructConfig(fixed_t=0)
+        side = SeekSideStructConfig(time_key=0)
         pairs = relation_seek(
             g, cfg, RelationSpec(RelationFamily.PATTERN, "same"), side, side,
             space=SearchSpace(subset_family=SubsetFamily.NAMED_SUBSETS),

@@ -91,10 +91,10 @@ class TestLookup:
         assert inverse_lookup(mini_graph, cfg, "w", ValueConstraint("gt", (50.0,))) == []
 
     def test_inverse_binding_patterns(self, mini_graph, cfg):
-        only_t1 = inverse_lookup(mini_graph, cfg, "w", ValueConstraint("gt", (0.0,)), t=1)
+        only_t1 = inverse_lookup(mini_graph, cfg, "w", ValueConstraint("gt", (0.0,)), time_key=1)
         assert all(t == 1 for t, _, _ in only_t1)
         only_a = inverse_lookup(
-            mini_graph, cfg, "w", ValueConstraint("gt", (0.0,)), ref=node_ref("a")
+            mini_graph, cfg, "w", ValueConstraint("gt", (0.0,)), ref_key=node_ref("a")
         )
         assert all(str(r) == "node:a" for _, r, _ in only_a)
 
@@ -114,13 +114,13 @@ class TestLookup:
 
 class TestCharacterizeAndSearch:
     def test_q3(self, shapes_graph, cfg):
-        scope = BehaviorScope(Quadrant.Q3_TREND_OF_G, element=node_ref("up"),
-                              interval=TimeInterval(0, 3))
+        scope = BehaviorScope(Quadrant.Q3_TREND_OF_G, ref_key=node_ref("up"),
+                              time_key=TimeInterval(0, 3))
         assert characterize(shapes_graph, cfg, scope, "w").cls == TrendClass.INCREASING
 
     def test_q2(self, shapes_graph, cfg):
         grp = GroupCandidate("subset:S2", shapes_graph.subsets["S2"].members)
-        scope = BehaviorScope(Quadrant.Q2_DIST_AT_T, group=grp, time_point=0)
+        scope = BehaviorScope(Quadrant.Q2_DIST_AT_T, ref_key=grp, time_key=0)
         d = characterize(shapes_graph, cfg, scope, "w")
         assert d.count == 2 and d.min == 1.0 and d.max == 2.0
 
@@ -129,8 +129,8 @@ class TestCharacterizeAndSearch:
 
         members = shapes_graph.subsets["S1"].members
         grp = GroupCandidate("subset:S1", members)
-        scope = BehaviorScope(Quadrant.Q4_ASPECTUAL, group=grp,
-                              interval=TimeInterval(0, 3),
+        scope = BehaviorScope(Quadrant.Q4_ASPECTUAL, ref_key=grp,
+                              time_key=TimeInterval(0, 3),
                               axis=AspectAxis.TRENDS_OVER_GRAPH)
         got = characterize(shapes_graph, cfg, scope, "w").frequency_dict()
         expect = {}
@@ -145,7 +145,7 @@ class TestCharacterizeAndSearch:
         matches = pattern_search(
             shapes_graph, cfg, TrendLiteral(TrendClass.INCREASING),
             Quadrant.Q3_TREND_OF_G, "w", space,
-            fixed_interval=TimeInterval(0, 3),
+            time_key=TimeInterval(0, 3),
         )
         assert [m.ref_name for m in matches] == ["node:up"]
 
@@ -154,7 +154,7 @@ class TestCharacterizeAndSearch:
         matches = pattern_search(
             shapes_graph, cfg, TrendLiteral(TrendClass.INCREASING),
             Quadrant.Q3_TREND_OF_G, "w", space,
-            fixed_interval=TimeInterval(0, 3), threshold=0.0,
+            time_key=TimeInterval(0, 3), threshold=0.0,
         )
         assert len(matches) == 4
 
@@ -165,17 +165,17 @@ class TestCharacterizeAndSearch:
             sizes.append(len(pattern_search(
                 shapes_graph, cfg, TrendLiteral(TrendClass.INCREASING),
                 Quadrant.Q3_TREND_OF_G, "w", space,
-                fixed_interval=TimeInterval(0, 3), threshold=thr,
+                time_key=TimeInterval(0, 3), threshold=thr,
             )))
         assert sizes == sorted(sizes, reverse=True)
 
     def test_characterize_search_duality(self, shapes_graph, cfg):
-        scope = BehaviorScope(Quadrant.Q3_TREND_OF_G, element=node_ref("down"),
-                              interval=TimeInterval(0, 3))
+        scope = BehaviorScope(Quadrant.Q3_TREND_OF_G, ref_key=node_ref("down"),
+                              time_key=TimeInterval(0, 3))
         p = characterize(shapes_graph, cfg, scope, "w")
         matches = pattern_search(
             shapes_graph, cfg, p, Quadrant.Q3_TREND_OF_G, "w",
-            SearchSpace(SubsetFamily.EACH_NODE), fixed_interval=TimeInterval(0, 3),
+            SearchSpace(SubsetFamily.EACH_NODE), time_key=TimeInterval(0, 3),
         )
         hit = [m for m in matches if m.ref_name == "node:down"]
         assert hit and hit[0].score == 1.0
@@ -218,8 +218,8 @@ class TestDirectCompare:
         assert report.label == "CONTEXTUAL"
 
     def test_pattern_vs_literal(self, shapes_graph, cfg):
-        scope = BehaviorScope(Quadrant.Q3_TREND_OF_G, element=node_ref("up"),
-                              interval=TimeInterval(0, 3))
+        scope = BehaviorScope(Quadrant.Q3_TREND_OF_G, ref_key=node_ref("up"),
+                              time_key=TimeInterval(0, 3))
         report = direct_compare(
             shapes_graph, cfg,
             ScopeSide(scope, "w"),
@@ -228,10 +228,10 @@ class TestDirectCompare:
         assert report.relation == "same" and report.score == 1.0
 
     def test_opposite_patterns(self, shapes_graph, cfg):
-        up = ScopeSide(BehaviorScope(Quadrant.Q3_TREND_OF_G, element=node_ref("up"),
-                                     interval=TimeInterval(0, 3)), "w")
-        down = ScopeSide(BehaviorScope(Quadrant.Q3_TREND_OF_G, element=node_ref("down"),
-                                       interval=TimeInterval(0, 3)), "w")
+        up = ScopeSide(BehaviorScope(Quadrant.Q3_TREND_OF_G, ref_key=node_ref("up"),
+                                     time_key=TimeInterval(0, 3)), "w")
+        down = ScopeSide(BehaviorScope(Quadrant.Q3_TREND_OF_G, ref_key=node_ref("down"),
+                                       time_key=TimeInterval(0, 3)), "w")
         report = direct_compare(shapes_graph, cfg, up, down)
         assert report.relation == "opposite" and report.opposite
 
@@ -262,14 +262,14 @@ class TestInverseCompare:
         # the first canonical pair is (t0, t2), which is "before".
         reports = inverse_compare(
             mini_graph, cfg,
-            FindSide("w", ValueConstraint("eq", (1.0,)), fixed_ref=node_ref("a")),
-            FindSide("w", ValueConstraint("eq", (3.0,)), fixed_ref=node_ref("a")),
+            FindSide("w", ValueConstraint("eq", (1.0,)), ref_key=node_ref("a")),
+            FindSide("w", ValueConstraint("eq", (3.0,)), ref_key=node_ref("a")),
         )
         assert len(reports) == 1
         assert reports[0].relations["temporal"] == "before"
 
     def test_same_constraint_same_time(self, mini_graph, cfg):
-        side = FindSide("w", ValueConstraint("eq", (3.0,)), fixed_ref=node_ref("a"))
+        side = FindSide("w", ValueConstraint("eq", (3.0,)), ref_key=node_ref("a"))
         reports = inverse_compare(mini_graph, cfg, side, side)
         assert reports[0].relations["temporal"] == "same"
 
@@ -285,7 +285,7 @@ class TestInverseCompare:
     def test_reduced_form_fixed_reference(self, mini_graph, cfg):
         reports = inverse_compare(
             mini_graph, cfg,
-            FindSide("w", ValueConstraint("eq", (3.0,)), fixed_ref=node_ref("a")),
+            FindSide("w", ValueConstraint("eq", (3.0,)), ref_key=node_ref("a")),
             FixedSide(time_key=0),
         )
         assert reports[0].relations["temporal"] == "after"
@@ -293,8 +293,8 @@ class TestInverseCompare:
     def test_all_pairs_mode(self, mini_graph, cfg):
         reports = inverse_compare(
             mini_graph, cfg,
-            FindSide("w", ValueConstraint("eq", (1.0,)), fixed_ref=node_ref("a")),
-            FindSide("w", ValueConstraint("eq", (3.0,)), fixed_ref=node_ref("a")),
+            FindSide("w", ValueConstraint("eq", (1.0,)), ref_key=node_ref("a")),
+            FindSide("w", ValueConstraint("eq", (3.0,)), ref_key=node_ref("a")),
             all_pairs=True,
         )
         assert len(reports) == 2  # (t0, t2) and (t1, t2)
@@ -305,8 +305,8 @@ class TestInverseCompare:
         with pytest.raises(TgqError) as e:
             inverse_compare(
                 mini_graph, cfg,
-                FindSide("w", ValueConstraint("eq", (1.0,)), fixed_ref=node_ref("a")),
-                FindSide("w", ValueConstraint("eq", (3.0,)), fixed_ref=node_ref("a")),
+                FindSide("w", ValueConstraint("eq", (1.0,)), ref_key=node_ref("a")),
+                FindSide("w", ValueConstraint("eq", (3.0,)), ref_key=node_ref("a")),
                 families=("structural",),
             )
         assert e.value.code == MISSING_TIME_CONTEXT
@@ -321,8 +321,8 @@ class TestInverseCompare:
         ]))
         reports = inverse_compare(
             g, cfg,
-            FindSide("w", ValueConstraint("eq", (1.0,)), fixed_t=0),
-            FindSide("w", ValueConstraint("eq", (2.0,)), fixed_t=0),
+            FindSide("w", ValueConstraint("eq", (1.0,)), time_key=0),
+            FindSide("w", ValueConstraint("eq", (2.0,)), time_key=0),
             families=("temporal", "graph", "structural"),
         )
         rel = reports[0].relations
@@ -367,7 +367,7 @@ class TestRelationSeek:
             {"type": "attr", "elem": "node:b", "name": "w", "t": 0, "value": 1.0},
             {"type": "attr", "elem": "node:c", "name": "w", "t": 0, "value": 2.0},
         ]))
-        side = SeekSideValues("w", fixed_t=0)
+        side = SeekSideValues("w", time_key=0)
         pairs = relation_seek(
             g, cfg, RelationSpec(RelationFamily.VALUE, "eq"), side, side,
         )
@@ -378,7 +378,7 @@ class TestRelationSeek:
             {"type": "node", "id": "a", "start": 0, "end": 1},
             {"type": "attr", "elem": "node:a", "name": "w", "t": 0, "value": 1.0},
         ]))
-        side = SeekSideValues("w", fixed_t=0)
+        side = SeekSideValues("w", time_key=0)
         aux = (AuxRelation("time", RelationSpec(RelationFamily.TEMPORAL_POINT, "same")),)
         pairs = relation_seek(
             g, cfg, RelationSpec(RelationFamily.VALUE, "lt"), side, side, aux,
@@ -389,7 +389,7 @@ class TestRelationSeek:
         # Oracle: exhaustive pair enumeration + trend + adjacency check.
         # Only up-down are adjacent, and their trends are opposite.
         side = SeekSidePatterns(
-            Quadrant.Q3_TREND_OF_G, "w", fixed_interval=TimeInterval(0, 3)
+            Quadrant.Q3_TREND_OF_G, "w", time_key=TimeInterval(0, 3)
         )
         aux = (AuxRelation(
             "graph", RelationSpec(RelationFamily.STRUCTURAL, "adjacent"), t_context=0
@@ -409,7 +409,7 @@ class TestRelationSeek:
             {"type": "attr", "elem": "node:a", "name": "w", "t": 0, "value": 1.0},
             {"type": "attr", "elem": "node:b", "name": "w", "t": 0, "value": 5.0},
         ]))
-        side = SeekSideValues("w", fixed_t=0)
+        side = SeekSideValues("w", time_key=0)
         pairs = relation_seek(
             g, cfg, RelationSpec(RelationFamily.VALUE, "lt"), side, side,
         )
@@ -497,16 +497,16 @@ class TestTimeDomain:
         "distribution": lambda g, cfg, t: distribution(g, cfg, [node_ref("a")], t, "w"),
         "distribution_no_members": lambda g, cfg, t: distribution(g, cfg, [], t, "w"),
         "inverse_lookup_t": lambda g, cfg, t: inverse_lookup(
-            g, cfg, "w", ValueConstraint("ge", (0.0,)), t=t),
+            g, cfg, "w", ValueConstraint("ge", (0.0,)), time_key=t),
         "inverse_lookup_interval": lambda g, cfg, t: inverse_lookup(
-            g, cfg, "w", ValueConstraint("ge", (0.0,)), interval=TimeInterval(min(t, 0), max(t, 0))),
+            g, cfg, "w", ValueConstraint("ge", (0.0,)), time_key=TimeInterval(min(t, 0), max(t, 0))),
         "element_series": lambda g, cfg, t: element_series(
             g, cfg, node_ref("a"), "w", TimeInterval(min(t, 0), max(t, 0))),
         "group_series": lambda g, cfg, t: group_series(
             g, cfg, GroupCandidate("g", (node_ref("a"), node_ref("b"))), "w",
             TimeInterval(min(t, 0), max(t, 0))),
         "cross_section": lambda g, cfg, t: correlate_attributes(
-            g, cfg, "w", "w", group=GroupCandidate("g", (node_ref("a"), node_ref("b"))), t=t),
+            g, cfg, "w", "w", ref_key=GroupCandidate("g", (node_ref("a"), node_ref("b"))), time_key=t),
         "snapshot": lambda g, cfg, t: g.snapshot(t),
     }
 

@@ -138,11 +138,11 @@ def reference_trend(graph, cfg, ref, interval, attr):
     return reference_classify_trend(samples, cfg)
 
 
-def reference_pattern_search(graph, cfg, target, attr, space, fixed_element=None,
-                             fixed_interval=None, threshold=None):
+def reference_pattern_search(graph, cfg, target, attr, space, ref_key=None,
+                             time_key=None, threshold=None):
     thr = cfg.similarity_threshold if threshold is None else threshold
-    elements = [fixed_element] if fixed_element else element_candidates(graph, space.subset_family)
-    windows = time_windows(graph, fixed_interval, space.window_min_len)
+    elements = [ref_key] if ref_key is not None else element_candidates(graph, space.subset_family)
+    windows = time_windows(graph, time_key, space.window_min_len)
     check_budget(len(elements) * len(windows), cfg, "pattern search")
     matches = []
     for el in elements:
@@ -279,9 +279,9 @@ def test_search_matches_reference(graphs, seed, cfg_name):
             for el in fixed:
                 for thr in THRESHOLDS:
                     got = outcome(search, graph, cfg, target, "w", space,
-                                  fixed_element=el, threshold=thr)
+                                  ref_key=el, threshold=thr)
                     want = outcome(reference_pattern_search, graph, cfg, target, "w", space,
-                                   fixed_element=el, threshold=thr)
+                                   ref_key=el, threshold=thr)
                     assert got == want, (cls, min_len, el, thr)
 
 
@@ -290,9 +290,9 @@ def test_fixed_interval_matches_reference(graphs, seed):
     graph, cfg = graphs[seed], Config()
     interval = graph.full_interval()
     for cls in TrendClass:
-        got = search(graph, cfg, TrendLiteral(cls), "w", SearchSpace(), fixed_interval=interval)
+        got = search(graph, cfg, TrendLiteral(cls), "w", SearchSpace(), time_key=interval)
         assert got == reference_pattern_search(graph, cfg, TrendLiteral(cls), "w", SearchSpace(),
-                                               fixed_interval=interval)
+                                               time_key=interval)
 
 
 def test_extreme_windows_are_classified_in_full(monkeypatch):
@@ -314,11 +314,11 @@ def test_extreme_windows_are_classified_in_full(monkeypatch):
 
     monkeypatch.setattr(patterns, "classify_trend", counting)
     target = TrendLiteral(TrendClass.PEAK)
-    search(graph, Config(), target, "w", SearchSpace(), fixed_element=node_ref("x"))
+    search(graph, Config(), target, "w", SearchSpace(), ref_key=node_ref("x"))
     assert [(s[0][0], s[-1][0]) for s in calls] == [
         (w.start, w.end) for w in time_windows(graph, None, 1) if w.contains(1)]
     calls.clear()
-    found = search(graph, Config(), target, "w", SearchSpace(), fixed_element=node_ref("y"))
+    found = search(graph, Config(), target, "w", SearchSpace(), ref_key=node_ref("y"))
     assert [(s[0][0], s[-1][0]) for s in calls] == [(0, 2), (0, 3), (0, 4)]
     assert [(m.time_key.start, m.time_key.end) for m in found] == [(0, 2), (0, 3), (0, 4)]
 
@@ -331,10 +331,10 @@ def test_filter_finds_scaled_match():
                 for t, v in enumerate(SCALED_NOT_SHAPE)]
     graph = load(json.dumps(r) for r in records)
     target = TrendLiteral(TrendClass.INCREASING)
-    got = search(graph, Config(), target, "w", SearchSpace(), fixed_interval=graph.full_interval())
+    got = search(graph, Config(), target, "w", SearchSpace(), time_key=graph.full_interval())
     assert [m.payload.cls for m in got] == [TrendClass.INCREASING]
     assert got == reference_pattern_search(graph, Config(), target, "w", SearchSpace(),
-                                           fixed_interval=graph.full_interval())
+                                           time_key=graph.full_interval())
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +354,9 @@ def test_errors_match_reference(graphs, attr, el, code):
     for graph in graphs[:5]:
         for cls in (TrendClass.PEAK, TrendClass.CONSTANT):
             got = outcome(search, graph, Config(), TrendLiteral(cls), attr, SearchSpace(),
-                          fixed_element=el)
+                          ref_key=el)
             assert got == outcome(reference_pattern_search, graph, Config(), TrendLiteral(cls),
-                                  attr, SearchSpace(), fixed_element=el)
+                                  attr, SearchSpace(), ref_key=el)
             assert got[:2] == ("error", code)
 
 
@@ -366,7 +366,7 @@ def test_no_jobs_raise_nothing(graphs):
         for attr in ("nope", "c", "w"):
             for el in (None, node_ref("zz")):
                 assert search(graph, Config(), TrendLiteral(TrendClass.PEAK), attr, too_long,
-                              fixed_element=el) == []
+                              ref_key=el) == []
 
 
 def test_cap_sweep_errors_identical(graphs):
@@ -380,9 +380,9 @@ def test_cap_sweep_errors_identical(graphs):
             for cap in sorted({1} | {c + d for c in counts for d in (-1, 0, 1) if c + d > 0}):
                 cfg = Config(search_max_candidates=cap)
                 for el in (None, node_ref("n0")):
-                    got = outcome(search, graph, cfg, target, "w", space, fixed_element=el)
+                    got = outcome(search, graph, cfg, target, "w", space, ref_key=el)
                     assert got == outcome(reference_pattern_search, graph, cfg, target, "w",
-                                          space, fixed_element=el)
+                                          space, ref_key=el)
                     exceeded += got[:2] == ("error", SEARCH_SPACE_EXCEEDED)
     assert exceeded > 0
 
@@ -464,9 +464,9 @@ def test_enumerated_windows_match_the_per_window_filter():
         for min_len in (1, 2, 3, 5):
             space = SearchSpace(window_min_len=min_len)
             for ref in (node_ref("v0"), node_ref("v1")):
-                got = search(graph, cfg, TrendLiteral(cls), "w", space, fixed_element=ref)
+                got = search(graph, cfg, TrendLiteral(cls), "w", space, ref_key=ref)
                 assert got == reference_pattern_search(graph, cfg, TrendLiteral(cls), "w", space,
-                                                       fixed_element=ref)
+                                                       ref_key=ref)
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +527,10 @@ def reference_window_scan(graph, cfg, elements, attr, window, classes):
     return out
 
 
-def window_scan(graph, cfg, family, attr, window, classes, fixed_element=None):
+def window_scan(graph, cfg, family, attr, window, classes, ref_key=None):
     return list(_scopes(graph, cfg, "pattern search", Quadrant.Q3_TREND_OF_G, attr,
-                        SearchSpace(subset_family=family), fixed_element=fixed_element,
-                        fixed_interval=window, classes=classes))
+                        SearchSpace(subset_family=family), ref_key=ref_key,
+                        time_key=window, classes=classes))
 
 
 def reference_sign_changes(ys) -> int:

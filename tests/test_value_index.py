@@ -31,7 +31,7 @@ from tgq.graph import (
 )
 from tgq.patterns import TrendClass, trend
 from tgq.relations import RelationFamily, RelationSpec
-from tgq.search import SearchSpace, SubsetFamily, check_budget, time_points, time_windows
+from tgq.search import GroupCandidate, SearchSpace, SubsetFamily, check_budget, time_points, time_windows
 from tgq.tasks import (
     AuxRelation,
     Quadrant,
@@ -56,20 +56,19 @@ EXTREMES = (-1e308, 1e308, -5e307, 0.0, -0.0, 1e-300, 2e-300)
 # ---------------------------------------------------------------------------
 
 
-def scan_inverse_lookup(graph, cfg, attr, constraint, t=None, ref=None, interval=None,
-                        members=None):
-    if t is not None:
-        graph.check_time(t)
-        times = [t]
-    elif interval is not None:
-        graph.check_time(interval.start, interval.end)
-        times = list(interval.indices())
+def scan_inverse_lookup(graph, cfg, attr, constraint, time_key=None, ref_key=None):
+    if isinstance(time_key, TimeInterval):
+        graph.check_time(time_key.start, time_key.end)
+        times = list(time_key.indices())
+    elif time_key is not None:
+        graph.check_time(time_key)
+        times = [time_key]
     else:
         times = time_points(graph)
-    if ref is not None:
-        elements = [ref]
-    elif members is not None:
-        elements = list(members)
+    if isinstance(ref_key, GroupCandidate):
+        elements = list(ref_key.members)
+    elif ref_key is not None:
+        elements = [ref_key]
     else:
         elements = graph.all_refs()
     hits = []
@@ -180,8 +179,8 @@ SCANNED = [
 
 def when(graph):
     last = graph.n_times - 1
-    return [{}, {"t": 0}, {"t": last}, {"t": last + 1}, {"interval": TimeInterval(0, last)},
-            {"interval": TimeInterval(min(1, last), last)}]
+    return [{}] + [{"time_key": key} for key in (
+        0, last, last + 1, TimeInterval(0, last), TimeInterval(min(1, last), last))]
 
 
 @pytest.mark.parametrize("cfg_name", sorted(CFGS))
@@ -205,11 +204,12 @@ def sorted_indexes(graph) -> list:
 def test_find_reads_the_index_only_for_range_tests():
     graph, cfg = index_graph(0), Config()
     inverse_lookup(graph, cfg, "w", ValueConstraint("eq", (2.0,)))
-    inverse_lookup(graph, cfg, "w", ValueConstraint("gt", (2.0,)), ref=node_ref("n1"))
-    inverse_lookup(graph, cfg, "w", ValueConstraint("gt", (2.0,)), members=(node_ref("n1"),))
+    inverse_lookup(graph, cfg, "w", ValueConstraint("gt", (2.0,)), ref_key=node_ref("n1"))
+    inverse_lookup(graph, cfg, "w", ValueConstraint("gt", (2.0,)),
+                   ref_key=GroupCandidate("n1", (node_ref("n1"),)))
     inverse_lookup(graph, cfg, "c", ValueConstraint("eq", ("hi",)))
     assert sorted_indexes(graph) == []
-    inverse_lookup(graph, cfg, "w", ValueConstraint("gt", (2.0,)), t=0)
+    inverse_lookup(graph, cfg, "w", ValueConstraint("gt", (2.0,)), time_key=0)
     assert sorted_indexes(graph) == [("edge", "w", True, 0), ("node", "w", True, 0)]
     inverse_lookup(graph, Config(carry_forward_default=False), "w",
                    ValueConstraint("between", (0.0, 2.0)))
@@ -344,14 +344,14 @@ def test_seek_matches_the_full_join(graphs, seed, monkeypatch):
         cfg = Config(similarity_threshold=thr)
         for cls, picks in side_one_by_class(graph, cfg).items():
             for el, window in picks:
-                side1 = SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w", fixed_element=el,
-                                         fixed_interval=window)
+                side1 = SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w", ref_key=el,
+                                         time_key=window)
                 sides2 = [
-                    (SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w", fixed_interval=window),
+                    (SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w", time_key=window),
                      SearchSpace()),
                     (SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w"),
                      SearchSpace(window_min_len=max(1, last))),
-                    (SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w", fixed_element=node_ref("x")),
+                    (SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w", ref_key=node_ref("x")),
                      SearchSpace(window_min_len=max(1, last - 1))),
                 ]
                 for side2, space in sides2:
@@ -376,8 +376,8 @@ def test_every_side_one_class_is_covered(graphs):
 def test_seek_cap_sweep_matches_the_full_join(graphs, seed, monkeypatch):
     graph = graphs[seed]
     window = graph.full_interval()
-    side1 = SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w", fixed_element=node_ref("n0"),
-                             fixed_interval=window)
+    side1 = SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w", ref_key=node_ref("n0"),
+                             time_key=window)
     side2 = SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w")
     n2 = len(graph.nodes) * len(time_windows(graph, None, 1))
     for cap in sorted({1, n2 - 1, n2, n2 + 1} - {0}):
@@ -421,9 +421,9 @@ def _shapes_graph():
 def test_side_two_classifies_only_what_can_pair(monkeypatch, node, op, classified):
     graph = _shapes_graph()
     window = graph.full_interval()
-    side1 = SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w", fixed_element=node_ref(node),
-                             fixed_interval=window)
-    side2 = SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w", fixed_interval=window)
+    side1 = SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w", ref_key=node_ref(node),
+                             time_key=window)
+    side2 = SeekSidePatterns(Quadrant.Q3_TREND_OF_G, "w", time_key=window)
     relation = RelationSpec(RelationFamily.PATTERN, op)
     want = reference_relation_seek(graph, Config(), relation, side1, side2)
     calls = _counting_classify(monkeypatch)
@@ -467,10 +467,10 @@ def value_sides_one(graph, t):
     every t, each other node and edge at t (some with no value there), the
     object, and a categorical value."""
     refs = [node_ref("x")] + graph.all_refs() + [object_ref("o")]
-    sides = [SeekSideValues("w", fixed_t=t, fixed_ref=ref) for ref in refs]
-    sides += [SeekSideValues("w", fixed_ref=ref) for ref in (node_ref("x"), node_ref("n1"),
-                                                              object_ref("o"))]
-    return sides + [SeekSideValues("c", fixed_t=0, fixed_ref=node_ref("n0"))]
+    sides = [SeekSideValues("w", time_key=t, ref_key=ref) for ref in refs]
+    sides += [SeekSideValues("w", ref_key=ref) for ref in (node_ref("x"), node_ref("n1"),
+                                                           object_ref("o"))]
+    return sides + [SeekSideValues("c", time_key=0, ref_key=node_ref("n0"))]
 
 
 @pytest.mark.parametrize("cfg_name", sorted(CFGS))
@@ -481,8 +481,8 @@ def test_value_seek_matches_the_loop(graphs, seed, cfg_name, monkeypatch):
     # every node or edge at t2 (a band join where side 1 is numeric), and
     # sides that keep the loop: another attribute kind, an undeclared one,
     # a fixed ref, a free t
-    sides2 = [SeekSideValues(attr, fixed_t=t2) for attr in ("w", "c", "nope")] + [
-        SeekSideValues("w", fixed_t=t2, fixed_ref=node_ref("n1")), SeekSideValues("w")]
+    sides2 = [SeekSideValues(attr, time_key=t2) for attr in ("w", "c", "nope")] + [
+        SeekSideValues("w", time_key=t2, ref_key=node_ref("n1")), SeekSideValues("w")]
     for side1 in value_sides_one(graph, t2):
         for space in FAMILIES:
             for side2 in sides2:
@@ -528,8 +528,8 @@ def test_band_pairs_only_the_run(monkeypatch):
         return real(relation, x, y, cfg)
 
     monkeypatch.setattr(tasks, "_main_relation_detail", counting)
-    side1 = SeekSideValues("w", fixed_t=0, fixed_ref=node_ref("c"))
-    side2 = SeekSideValues("w", fixed_t=0)
+    side1 = SeekSideValues("w", time_key=0, ref_key=node_ref("c"))
+    side2 = SeekSideValues("w", time_key=0)
     within = RelationSpec(RelationFamily.VALUE, "within", (1.0,))
     got = relation_seek(graph, Config(), within, side1, side2)
     assert [str(p.rhs.ref_key) for p in got] == ["node:a", "node:b", "node:c", "node:e"]
@@ -540,8 +540,8 @@ def test_only_within_reads_the_index():
     """The ordering relations and equality keep the loop and the hash join:
     no side-2 index is built for them."""
     graph = index_graph(0)
-    side1 = SeekSideValues("w", fixed_t=0, fixed_ref=node_ref("n0"))
-    side2 = SeekSideValues("w", fixed_t=0)
+    side1 = SeekSideValues("w", time_key=0, ref_key=node_ref("n0"))
+    side2 = SeekSideValues("w", time_key=0)
     for relation in VALUE_RELATIONS[:6]:
         relation_seek(graph, Config(), relation, side1, side2)
     assert sorted_indexes(graph) == []
@@ -555,7 +555,7 @@ def test_a_wide_run_makes_each_binding_once(monkeypatch):
     graph = index_graph(0)
     cfg = Config()
     wide = RelationSpec(RelationFamily.VALUE, "within", (math.inf,))
-    side1, side2 = SeekSideValues("w", fixed_ref=node_ref("x")), SeekSideValues("w", fixed_t=0)
+    side1, side2 = SeekSideValues("w", ref_key=node_ref("x")), SeekSideValues("w", time_key=0)
     got = relation_seek(graph, cfg, wide, side1, side2)
     assert got == reference_relation_seek(graph, cfg, wide, side1, side2)
     rhs = {}
@@ -578,7 +578,7 @@ def test_a_nan_on_side_one_pairs_with_nothing():
     """A NaN can bisect to a run of every value; each pair is still tested,
     so the join pairs it with nothing, as the loop does."""
     graph = index_graph(0)
-    side2 = SeekSideValues("w", fixed_t=0)
+    side2 = SeekSideValues("w", time_key=0)
     for payload in (math.nan, 2.0):
         side1 = ListedSide((tasks.Binding(0, node_ref("n0"), payload),))
         for relation in VALUE_RELATIONS:
@@ -599,8 +599,8 @@ def test_within_bisects_on_the_relations_own_test(v, d, y, holds):
         {"type": "attr", "elem": f"node:{n}", "name": "w", "t": 0, "value": value}
         for n, value in (("a", v), ("b", y), ("c", 2 * y + 10))])
     within = RelationSpec(RelationFamily.VALUE, "within", (d,))
-    args = (graph, Config(), within, SeekSideValues("w", fixed_t=0, fixed_ref=node_ref("a")),
-            SeekSideValues("w", fixed_t=0))
+    args = (graph, Config(), within, SeekSideValues("w", time_key=0, ref_key=node_ref("a")),
+            SeekSideValues("w", time_key=0))
     got = relation_seek(*args)
     assert got == reference_relation_seek(*args)
     assert [str(p.rhs.ref_key) for p in got] == ["node:a"] + ["node:b"] * holds
@@ -619,24 +619,24 @@ def test_value_seek_budget_counts_side_two_values(monkeypatch):
                 for n in "abc"]
     graph = load(json.dumps(r) for r in records)
     within = RelationSpec(RelationFamily.VALUE, "within", (1.0,))
-    one = SeekSideValues("w", fixed_t=0, fixed_ref=node_ref("b"))
+    one = SeekSideValues("w", time_key=0, ref_key=node_ref("b"))
     answered = relation_seek(graph, Config(search_max_candidates=5), within, one,
-                             SeekSideValues("w", fixed_t=0))
+                             SeekSideValues("w", time_key=0))
     assert [str(p.rhs.ref_key) for p in answered] == ["node:a", "node:b", "node:c"]
     with pytest.raises(TgqError) as err:
         relation_seek(graph, Config(search_max_candidates=4), within, one,
-                      SeekSideValues("w", fixed_t=0))
+                      SeekSideValues("w", time_key=0))
     assert (err.value.code, err.value.details) == ("SEARCH_SPACE_EXCEEDED", {"count": 5})
     # at t=1 three of five nodes exist and hold a value: n2 = 3, elements = 5
-    free = SeekSideValues("w", fixed_ref=node_ref("b"))  # two side-1 bindings
+    free = SeekSideValues("w", ref_key=node_ref("b"))  # two side-1 bindings
     for side1 in (one, free):
         for cap in range(1, 12):
             args = (graph, Config(search_max_candidates=cap), within, side1,
-                    SeekSideValues("w", fixed_t=1))
+                    SeekSideValues("w", time_key=1))
             got = seek_outcome(monkeypatch, relation_seek, *args)
             assert got == seek_outcome(monkeypatch, reference_relation_seek, *args), (side1, cap)
     counts = seek_outcome(monkeypatch, relation_seek, graph, Config(), within, free,
-                          SeekSideValues("w", fixed_t=1))[1]
+                          SeekSideValues("w", time_key=1))[1]
     assert counts == [(2, "relation seeking"), (5, "relation seeking"),
                       (3, "relation seeking"), (6, "relation seeking (pairs)")]
 
