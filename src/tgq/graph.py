@@ -127,9 +127,6 @@ class TimeInterval:
     def indices(self) -> range:
         return range(self.start, self.end + 1)
 
-    def contains(self, t: int) -> bool:
-        return self.start <= t <= self.end
-
 
 @dataclass(frozen=True)
 class EdgeDef:
@@ -451,22 +448,6 @@ class TemporalGraph:
                 out.append(edge_id)
         return out
 
-    # -- equality / dump -----------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TemporalGraph):
-            return NotImplemented
-        return (
-            self.time_labels == other.time_labels
-            and self.nodes == other.nodes
-            and self.edges == other.edges
-            and self.objects == other.objects
-            and self.subsets == other.subsets
-            and self.attrs == other.attrs
-            and self.attr_kinds == other.attr_kinds
-            and self.external_series == other.external_series
-        )
-
     def stats(self) -> dict:
         return {
             "nodes": len(self.nodes),
@@ -477,49 +458,6 @@ class TemporalGraph:
             "external_series": len(self.external_series),
             "time_points": self.n_times,
         }
-
-    def dump(self) -> str:
-        """Serialize back to canonical JSON lines; ``load`` of the dump
-        reproduces an equal graph."""
-        lines = []
-        for ident in self.node_ids():
-            for s, e in self.nodes[ident]:
-                lines.append(
-                    {"type": "node", "id": ident,
-                     "start": self.label_of(s), "end": self.label_of(e)}
-                )
-        for ident in self.edge_ids():
-            e = self.edges[ident]
-            for s, t_ in e.intervals:
-                lines.append(
-                    {"type": "edge", "id": ident, "src": e.src, "dst": e.dst,
-                     "directed": e.directed,
-                     "start": self.label_of(s), "end": self.label_of(t_)}
-                )
-        for ident in self.object_ids():
-            o = self.objects[ident]
-            lines.append(
-                {"type": "object", "id": ident,
-                 "nodes": sorted(o.nodes), "edges": sorted(o.edges)}
-            )
-        for name in sorted(self.subsets):
-            lines.append(
-                {"type": "subset", "name": name,
-                 "members": [str(m) for m in self.subsets[name].members]}
-            )
-        for (kind, ident, attr) in sorted(self.attrs, key=lambda k: (k[0].value, k[1], k[2])):
-            for t, value in self.attrs[(kind, ident, attr)]:
-                lines.append(
-                    {"type": "attr", "elem": f"{kind.value}:{ident}", "name": attr,
-                     "t": self.label_of(t), "value": value}
-                )
-        for name in sorted(self.external_series):
-            for t in sorted(self.external_series[name]):
-                lines.append(
-                    {"type": "series", "name": name,
-                     "t": self.label_of(t), "value": self.external_series[name][t]}
-                )
-        return "\n".join(json.dumps(rec, sort_keys=True) for rec in lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------

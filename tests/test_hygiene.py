@@ -1,7 +1,9 @@
 """Source hygiene: no module under src/tgq keeps an import it never uses,
 no private module-level function or class is left that nothing else in
-src/tgq names, no private module-level function takes a parameter it never
-reads, and no dataclass declares a field that src/tgq never reads.
+src/tgq names, no public function or method is left that nothing in
+src/tgq names unless the package exports it, no private module-level
+function takes a parameter it never reads, no dataclass declares a field
+that src/tgq never reads, and every error message of src/tgq/dsl is pinned.
 
 There is no linter among the dependencies, so this walks each module's AST.
 A package ``__init__.py`` imports names to re-export them and is skipped by
@@ -213,3 +215,71 @@ def test_detects_unpinned_messages():
                        "    raise ParseError('dropped rule', 1, 1)\n"}
     assert unpinned_messages(sources, "kept rule\nnode:a is not a node\nunknown\n") == [
         ("a.py", 4), ("a.py", 5)]
+
+
+# Public names reached from outside src/tgq: the package's exports and the
+# CLI entry point named in pyproject.toml. A method called by duck typing
+# (to_dict, pp, pinned, similarity, resolve, resolve_bindings) is referenced
+# by any attribute of its name, so it needs no entry here.
+PACKAGE_EXPORTS = "__init__.py"
+ENTRY_POINTS = {"main"}  # tgq.cli:main
+
+
+def exported_names(source: str) -> set:
+    """The names a package ``__init__.py`` lists in ``__all__``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant)}
+    return set()
+
+
+def unreferenced_public_defs(sources: dict, allowed: set) -> list:
+    """(module, name) of each public module-level function and each public
+    method of a module-level class in ``sources`` that no code there names
+    outside its own body, as a name, an attribute or an import, unless
+    ``allowed`` holds it."""
+    def names(tree) -> list:
+        out = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                out.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.append(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                out += [alias.name for alias in node.names]
+        return out
+
+    defs, counts = [], {}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for name in names(tree):
+            counts[name] = counts.get(name, 0) + 1
+        for stmt in tree.body:
+            members = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+            defs += [(module, f) for f in members
+                     if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and not f.name.startswith("_") and f.name not in allowed]
+    return sorted((module, f.name) for module, f in defs
+                  if counts.get(f.name, 0) == names(f).count(f.name))
+
+
+def test_every_public_def_is_referenced():
+    allowed = exported_names((SRC / PACKAGE_EXPORTS).read_text()) | ENTRY_POINTS
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in MODULES}
+    assert unreferenced_public_defs(sources, allowed) == []
+
+
+def test_detects_unreferenced_public_defs():
+    sources = {
+        "a.py": "def dead(n):\n    return dead(n - 1)\n\n"
+                "def called():\n    return 1\n\n"
+                "def exported():\n    pass\n\n"
+                "class K:\n    def unused(self):\n        pass\n\n"
+                "    def used(self):\n        return self.used\n\n"
+                "    def to_dict(self):\n        return {}\n",
+        "b.py": "from .a import called\n\ndef f(k):\n    return k.used(), called()\n",
+    }
+    assert unreferenced_public_defs(sources, {"exported", "to_dict"}) == [
+        ("a.py", "dead"), ("a.py", "unused"), ("b.py", "f")]
+    assert exported_names('__all__ = ["load", "parse"]\n') == {"load", "parse"}
