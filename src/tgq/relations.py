@@ -164,11 +164,11 @@ def shortest_connection(
     t: int,
     g1: GraphElementRef,
     g2: GraphElementRef,
-    direction: str = "any",
     max_distance: Optional[int] = None,
 ):
-    """(distance, node path) between two elements in the snapshot at t, or
-    (None, None) when no path (within the bound) exists.
+    """(distance, node path) between two elements in the snapshot at t,
+    edges taken either way, or (None, None) when no path (within the bound)
+    exists.
 
     Graph objects connect through any member node; their internal hops are
     free, so the distance is the minimum over cross pairs.
@@ -184,7 +184,7 @@ def shortest_connection(
         return 0, [min(targets.intersection(sources))]
     # Sources are sorted and every neighbour tuple is too, so the first
     # target found is the same on every run.
-    parents = bfs(graph.snapshot(t).table(direction), sources, max_distance, targets)
+    parents = bfs(graph.snapshot(t).adjacency, sources, max_distance, targets)
     node = next((n for n in parents if n in targets), None)
     if node is None:
         return None, None
