@@ -170,14 +170,19 @@ _MESSAGE_ARG = {"_fail": 0, "ParseError": 0, "TgqError": 1}
 def error_messages(source: str) -> list:
     """(line, regex) of the message of each ``_fail(...)``, ``TgqError(...)``
     and ``ParseError(...)`` call in ``source`` whose message is written out:
-    the literal text, or an f-string with each field read as any run of
-    characters on one line."""
+    the literal text or a module-level string constant holding it, or an
+    f-string with each field read as any run of characters on one line."""
+    tree = ast.parse(source)
+    constants = {stmt.targets[0].id: stmt.value for stmt in tree.body
+                 if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name)}
     out = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id in _MESSAGE_ARG and len(node.args) > _MESSAGE_ARG[node.func.id]):
             continue
         msg = node.args[_MESSAGE_ARG[node.func.id]]
+        if isinstance(msg, ast.Name):
+            msg = constants.get(msg.id, msg)
         if isinstance(msg, ast.Constant) and isinstance(msg.value, str):
             out.append((node.lineno, re.escape(msg.value)))
         elif isinstance(msg, ast.JoinedStr):
@@ -212,9 +217,11 @@ def test_detects_unpinned_messages():
                        "    _fail('kept rule')\n"
                        "    _fail(f'{x} is not a node')\n"
                        "    raise TgqError(CODE, f'unknown {x} here')\n"
-                       "    raise ParseError('dropped rule', 1, 1)\n"}
+                       "    raise ParseError('dropped rule', 1, 1)\n"
+                       "    _fail(_NAMED)\n\n"
+                       "_NAMED = 'named rule'\n"}
     assert unpinned_messages(sources, "kept rule\nnode:a is not a node\nunknown\n") == [
-        ("a.py", 4), ("a.py", 5)]
+        ("a.py", 4), ("a.py", 5), ("a.py", 6)]
 
 
 # Public names reached from outside src/tgq: the package's exports and the

@@ -499,14 +499,14 @@ class TestTimeDomain:
         "inverse_lookup_t": lambda g, cfg, t: inverse_lookup(
             g, cfg, "w", ValueConstraint("ge", (0.0,)), time_key=t),
         "inverse_lookup_interval": lambda g, cfg, t: inverse_lookup(
-            g, cfg, "w", ValueConstraint("ge", (0.0,)), time_key=TimeInterval(min(t, 0), max(t, 0))),
+            g, cfg, "w", ValueConstraint("ge", (0.0,)), TimeInterval(min(t, 0), max(t, 0))),
         "element_series": lambda g, cfg, t: element_series(
             g, cfg, node_ref("a"), "w", TimeInterval(min(t, 0), max(t, 0))),
         "group_series": lambda g, cfg, t: group_series(
             g, cfg, GroupCandidate("g", (node_ref("a"), node_ref("b"))), "w",
             TimeInterval(min(t, 0), max(t, 0))),
         "cross_section": lambda g, cfg, t: correlate_attributes(
-            g, cfg, "w", "w", ref_key=GroupCandidate("g", (node_ref("a"), node_ref("b"))), time_key=t),
+            g, cfg, "w", "w", t, GroupCandidate("g", (node_ref("a"), node_ref("b")))),
         "snapshot": lambda g, cfg, t: g.snapshot(t),
     }
 
