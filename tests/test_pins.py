@@ -7,7 +7,8 @@ structural characterisation over sets with several components,
 stand-alone lookups and characterisations, trend searches and seeks
 over one window of every node or edge, value seeks and distributions over
 every node or edge at one time point, WITHIN tolerances below zero,
-duplicate FIND and SEEK targets, and one query for each error the parser,
+duplicate FIND and SEEK targets, PERELEMENT correlations with members that
+have no coefficient, and one query for each error the parser,
 the validator and the planner can reach.
 ``data/pin_expected.jsonl`` holds the line ``tgq corpus`` prints for each:
 elapsed_ms pinned to 0, a failure as an error envelope. A change that alters one changes an answer.
