@@ -9,25 +9,20 @@ equal node, which is what the round-trip tests pin down.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 
 def format_value(v) -> str:
+    """A value or a time label in the form the tokenizer reads back: a string
+    escapes only ``\\`` and ``"``, the two characters its rule treats apart."""
     if isinstance(v, bool):
         return "TRUE" if v else "FALSE"
     if isinstance(v, float):
         return repr(v)
     if isinstance(v, int):
         return str(v)
-    return json.dumps(v)
-
-
-def format_label(label) -> str:
-    if isinstance(label, (int, float)) and not isinstance(label, bool):
-        return format_value(label)
-    return json.dumps(label)
+    return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 # -- references ---------------------------------------------------------------
@@ -58,7 +53,7 @@ class TimeRef:
     label: object
 
     def pp(self) -> str:
-        return f"t={format_label(self.label)}"
+        return f"t={format_value(self.label)}"
 
 
 @dataclass(frozen=True)
@@ -67,7 +62,7 @@ class IntervalRef:
     end: object
 
     def pp(self) -> str:
-        return f"[{format_label(self.start)}, {format_label(self.end)}]"
+        return f"[{format_value(self.start)}, {format_value(self.end)}]"
 
 
 _CMP_TOKENS = {"eq": "=", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
@@ -258,7 +253,7 @@ class SideTime:
     at: TimeRef
 
     def pp(self) -> str:
-        return f"T={format_label(self.at.label)}"
+        return f"T={format_value(self.at.label)}"
 
 
 @dataclass(frozen=True)
@@ -378,7 +373,7 @@ class Assign:
 
     def pp(self) -> str:
         if isinstance(self.value, TimeRef):
-            return f"{self.var} = {format_label(self.value.label)}"
+            return f"{self.var} = {format_value(self.value.label)}"
         return f"{self.var} = {self.value.pp()}"
 
 
@@ -404,7 +399,7 @@ class StructRel:
     def pp(self) -> str:
         args = f"{self.var1}, {self.var2}"
         if self.t is not None:
-            args += f", {format_label(self.t)}"
+            args += f", {format_value(self.t)}"
         out = f"{self.op}({args})"
         if self.k is not None:
             out += f" <= {self.k}"

@@ -1,7 +1,10 @@
 """Hand-written recursive-descent parser for the query language.
 
-The tokenizer tracks line/column so syntax errors point at the offending
-spot and carry the token set the parser would have accepted. Keywords are
+The tokenizer takes each token and the whitespace before it in one regex
+match, the named group that matched giving its kind, and counts newlines only
+in that whitespace and inside strings: each token carries its 1-based line
+and column (in characters), so syntax errors point at the offending spot and
+carry the token set the parser would have accepted. Keywords are
 case-insensitive; identifiers and reference ids are case-sensitive.
 """
 
@@ -9,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..correlate import AGGREGATIONS
 from ..errors import ParseError
@@ -36,14 +39,18 @@ from ..structure import (
 from . import ast
 from .validate import validate
 
+# EOF matches at the end of the text and BAD, empty, where no token starts.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<string>"(?:[^"\\]|\\.)*")
-  | (?P<number>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
-  | (?P<ref>[A-Za-z_][A-Za-z0-9_]*:[A-Za-z0-9_.\-]+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op><=|>=|!=|=|<|>|\(|\)|\[|\]|\{|\}|,|:)
+    \s*(?:
+      (?P<STRING>"(?:[^"\\]|\\.)*")
+    | (?P<NUMBER>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
+    | (?P<REF>[A-Za-z_][A-Za-z0-9_]*:[A-Za-z0-9_.\-]+)
+    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<OP><=|>=|!=|=|<|>|\(|\)|\[|\]|\{|\}|,|:)
+    | (?P<EOF>\Z)
+    | (?P<BAD>)
+    )
     """,
     re.VERBOSE,
 )
@@ -63,8 +70,7 @@ STRUCT_FUNCS = {"ADJACENT", "CONNECTED", "DISTANCE", "CONFIGEQUAL"}
 CMP_OPS = {"=": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT | NUMBER | STRING | REF | OP | EOF
     value: object
     line: int
@@ -77,39 +83,36 @@ class Token:
 
 def tokenize(text: str) -> list:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
+    line, line_start = 1, 0  # line_start: the index of the line's first character
+    pos = counted = 0  # newlines before index `counted` are in `line`
+    while True:
         m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col,
-                             found=text[pos])
-        groups = m.groupdict()
-        raw = m.group(0)
-        if groups["ws"] is None:
-            if groups["string"] is not None:
-                value = re.sub(r"\\(.)", r"\1", raw[1:-1])
-                tokens.append(Token("STRING", value, line, col))
-            elif groups["number"] is not None:
-                if not math.isfinite(float(raw)):
-                    raise ParseError(f"number {raw} is not finite", line, col, found=raw)
-                num = float(raw) if ("." in raw or "e" in raw or "E" in raw) else int(raw)
-                tokens.append(Token("NUMBER", num, line, col))
-            elif groups["ref"] is not None:
-                tokens.append(Token("REF", raw, line, col))
-            elif groups["ident"] is not None:
-                tokens.append(Token("IDENT", raw, line, col))
-            else:
-                tokens.append(Token("OP", raw, line, col))
-        newlines = raw.count("\n")
+        kind = m.lastgroup
+        start, pos = m.span(kind)
+        newlines = text.count("\n", counted, start)
         if newlines:
             line += newlines
-            col = len(raw) - raw.rfind("\n")
-        else:
-            col += len(raw)
-        pos = m.end()
-    tokens.append(Token("EOF", None, line, col))
-    return tokens
+            line_start = text.rfind("\n", counted, start) + 1
+        counted = start
+        col = start - line_start + 1
+        raw = text[start:pos]
+        if kind in ("IDENT", "OP", "REF"):
+            value = raw
+        elif kind == "NUMBER":
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ParseError(f"number {raw} is not finite", line, col, found=raw)
+            if not ("." in raw or "e" in raw or "E" in raw):
+                value = int(raw)
+        elif kind == "STRING":
+            value = re.sub(r"\\(.)", r"\1", raw[1:-1])
+        elif kind == "EOF":
+            tokens.append(Token(kind, None, line, col))
+            return tokens
+        else:  # BAD
+            raise ParseError(f"unexpected character {text[start]!r}", line, col,
+                             found=text[start])
+        tokens.append(Token(kind, value, line, col))
 
 
 def parse(text: str):
@@ -133,10 +136,12 @@ class _Parser:
     # -- plumbing ---------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        if ahead:  # advance stops at EOF, the last token: only a lookahead overruns
+            return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "EOF":
             self.pos += 1
         return tok
@@ -191,6 +196,13 @@ class _Parser:
             raise self.error({what})
         return self.advance().value
 
+    def comma_list(self, read) -> tuple:
+        """One or more of what ``read`` reads, separated by commas."""
+        out = [read()]
+        while self.take_op(","):
+            out.append(read())
+        return tuple(out)
+
     def word(self, vocab, fold: bool = True) -> str:
         """The next identifier if it is in ``vocab``: upper-cased for keyword
         vocabularies (``fold``), as written for case-sensitive names."""
@@ -235,10 +247,7 @@ class _Parser:
         return ref
 
     def label(self):
-        tok = self.peek()
-        if tok.kind == "NUMBER":
-            return self.advance().value
-        if tok.kind == "STRING":
+        if self.peek().kind in ("NUMBER", "STRING"):
             return self.advance().value
         raise self.error({"time label"})
 
@@ -272,11 +281,9 @@ class _Parser:
         attr = self.ident("attribute")
         if self.take_kw("IN"):
             self.expect_op("{")
-            values = [self.value()]
-            while self.take_op(","):
-                values.append(self.value())
+            values = self.comma_list(self.value)
             self.expect_op("}")
-            return ast.Predicate(attr, "in", tuple(values))
+            return ast.Predicate(attr, "in", values)
         if self.take_kw("BETWEEN"):
             lo = self.value()
             self.expect_kw("AND")
@@ -398,24 +405,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "IDENT":
             raise self.error({"a query keyword"})
-        word = tok.upper
-        handlers = {
-            "LOOKUP": self.q_lookup,
-            "FIND": self.q_find,
-            "CHARACTERIZE": self.q_characterize,
-            "SEARCH": self.q_search,
-            "COMPARE": self.q_compare,
-            "SEEK": self.q_seek,
-            "CONNECTED": self.q_connected,
-            "NEIGHBORS": self.q_neighbors,
-            "PAIRS": self.q_pairs,
-            "TIMES": self.q_times,
-            "STRUCT": self.q_struct,
-            "CORRELATE": self.q_correlate,
-        }
-        if word not in handlers:
-            raise self.error(set(handlers))
-        node = handlers[word]()
+        handler = _QUERY_HANDLERS.get(tok.upper)
+        if handler is None:
+            raise self.error(set(_QUERY_HANDLERS))
+        node = handler(self)
         self.expect_eof()
         return node
 
@@ -425,13 +418,11 @@ class _Parser:
 
     def q_find(self) -> ast.Find:
         self.expect_kw("FIND")
-        targets = [self.ident("target")]
-        while self.take_op(","):
-            targets.append(self.ident("target"))
+        targets = self.comma_list(lambda: self.ident("target"))
         self.expect_kw("WHERE")
         pred = self.predicate()
         tail = self.tail_clauses("afid")
-        return ast.Find(tuple(targets), pred, **tail)
+        return ast.Find(targets, pred, **tail)
 
     def q_characterize(self) -> ast.Characterize:
         self.expect_kw("CHARACTERIZE")
@@ -555,16 +546,14 @@ class _Parser:
 
     def q_seek(self) -> ast.Seek:
         self.expect_kw("SEEK")
-        targets = [self.ident("target")]
-        while self.take_op(","):
-            targets.append(self.ident("target"))
+        targets = self.comma_list(lambda: self.ident("target"))
         self.expect_kw("WHERE")
         main = self.seek_pred()
         clauses = []
         while self.take_kw("AND"):
             clauses.append(self.seek_clause())
         tail = self.tail_clauses("wo")
-        return ast.Seek(tuple(targets), main, tuple(clauses),
+        return ast.Seek(targets, main, tuple(clauses),
                         tail.get("family"), tail.get("windows"))
 
     def seek_pred(self) -> ast.SeekPredNode:
@@ -578,35 +567,22 @@ class _Parser:
         if tok.kind != "IDENT":
             raise self.error({"a term"})
         word = tok.upper
-        if word in ("TREND", "DIST"):
-            self.advance()
-            self.expect_op("(")
-            attr = self.ident("attribute")
-            self.expect_op(",")
-            var = self.ident("variable")
-            self.expect_op(")")
-            return ast.Term(word, var, attr)
-        if word == "ASPECT":
-            self.advance()
-            self.expect_op("(")
-            axis = self.word(AXES)
-            self.expect_op(",")
-            attr = self.ident("attribute")
-            self.expect_op(",")
-            var = self.ident("variable")
-            self.expect_op(")")
-            return ast.Term("ASPECT", var, attr, axis)
-        if word in ("CONFIG", "CONFIGTREND"):
-            self.advance()
-            self.expect_op("(")
-            var = self.ident("variable")
-            self.expect_op(")")
-            return ast.Term(word, var)
-        attr = self.advance().value
+        self.advance()
         self.expect_op("(")
-        var = self.ident("variable")
+        if word in ("TREND", "DIST", "ASPECT"):
+            axis = None
+            if word == "ASPECT":
+                axis = self.word(AXES)
+                self.expect_op(",")
+            attr = self.ident("attribute")
+            self.expect_op(",")
+            term = ast.Term(word, self.ident("variable"), attr, axis)
+        elif word in ("CONFIG", "CONFIGTREND"):
+            term = ast.Term(word, self.ident("variable"))
+        else:
+            term = ast.Term("VALUE", self.ident("variable"), tok.value)
         self.expect_op(")")
-        return ast.Term("VALUE", var, attr)
+        return term
 
     def seek_relop(self) -> ast.RelOp:
         tok = self.peek()
@@ -732,10 +708,7 @@ class _Parser:
             kind = "CONFIGTREND"
             metrics = None
             if not self.at_kw("OF"):
-                names = [self.word(METRICS, fold=False)]
-                while self.take_op(","):
-                    names.append(self.word(METRICS, fold=False))
-                metrics = tuple(names)
+                metrics = self.comma_list(lambda: self.word(METRICS, fold=False))
         elif self.take_kw("PAIRS"):
             kind, metrics = "PAIRS", None
         else:
@@ -775,3 +748,19 @@ class _Parser:
             agg = self.word(AGGS, fold=False)
         tail = self.tail_clauses("ad")
         return ast.GraphSeries(attr, target, agg=agg, **tail)
+
+
+_QUERY_HANDLERS = {
+    "LOOKUP": _Parser.q_lookup,
+    "FIND": _Parser.q_find,
+    "CHARACTERIZE": _Parser.q_characterize,
+    "SEARCH": _Parser.q_search,
+    "COMPARE": _Parser.q_compare,
+    "SEEK": _Parser.q_seek,
+    "CONNECTED": _Parser.q_connected,
+    "NEIGHBORS": _Parser.q_neighbors,
+    "PAIRS": _Parser.q_pairs,
+    "TIMES": _Parser.q_times,
+    "STRUCT": _Parser.q_struct,
+    "CORRELATE": _Parser.q_correlate,
+}

@@ -44,6 +44,7 @@ from ..tasks import (
     ValueConstraint,
 )
 from . import ast
+from .parser import parse
 from .validate import BINDING_SIDES
 
 
@@ -67,14 +68,12 @@ class PlannedQuery:
 
 
 def plan(node, graph: TemporalGraph, cfg: Config) -> PlannedQuery:
-    planner = _Planner(graph, cfg)
-    runner = planner.dispatch(node)  # binding errors surface before rendering
+    # binding errors surface before rendering
+    runner = _PLAN_HANDLERS[type(node)](_Planner(graph, cfg), node)
     return PlannedQuery(node.pp(), runner)
 
 
 def run_query(text: str, graph: TemporalGraph, cfg: Config) -> dict:
-    from .parser import parse
-
     return plan(parse(text), graph, cfg).run()
 
 
@@ -183,26 +182,6 @@ class _Planner:
             edge_attr=lit.pred.attr if lit.pred is not None else None,
             edge_constraint=self.constraint(lit.pred) if lit.pred is not None else None,
         )
-
-    # -- dispatch -------------------------------------------------------------
-
-    def dispatch(self, node):
-        handlers = {
-            ast.Lookup: self.p_lookup,
-            ast.Find: self.p_find,
-            ast.Characterize: self.p_characterize,
-            ast.Search: self.p_search,
-            ast.Compare: self.p_compare,
-            ast.Seek: self.p_seek,
-            ast.Connection: self.p_connection,
-            ast.Neighbors: self.p_neighbors,
-            ast.Pairs: self.p_pairs,
-            ast.Times: self.p_times,
-            ast.StructCharacterize: self.p_struct_characterize,
-            ast.StructSearch: self.p_struct_search,
-            ast.Correlate: self.p_correlate,
-        }
-        return handlers[type(node)](node)
 
     def p_lookup(self, node: ast.Lookup):
         side = self.direct_side(node.side)
@@ -660,3 +639,20 @@ class _Planner:
             return [result.to_dict()], []
 
         return run
+
+
+_PLAN_HANDLERS = {
+    ast.Lookup: _Planner.p_lookup,
+    ast.Find: _Planner.p_find,
+    ast.Characterize: _Planner.p_characterize,
+    ast.Search: _Planner.p_search,
+    ast.Compare: _Planner.p_compare,
+    ast.Seek: _Planner.p_seek,
+    ast.Connection: _Planner.p_connection,
+    ast.Neighbors: _Planner.p_neighbors,
+    ast.Pairs: _Planner.p_pairs,
+    ast.Times: _Planner.p_times,
+    ast.StructCharacterize: _Planner.p_struct_characterize,
+    ast.StructSearch: _Planner.p_struct_search,
+    ast.Correlate: _Planner.p_correlate,
+}

@@ -110,6 +110,20 @@ class TestRoundTrip:
             again = parse(node.pp())
             assert node == again, query
 
+    @pytest.mark.parametrize("text, printed", [
+        ("é", '"é"'), ("a\tb", '"a\tb"'), ("two\nlines", '"two\nlines"'),
+        ('q"uote', '"q\\"uote"'), ("back\\slash", '"back\\\\slash"'),
+        ('\\"\t\né', '"\\\\\\"\t\né"'),
+    ])
+    def test_string_round_trip(self, text, printed):
+        """A string escapes only backslash and quote, the tokenizer's rule,
+        so it prints as written and reads back as itself."""
+        lookup = ast.Lookup(ast.SideLookup("w", ast.Ref("node", "a"), ast.TimeRef(text)))
+        find = ast.Find(("t",), ast.Predicate("w", "eq", (text,)))
+        for node in (lookup, find):
+            assert node.pp().endswith(printed)
+            assert parse(node.pp()) == node, node.pp()
+
     def test_generated_round_trip(self):
         rng = random.Random(2024)
         for _ in range(1000):
