@@ -155,8 +155,10 @@ def correlate_attributes(
 
     group + time point -> cross-section over the members at that point
     element + interval -> the two per-time series of one element
-    group + interval   -> pooled (element, time) pairs, or one report per
-                          member with ``per_element``
+    group + interval   -> pooled (element, time) pairs, or with
+                          ``per_element`` the (name, report) of each member
+                          and the (name, error) of each member with no
+                          coefficient; its first error if no member has one
     """
     _check_numeric(graph, attr_a)
     _check_numeric(graph, attr_b)
@@ -176,8 +178,18 @@ def correlate_attributes(
         b = element_series(graph, cfg, ref_key, attr_b, time_key)
         return pearson(_lag_pairs(a, b, lag), lag, cfg)
     if per_element:
-        return [(str(m), correlate_attributes(graph, cfg, attr_a, attr_b, time_key, m, lag))
-                for m in ref_key.members]
+        reports, skipped = [], []
+        for m in ref_key.members:
+            try:
+                reports.append((str(m), correlate_attributes(
+                    graph, cfg, attr_a, attr_b, time_key, m, lag)))
+            except TgqError as err:
+                if err.code not in (INSUFFICIENT_SAMPLES, VARIANCE_ZERO):
+                    raise
+                skipped.append((str(m), err))
+        if skipped and not reports:
+            raise skipped[0][1]
+        return reports, skipped
     pairs = []
     for m in ref_key.members:
         a = element_series(graph, cfg, m, attr_a, time_key)

@@ -635,7 +635,9 @@ class _Planner:
                 lag=node.lag, per_element=per_element,
             )
             if per_element:
-                return [{"element": name, **rep.to_dict()} for name, rep in result], []
+                reports, skipped = result
+                return ([{"element": name, **rep.to_dict()} for name, rep in reports],
+                        [f"{name}: {err.code}: {err.message}" for name, err in skipped])
             return [result.to_dict()], []
 
         return run

@@ -14,6 +14,7 @@ from tgq.errors import (
     LENGTH_MISMATCH,
     TgqError,
     UNKNOWN_SERIES,
+    VALIDATION_ERROR,
     VARIANCE_ZERO,
 )
 from tgq.graph import TimeInterval, load, node_ref
@@ -315,3 +316,66 @@ class TestPlannerDispatch:
             run_query("CORRELATE w OF subset:S AT t=0 WITH u OF subset:S AT t=0 LAG 1",
                       g, cfg)
         assert e.value.code == VALIDATION_ERROR
+
+
+class TestPerElement:
+    """PERELEMENT reports each member with a coefficient and passes over a
+    member with too few pairs or a flat series, unless no member has one."""
+
+    @pytest.fixture
+    def members_graph(self):
+        # ok: w and u vary together; short: alive at two times; flat: u is constant
+        records = [{"type": "node", "id": n, "start": 0, "end": 1 if n == "short" else 4}
+                   for n in ("ok", "short", "flat")]
+        for t in range(5):
+            for n, w, u in (("ok", t, t * t), ("flat", t, 1.0)):
+                records.append({"type": "attr", "elem": f"node:{n}", "name": "w",
+                                "t": t, "value": float(w)})
+                records.append({"type": "attr", "elem": f"node:{n}", "name": "u",
+                                "t": t, "value": float(u)})
+        for t in range(2):
+            for name in ("w", "u"):
+                records.append({"type": "attr", "elem": "node:short", "name": name,
+                                "t": t, "value": float(t)})
+        return load(jl(records))
+
+    def run(self, graph, cfg, *names):
+        group = GroupCandidate("g", tuple(node_ref(n) for n in names))
+        return correlate_attributes(graph, cfg, "w", "u", TimeInterval(0, 4), group,
+                                    per_element=True)
+
+    def test_members_without_a_coefficient_are_skipped(self, members_graph, cfg):
+        reports, skipped = self.run(members_graph, cfg, "short", "ok", "flat")
+        assert [name for name, _ in reports] == ["node:ok"]
+        assert reports[0][1].n == 5
+        assert [(name, err.code) for name, err in skipped] == [
+            ("node:short", INSUFFICIENT_SAMPLES), ("node:flat", VARIANCE_ZERO)]
+
+    @pytest.mark.parametrize("names, code", [
+        (("short", "flat"), INSUFFICIENT_SAMPLES),
+        (("flat", "short"), VARIANCE_ZERO),
+    ])
+    def test_no_member_with_a_coefficient_raises_the_first_error(
+            self, members_graph, cfg, names, code):
+        with pytest.raises(TgqError) as e:
+            self.run(members_graph, cfg, *names)
+        assert e.value.code == code
+
+    def test_other_errors_fail_the_whole_call(self, members_graph, cfg):
+        group = GroupCandidate("g", (node_ref("ok"),))
+        with pytest.raises(TgqError) as e:
+            correlate_attributes(members_graph, cfg, "w", "u", TimeInterval(0, 9), group,
+                                 per_element=True)
+        assert (e.value.code, e.value.message) == (
+            VALIDATION_ERROR, "time index 9 outside the domain")
+
+    def test_skipped_members_become_warnings(self, members_graph, cfg):
+        from tgq.dsl.planner import run_query
+
+        envelope = run_query("CORRELATE w OF NODES WITH u OF NODES PERELEMENT",
+                             members_graph, cfg)
+        assert [row["element"] for row in envelope["bindings"]] == ["node:ok"]
+        assert envelope["warnings"] == [  # in member order
+            "node:flat: VARIANCE_ZERO: a series has zero variance",
+            "node:short: INSUFFICIENT_SAMPLES: need at least 3 paired samples, got 2",
+        ]
