@@ -12,7 +12,6 @@ newline too) and numbers too large to be finite.
 """
 
 import random
-from pathlib import Path
 
 import pytest
 
@@ -20,17 +19,10 @@ from tgq.dsl.parser import tokenize
 from tgq.errors import ParseError
 
 from reference_tokenize import tokenize as reference_tokenize
+from test_dsl import corpus_queries
+from test_pins import QUERIES as PINS
 
-DATA = Path(__file__).parent / "data"
-
-
-def queries(name: str) -> list:
-    return [line.strip() for line in (DATA / name).read_text().splitlines()
-            if line.strip() and not line.startswith("#")]
-
-
-CORPUS = queries("corpus_queries.txt")
-PINS = queries("pin_queries.txt")
+CORPUS = corpus_queries()
 
 SPACES = [" ", "  ", "\n", "\r\n", "\t", " \n\t ", "\n\n", "\r\n  \r\n", "\x0b", "　"]
 FRAGMENTS = [
