@@ -16,7 +16,8 @@ machinery is built on these primitives:
   element bisects it, a distribution over every node or edge reads its
   values already sorted, and a WITHIN SEEK against every node or edge at
   one time point bisects the run each value on the other side admits,
-- ``snapshot(t)`` materialises the static graph alive at one time point,
+- ``snapshot(t)`` materialises the static graph alive at one time point:
+  its nodes, its edges and one neighbour table that ignores direction,
 - ``exists_at(ref, t)`` tests interval cover.
 
 Elements may exist over several disjoint intervals (churn). Graph objects
@@ -152,28 +153,20 @@ class GraphSubset:
 
 @dataclass
 class Snapshot:
-    """Static view of the graph at one time index."""
+    """Static view of the graph at one time index: the alive nodes and
+    edges in id order, and one neighbour table that ignores direction.
+    A table constrained by direction or by an edge predicate is built from
+    ``edges`` (``structure._Connectivity``)."""
 
-    t: int
     nodes: tuple
     edges: tuple  # tuple[(edge_id, src, dst, directed), ...]
-    adjacency: dict  # node -> tuple of neighbours (undirected view)
-    out_adjacency: dict  # node -> tuple of successors (directed edges + both ways for undirected)
-    in_adjacency: dict
+    adjacency: dict  # every alive node -> sorted tuple of its neighbours
 
     def has_node(self, ident: str) -> bool:
         return ident in self.adjacency
 
-    def table(self, direction: str = "any") -> dict:
-        """node -> sorted tuple of its neighbours along ``direction``."""
-        return {
-            "any": self.adjacency,
-            "out": self.out_adjacency,
-            "in": self.in_adjacency,
-        }[direction]
-
-    def neighbours(self, ident: str, direction: str = "any") -> tuple:
-        return self.table(direction).get(ident, ())
+    def neighbours(self, ident: str) -> tuple:
+        return self.adjacency.get(ident, ())
 
 
 class TemporalGraph:
@@ -413,28 +406,14 @@ class TemporalGraph:
         nodes = tuple(i for i in self.node_ids() if _covered(self.nodes[i], t))
         edges = []
         adjacency: dict = {n: set() for n in nodes}
-        out_adj: dict = {n: set() for n in nodes}
-        in_adj: dict = {n: set() for n in nodes}
         for edge_id in self.edge_ids():
             e = self.edges[edge_id]
-            if not _covered(e.intervals, t):
-                continue
-            edges.append((edge_id, e.src, e.dst, e.directed))
-            adjacency[e.src].add(e.dst)
-            adjacency[e.dst].add(e.src)
-            out_adj[e.src].add(e.dst)
-            in_adj[e.dst].add(e.src)
-            if not e.directed:
-                out_adj[e.dst].add(e.src)
-                in_adj[e.src].add(e.dst)
-        snap = Snapshot(
-            t=t,
-            nodes=nodes,
-            edges=tuple(edges),
-            adjacency={n: tuple(sorted(v)) for n, v in adjacency.items()},
-            out_adjacency={n: tuple(sorted(v)) for n, v in out_adj.items()},
-            in_adjacency={n: tuple(sorted(v)) for n, v in in_adj.items()},
-        )
+            if _covered(e.intervals, t):
+                edges.append((edge_id, e.src, e.dst, e.directed))
+                adjacency[e.src].add(e.dst)
+                adjacency[e.dst].add(e.src)
+        snap = Snapshot(nodes, tuple(edges),
+                        {n: tuple(sorted(v)) for n, v in adjacency.items()})
         self._snapshots[t] = snap
         return snap
 

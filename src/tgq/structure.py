@@ -223,7 +223,9 @@ def find_connection(
 class _Connectivity:
     """Connection under one spec for the length of one call: one neighbour
     table and one set of connected pairs per time point, built on first
-    use."""
+    use. It is the one builder of tables constrained by direction or by an
+    edge predicate, and its pairs are ordered iff the spec has a
+    direction."""
 
     def __init__(self, graph: TemporalGraph, cfg: Config, spec: ConnectionSpec):
         self.graph, self.cfg, self.spec = graph, cfg, spec
@@ -231,20 +233,22 @@ class _Connectivity:
         self._pairs: dict = {}
 
     def _table(self, t: int) -> dict:
-        """node -> nodes one qualifying edge away at t along the direction."""
+        """node -> nodes one qualifying edge away at t along the direction:
+        the snapshot's own table when every edge qualifies both ways."""
         if t in self._tables:
             return self._tables[t]
         snap = self.graph.snapshot(t)
         spec = self.spec
-        if spec.edge_attr is None:
-            table = snap.table(spec.direction)
+        if spec.direction == "any" and spec.edge_attr is None:
+            table = snap.adjacency
         else:
             table = {}
             for edge_id, src, dst, directed in snap.edges:
-                edge = GraphElementRef(ElemKind.EDGE, edge_id)
-                value = self.graph.column(edge, spec.edge_attr, self.cfg)[t]
-                if value is None or not spec.edge_constraint.test(value):
-                    continue
+                if spec.edge_attr is not None:
+                    edge = GraphElementRef(ElemKind.EDGE, edge_id)
+                    value = self.graph.column(edge, spec.edge_attr, self.cfg)[t]
+                    if value is None or not spec.edge_constraint.test(value):
+                        continue
                 if spec.direction != "in" or not directed:
                     table.setdefault(src, set()).add(dst)
                 if spec.direction != "out" or not directed:
@@ -267,20 +271,20 @@ class _Connectivity:
             out.update(self.hits(a, t))
         return out
 
-    def pairs(self, t: int, ordered: bool = False) -> set:
+    def pairs(self, t: int) -> set:
         """Node pairs ``(a, b)`` connected at t, b a hit of a: every such
-        pair when ordered, else those with ``a < b``. With fewer than two
-        nodes alive there is no pair, so no table: its edge predicate may
-        raise."""
-        key = (t, ordered)
-        if key not in self._pairs:
+        pair when the spec has a direction, else those with ``a < b``. With
+        fewer than two nodes alive there is no pair, so no table: its edge
+        predicate may raise."""
+        if t not in self._pairs:
+            ordered = self.spec.direction != "any"
             alive = self.graph.snapshot(t).nodes  # sorted; every hit is alive
             # Unordered pairs put the larger id second: the last node has none.
-            self._pairs[key] = set() if len(alive) < 2 else {
+            self._pairs[t] = set() if len(alive) < 2 else {
                 (a, b) for a in (alive if ordered else alive[:-1])
                 for b in self.hits(a, t) if b != a and (ordered or b > a)
             }
-        return self._pairs[key]
+        return self._pairs[t]
 
     def connected(self, g1: GraphElementRef, g2: GraphElementRef, t: int) -> bool:
         starts = _member_nodes(self.graph, g1, t, _CONNECTION_FAMILY)
@@ -339,11 +343,9 @@ def find_connected_pairs(
     names = graph.node_ids()
     check_budget(len(times) * len(names) * max(1, len(names) - 1) // 2, cfg,
                  "connected-pair search")
-    ordered = spec.direction != "any"
     conn = _Connectivity(graph, cfg, spec)
     # times ascend, so the list is in (t, a, b) order
-    return [(node_ref(a), node_ref(b), ti)
-            for ti in times for a, b in sorted(conn.pairs(ti, ordered))]
+    return [(node_ref(a), node_ref(b), ti) for ti in times for a, b in sorted(conn.pairs(ti))]
 
 
 def connection_times(
@@ -626,20 +628,19 @@ def structural_search(
     target,
     space: SearchSpace,
     time_key=None,
-    connection: Optional[ConnectionSpec] = None,
-    threshold: Optional[float] = None,
 ) -> list:
     """Find the references whose structural behaviour approximates the
     target: ``Binding``s with their scores, in (-score, time key, ref name)
-    order. The target's scope decides what gets enumerated: node pairs for
-    presence patterns (ref ``node:a|node:b``), node sets for configurations.
+    order. The target's scope decides what gets enumerated: node pairs
+    connected by an edge in either direction for presence patterns (ref
+    ``node:a|node:b``), node sets for configurations.
 
     Presence search works in proportion to the pairs that connect: per
     window, only pairs in some time point's connected-pair set get their own
     bitstring. Every other pair is NEVER, scored once per window, and all
     pairs are walked only when that score reaches the threshold.
     """
-    thr = cfg.similarity_threshold if threshold is None else threshold
+    thr = cfg.similarity_threshold
     target = as_pattern(target)  # a literal is scored as the pattern it pins
     kind = target.scope
     matches = []
@@ -648,7 +649,7 @@ def structural_search(
         names = graph.node_ids()
         check_budget(len(names) * (len(names) - 1) // 2 * len(windows), cfg,
                      "structural search")
-        conn = _Connectivity(graph, cfg, connection or ConnectionSpec())
+        conn = _Connectivity(graph, cfg, ConnectionSpec())
         for window in windows:
             per_t = [conn.pairs(t) for t in window.indices()]
             never = _presence_pattern("0" * len(per_t))
@@ -671,7 +672,7 @@ def structural_search(
             StructScopeKind.SNAPSHOT_CONFIG:
                 lambda members, t: snapshot_config(graph, cfg, members, t),
             StructScopeKind.PAIRS_AGGREGATE:
-                lambda members, w: pairs_aggregate(graph, cfg, members, w, connection),
+                lambda members, w: pairs_aggregate(graph, cfg, members, w),
             StructScopeKind.CONFIG_OVER_TIME:
                 lambda members, w: config_over_time(graph, cfg, members, w),
         }[kind]

@@ -239,16 +239,15 @@ def pattern_search(
     space: SearchSpace,
     time_key=None,
     ref_key=None,
-    threshold: Optional[float] = None,
 ) -> list:
     """Enumerate candidate scopes, characterize each, and keep those whose
     behaviour approximates the target pattern: ``Binding``s with their
     scores, in (-score, time key, ref name) order.
 
-    A trend target with a positive threshold classifies only the windows
-    whose shape can match (``_scopes``). No match is lost, and every budget
-    check and error is as if every window were classified."""
-    thr = cfg.similarity_threshold if threshold is None else threshold
+    A trend target with a positive ``similarity_threshold`` classifies only
+    the windows whose shape can match (``_scopes``). No match is lost, and
+    every budget check and error is as if every window were classified."""
+    thr = cfg.similarity_threshold
     target = as_pattern(target)  # a literal is scored as the pattern it pins
     axis = target.axis if quadrant == Quadrant.Q4_ASPECTUAL else None
     classes = (related_classes(target.cls, "same", thr)

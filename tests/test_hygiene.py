@@ -2,8 +2,9 @@
 no private module-level function or class is left that nothing else in
 src/tgq names, no public function or method is left that nothing in
 src/tgq names unless the package exports it, no private module-level
-function takes a parameter it never reads, no dataclass declares a field
-that src/tgq never reads, and every error message of src/tgq/dsl is pinned.
+function takes a parameter it never reads, no parameter with a default is
+left that no call in src/tgq sets, no dataclass declares a field that
+src/tgq never reads, and every error message of src/tgq/dsl is pinned.
 
 There is no linter among the dependencies, so this walks each module's AST.
 A package ``__init__.py`` imports names to re-export them and is skipped by
@@ -290,3 +291,77 @@ def test_detects_unreferenced_public_defs():
     assert unreferenced_public_defs(sources, {"exported", "to_dict"}) == [
         ("a.py", "dead"), ("a.py", "unused"), ("b.py", "f")]
     assert exported_names('__all__ = ["load", "parse"]\n') == {"load", "parse"}
+
+
+def unset_optional_parameters(sources: dict, allowed: set) -> list:
+    """(module, function, parameter) of each parameter with a default of a
+    function or method in ``sources`` that no call there sets, by position
+    or by keyword, unless ``allowed`` holds the function's name.
+
+    A call is matched to every definition of the name it calls, as ``f(...)``
+    or ``x.f(...)``; calling a class sets its ``__init__``. A call that
+    passes ``*args`` or ``**kwargs`` sets every parameter. So a parameter set
+    only through a dict of keyword arguments is never flagged:
+    ``tasks.pattern_search`` is called only with the planner's ``**args``,
+    and this check cannot tell which keys that dict holds."""
+    defs, calls = [], {}  # calls: name -> [(positional count, keywords)]
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        methods = {id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for f in cls.body if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((module, node, methods.get(id(node))))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                spread = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords)
+                calls.setdefault(name, []).append(
+                    (float("inf") if spread else len(node.args),
+                     None if spread else {k.arg for k in node.keywords}))
+    out = []
+    for module, f, cls in defs:
+        if f.name in allowed:
+            continue
+        args = f.args
+        positional = args.posonlyargs + args.args
+        bound = cls is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in f.decorator_list)
+        if bound:
+            positional = positional[1:]  # self or cls
+        optional = [(i, a.arg) for i, a in enumerate(positional)
+                    if i >= len(positional) - len(args.defaults)]
+        optional += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                     if d is not None]
+        name = cls if f.name == "__init__" else f.name
+        seen = calls.get(name, [])
+        out += [(module, f"{cls}.{f.name}" if cls else f.name, param) for i, param in optional
+                if not any(kws is None or param in kws or (i is not None and i < n)
+                           for n, kws in seen)]
+    return sorted(out)
+
+
+def test_every_optional_parameter_is_set():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in PACKAGE}
+    assert unset_optional_parameters(sources, ENTRY_POINTS) == []
+
+
+def test_detects_unset_optional_parameters():
+    sources = {
+        "a.py": "def f(a, b=1, c=2, *, d=3, e=4):\n    return a\n\n"
+                "def main(argv=None):\n    pass\n\n"
+                "def spread(x=0, y=0):\n    pass\n\n"
+                "class K:\n    def __init__(self, k=0, j=0):\n        pass\n\n"
+                "    def m(self, p=0, q=0):\n        pass\n\n"
+                "    @staticmethod\n    def s(u=0, v=0):\n        pass\n",
+        "b.py": "def g(k, args):\n"
+                "    f(1, 2, e=5)\n"
+                "    spread(**args)\n"
+                "    K(1)\n"
+                "    k.m(1)\n"
+                "    K.s(1)\n",
+    }
+    assert unset_optional_parameters(sources, {"main"}) == [
+        ("a.py", "K.__init__", "j"), ("a.py", "K.m", "q"), ("a.py", "K.s", "v"),
+        ("a.py", "f", "c"), ("a.py", "f", "d")]

@@ -299,16 +299,17 @@ class TestStructuralSearch:
             {"type": "subset", "name": "mixed", "members": ["node:a", "node:x"]},
         ]))
         matches = structural_search(
-            g, cfg, ConfigLiteral((("density", 1.0),)),
+            g, cfg.replace(similarity_threshold=1.0), ConfigLiteral((("density", 1.0),)),
             SearchSpace(subset_family=SubsetFamily.NAMED_SUBSETS),
-            time_key=0, threshold=1.0,
+            time_key=0,
         )
         assert [m.ref_name for m in matches] == ["subset:pair", "subset:tri"]
 
     def test_threshold_zero_returns_all(self, wheel_graph, cfg):
         matches = structural_search(
-            wheel_graph, cfg, PresenceLiteral(PresenceClass.ALWAYS),
-            SearchSpace(), time_key=TimeInterval(0, 4), threshold=0.0,
+            wheel_graph, cfg.replace(similarity_threshold=0.0),
+            PresenceLiteral(PresenceClass.ALWAYS),
+            SearchSpace(), time_key=TimeInterval(0, 4),
         )
         assert len(matches) == 6
 
@@ -318,9 +319,9 @@ class TestStructuralSearch:
         target = pairs_aggregate(
             wheel_graph, cfg, wheel_graph.subsets["ALL"].members, TimeInterval(0, 4))
         matches = structural_search(
-            wheel_graph, cfg, target,
+            wheel_graph, cfg.replace(similarity_threshold=1.0), target,
             SearchSpace(subset_family=SubsetFamily.NAMED_SUBSETS),
-            time_key=TimeInterval(0, 4), threshold=1.0,
+            time_key=TimeInterval(0, 4),
         )
         assert [m.ref_name for m in matches] == ["subset:ALL"]
         assert matches[0].payload.class_frequencies == target.class_frequencies
@@ -381,9 +382,10 @@ class TestStructuralSearch:
         from tgq.structure import ConfigTrendLiteral
 
         matches = structural_search(
-            g, cfg, ConfigTrendLiteral((("density", "INCREASING"),)),
+            g, cfg.replace(similarity_threshold=1.0),
+            ConfigTrendLiteral((("density", "INCREASING"),)),
             SearchSpace(subset_family=SubsetFamily.NAMED_SUBSETS),
-            time_key=TimeInterval(0, 3), threshold=1.0,
+            time_key=TimeInterval(0, 3),
         )
         assert [m.ref_name for m in matches] == ["subset:ALL"]
 

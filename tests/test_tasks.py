@@ -152,9 +152,9 @@ class TestCharacterizeAndSearch:
     def test_threshold_zero_returns_all(self, shapes_graph, cfg):
         space = SearchSpace(SubsetFamily.EACH_NODE)
         matches = pattern_search(
-            shapes_graph, cfg, TrendLiteral(TrendClass.INCREASING),
-            Quadrant.Q3_TREND_OF_G, "w", space,
-            time_key=TimeInterval(0, 3), threshold=0.0,
+            shapes_graph, cfg.replace(similarity_threshold=0.0),
+            TrendLiteral(TrendClass.INCREASING), Quadrant.Q3_TREND_OF_G, "w", space,
+            time_key=TimeInterval(0, 3),
         )
         assert len(matches) == 4
 
@@ -163,9 +163,10 @@ class TestCharacterizeAndSearch:
         sizes = []
         for thr in (0.0, 0.5, 0.9, 1.0):
             sizes.append(len(pattern_search(
-                shapes_graph, cfg, TrendLiteral(TrendClass.INCREASING),
+                shapes_graph, cfg.replace(similarity_threshold=thr),
+                TrendLiteral(TrendClass.INCREASING),
                 Quadrant.Q3_TREND_OF_G, "w", space,
-                time_key=TimeInterval(0, 3), threshold=thr,
+                time_key=TimeInterval(0, 3),
             )))
         assert sizes == sorted(sizes, reverse=True)
 

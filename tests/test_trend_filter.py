@@ -138,9 +138,7 @@ def reference_trend(graph, cfg, ref, interval, attr):
     return reference_classify_trend(samples, cfg)
 
 
-def reference_pattern_search(graph, cfg, target, attr, space, ref_key=None,
-                             time_key=None, threshold=None):
-    thr = cfg.similarity_threshold if threshold is None else threshold
+def reference_pattern_search(graph, cfg, target, attr, space, ref_key=None, time_key=None):
     elements = [ref_key] if ref_key is not None else element_candidates(graph, space.subset_family)
     windows = time_windows(graph, time_key, space.window_min_len)
     check_budget(len(elements) * len(windows), cfg, "pattern search")
@@ -149,7 +147,7 @@ def reference_pattern_search(graph, cfg, target, attr, space, ref_key=None,
         for window in windows:
             candidate = reference_trend(graph, cfg, el, window, attr)
             score, _ = match_score(target, candidate, cfg)
-            if score >= thr:
+            if score >= cfg.similarity_threshold:
                 matches.append(Binding(window, el, candidate, score))
     matches.sort(key=lambda m: (-m.score, *m.sort_key()))
     return matches
@@ -278,10 +276,10 @@ def test_search_matches_reference(graphs, seed, cfg_name):
             space = SearchSpace(subset_family=SubsetFamily.EACH_NODE, window_min_len=min_len)
             for el in fixed:
                 for thr in THRESHOLDS:
-                    got = outcome(search, graph, cfg, target, "w", space,
-                                  ref_key=el, threshold=thr)
-                    want = outcome(reference_pattern_search, graph, cfg, target, "w", space,
-                                   ref_key=el, threshold=thr)
+                    at = cfg if thr is None else cfg.replace(similarity_threshold=thr)
+                    got = outcome(search, graph, at, target, "w", space, ref_key=el)
+                    want = outcome(reference_pattern_search, graph, at, target, "w", space,
+                                   ref_key=el)
                     assert got == want, (cls, min_len, el, thr)
 
 
