@@ -570,6 +570,22 @@ def test_pairs_aggregate_over_edge_members():
     assert "edge:e1" in err.value.message
 
 
+def test_pairs_aggregate_raises_the_first_error_in_pair_order():
+    # e1 (alive at 5) meets e3 later than e2 (alive at 3) does, but the pair
+    # (e1, e3) comes first: the pair-by-pair scan names edge:e1, where a pass
+    # time by time would meet (e2, e3) first and name edge:e2.
+    graph = load(json.dumps(r) for r in [
+        *({"type": "node", "id": n, "start": 0, "end": 9} for n in "ab"),
+        *({"type": "edge", "id": e, "src": "a", "dst": "b", "start": s, "end": t}
+          for e, s, t in (("e1", 5, 5), ("e2", 3, 3), ("e3", 0, 9))),
+    ])
+    members = [edge_ref("e1"), edge_ref("e2"), edge_ref("e3")]
+    with pytest.raises(TgqError) as err:
+        pairs_aggregate(graph, Config(), members, TimeInterval(0, 9))
+    assert err.value.code == FAMILY_MISMATCH
+    assert "edge:e1" in err.value.message
+
+
 def parallel_graph():
     """Nodes a, b, c, d alive at 0..3. a→b and b→a (directed) and a–b
     (undirected) are all alive at 1 and 2; only a→b lives at 0 and only
