@@ -221,16 +221,21 @@ def find_connection(
 
 
 class _Connectivity:
-    """Connection under one spec for the length of one call: one neighbour
-    table and one set of connected pairs per time point, built on first
-    use. It is the one builder of tables constrained by direction or by an
-    edge predicate, and its pairs are ordered iff the spec has a
-    direction."""
+    """Connection under one spec for one call: a neighbour table per time
+    point, built on first use (the one builder of tables constrained by
+    direction or by an edge predicate), and ``pairs``, the one scan of which
+    members connect when. Per t it meets each alive member node's reach with
+    the members' nodes, so its work follows the pairs that connect; pairs
+    are ordered iff the spec has a direction. Only an edge member or the
+    edge predicate raises; neither is read where fewer than two members are
+    alive. It raises what a scan pair by pair, each pair time by time, meets
+    first: at each t the error of the first alive member with the second, if
+    either is an edge or the table raises, else with the first alive edge;
+    over all t, the least such pair's."""
 
     def __init__(self, graph: TemporalGraph, cfg: Config, spec: ConnectionSpec):
         self.graph, self.cfg, self.spec = graph, cfg, spec
         self._tables: dict = {}
-        self._pairs: dict = {}
 
     def _table(self, t: int) -> dict:
         """node -> nodes one qualifying edge away at t along the direction:
@@ -271,25 +276,55 @@ class _Connectivity:
             out.update(self.hits(a, t))
         return out
 
-    def pairs(self, t: int) -> set:
-        """Node pairs ``(a, b)`` connected at t, b a hit of a: every such
-        pair when the spec has a direction, else those with ``a < b``. With
-        fewer than two nodes alive there is no pair, so no table: its edge
-        predicate may raise."""
-        if t not in self._pairs:
-            ordered = self.spec.direction != "any"
-            alive = self.graph.snapshot(t).nodes  # sorted; every hit is alive
-            # Unordered pairs put the larger id second: the last node has none.
-            self._pairs[t] = set() if len(alive) < 2 else {
-                (a, b) for a in (alive if ordered else alive[:-1])
-                for b in self.hits(a, t) if b != a and (ordered or b > a)
-            }
-        return self._pairs[t]
-
-    def connected(self, g1: GraphElementRef, g2: GraphElementRef, t: int) -> bool:
-        starts = _member_nodes(self.graph, g1, t, _CONNECTION_FAMILY)
-        targets = _member_nodes(self.graph, g2, t, _CONNECTION_FAMILY)
-        return not self.reached(starts, t).isdisjoint(targets)
+    def pairs(self, refs: list, times) -> list:
+        """Per t of ``times``, the set of index pairs ``(i, j)`` of ``refs`` connected at t."""
+        graph, ordered, last = self.graph, self.spec.direction != "any", len(refs) - 1
+        node, edge = ElemKind.NODE, ElemKind.EDGE  # looked up once: refs may be many
+        owners: dict = {}  # node id -> indices of the members standing for it
+        edges = []  # indices of the edge members, which raise once read
+        for i, ref in enumerate(refs):
+            if ref.kind is node:
+                owners.setdefault(ref.id, []).append(i)
+            elif ref.kind is edge:
+                edges.append(i)
+            else:
+                for n in graph.object_members(ref.id).nodes:
+                    owners.setdefault(n, []).append(i)
+        out, error = [], None
+        for t in times:
+            out.append(set())
+            alive = graph.snapshot(t).adjacency if t < graph.n_times else {}  # alive nodes
+            if edges or self.spec.edge_attr is not None:
+                # Only an edge member or the predicate can raise. Read as a scan
+                # pair by pair does: the first two alive members, the table,
+                # then the later members.
+                alive_edges = [i for i in edges if graph.exists_at(refs[i], t)]
+                first = sorted({*(i for n, idx in owners.items() if n in alive for i in idx),
+                                *alive_edges})[:2]
+                if len(first) < 2:
+                    continue
+                try:
+                    if not alive_edges or alive_edges[0] > first[1]:
+                        self._table(t)
+                    if alive_edges:
+                        first[1] = max(first[1], alive_edges[0])
+                        _member_nodes(graph, refs[alive_edges[0]], t, _CONNECTION_FAMILY)
+                except TgqError as err:
+                    if error is None or first < error[0]:
+                        error = first, err
+                    continue
+            elif owners.keys().isdisjoint(alive):
+                continue
+            # Unordered pairs put the larger index second: the last member starts none.
+            reach = self._table(t) if self.spec.mode == "adjacent" else {
+                n: owners.keys() & self.hits(n, t) for n, idx in owners.items()
+                if n in alive and (ordered or idx[0] < last)}
+            out[-1] = {(i, j) for n, idx in owners.items() if n in alive for i in idx
+                       for h in reach.get(n, ()) for j in owners.get(h, ())
+                       if j > i or ordered and j != i}
+        if error is not None:
+            raise error[1]
+        return out
 
 
 _CONNECTION_FAMILY = "connection tasks apply to nodes and objects"
@@ -340,12 +375,11 @@ def find_connected_pairs(
     """All node pairs connected in the given way; unordered unless the
     direction is constrained."""
     times = time_points(graph, t)
-    names = graph.node_ids()
-    check_budget(len(times) * len(names) * max(1, len(names) - 1) // 2, cfg,
+    refs = graph.all_refs((ElemKind.NODE,))  # in id order, so the list is in (t, a, b) order
+    check_budget(len(times) * len(refs) * max(1, len(refs) - 1) // 2, cfg,
                  "connected-pair search")
-    conn = _Connectivity(graph, cfg, spec)
-    # times ascend, so the list is in (t, a, b) order
-    return [(node_ref(a), node_ref(b), ti) for ti in times for a, b in sorted(conn.pairs(ti))]
+    found = _Connectivity(graph, cfg, spec).pairs(refs, times)
+    return [(refs[i], refs[j], ti) for ti, pairs in zip(times, found) for i, j in sorted(pairs)]
 
 
 def connection_times(
@@ -356,8 +390,8 @@ def connection_times(
     spec: ConnectionSpec,
 ) -> list:
     """Time indices at which both exist and the connection holds."""
-    conn = _Connectivity(graph, cfg, spec)
-    return [t for t in range(graph.n_times) if _holds(conn, g1, g2, t)]
+    found = _Connectivity(graph, cfg, spec).pairs([g1, g2], range(graph.n_times))
+    return [t for t, pairs in enumerate(found) if (0, 1) in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -388,26 +422,18 @@ def pair_over_time(
     interval: TimeInterval,
     spec: Optional[ConnectionSpec] = None,
 ) -> StructuralPattern:
-    return _presence(_Connectivity(graph, cfg, spec or ConnectionSpec()), g1, g2, interval)
+    found = _Connectivity(graph, cfg, spec or ConnectionSpec()).pairs([g1, g2], interval.indices())
+    return _presence_pattern(_bits(found, (0, 1)))
 
 
-def _holds(conn: _Connectivity, g1: GraphElementRef, g2: GraphElementRef, t: int) -> bool:
-    graph = conn.graph
-    return graph.exists_at(g1, t) and graph.exists_at(g2, t) and conn.connected(g1, g2, t)
+def _bits(found: list, pair: tuple) -> str:
+    """Presence bits of ``pair`` over the pair sets of successive times."""
+    return "".join("1" if pair in pairs else "0" for pairs in found)
 
 
-def _presence(conn: _Connectivity, g1: GraphElementRef, g2: GraphElementRef,
-              interval: TimeInterval) -> StructuralPattern:
-    return _presence_pattern(
-        "".join("1" if _holds(conn, g1, g2, t) else "0" for t in interval.indices()))
-
-
-def _presence_pattern(bitstring: str) -> StructuralPattern:
-    return StructuralPattern(
-        StructScopeKind.PAIR_OVER_TIME,
-        presence_class=classify_presence(bitstring),
-        presence_bits=bitstring,
-    )
+def _presence_pattern(bits: str) -> StructuralPattern:
+    return StructuralPattern(StructScopeKind.PAIR_OVER_TIME,
+                             presence_class=classify_presence(bits), presence_bits=bits)
 
 
 def snapshot_metrics(graph: TemporalGraph, members, t: int) -> dict:
@@ -476,46 +502,19 @@ def pairs_aggregate(
     spec: Optional[ConnectionSpec] = None,
 ) -> StructuralPattern:
     """Frequency table of the presence classes of the member pairs over the
-    interval. Work follows the pairs that connect: per time point, each
-    alive member's nodes and reach are worked out once, and a pair that
-    never connects counts as NEVER without a bitstring of its own."""
+    interval, from the one scan: only pairs that connect somewhere get a
+    bitstring, and every other pair counts as NEVER."""
     refs = sorted(members)
     if len(refs) < 2:
         raise TgqError(EMPTY_SCOPE, "pair aggregation needs at least two members")
-    conn = _Connectivity(graph, cfg, spec or ConnectionSpec())
-    try:
-        counts = _pair_class_counts(conn, refs, interval)
-    except TgqError:
-        # Which error a caller sees is the first one a scan pair by pair, time
-        # by time meets (an edge member or an edge predicate): replay it.
-        counts = Counter(_presence(conn, a, b, interval).presence_class.value
-                         for a, b in itertools.combinations(refs, 2))
-    return StructuralPattern(
-        StructScopeKind.PAIRS_AGGREGATE,
-        class_frequencies=tuple(sorted(counts.items())),
-    )
-
-
-def _pair_class_counts(conn: _Connectivity, refs: list, interval: TimeInterval) -> Counter:
-    """Presence class -> number of member pairs ``(refs[i], refs[j])``,
-    i < j, built time point by time point. It meets every element, node
-    list and table that the scan pair by pair meets, and maybe more."""
-    graph = conn.graph
-    times = interval.indices()
-    bits: dict = {}  # (i, j) -> presence bits, for the pairs that connect
-    for k, t in enumerate(times):
-        alive = [i for i, ref in enumerate(refs) if graph.exists_at(ref, t)]
-        nodes = {i: _member_nodes(graph, refs[i], t, _CONNECTION_FAMILY) for i in alive}
-        for x, i in enumerate(alive[:-1]):
-            reached = conn.reached(nodes[i], t)
-            for j in alive[x + 1:]:
-                if not reached.isdisjoint(nodes[j]):
-                    bits.setdefault((i, j), ["0"] * len(times))[k] = "1"
-    counts = Counter(classify_presence("".join(b)).value for b in bits.values())
-    untouched = len(refs) * (len(refs) - 1) // 2 - len(bits)
+    found = _Connectivity(graph, cfg, spec or ConnectionSpec()).pairs(refs, interval.indices())
+    counts = Counter(classify_presence(_bits(found, pair)).value
+                     for pair in set().union(*found) if pair[0] < pair[1])
+    untouched = len(refs) * (len(refs) - 1) // 2 - sum(counts.values())
     if untouched:
-        counts[classify_presence("0" * len(times)).value] += untouched
-    return counts
+        counts[classify_presence("0" * len(found)).value] += untouched
+    return StructuralPattern(StructScopeKind.PAIRS_AGGREGATE,
+                             class_frequencies=tuple(sorted(counts.items())))
 
 
 def config_over_time(
@@ -646,25 +645,25 @@ def structural_search(
     matches = []
     if kind == StructScopeKind.PAIR_OVER_TIME:
         windows = time_windows(graph, time_key, space.window_min_len)
-        names = graph.node_ids()
-        check_budget(len(names) * (len(names) - 1) // 2 * len(windows), cfg,
-                     "structural search")
-        conn = _Connectivity(graph, cfg, ConnectionSpec())
+        refs = graph.all_refs((ElemKind.NODE,))
+        check_budget(len(refs) * (len(refs) - 1) // 2 * len(windows), cfg, "structural search")
+        span = range(windows[0].start, windows[-1].end + 1) if windows else range(0)
+        found_at = dict(zip(span, _Connectivity(graph, cfg, ConnectionSpec()).pairs(refs, span)))
         for window in windows:
-            per_t = [conn.pairs(t) for t in window.indices()]
-            never = _presence_pattern("0" * len(per_t))
+            found = [found_at[t] for t in window.indices()]
+            never = _presence_pattern("0" * len(found))
             never_score, _ = match_score(target, never, cfg)
-            touched = set().union(*per_t)
-            for a, b in (itertools.combinations(names, 2) if never_score >= thr
+            touched = set().union(*found)
+            for pair in (itertools.combinations(range(len(refs)), 2) if never_score >= thr
                          else sorted(touched)):
-                if (a, b) in touched:
-                    candidate = _presence_pattern(
-                        "".join("1" if (a, b) in pairs else "0" for pairs in per_t))
+                if pair in touched:
+                    candidate = _presence_pattern(_bits(found, pair))
                     score, _ = match_score(target, candidate, cfg)
                 else:
                     candidate, score = never, never_score
                 if score >= thr:
-                    matches.append(Binding(window, f"node:{a}|node:{b}", candidate, score))
+                    matches.append(Binding(window, f"{refs[pair[0]]}|{refs[pair[1]]}",
+                                           candidate, score))
     else:
         keys = (time_points(graph, time_key) if kind == StructScopeKind.SNAPSHOT_CONFIG
                 else time_windows(graph, time_key, space.window_min_len))

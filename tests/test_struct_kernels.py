@@ -189,6 +189,19 @@ def reference_pairs_aggregate(graph, cfg, members, interval, spec=None):
                              class_frequencies=tuple(sorted(counts.items())))
 
 
+def reference_first_error_time_major(graph, cfg, members, interval, spec):
+    """The error a pass time by time meets first, taking at each t the
+    pairs of the members alive there in order, or None."""
+    for t in interval.indices():
+        alive = [ref for ref in sorted(members) if graph.exists_at(ref, t)]
+        for a, b in itertools.combinations(alive, 2):
+            try:
+                reference_connected(graph, cfg, a, b, t, spec)
+            except TgqError as err:
+                return (err.code, err.message, err.details)
+    return None
+
+
 def reference_search_pairs(graph, cfg, target, time_key=None, connection=None,
                            window_min_len=1):
     """The PAIRS branch of ``structural_search`` (a presence target)."""
@@ -416,15 +429,22 @@ def test_find_connected_pairs_matches_reference(graphs, name):
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_connection_times_and_presence_match_reference(graphs, name):
+    # Besides the endpoints, an edge with its source node (FAMILY_MISMATCH
+    # wherever both exist) and an object with itself.
     spec = SPECS[name]
+    codes = set()
     for graph, cfg in each_case(graphs):
         full = graph.full_interval()
-        for g1, g2 in endpoints(graph):
-            assert outcome(connection_times, graph, cfg, g1, g2, spec) == outcome(
-                reference_connection_times, graph, cfg, g1, g2, spec)
+        edge = graph.edge_ids()[0]
+        for g1, g2 in endpoints(graph) + [(edge_ref(edge), node_ref(graph.edges[edge].src)),
+                                          (object_ref("o"), object_ref("o"))]:
+            got = outcome(connection_times, graph, cfg, g1, g2, spec)
+            assert got == outcome(reference_connection_times, graph, cfg, g1, g2, spec)
+            codes.add(got[0] if isinstance(got, tuple) else None)
             for window in (full, TimeInterval(0, 0), TimeInterval(full.end // 2, full.end)):
                 assert outcome(pair_over_time, graph, cfg, g1, g2, window, spec) == outcome(
                     reference_pair_over_time, graph, cfg, g1, g2, window, spec)
+    assert FAMILY_MISMATCH in codes
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -522,22 +542,38 @@ def test_presence_across_a_death_matches_reference(graphs):
     assert broken > 0
 
 
+def lifetime_edges(graph):
+    """One edge ref per distinct set of time points an edge is alive at."""
+    by_life: dict = {}
+    for e in graph.edge_ids():
+        ref = edge_ref(e)
+        by_life.setdefault(tuple(t for t in range(graph.n_times) if graph.exists_at(ref, t)), ref)
+    return list(by_life.values())
+
+
 def test_pairs_aggregate_mixed_kinds_errors_match_reference(graphs):
     # An edge member raises FAMILY_MISMATCH once it exists beside another
     # member; before that the categorical predicate may raise KIND_MISMATCH.
-    seen = set()
+    # With two or three edges of different lifetimes, the pair that fails
+    # first need not be met first by a pass time by time: count those cases.
+    seen, reordered = set(), 0
     for graph, cfg in each_case(graphs):
         full = graph.full_interval()
         nodes = [node_ref(n) for n in graph.node_ids()[:4]]
-        for edge in graph.edge_ids()[:3]:
-            members = nodes + [edge_ref(edge), object_ref("o")]
-            for spec in (SPECS["path-any-kind"], SPECS["adjacent-any-all"]):
-                for window in (full, TimeInterval(0, 0), TimeInterval(full.end, full.end)):
-                    got = outcome(pairs_aggregate, graph, cfg, members, window, spec)
-                    assert got == outcome(reference_pairs_aggregate, graph, cfg, members,
-                                          window, spec), (edge, window)
-                    seen.add(got[0] if isinstance(got, tuple) else None)
+        lives = lifetime_edges(graph)
+        groups = [[edge_ref(e)] for e in graph.edge_ids()[:3]] + [lives[:2], lives[-3:]]
+        for edges in groups:
+            for members in (nodes + edges + [object_ref("o")], edges + nodes[:1]):
+                for spec in (SPECS["path-any-kind"], SPECS["adjacent-any-all"]):
+                    for window in (full, TimeInterval(0, 0), TimeInterval(full.end, full.end)):
+                        got = outcome(pairs_aggregate, graph, cfg, members, window, spec)
+                        assert got == outcome(reference_pairs_aggregate, graph, cfg, members,
+                                              window, spec), (members, window)
+                        seen.add(got[0] if isinstance(got, tuple) else None)
+                        reordered += isinstance(got, tuple) and got != \
+                            reference_first_error_time_major(graph, cfg, members, window, spec)
     assert {FAMILY_MISMATCH, KIND_MISMATCH, None} <= seen
+    assert reordered > 0
 
 
 def test_pairs_aggregate_repeated_member_matches_reference(graphs):
@@ -584,6 +620,29 @@ def test_pairs_aggregate_raises_the_first_error_in_pair_order():
         pairs_aggregate(graph, Config(), members, TimeInterval(0, 9))
     assert err.value.code == FAMILY_MISMATCH
     assert "edge:e1" in err.value.message
+
+
+def test_no_read_where_one_member_is_alive():
+    # At 0 and 1 only a is alive of the two members, beside an edge a-c whose
+    # categorical kind fails the numeric predicate of "path-any-kind": no
+    # table is built there, so nothing raises. At 2 and 3 the one edge has
+    # no kind, so it does not qualify and the pair never connects.
+    graph = load(json.dumps(r) for r in [
+        {"type": "node", "id": "a", "start": 0, "end": 3},
+        {"type": "node", "id": "b", "start": 2, "end": 3},
+        {"type": "node", "id": "c", "start": 0, "end": 1},
+        {"type": "edge", "id": "e1", "src": "a", "dst": "c", "start": 0, "end": 1},
+        {"type": "edge", "id": "e2", "src": "a", "dst": "b", "start": 2, "end": 3},
+        {"type": "attr", "elem": "edge:e1", "name": "kind", "t": 0, "value": "road"},
+    ])
+    spec, cfg, window = SPECS["path-any-kind"], Config(), TimeInterval(0, 3)
+    a, b = node_ref("a"), node_ref("b")
+    with pytest.raises(TgqError) as err:  # the table at 0 does raise
+        find_connected_pairs(graph, cfg, spec, 0)
+    assert err.value.code == KIND_MISMATCH
+    assert pairs_aggregate(graph, cfg, [a, b], window, spec).class_frequencies == (("NEVER", 1),)
+    assert pair_over_time(graph, cfg, a, b, window, spec).presence_bits == "0000"
+    assert connection_times(graph, cfg, a, b, spec) == []
 
 
 def parallel_graph():
