@@ -293,7 +293,7 @@ class _Connectivity:
         out, error = [], None
         for t in times:
             out.append(set())
-            alive = graph.snapshot(t).adjacency if t < graph.n_times else {}  # alive nodes
+            alive = graph.snapshot(t).adjacency if t < graph.n_times else {}  # none past the domain
             if edges or self.spec.edge_attr is not None:
                 # Only an edge member or the predicate can raise. Read as a scan
                 # pair by pair does: the first two alive members, the table,

@@ -589,8 +589,8 @@ def test_pairs_aggregate_repeated_member_matches_reference(graphs):
 
 def test_pairs_aggregate_over_edge_members():
     # Edges never alive together give no pair to connect, so their one pair
-    # is NEVER: the pass time by time raises here, and pairs_aggregate's
-    # replay pair by pair answers. Edges alive together raise.
+    # is NEVER, though each alone is alive beside no other member. Edges
+    # alive together raise.
     def graph(e1_end):
         return load(json.dumps(r) for r in [
             *({"type": "node", "id": n, "start": 0, "end": 3} for n in "ab"),
