@@ -294,10 +294,10 @@ class _Connectivity:
         for t in times:
             out.append(set())
             alive = graph.snapshot(t).adjacency if t < graph.n_times else {}  # none past the domain
-            if edges or self.spec.edge_attr is not None:
-                # Only an edge member or the predicate can raise. Read as a scan
-                # pair by pair does: the first two alive members, the table,
-                # then the later members.
+            if edges or ordered or self.spec.edge_attr is not None:
+                # Only an edge member or the predicate can raise, and only a
+                # constrained table costs a build. Read as a scan pair by pair
+                # does: the first two alive members, the table, then the rest.
                 alive_edges = [i for i in edges if graph.exists_at(refs[i], t)]
                 first = sorted({*(i for n, idx in owners.items() if n in alive for i in idx),
                                 *alive_edges})[:2]
