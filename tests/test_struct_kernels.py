@@ -611,11 +611,13 @@ def test_pairs_aggregate_raises_the_first_error_in_pair_order():
     # (e1, e3) comes first: the pair-by-pair scan names edge:e1, where a pass
     # time by time would meet (e2, e3) first and name edge:e2.
     graph = load(json.dumps(r) for r in [
-        *({"type": "node", "id": n, "start": 0, "end": 9} for n in "ab"),
+        # one record per point keeps every label 0..9 in the time domain
+        *({"type": "node", "id": n, "start": t, "end": t} for n in "ab" for t in range(10)),
         *({"type": "edge", "id": e, "src": "a", "dst": "b", "start": s, "end": t}
           for e, s, t in (("e1", 5, 5), ("e2", 3, 3), ("e3", 0, 9))),
     ])
     members = [edge_ref("e1"), edge_ref("e2"), edge_ref("e3")]
+    assert graph.full_interval() == TimeInterval(0, 9)
     with pytest.raises(TgqError) as err:
         pairs_aggregate(graph, Config(), members, TimeInterval(0, 9))
     assert err.value.code == FAMILY_MISMATCH
