@@ -8,8 +8,9 @@ stand-alone lookups and characterisations, trend searches and seeks
 over one window of every node or edge, value seeks and distributions over
 every node or edge at one time point, WITHIN tolerances below zero,
 duplicate FIND and SEEK targets, PERELEMENT correlations with members that
-have no coefficient, and one query for each error the parser,
-the validator and the planner can reach.
+have no coefficient, a time point written in non-ASCII digits and a
+string left open, and one query for each error the parser, the validator
+and the planner can reach.
 ``data/pin_expected.jsonl`` holds the line ``tgq corpus`` prints for each:
 elapsed_ms pinned to 0, a failure as an error envelope. A change that alters one changes an answer.
 """
@@ -25,9 +26,10 @@ from tgq.errors import KIND_MISMATCH, TgqError
 from tgq.graph import load_path
 
 DATA = Path(__file__).parent / "data"
-QUERIES = [line.strip() for line in (DATA / "pin_queries.txt").read_text().splitlines()
+QUERIES = [line.strip()
+           for line in (DATA / "pin_queries.txt").read_text(encoding="utf-8").splitlines()
            if line.strip() and not line.startswith("#")]
-EXPECTED = (DATA / "pin_expected.jsonl").read_text().splitlines()
+EXPECTED = (DATA / "pin_expected.jsonl").read_text(encoding="utf-8").splitlines()
 
 
 @pytest.fixture(scope="module")
