@@ -279,6 +279,7 @@ class _Connectivity:
     def pairs(self, refs: list, times) -> list:
         """Per t of ``times``, the set of index pairs ``(i, j)`` of ``refs`` connected at t."""
         graph, ordered, last = self.graph, self.spec.direction != "any", len(refs) - 1
+        graph.check_time(*times)
         node, edge = ElemKind.NODE, ElemKind.EDGE  # looked up once: refs may be many
         owners: dict = {}  # node id -> indices of the members standing for it
         edges = []  # indices of the edge members, which raise once read
@@ -293,7 +294,7 @@ class _Connectivity:
         out, error = [], None
         for t in times:
             out.append(set())
-            alive = graph.snapshot(t).adjacency if t < graph.n_times else {}  # none past the domain
+            alive = graph.snapshot(t).adjacency
             if edges or ordered or self.spec.edge_attr is not None:
                 # Only an edge member or the predicate can raise, and only a
                 # constrained table costs a build. Read as a scan pair by pair

@@ -19,6 +19,7 @@ import pytest
 from tgq.config import Config
 from tgq.errors import (
     ABSENT_ELEMENT, EMPTY_SCOPE, FAMILY_MISMATCH, KIND_MISMATCH, SEARCH_SPACE_EXCEEDED, TgqError,
+    VALIDATION_ERROR,
 )
 from tgq.graph import ElemKind, GraphElementRef, TimeInterval, edge_ref, load, node_ref, object_ref
 from tgq.patterns import match_score
@@ -597,13 +598,31 @@ def test_pairs_aggregate_over_edge_members():
             {"type": "edge", "id": "e1", "src": "a", "dst": "b", "start": 0, "end": e1_end},
             {"type": "edge", "id": "e2", "src": "a", "dst": "b", "start": 2, "end": 3},
         ])
-    members, window = [edge_ref("e1"), edge_ref("e2")], TimeInterval(0, 3)
-    got = pairs_aggregate(graph(1), Config(), members, window)
+    members = [edge_ref("e1"), edge_ref("e2")]
+    apart, together = graph(1), graph(2)
+    got = pairs_aggregate(apart, Config(), members, apart.full_interval())
     assert got.class_frequencies == (("NEVER", 1),)
     with pytest.raises(TgqError) as err:
-        pairs_aggregate(graph(2), Config(), members, window)
+        pairs_aggregate(together, Config(), members, together.full_interval())
     assert err.value.code == FAMILY_MISMATCH
     assert "edge:e1" in err.value.message
+
+
+def test_pairs_aggregate_rejects_a_time_past_the_domain():
+    # labels 0, 2 and 3 are indices 0-2: index 3 is rejected as a snapshot
+    # there is, before any member is read
+    graph = load(json.dumps(r) for r in [
+        *({"type": "node", "id": n, "start": 0, "end": 3} for n in "ab"),
+        {"type": "edge", "id": "e", "src": "a", "dst": "b", "start": 2, "end": 3},
+    ])
+    assert graph.n_times == 3
+    for call in (lambda: graph.snapshot(3),
+                 lambda: pairs_aggregate(graph, Config(), [node_ref("a"), node_ref("b")],
+                                         TimeInterval(0, 3))):
+        with pytest.raises(TgqError) as err:
+            call()
+        assert (err.value.code, err.value.message) == (
+            VALIDATION_ERROR, "time index 3 outside the domain")
 
 
 def test_pairs_aggregate_raises_the_first_error_in_pair_order():
