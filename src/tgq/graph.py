@@ -198,6 +198,7 @@ class TemporalGraph:
         # (kind, attr, carry, build, *args) -> index, see family_index
         self._columns: dict = {}
         self._refs: dict = {}  # kind -> sorted tuple of its refs, built on first use
+        self._object_intervals: dict = {}  # object id -> merged member intervals, on first use
         self._node_edges: dict = {}
         for edge_id, e in self.edges.items():
             self._node_edges.setdefault(e.src, []).append(edge_id)
@@ -294,7 +295,11 @@ class TemporalGraph:
                 raise TgqError(VALIDATION_ERROR, f"unknown edge '{ref.id}'")
             return self.edges[ref.id].intervals
         # an object exists wherever one of its member nodes does
-        return _merge_intervals(iv for n in self.object_members(ref.id).nodes for iv in self.nodes[n])
+        intervals = self._object_intervals.get(ref.id)
+        if intervals is None:
+            intervals = self._object_intervals[ref.id] = _merge_intervals(
+                iv for n in self.object_members(ref.id).nodes for iv in self.nodes[n])
+        return intervals
 
     def exists_at(self, ref: GraphElementRef, t: int) -> bool:
         return _covered(self._intervals_of(ref), t)

@@ -1,6 +1,7 @@
 """Store-level behaviour: ingest, data-function evaluation, snapshots."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,9 @@ from tgq.errors import (
     TgqError,
     VALIDATION_ERROR,
 )
-from tgq.graph import ElemKind, edge_ref, load, node_ref, object_ref
+from tgq.graph import (
+    ElemKind, _covered, _merge_intervals, edge_ref, load, load_path, node_ref, object_ref,
+)
 
 from conftest import jl
 from graph_dump import dump, same_graph
@@ -215,9 +218,6 @@ class TestLoad:
         assert same_graph(load(dump(again).splitlines()), again)
 
     def test_dump_load_roundtrip_corpus(self):
-        from pathlib import Path
-        from tgq.graph import load_path
-
         g = load_path(str(Path(__file__).parent / "data" / "corpus_graph.jsonl"))
         assert same_graph(load(dump(g).splitlines()), g)
 
@@ -519,3 +519,26 @@ class TestAllRefs:
         assert chain_graph._refs == {}
         for g in _small_graphs():
             assert g._refs == {}
+
+
+def _graphs_with_objects():
+    """The randsuite graphs, each with an object per subset and one of every
+    node, then the corpus graph."""
+    for seed in range(40):
+        raw = random_graph(seed)
+        objects = {**raw.subsets, "all": sorted(raw.node_spans)}
+        yield load(jl([*raw.records, *({"type": "object", "id": ident, "nodes": nodes}
+                                       for ident, nodes in objects.items())]))
+    yield load_path(str(Path(__file__).parent / "data" / "corpus_graph.jsonl"))
+
+
+def test_object_exists_where_its_merged_member_intervals_cover():
+    checked = 0
+    for g in _graphs_with_objects():
+        for ident, members in g.objects.items():
+            merged = _merge_intervals(iv for n in members.nodes for iv in g.nodes[n])
+            want = [_covered(merged, t) for t in range(g.n_times)]
+            for _ in range(2):  # merged on the first call, kept for the second
+                assert [g.exists_at(object_ref(ident), t) for t in range(g.n_times)] == want
+            checked += 1
+    assert checked == 40 * 3 + 1
