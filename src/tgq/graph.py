@@ -472,6 +472,7 @@ def _load(numbered) -> TemporalGraph:
     and pass 2 writes the attr rows back over the list's head: at its peak a
     load holds the graph being built plus one small tuple per record."""
     records = []
+    scan = json.JSONDecoder().scan_once
     for lineno, item in numbered:
         if isinstance(item, (bytes, str)):
             try:
@@ -479,21 +480,32 @@ def _load(numbered) -> TemporalGraph:
             except UnicodeDecodeError as err:
                 raise TgqError(SCHEMA_ERROR, f"line {lineno}: invalid UTF-8 ({err.reason})",
                                line=lineno) from None
-            if not text.strip():
-                continue
-            try:
-                rec = json.loads(text)
-            except json.JSONDecodeError as err:
-                raise TgqError(
-                    SCHEMA_ERROR, f"line {lineno}: invalid JSON ({err.msg})", line=lineno
-                ) from None
+            end = -1  # where the scan stopped; the line's length once it read it all
+            if text[:1] == "{" and text[-1:] == "}":  # nearly every line: one object alone
+                try:  # json.loads's own scan, without the checks it makes around it
+                    rec, end = scan(text, 0)
+                except (ValueError, StopIteration):  # StopIteration: a value missing
+                    pass  # json.loads raises it again below, with the message users see
+            if end != len(text):
+                if not text.strip():
+                    continue
+                try:
+                    rec = json.loads(text)
+                except json.JSONDecodeError as err:
+                    raise TgqError(
+                        SCHEMA_ERROR, f"line {lineno}: invalid JSON ({err.msg})", line=lineno
+                    ) from None
         else:
             rec = item
         if not isinstance(rec, dict):
             raise TgqError(SCHEMA_ERROR, f"line {lineno}: record must be an object", line=lineno)
         rtype = rec.get("type")
-        fields = _FIELDS.get(rtype, ()) if isinstance(rtype, str) else ()
-        records.append((lineno, rtype, *map(rec.get, fields)))
+        if rtype == "attr":  # nearly every record: its _FIELDS spelt out
+            records.append((lineno, rtype, rec.get("elem"), rec.get("name"), rec.get("t"),
+                            rec.get("value")))
+        else:
+            fields = _FIELDS.get(rtype, ()) if isinstance(rtype, str) else ()
+            records.append((lineno, rtype, *map(rec.get, fields)))
 
     # Pass 1: collect every timestamp so intervals can be index-resolved.
     # Each distinct raw label is normalised once, keyed by (type, value) so
@@ -510,15 +522,19 @@ def _load(numbered) -> TemporalGraph:
 
     for rec in records:
         lineno, rtype = rec[0], rec[1]
-        if not isinstance(rtype, str) or rtype not in _FIELDS:
+        if rtype == "attr":  # nearly every record, and its label nearly always seen
+            t = rec[4]
+            if type(t) not in (int, float, str) or (type(t), t) not in norm:
+                note(_require(t, "t", lineno), lineno)
+        elif not isinstance(rtype, str) or rtype not in _FIELDS:
             raise TgqError(
                 SCHEMA_ERROR, f"line {lineno}: unknown record type {rtype!r}", line=lineno
             )
-        if rtype in ("node", "edge"):
+        elif rtype in ("node", "edge"):
             note(_require(rec[-2], "start", lineno), lineno)
             if rec[-1] is not None:
                 note(rec[-1], lineno)
-        elif rtype in ("attr", "series"):
+        elif rtype == "series":
             note(_require(rec[-2], "t", lineno), lineno)
     time_labels = _sort_labels(set(norm.values()))
     index = {label: i for i, label in enumerate(time_labels)}
@@ -553,10 +569,35 @@ def _load(numbered) -> TemporalGraph:
                 raise TgqError(SCHEMA_ERROR, f"line {lineno}: {err.message}", line=lineno) from None
         return ref
 
+    numeric, isfinite = AttrKind.NUMERIC, math.isfinite
     kept = 0  # attr rows so far, written back over records[:kept]
     for rec in records:
         rtype = rec[1]
-        if rtype == "node":
+        if rtype == "attr":
+            lineno, _, elem, name, t, value = rec
+            if type(elem) is not str:
+                elem = _require_str(elem, "elem", lineno)
+            if type(name) is not str:
+                name = _require_str(name, "name", lineno)
+            t = slot[type(t), t]
+            # a finite float of an attribute already numeric passes every check below
+            if (type(value) is not float or attr_kinds.get(name) is not numeric
+                    or not isfinite(value)):
+                value = _require(value, "value", lineno)
+                kind = _value_kind(value, lineno)
+                declared = attr_kinds.setdefault(name, kind)
+                if declared != kind:
+                    raise TgqError(
+                        SCHEMA_ERROR,
+                        f"line {lineno}: attribute '{name}' is {declared.value} "
+                        f"but got a {kind.value} value",
+                        line=lineno,
+                    )
+                if kind == numeric:
+                    value = _finite(value, lineno, "attribute value")
+            records[kept] = (lineno, elem, parsed.get(elem) or ref_of(elem, lineno), name, t, value)
+            kept += 1
+        elif rtype == "node":
             lineno, _, ident, start, end = rec
             ident = _require_str(ident, "id", lineno)
             nodes.setdefault(ident, []).append(interval_of(start, end, lineno))
@@ -601,25 +642,6 @@ def _load(numbered) -> TemporalGraph:
                     line=lineno,
                 )
             subset_raw[name] = (lineno, [str(m) for m in members])
-        elif rtype == "attr":
-            lineno, _, elem, name, t, value = rec
-            elem = _require_str(elem, "elem", lineno)
-            name = _require_str(name, "name", lineno)
-            t = slot[type(t), t]
-            value = _require(value, "value", lineno)
-            kind = _value_kind(value, lineno)
-            declared = attr_kinds.setdefault(name, kind)
-            if declared != kind:
-                raise TgqError(
-                    SCHEMA_ERROR,
-                    f"line {lineno}: attribute '{name}' is {declared.value} "
-                    f"but got a {kind.value} value",
-                    line=lineno,
-                )
-            if kind == AttrKind.NUMERIC:
-                value = _finite(value, lineno, "attribute value")
-            records[kept] = (lineno, elem, ref_of(elem, lineno), name, t, value)
-            kept += 1
         elif rtype == "series":
             lineno, _, name, label, value = rec
             name = _require_str(name, "name", lineno)
@@ -741,7 +763,9 @@ def _load(numbered) -> TemporalGraph:
                 f"but {ref} does not exist there",
                 line=lineno,
             )
-        series = attrs.setdefault((elem, name), {})
+        series = attrs.get((elem, name))
+        if series is None:
+            series = attrs[elem, name] = {}
         old = series.get(t)
         if old is not None and old != value:
             raise TgqError(

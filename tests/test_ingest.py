@@ -11,7 +11,8 @@ is a list or an object, an edge ``directed`` that is not a boolean and an
 object ``edges`` that is not a list are rejected with their line (the
 reference loader crashes on the first, reads the second as its truth value,
 and iterates the third: a string by character, an object by key, and a
-number or a boolean not at all).
+number or a boolean not at all). Bytes that are not UTF-8 are rejected with
+their line; the reference loader lets the UnicodeDecodeError out.
 """
 
 import csv
@@ -50,8 +51,8 @@ def assert_same_graph(pairs):
 
 
 def lines_of(records):
-    """Dicts are written as JSON lines; strings are taken as they are."""
-    return [r if isinstance(r, str) else json.dumps(r) for r in records]
+    """Dicts are written as JSON lines; strings and bytes are taken as they are."""
+    return [r if isinstance(r, (str, bytes)) else json.dumps(r) for r in records]
 
 
 def node(ident, start=0, end=2):
@@ -167,6 +168,12 @@ VALID = {
         {"type": "subset", "name": "T", "members": ["node:c", "node:a", "node:c"]},
     ],
     "blank_lines": ["", node("a"), "   ", attr("node:a", 2, "red", name="c")],
+    # a line that is not one object alone is decoded by json.loads, not the scanner
+    "json_whitespace_around": [" \t" + json.dumps(node("a")) + "\r\n ", "\t",
+                               json.dumps(attr("node:a", 1, 2.0)) + " "],
+    "bytes_lines": [json.dumps(node("a")).encode(), b"\t",
+                    json.dumps(attr("node:a", 0, 1.0)).encode(),
+                    ("\t" + json.dumps(attr("node:a", 1, "\u00e9", name="c"))).encode()],
 }
 
 
@@ -196,6 +203,15 @@ MALFORMED = {
     "attr_kind_changes": [node("a"), attr("node:a", 0, 1.0), attr("node:a", 1, "x")],
     "attr_unsupported_value": [node("a"), attr("node:a", 0, [1])],
     "attr_infinite_value": [node("a"), attr("node:a", 0, float("inf"))],
+    "attr_nan_value": [node("a"), attr("node:a", 0, 1.0), attr("node:a", 1, float("nan"))],
+    "attr_negative_infinity": [node("a"), attr("node:a", 0, -float("inf"))],
+    "bom": [node("a"), "\ufeff" + json.dumps(node("b"))],
+    "two_objects_on_a_line": [node("a"), '{"a":1}{"b":2}'],
+    "object_then_text": [node("a"), '{"a":1} x'],
+    "object_then_brace": [node("a"), '{"a":1}}'],
+    "trailing_comma": [node("a"), '{"type": "node", "id": "b",}'],
+    "value_missing_in_object": [node("a"), '{"type": "node", "id": }'],
+    "array_of_records": [node("a"), "[" + json.dumps(node("b")) + "]"],
     "series_not_numeric": [{"type": "series", "name": "s", "t": 0, "value": "x"}],
     "series_duplicate_point": [{"type": "series", "name": "s", "t": 0, "value": 1},
                                {"type": "series", "name": "s", "t": 0.0, "value": 2}],
@@ -282,6 +298,24 @@ def test_malformed_file(case):
     if case in PINNED:
         prefix, line = PINNED[case]
         assert got[1].startswith(prefix) and got[2] == line
+
+
+def test_deep_nesting_raises_what_json_loads_raises():
+    for text in ('{"a":' * 100_000 + "1" + "}" * 100_000, "[" * 100_000 + "]" * 100_000):
+        with pytest.raises(RecursionError) as want:
+            json.loads(text)
+        for loader in (_load, reference_load):
+            with pytest.raises(RecursionError) as got:
+                loader(numbered([json.dumps(node("a")), text]))
+            assert str(got.value) == str(want.value)
+
+
+def test_invalid_utf8_names_its_line():
+    pairs = numbered([json.dumps(node("a")).encode(), b'{"type": "node", "id": "\xff"}'])
+    assert first_error(_load, pairs) == (
+        SCHEMA_ERROR, "line 2: invalid UTF-8 (invalid start byte)", 2)
+    with pytest.raises(UnicodeDecodeError):  # the reference loader lets it out
+        reference_load(pairs)
 
 
 # -- the messages that changed -------------------------------------------------
