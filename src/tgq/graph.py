@@ -484,8 +484,8 @@ def _load(numbered) -> TemporalGraph:
             if text[:1] == "{" and text[-1:] == "}":  # nearly every line: one object alone
                 try:  # json.loads's own scan, without the checks it makes around it
                     rec, end = scan(text, 0)
-                except (ValueError, StopIteration):  # StopIteration: a value missing
-                    pass  # json.loads raises it again below, with the message users see
+                except (ValueError, StopIteration):  # the latter where a value is missing
+                    pass  # json.loads below raises it again, with the message users see
             if end != len(text):
                 if not text.strip():
                     continue
@@ -523,7 +523,7 @@ def _load(numbered) -> TemporalGraph:
     for rec in records:
         lineno, rtype = rec[0], rec[1]
         if rtype == "attr":  # nearly every record, and its label nearly always seen
-            t = rec[4]
+            t = rec[-2]
             if type(t) not in (int, float, str) or (type(t), t) not in norm:
                 note(_require(t, "t", lineno), lineno)
         elif not isinstance(rtype, str) or rtype not in _FIELDS:
