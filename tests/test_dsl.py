@@ -1,6 +1,7 @@
 """Parser, validation, and planning behaviour, including round-trip
 identity over generated syntax trees and robustness against junk input."""
 
+import itertools
 import random
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from tgq.dsl import parse
 from tgq.dsl import ast
+from tgq.dsl.parser import _Parser, tokenize
 from tgq.dsl.planner import plan, run_query
 from tgq.errors import PLAN_ERROR, ParseError, TgqError, VALIDATION_ERROR
 from tgq.graph import load_path
@@ -101,6 +103,59 @@ class TestParse:
     def test_finite_number_round_trips(self, literal):
         node = parse(f"FIND t,g WHERE w > {literal}")
         assert parse(node.pp()) == node
+
+
+# A query with a slot for its tail clauses, and the clauses it allows.
+CLAUSE_ORDERS = [
+    ("FIND g WHERE w > 1 {}", ["AT t=0", "FOR node:a", "IN subset:S1", "DURING [0, 3]"]),
+    ("SEARCH INCREASING ON w OVER EACH_NODE {}", ["AT t=0", "DURING [0, 3]", "WINDOWS 2"]),
+    ("STRUCT SEARCH CONFIG density=0.5 OVER SUBSETS {}", ["AT t=0", "DURING [0, 3]", "WINDOWS 2"]),
+    ("SEEK g1,g2 WHERE w(g1) = w(g2) AND t1 = 0 {}", ["WINDOWS 2", "OVER SUBSETS"]),
+    ("COMPARE node:a {} WITH node:b", ["AT t=0", "DURING [0, 3]"]),
+]
+
+
+@pytest.mark.parametrize("template, clauses", CLAUSE_ORDERS)
+def test_tail_clauses_parse_alike_in_any_order(template, clauses):
+    """Every order of the clauses gives one AST. The parser is run without
+    validation, which rejects some of these combinations."""
+    first = _Parser(tokenize(template.format(" ".join(clauses)))).parse_query()
+    for order in itertools.permutations(clauses):
+        text = template.format(" ".join(order))
+        assert _Parser(tokenize(text)).parse_query() == first, text
+    assert first.pp() != _Parser(tokenize(template.format(""))).parse_query().pp()
+
+
+# A repeated clause, or one the query does not allow, ends the clauses: the
+# parser then fails on it where the query or side should end.
+END = "end of query"
+
+
+@pytest.mark.parametrize("query, error", [
+    ("FIND g WHERE w > 1 AT t=0 AT t=1", ("AT", 27, END)),
+    ("FIND g WHERE w > 1 IN subset:S1 FOR node:a IN subset:S2", ("IN", 44, END)),
+    ("FIND g WHERE w > 1 WINDOWS 2", ("WINDOWS", 20, END)),
+    ("SEARCH INCREASING ON w OVER EACH_NODE WINDOWS 2 DURING [0, 3] WINDOWS 3",
+     ("WINDOWS", 63, END)),
+    ("SEARCH INCREASING ON w OVER EACH_NODE FOR node:a", ("FOR", 39, END)),
+    ("STRUCT SEARCH CONFIG density=0.5 OVER SUBSETS AT t=0 OVER KHOP 1", ("OVER", 54, END)),
+    ("SEEK g1,g2 WHERE w(g1) = w(g2) AND t1 = 0 OVER SUBSETS WINDOWS 2 OVER SUBSETS",
+     ("OVER", 66, END)),
+    ("SEEK g1,g2 WHERE w(g1) = w(g2) AND t1 = 0 AT t=0", ("AT", 43, END)),
+    ("COMPARE node:a AT t=0 AT t=1 WITH node:b", ("AT", 23, "WITH")),
+    ("COMPARE node:a DURING [0, 3] WINDOWS 2 WITH node:b", ("WINDOWS", 30, "WITH")),
+    ("CONNECTED(node:a, node:b) AT t=0 AT t=1", ("AT", 34, END)),
+    ("CONNECTED(node:a, node:b) DURING [0, 1]", ("DURING", 27, END)),
+    ("CORRELATE w OF node:a DURING [0, 3] DURING [0, 2] WITH u OF node:a",
+     ("DURING", 37, "WITH")),
+])
+def test_repeated_or_disallowed_clause_is_a_parse_error(query, error):
+    found, col, expected = error
+    with pytest.raises(ParseError) as e:
+        parse(query)
+    assert (e.value.message, e.value.line, e.value.col, e.value.expected) == (
+        f"unexpected '{found}' at line 1, col {col} (expected one of: {expected})",
+        1, col, {expected})
 
 
 class TestRoundTrip:

@@ -28,7 +28,7 @@ from tgq.search import (
     time_windows, union_graph,
 )
 from tgq import structure
-from tgq.relations import _member_nodes, shortest_connection
+from tgq.relations import _member_nodes, are_adjacent, shortest_connection
 from tgq.structure import (
     ConnectionSpec,
     PresenceClass,
@@ -765,6 +765,34 @@ def test_shortest_connection_matches_reference(graphs):
                                           bound), (t, g1, g2, bound)
                     outcomes.add(got[0])  # a distance, None, or an error code
     assert {None, 0, 1, 2, 3, "FAMILY_MISMATCH"} <= outcomes
+
+
+def reference_find_connection(graph, cfg, g1, g2, t):
+    """``structure.find_connection`` as two separate kernel calls, each
+    working out both elements' member nodes itself."""
+    for g in (g1, g2):
+        if not graph.exists_at(g, t):
+            raise TgqError(ABSENT_ELEMENT, f"{g} does not exist at t={graph.label_of(t)}")
+    adjacent, edges = are_adjacent(graph, t, g1, g2)
+    dist, path = shortest_connection(graph, t, g1, g2)
+    return structure.ConnectionReport(adjacent, dist, tuple(path) if path else None,
+                                      tuple(edges))
+
+
+def test_find_connection_matches_separate_kernel_calls(graphs):
+    """Objects "o" and "p" share a node; members come and go over time."""
+    outcomes = set()
+    for graph in graphs:
+        n0 = node_ref(graph.node_ids()[0])
+        pairs = endpoints(graph) + [(n0, n0), (object_ref("o"),) * 2,
+                                    (object_ref("o"), edge_ref(graph.edge_ids()[0]))]
+        for t in range(graph.n_times):
+            for g1, g2 in pairs:
+                got = outcome(structure.find_connection, graph, Config(), g1, g2, t)
+                assert got == outcome(reference_find_connection, graph, Config(), g1, g2, t), (
+                    t, g1, g2)
+                outcomes.add(got[0] if isinstance(got, tuple) else (got.adjacent, got.distance))
+    assert {ABSENT_ELEMENT, FAMILY_MISMATCH, (True, 1), (False, 0), (False, None)} <= outcomes
 
 
 def test_snapshot_metrics_match_reference(graphs):

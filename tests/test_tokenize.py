@@ -3,8 +3,8 @@
 ``reference_tokenize.py`` holds ``tokenize`` as it was before each token,
 with the whitespace before it, took one regex match. On every query of the
 golden corpus and the pins, and on seeded variants of them, the two must
-give the same tokens (kind, value and its type, line and column) or the
-same ParseError (message, line, column, expected and found). The variants
+give the same tokens (kind, value and its type, line, column and the
+upper-cased text keywords are matched on) or the same ParseError (message, line, column, expected and found). The variants
 put newlines, ``\\r\\n``, tabs and runs of whitespace between the tokens and
 around the query, and splice in strings holding ``\\"``, ``\\\\`` and a
 newline, unterminated strings, characters no token starts with (after a
@@ -36,6 +36,7 @@ EDGE_CASES = [
     "", " ", "\n", "\r\n", "\t \n ", "\"", "\"\n", "#", "\n#", "a\n\n  #",
     'LOOKUP w OF node:a AT t="x\ny"\nFROM', '"a"\n"b\n\nc" d', "1e999", "\n 1e999",
     "  LOOKUP w OF node:a AT t=2  ", "\r\nLOOKUP\r\n w", "x\ty\n\tz",
+    'FIND t WHERE w = "a\nb" AT t=1\nFOR node:a', "LOOKUP w OF node:a AT t=2\n",
 ]
 
 
@@ -65,7 +66,12 @@ def outcome(tokenizer, text: str):
 
 
 def assert_same(text: str) -> None:
+    """The same outcome as the reference, and each token's ``upper`` what
+    the reference's ``upper`` property gives."""
     assert outcome(tokenize, text) == outcome(reference_tokenize, text), repr(text)
+    if outcome(tokenize, text)[0] != "error":
+        assert [t.upper for t in tokenize(text)] == [
+            t.upper for t in reference_tokenize(text)], repr(text)
 
 
 @pytest.mark.parametrize("name, texts", [("corpus", CORPUS), ("pins", PINS),
