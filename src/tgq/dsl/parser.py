@@ -1,11 +1,15 @@
 """Hand-written recursive-descent parser for the query language.
 
-The tokenizer takes each token and the whitespace before it in one regex
-match, the named group that matched giving its kind, and counts newlines only
-in that whitespace and inside strings: each token carries its 1-based line
-and column (in characters), so syntax errors point at the offending spot and
-carry the token set the parser would have accepted. Keywords are
-case-insensitive; identifiers and reference ids are case-sensitive.
+The tokenizer walks the text with one ``finditer`` pass of one regex, each
+match taking a token and the whitespace before it, the named group that
+matched giving its kind. Each token carries its 1-based line and column (in
+characters), so syntax errors point at the offending spot and carry the
+token set the parser would have accepted. A text with no newline is all
+line 1, a token's column its index plus one; otherwise the newlines between
+one token's start and the next (in the whitespace and inside strings) are
+counted as the pass goes. Keywords are case-insensitive: each token holds
+its text upper-cased (``Token.upper``), folded once when it is made, which
+every keyword test reads. Identifiers and reference ids are case-sensitive.
 """
 
 from __future__ import annotations
@@ -45,8 +49,7 @@ _TOKEN_RE = re.compile(
     \s*(?:
       (?P<STRING>"(?:[^"\\]|\\.)*")
     | (?P<NUMBER>-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)
-    | (?P<REF>[A-Za-z_][A-Za-z0-9_]*:[A-Za-z0-9_.\-]+)
-    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*(?::[A-Za-z0-9_.\-]+)?)  # a REF if it holds ":"
     | (?P<OP><=|>=|!=|=|<|>|\(|\)|\[|\]|\{|\}|,|:)
     | (?P<EOF>\Z)
     | (?P<BAD>)
@@ -75,44 +78,46 @@ class Token(NamedTuple):
     value: object
     line: int
     col: int
-
-    @property
-    def upper(self) -> str:
-        return self.value.upper() if isinstance(self.value, str) else ""
+    upper: str  # value.upper() for a str value, else ""
 
 
 def tokenize(text: str) -> list:
     tokens = []
+    new = tuple.__new__
+    multiline = "\n" in text
     line, line_start = 1, 0  # line_start: the index of the line's first character
-    pos = counted = 0  # newlines before index `counted` are in `line`
-    while True:
-        m = _TOKEN_RE.match(text, pos)
+    counted = 0  # newlines before index `counted` are in `line`
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        start, pos = m.span(kind)
-        newlines = text.count("\n", counted, start)
-        if newlines:
-            line += newlines
-            line_start = text.rfind("\n", counted, start) + 1
-        counted = start
+        start, end = m.span(kind)
+        if multiline:
+            newlines = text.count("\n", counted, start)
+            if newlines:
+                line += newlines
+                line_start = text.rfind("\n", counted, start) + 1
+            counted = start
         col = start - line_start + 1
-        raw = text[start:pos]
-        if kind in ("IDENT", "OP", "REF"):
-            value = raw
+        raw = text[start:end]
+        if kind == "IDENT" or kind == "OP":
+            value, upper = raw, raw.upper()
+            if kind == "IDENT" and ":" in raw:
+                kind = "REF"
         elif kind == "NUMBER":
-            value = float(raw)
+            value, upper = float(raw), ""
             if not math.isfinite(value):
                 raise ParseError(f"number {raw} is not finite", line, col, found=raw)
             if not ("." in raw or "e" in raw or "E" in raw):
                 value = int(raw)
         elif kind == "STRING":
             value = re.sub(r"\\(.)", r"\1", raw[1:-1])
+            upper = value.upper()
         elif kind == "EOF":
-            tokens.append(Token(kind, None, line, col))
+            tokens.append(new(Token, (kind, None, line, col, "")))
             return tokens
         else:  # BAD
             raise ParseError(f"unexpected character {text[start]!r}", line, col,
                              found=text[start])
-        tokens.append(Token(kind, value, line, col))
+        tokens.append(new(Token, (kind, value, line, col, upper)))
 
 
 def parse(text: str):
@@ -153,32 +158,38 @@ class _Parser:
                           expected=set(expected), found=found)
 
     def at_kw(self, *words) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == "IDENT" and tok.upper in words
 
     def take_kw(self, *words) -> bool:
-        if self.at_kw(*words):
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok.kind == "IDENT" and tok.upper in words:
+            self.pos += 1
             return True
         return False
 
     def expect_kw(self, word: str) -> None:
-        if not self.take_kw(word):
+        tok = self.tokens[self.pos]
+        if tok.kind != "IDENT" or tok.upper != word:
             raise self.error({word})
+        self.pos += 1
 
     def at_op(self, *ops) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         return tok.kind == "OP" and tok.value in ops
 
     def take_op(self, *ops) -> bool:
-        if self.at_op(*ops):
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok.kind == "OP" and tok.value in ops:
+            self.pos += 1
             return True
         return False
 
     def expect_op(self, op: str) -> None:
-        if not self.take_op(op):
+        tok = self.tokens[self.pos]
+        if tok.kind != "OP" or tok.value != op:
             raise self.error({op})
+        self.pos += 1
 
     def expect_kind(self, kind: str) -> Token:
         if self.peek().kind != kind:
@@ -220,7 +231,10 @@ class _Parser:
         return self.advance().value
 
     def elem_ref(self) -> ast.Ref:
-        tok = self.expect_kind("REF")
+        tok = self.tokens[self.pos]
+        if tok.kind != "REF":
+            raise self.error({"REF"})
+        self.pos += 1
         kind, _, ident = tok.value.partition(":")
         if kind not in REF_KINDS:
             raise ParseError(f"unknown reference kind '{kind}'", tok.line, tok.col,
@@ -228,10 +242,8 @@ class _Parser:
         return ast.Ref(kind, ident)
 
     def group_ref(self) -> ast.GroupRef:
-        if self.take_kw("NODES"):
-            return ast.GroupRef("nodes")
-        if self.take_kw("EDGES"):
-            return ast.GroupRef("edges")
+        if self.at_kw("NODES", "EDGES"):
+            return ast.GroupRef(self.advance().value.lower())
         tok = self.peek()
         if tok.kind == "REF" and tok.value.partition(":")[0] in REF_KINDS - {"subset"}:
             raise self.error({"subset:<name>", "NODES", "EDGES"})  # an element
@@ -247,16 +259,17 @@ class _Parser:
         return ref
 
     def label(self):
-        if self.peek().kind in ("NUMBER", "STRING"):
-            return self.advance().value
-        raise self.error({"time label"})
+        tok = self.tokens[self.pos]
+        if tok.kind != "NUMBER" and tok.kind != "STRING":
+            raise self.error({"time label"})
+        self.pos += 1
+        return tok.value
 
     def time_ref(self) -> ast.TimeRef:
         # canonical `t=2`; a bare label is accepted
-        if self.peek().kind == "IDENT" and self.peek().upper == "T" \
-                and self.peek(1).kind == "OP" and self.peek(1).value == "=":
-            self.advance()
-            self.advance()
+        tok, nxt = self.tokens[self.pos], self.peek(1)
+        if tok.kind == "IDENT" and tok.upper == "T" and nxt.kind == "OP" and nxt.value == "=":
+            self.pos += 2
         return ast.TimeRef(self.label())
 
     def interval_ref(self) -> ast.IntervalRef:
@@ -271,10 +284,8 @@ class _Parser:
         tok = self.peek()
         if tok.kind in ("NUMBER", "STRING"):
             return self.advance().value
-        if self.take_kw("TRUE"):
-            return True
-        if self.take_kw("FALSE"):
-            return False
+        if self.at_kw("TRUE", "FALSE"):
+            return self.advance().upper == "TRUE"
         raise self.error({"value"})
 
     def predicate(self) -> ast.Predicate:
@@ -304,23 +315,12 @@ class _Parser:
         return ast.FamilySpec(name)
 
     def conn_spec(self) -> ast.ConnSpecLit:
-        if self.take_kw("ADJACENT"):
-            mode, k = "ADJACENT", None
-        elif self.take_kw("PATH"):
-            mode = "PATH"
-            k = None
-            if self.take_op("<="):
-                k = self.integer()
-        else:
-            raise self.error({"ADJACENT", "PATH"})
+        mode, k = self.word({"ADJACENT", "PATH"}), None
+        if mode == "PATH" and self.take_op("<="):
+            k = self.integer()
         direction = None
         if self.take_kw("DIR"):
-            if self.take_kw("OUT"):
-                direction = "OUT"
-            elif self.take_kw("IN"):
-                direction = "IN"
-            else:
-                raise self.error({"OUT", "IN"})
+            direction = self.word({"OUT", "IN"})
         pred = None
         if self.take_kw("WITH"):
             pred = self.predicate()
@@ -329,29 +329,16 @@ class _Parser:
     # -- tail clauses -------------------------------------------------------
 
     def tail_clauses(self, allowed: str) -> dict:
-        """AT / FOR / IN / DURING / WINDOWS / OVER in any order."""
+        """AT / FOR / IN / DURING / WINDOWS / OVER in any order, each clause
+        read while its letter is in ``allowed`` and it has not been read."""
         out: dict = {}
         while True:
-            if "a" in allowed and self.at_kw("AT") and "at" not in out:
-                self.advance()
-                out["at"] = self.time_ref()
-            elif "f" in allowed and self.at_kw("FOR") and "for_ref" not in out:
-                self.advance()
-                out["for_ref"] = self.elem_ref()
-            elif "i" in allowed and self.at_kw("IN") and "in_group" not in out:
-                self.advance()
-                out["in_group"] = self.group_ref()
-            elif "d" in allowed and self.at_kw("DURING") and "during" not in out:
-                self.advance()
-                out["during"] = self.interval_ref()
-            elif "w" in allowed and self.at_kw("WINDOWS") and "windows" not in out:
-                self.advance()
-                out["windows"] = self.integer()
-            elif "o" in allowed and self.at_kw("OVER") and "family" not in out:
-                self.advance()
-                out["family"] = self.family()
-            else:
+            tok = self.tokens[self.pos]
+            clause = _TAIL_CLAUSES.get(tok.upper) if tok.kind == "IDENT" else None
+            if clause is None or clause[0] not in allowed or clause[1] in out:
                 return out
+            self.pos += 1
+            out[clause[1]] = clause[2](self)
 
     # -- pattern literals -----------------------------------------------------
 
@@ -434,12 +421,10 @@ class _Parser:
         self.expect_kw("ON")
         attr = self.ident("attribute")
         family = of_target = None
-        if self.take_kw("OVER"):
+        if self.word({"OVER", "OF"}) == "OVER":
             family = self.family()
-        elif self.take_kw("OF"):
-            of_target = self.any_target()
         else:
-            raise self.error({"OVER", "OF"})
+            of_target = self.any_target()
         tail = self.tail_clauses("adw")
         return ast.Search(pattern, attr, family, of_target, **tail)
 
@@ -484,19 +469,12 @@ class _Parser:
             return ast.SideValue(self.value())
         if self.at_op("["):
             return ast.SideInterval(self.interval_ref())
-        if tok.kind == "REF":
+        if tok.kind == "REF" or self.at_kw("NODES", "EDGES"):
             ref = self.any_target()
-            tail = self.tail_clauses("ad")
-            return ast.SideRef(ref, **tail)
-        if self.at_kw("NODES", "EDGES"):
-            group = self.group_ref()
-            tail = self.tail_clauses("ad")
-            return ast.SideRef(group, **tail)
+            return ast.SideRef(ref, **self.tail_clauses("ad"))
         if tok.kind == "IDENT" and tok.upper == "T" \
                 and self.peek(1).kind == "OP" and self.peek(1).value == "=":
-            self.advance()
-            self.advance()
-            return ast.SideTime(ast.TimeRef(self.label()))
+            return ast.SideTime(self.time_ref())
         if self.at_kw("FIND"):
             return ast.SideFind(self.q_find())
         if self.at_kw("SEARCH"):
@@ -680,18 +658,17 @@ class _Parser:
 
     def q_struct(self):
         self.expect_kw("STRUCT")
-        if self.take_kw("CHARACTERIZE"):
+        if self.word({"CHARACTERIZE", "SEARCH"}) == "CHARACTERIZE":
             return ast.StructCharacterize(self.struct_scope())
-        if self.take_kw("SEARCH"):
-            pattern = self.struct_pattern_literal()
-            self.expect_kw("OVER")
-            family = self.family()
-            tail = self.tail_clauses("adw")
-            return ast.StructSearch(pattern, family, **tail)
-        raise self.error({"CHARACTERIZE", "SEARCH"})
+        pattern = self.struct_pattern_literal()
+        self.expect_kw("OVER")
+        family = self.family()
+        tail = self.tail_clauses("adw")
+        return ast.StructSearch(pattern, family, **tail)
 
     def struct_scope(self) -> ast.StructScopeNode:
-        if self.take_kw("PAIR"):
+        kind = self.word({"PAIR", "CONFIG", "PAIRS", "CONFIGTREND"})
+        if kind == "PAIR":
             self.expect_op("(")
             g1 = self.elem_ref()
             self.expect_op(",")
@@ -702,17 +679,9 @@ class _Parser:
                 conn = self.conn_spec()
             tail = self.tail_clauses("ad")
             return ast.StructScopeNode("PAIR", g1, g2, None, conn=conn, **tail)
-        if self.take_kw("CONFIG"):
-            kind, metrics = "CONFIG", None
-        elif self.take_kw("CONFIGTREND"):
-            kind = "CONFIGTREND"
-            metrics = None
-            if not self.at_kw("OF"):
-                metrics = self.comma_list(lambda: self.word(METRICS, fold=False))
-        elif self.take_kw("PAIRS"):
-            kind, metrics = "PAIRS", None
-        else:
-            raise self.error({"PAIR", "CONFIG", "PAIRS", "CONFIGTREND"})
+        metrics = None
+        if kind == "CONFIGTREND" and not self.at_kw("OF"):
+            metrics = self.comma_list(lambda: self.word(METRICS, fold=False))
         self.expect_kw("OF")
         group = self.group_ref()
         conn = None
@@ -749,6 +718,16 @@ class _Parser:
         tail = self.tail_clauses("ad")
         return ast.GraphSeries(attr, target, agg=agg, **tail)
 
+
+# keyword -> (clause letter, AST field, reader)
+_TAIL_CLAUSES = {
+    "AT": ("a", "at", _Parser.time_ref),
+    "FOR": ("f", "for_ref", _Parser.elem_ref),
+    "IN": ("i", "in_group", _Parser.group_ref),
+    "DURING": ("d", "during", _Parser.interval_ref),
+    "WINDOWS": ("w", "windows", _Parser.integer),
+    "OVER": ("o", "family", _Parser.family),
+}
 
 _QUERY_HANDLERS = {
     "LOOKUP": _Parser.q_lookup,

@@ -81,6 +81,10 @@ _QUADRANTS = {"TREND": Quadrant.Q3_TREND_OF_G, "DIST": Quadrant.Q2_DIST_AT_T,
               "ASPECT": Quadrant.Q4_ASPECTUAL}
 
 
+# An element reference's kind text -> its ElemKind, without an Enum call.
+# Validation keeps a subset reference from every place ``elem`` reads.
+_ELEM_KINDS = {kind.value: kind for kind in ElemKind}
+
 # PERELEMENT reports one correlation for each member of one subset.
 _PER_ELEMENT = "PERELEMENT needs one shared subset scope"
 
@@ -99,7 +103,7 @@ class _Planner:
     # -- resolution helpers -------------------------------------------------
 
     def elem(self, ref: ast.Ref) -> GraphElementRef:
-        resolved = GraphElementRef(ElemKind(ref.kind), ref.id)
+        resolved = GraphElementRef(_ELEM_KINDS[ref.kind], ref.id)
         if not self.graph.has_ref(resolved):
             raise TgqError(VALIDATION_ERROR, f"unknown {ref.kind} '{ref.id}'")
         return resolved

@@ -55,6 +55,10 @@ class ElemKind(str, Enum):
     OBJECT = "object"
 
 
+# ElemKind -> its text: a dict lookup costs less than the Enum's ``value``.
+_KIND_TEXT = {kind: kind.value for kind in ElemKind}
+
+
 class AttrKind(str, Enum):
     NUMERIC = "numeric"
     CATEGORICAL = "categorical"
@@ -69,7 +73,7 @@ class GraphElementRef:
     id: str
 
     def __str__(self) -> str:
-        return f"{self.kind.value}:{self.id}"
+        return f"{_KIND_TEXT[self.kind]}:{self.id}"
 
     @staticmethod
     def parse(token: str) -> "GraphElementRef":
@@ -199,6 +203,8 @@ class TemporalGraph:
         self._columns: dict = {}
         self._refs: dict = {}  # kind -> sorted tuple of its refs, built on first use
         self._object_intervals: dict = {}  # object id -> merged member intervals, on first use
+        self._kind_tables = {ElemKind.NODE: self.nodes, ElemKind.EDGE: self.edges,
+                             ElemKind.OBJECT: self.objects}  # kind -> its id table
         self._node_edges: dict = {}
         for edge_id, e in self.edges.items():
             self._node_edges.setdefault(e.src, []).append(edge_id)
@@ -257,8 +263,7 @@ class TemporalGraph:
         """Refs of the given kinds, nodes then edges then objects, each sorted
         by id; a fresh list per call."""
         refs = []
-        for kind, table in ((ElemKind.NODE, self.nodes), (ElemKind.EDGE, self.edges),
-                            (ElemKind.OBJECT, self.objects)):
+        for kind, table in self._kind_tables.items():
             if kind in kinds:
                 if kind not in self._refs:
                     self._refs[kind] = tuple(GraphElementRef(kind, i) for i in sorted(table))
@@ -266,12 +271,7 @@ class TemporalGraph:
         return refs
 
     def has_ref(self, ref: GraphElementRef) -> bool:
-        table = {
-            ElemKind.NODE: self.nodes,
-            ElemKind.EDGE: self.edges,
-            ElemKind.OBJECT: self.objects,
-        }[ref.kind]
-        return ref.id in table
+        return ref.id in self._kind_tables[ref.kind]
 
     def subset(self, name: str) -> GraphSubset:
         if name not in self.subsets:

@@ -159,28 +159,35 @@ def _member_nodes(graph: TemporalGraph, ref: GraphElementRef, t: int, family: st
     raise TgqError(FAMILY_MISMATCH, f"{family}, not {ref}")
 
 
+def _members(graph: TemporalGraph, t: int, g1: GraphElementRef, g2: GraphElementRef) -> tuple:
+    """The alive member nodes of both elements at t, g1's first."""
+    return (_member_nodes(graph, g1, t, _RELATION_FAMILY),
+            _member_nodes(graph, g2, t, _RELATION_FAMILY))
+
+
 def shortest_connection(
     graph: TemporalGraph,
     t: int,
     g1: GraphElementRef,
     g2: GraphElementRef,
     max_distance: Optional[int] = None,
+    members: Optional[tuple] = None,
 ):
     """(distance, node path) between two elements in the snapshot at t,
     edges taken either way, or (None, None) when no path (within the bound)
-    exists.
+    exists. ``members`` is ``_members(graph, t, g1, g2)`` where the caller
+    has it.
 
     Graph objects connect through any member node; their internal hops are
     free, so the distance is the minimum over cross pairs.
     """
-    sources = _member_nodes(graph, g1, t, _RELATION_FAMILY)
-    targets = frozenset(_member_nodes(graph, g2, t, _RELATION_FAMILY))
+    sources, targets = members or _members(graph, t, g1, g2)
     if not sources or not targets:
         return None, None
-    if g1 == g2:
-        return 0, sources[:1]
+    targets = frozenset(targets)
     if not targets.isdisjoint(sources):
-        # Overlapping objects touch by construction.
+        # An element meets itself, and overlapping objects touch, at their
+        # least shared node (sources are sorted).
         return 0, [min(targets.intersection(sources))]
     # Sources are sorted and every neighbour tuple is too, so the first
     # target found is the same on every run.
@@ -194,10 +201,12 @@ def shortest_connection(
     return len(path) - 1, path[::-1]
 
 
-def are_adjacent(graph: TemporalGraph, t: int, g1: GraphElementRef, g2: GraphElementRef):
-    """(flag, witness edge ids): any alive edge crossing between the two."""
-    nodes1 = _member_nodes(graph, g1, t, _RELATION_FAMILY)
-    nodes2 = set(_member_nodes(graph, g2, t, _RELATION_FAMILY))
+def are_adjacent(graph: TemporalGraph, t: int, g1: GraphElementRef, g2: GraphElementRef,
+                 members: Optional[tuple] = None):
+    """(flag, witness edge ids): any alive edge crossing between the two.
+    ``members`` is ``_members(graph, t, g1, g2)`` where the caller has it."""
+    nodes1, nodes2 = members or _members(graph, t, g1, g2)
+    nodes2 = set(nodes2)
     hits = []
     for a in nodes1:
         for edge_id in graph.edges_between_any(a, nodes2, t):

@@ -42,7 +42,7 @@ from .graph import (
     node_ref,
 )
 from .patterns import _OPPOSITE_TRENDS, _frequency_similarity, as_pattern, classify_trend, match_score
-from .relations import _member_nodes, are_adjacent, shortest_connection
+from .relations import _member_nodes, _members, are_adjacent, shortest_connection
 from .search import (
     GroupCandidate,
     SearchSpace,
@@ -215,8 +215,9 @@ def find_connection(
     for g in (g1, g2):
         if not graph.exists_at(g, t):
             raise TgqError(ABSENT_ELEMENT, f"{g} does not exist at t={graph.label_of(t)}")
-    adjacent, edges = are_adjacent(graph, t, g1, g2)
-    dist, path = shortest_connection(graph, t, g1, g2)
+    members = _members(graph, t, g1, g2)
+    adjacent, edges = are_adjacent(graph, t, g1, g2, members)
+    dist, path = shortest_connection(graph, t, g1, g2, members=members)
     return ConnectionReport(adjacent, dist, tuple(path) if path else None, tuple(edges))
 
 

@@ -330,9 +330,10 @@ class LookupSide:
 
     def resolve(self, graph: TemporalGraph, cfg: Config) -> Resolved:
         value, aggregated = graph.value_at_info(self.t, self.ref, self.attr, cfg)
+        name = str(self.ref)
         return Resolved(
-            value, self.t, str(self.ref),
-            {"t": graph.label_of(self.t), "element": str(self.ref),
+            value, self.t, name,
+            {"t": graph.label_of(self.t), "element": name,
              "attr": self.attr, "value": value, "aggregated": aggregated},
         )
 
