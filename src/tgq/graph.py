@@ -484,17 +484,17 @@ def _load(numbered) -> TemporalGraph:
             if text[:1] == "{" and text[-1:] == "}":  # nearly every line: one object alone
                 try:  # json.loads's own scan, without the checks it makes around it
                     rec, end = scan(text, 0)
-                except (ValueError, StopIteration):  # the latter where a value is missing
-                    pass  # json.loads below raises it again, with the message users see
+                except (ValueError, StopIteration, RecursionError):  # StopIteration: a value
+                    pass  # is missing; json.loads below fails as well, and its error is named
             if end != len(text):
                 if not text.strip():
                     continue
                 try:
                     rec = json.loads(text)
-                except json.JSONDecodeError as err:
+                except (ValueError, RecursionError) as err:
                     raise TgqError(
-                        SCHEMA_ERROR, f"line {lineno}: invalid JSON ({err.msg})", line=lineno
-                    ) from None
+                        SCHEMA_ERROR, f"line {lineno}: invalid JSON ({_json_error(err)})",
+                        line=lineno) from None
         else:
             rec = item
         if not isinstance(rec, dict):
@@ -804,6 +804,14 @@ def load_path(path: str) -> TemporalGraph:
     return load(lines.pop() for _ in range(len(lines)))
 
 
+def _json_error(err: Exception) -> str:
+    """Why ``json.loads`` failed: its own message, or which of Python's
+    limits the text ran into (the recursion limit, int's digit limit)."""
+    if isinstance(err, json.JSONDecodeError):
+        return err.msg
+    return "nesting too deep" if isinstance(err, RecursionError) else "number too long"
+
+
 def _csv_records(text: str):
     """CSV variant of the ingest format as (line, record) pairs, the line
     being the file line where the record ends. Same columns; empty cells are
@@ -825,6 +833,11 @@ def _csv_records(text: str):
                         rec[key] = json.loads(cell)
                     except json.JSONDecodeError:
                         rec[key] = cell
+                    except (ValueError, RecursionError) as err:
+                        line = reader.line_num
+                        raise TgqError(
+                            SCHEMA_ERROR, f"line {line}: invalid CSV ({_json_error(err)})",
+                            line=line) from None
             if rec:
                 yield reader.line_num, rec
     except csv.Error as err:  # e.g. a field over the csv module's size limit

@@ -205,6 +205,19 @@ class TestExitCodes:
             assert (code, out) == (2, "")
             assert err == f"error: SCHEMA_ERROR: line {line}: invalid UTF-8 ({reason})\n"
 
+    @pytest.mark.parametrize("name, line, message", [
+        ("deep.jsonl", "[" * 100_000 + "]" * 100_000, "invalid JSON (nesting too deep)"),
+        ("long.jsonl", '{"type":"node","id":"b","start":' + "1" * 5000 + "}",
+         "invalid JSON (number too long)"),
+        ("long.csv", "node,b," + "1" * 5000 + ",1", "invalid CSV (number too long)"),
+    ], ids=["nesting", "long_integer", "csv"])
+    def test_past_python_limits_is_a_schema_error(self, capsys, tmp_path, name, line, message):
+        data = tmp_path / name
+        head = "type,id,start,end" if name.endswith(".csv") else '{"type":"node","id":"a","start":0}'
+        data.write_text(f"{head}\n{line}\n")
+        code, out, err = run_cli(["load", str(data)], capsys)
+        assert (code, out, err) == (2, "", f"error: SCHEMA_ERROR: line 2: {message}\n")
+
     def test_oversized_csv_field(self, capsys, tmp_path):
         data = tmp_path / "big.csv"
         data.write_text("type,id,start,end\nnode,a,0,1\n" + f'node,"{"a" * 200_000}",0,1\n')

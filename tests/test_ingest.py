@@ -300,14 +300,39 @@ def test_malformed_file(case):
         assert got[1].startswith(prefix) and got[2] == line
 
 
-def test_deep_nesting_raises_what_json_loads_raises():
-    for text in ('{"a":' * 100_000 + "1" + "}" * 100_000, "[" * 100_000 + "]" * 100_000):
-        with pytest.raises(RecursionError) as want:
-            json.loads(text)
-        for loader in (_load, reference_load):
-            with pytest.raises(RecursionError) as got:
-                loader(numbered([json.dumps(node("a")), text]))
-            assert str(got.value) == str(want.value)
+DEEP_OBJECT = '{"a":' * 100_000 + "1" + "}" * 100_000
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+LONG_INTEGER = '{"type": "node", "id": "b", "start": ' + "1" * 5000 + "}"
+
+
+@pytest.mark.parametrize("text, reason", [
+    (DEEP_OBJECT, "nesting too deep"), (DEEP_ARRAY, "nesting too deep"),
+    (LONG_INTEGER, "number too long"),
+], ids=["object", "array", "long_integer"])
+def test_deep_nesting_and_long_integers_name_their_line(text, reason):
+    """Past the recursion limit or int's digit limit, ``json.loads`` raises
+    RecursionError or ValueError; the loader names the line instead, and
+    the reference loader lets the error out."""
+    pairs = numbered([json.dumps(node("a")), text])
+    assert first_error(_load, pairs) == (SCHEMA_ERROR, f"line 2: invalid JSON ({reason})", 2)
+    with pytest.raises((RecursionError, ValueError)) as want:
+        json.loads(text)
+    with pytest.raises(type(want.value)) as got:
+        reference_load(pairs)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("cell, reason", [
+    ('"' + "[" * 50_000 + "]" * 50_000 + '"', "nesting too deep"),
+    ("1" * 5000, "number too long"),
+], ids=["nesting", "long_integer"])
+def test_deep_nesting_and_long_integers_in_csv_name_their_line(tmp_path, cell, reason):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"type,id,start,end\nnode,a,0,1\nnode,b,{cell},1\n")
+    with pytest.raises(TgqError) as e:
+        load_path(str(path))
+    assert (e.value.code, e.value.message, e.value.details["line"]) == (
+        SCHEMA_ERROR, f"line 3: invalid CSV ({reason})", 3)
 
 
 def test_invalid_utf8_names_its_line():
