@@ -187,7 +187,7 @@ def shortest_connection(
     targets = frozenset(targets)
     if not targets.isdisjoint(sources):
         # An element meets itself, and overlapping objects touch, at their
-        # least shared node (sources are sorted).
+        # least shared node.
         return 0, [min(targets.intersection(sources))]
     # Sources are sorted and every neighbour tuple is too, so the first
     # target found is the same on every run.

@@ -216,7 +216,7 @@ def find_connection(
         if not graph.exists_at(g, t):
             raise TgqError(ABSENT_ELEMENT, f"{g} does not exist at t={graph.label_of(t)}")
     members = _members(graph, t, g1, g2)
-    adjacent, edges = are_adjacent(graph, t, g1, g2, members)
+    adjacent, edges = are_adjacent(graph, t, g1, g2, members=members)
     dist, path = shortest_connection(graph, t, g1, g2, members=members)
     return ConnectionReport(adjacent, dist, tuple(path) if path else None, tuple(edges))
 

@@ -276,6 +276,16 @@ class TestPlan:
             parse(query)
         assert e.value.expected == {"integer"}
 
+    @pytest.mark.parametrize("query, col", [
+        ("STRUCT SEARCH CONFIG density=high OVER SUBSETS", 30),
+        ("COMPARE w OF node:a AT t=0 WITH w OF node:c AT t=0 USING WITHIN(x)", 65),
+        ('SEEK g1,g2 WHERE w(g1) WITHIN("1") w(g2)', 31),
+    ])
+    def test_number_positions_reject_other_tokens(self, query, col):
+        with pytest.raises(ParseError) as e:
+            parse(query)
+        assert (e.value.line, e.value.col, e.value.expected) == (1, col, {"NUMBER"})
+
     @pytest.mark.parametrize("query, expected", [
         ('SEARCH "increasing" ON w OVER EACH_NODE',
          {c.value for c in TrendClass} | {"DIST", "ASPECT"}),
