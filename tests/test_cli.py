@@ -213,7 +213,8 @@ class TestExitCodes:
     ], ids=["nesting", "long_integer", "csv"])
     def test_past_python_limits_is_a_schema_error(self, capsys, tmp_path, name, line, message):
         data = tmp_path / name
-        head = "type,id,start,end" if name.endswith(".csv") else '{"type":"node","id":"a","start":0}'
+        head = ("type,id,start,end" if name.endswith(".csv")
+                else '{"type":"node","id":"a","start":0}')
         data.write_text(f"{head}\n{line}\n")
         code, out, err = run_cli(["load", str(data)], capsys)
         assert (code, out, err) == (2, "", f"error: SCHEMA_ERROR: line 2: {message}\n")

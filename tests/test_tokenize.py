@@ -4,11 +4,12 @@
 with the whitespace before it, took one regex match. On every query of the
 golden corpus and the pins, and on seeded variants of them, the two must
 give the same tokens (kind, value and its type, line, column and the
-upper-cased text keywords are matched on) or the same ParseError (message, line, column, expected and found). The variants
-put newlines, ``\\r\\n``, tabs and runs of whitespace between the tokens and
-around the query, and splice in strings holding ``\\"``, ``\\\\`` and a
-newline, unterminated strings, characters no token starts with (after a
-newline too) and numbers too large to be finite.
+upper-cased text keywords are matched on) or the same ParseError (message,
+line, column, expected and found). The variants put newlines, ``\\r\\n``,
+tabs and runs of whitespace between the tokens and around the query, and
+splice in strings holding ``\\"``, ``\\\\`` and a newline, unterminated
+strings, characters no token starts with (after a newline too) and numbers
+too large to be finite.
 """
 
 import random
