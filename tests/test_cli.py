@@ -327,7 +327,8 @@ class TestCorpus:
 
     def test_corpus_stable_across_processes(self):
         # Different hash seeds shake out any set-iteration order leaking
-        # into serialized output.
+        # into serialized output: the corpus, every pin and a batch of
+        # random queries (tests/answer_batches.py), in one process per seed.
         import os
         import subprocess
         import sys
@@ -336,10 +337,11 @@ class TestCorpus:
         for seed in ("0", "424242"):
             env = dict(os.environ, PYTHONHASHSEED=seed)
             proc = subprocess.run(
-                [sys.executable, "-m", "tgq.cli", "corpus", GRAPH, QUERIES],
+                [sys.executable, str(Path(__file__).parent / "answer_batches.py")],
                 capture_output=True, env=env, check=True,
             )
             outputs.append(proc.stdout)
+        assert len(outputs[0].splitlines()) == 176 + 239 + 1000
         assert outputs[0] == outputs[1]
 
     def test_corpus_reports_failures(self, capsys, tmp_path):
