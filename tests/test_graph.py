@@ -15,7 +15,7 @@ from tgq.errors import (
     VALIDATION_ERROR,
 )
 from tgq.graph import (
-    ElemKind, _covered, _merge_intervals, edge_ref, load, load_path, node_ref, object_ref,
+    ElemKind, GraphElementRef, _covered, _merge_intervals, edge_ref, load, load_path, node_ref, object_ref,
 )
 
 from conftest import jl
@@ -519,6 +519,32 @@ class TestAllRefs:
         assert chain_graph._refs == {}
         for g in _small_graphs():
             assert g._refs == {}
+
+
+class TestRefs:
+    def test_str_is_kind_colon_id(self):
+        assert [str(node_ref("a")), str(edge_ref("e:1")), str(object_ref("O"))] == [
+            "node:a", "edge:e:1", "object:O"]
+
+    def test_refs_sort_by_kind_text_then_id(self):
+        refs = [object_ref("a"), node_ref("b"), edge_ref("c"), node_ref("a"),
+                edge_ref("a"), object_ref("0")]
+        want = [edge_ref("a"), edge_ref("c"), node_ref("a"), node_ref("b"),
+                object_ref("0"), object_ref("a")]
+        assert sorted(refs) == want
+        assert sorted(refs, key=lambda r: tuple(str(r).split(":", 1))) == want
+
+    def test_parse_round_trips(self):
+        for ref in (node_ref("a"), edge_ref("e:1"), object_ref("O")):
+            assert GraphElementRef.parse(str(ref)) == ref
+        assert GraphElementRef.parse("node:") == node_ref("")
+
+    @pytest.mark.parametrize("token", ["subset:x", "Node:a", "a"])
+    def test_parse_rejects_other_kinds(self, token):
+        with pytest.raises(TgqError) as e:
+            GraphElementRef.parse(token)
+        assert e.value.code == SCHEMA_ERROR
+        assert e.value.message == f"bad element reference '{token}' (want kind:id)"
 
 
 def _graphs_with_objects():

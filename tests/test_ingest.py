@@ -409,6 +409,23 @@ def test_bad_element_reference_in_a_query_keeps_its_message():
     assert e.value.details == {}
 
 
+@pytest.mark.parametrize("records, code, message", [
+    ([node("a"), attr("node:a", 0, 1), attr("node:a", 1, "x")], SCHEMA_ERROR,
+     "line 3: attribute 'w' is numeric but got a categorical value"),
+    ([node("a"), attr("node:a", 0, True), attr("node:a", 1, 2)], SCHEMA_ERROR,
+     "line 3: attribute 'w' is boolean but got a numeric value"),
+    ([node("a"), {"type": "subset", "name": "S", "members": ["edge:zz"]}], CONSISTENCY_ERROR,
+     "line 2: subset 'S' references unknown edge 'zz'"),
+    ([node("a"), attr("object:zz", 0, 1)], CONSISTENCY_ERROR,
+     "line 2: attribute on unknown object 'zz'"),
+], ids=["numeric_then_categorical", "boolean_then_numeric", "subset_unknown_edge",
+        "attr_unknown_object"])
+def test_messages_that_name_a_kind(records, code, message):
+    with pytest.raises(TgqError) as e:
+        load(lines_of(records))
+    assert (e.value.code, e.value.message) == (code, message)
+
+
 def test_unknown_element_on_a_repeated_token_names_its_first_record():
     # the lifetime table is built on the token's first use, so an unknown
     # element fails there and never gets a table
