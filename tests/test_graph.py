@@ -15,7 +15,7 @@ from tgq.errors import (
     VALIDATION_ERROR,
 )
 from tgq.graph import (
-    ElemKind, GraphElementRef, _covered, _merge_intervals, edge_ref, load, load_path, node_ref, object_ref,
+    ElemKind, GraphElementRef, TimeInterval, _covered, _merge_intervals, edge_ref, load, load_path, node_ref, object_ref,
 )
 
 from conftest import jl
@@ -519,6 +519,13 @@ class TestAllRefs:
         assert chain_graph._refs == {}
         for g in _small_graphs():
             assert g._refs == {}
+
+
+def test_interval_start_after_end_is_rejected():
+    assert len(TimeInterval(1, 3)) == 3 and len(TimeInterval(2, 2)) == 1
+    with pytest.raises(TgqError) as e:
+        TimeInterval(3, 1)
+    assert (e.value.code, e.value.message) == (VALIDATION_ERROR, "interval start 3 > end 1")
 
 
 class TestRefs:

@@ -141,6 +141,11 @@ class TestDistribution:
         assert d.class_hint == DistClass.CONCENTRATED
         assert d.histogram == (1.0,)
 
+    def test_no_values_is_an_empty_scope(self, cfg):
+        with pytest.raises(TgqError) as e:
+            classify_distribution([], cfg)
+        assert (e.value.code, e.value.message) == (EMPTY_SCOPE, "no defined values in scope")
+
     def test_uniform_bins(self, cfg):
         # Oracle: direct bin count. With 8 bins over [1, 8] and values
         # 1..8, bin width 7/8 puts exactly one value per bin.
