@@ -20,6 +20,9 @@ machinery is built on these primitives:
   its nodes, its edges and one neighbour table that ignores direction,
 - ``exists_at(ref, t)`` tests interval cover.
 
+An element is named by a ``GraphElementRef``: the tuple ``(kind, id)``, kind
+one of the texts ``"node"``, ``"edge"`` and ``"object"``. It prints as
+``kind:id``, sorts by kind text then id, and equals the plain tuple.
 Elements may exist over several disjoint intervals (churn). Graph objects
 (named subgraphs) are first-class elements: their attribute values may be
 recorded directly or aggregated from members.
@@ -34,8 +37,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .config import Config
 from .errors import (
@@ -49,41 +51,33 @@ from .errors import (
 )
 
 
-class ElemKind(str, Enum):
+class ElemKind:
     NODE = "node"
     EDGE = "edge"
     OBJECT = "object"
 
 
-# ElemKind -> its text: a dict lookup costs less than the Enum's ``value``.
-_KIND_TEXT = {kind: kind.value for kind in ElemKind}
-
-
-class AttrKind(str, Enum):
+class AttrKind:
     NUMERIC = "numeric"
     CATEGORICAL = "categorical"
     BOOLEAN = "boolean"
 
 
-@dataclass(frozen=True, order=True)
-class GraphElementRef:
-    """A reference to a node, edge, or graph object by kind and id."""
+class GraphElementRef(NamedTuple):
+    """A reference to a node, edge, or graph object: the tuple (kind, id)."""
 
-    kind: ElemKind
+    kind: str  # an ElemKind text
     id: str
 
     def __str__(self) -> str:
-        return f"{_KIND_TEXT[self.kind]}:{self.id}"
+        return f"{self.kind}:{self.id}"
 
     @staticmethod
     def parse(token: str) -> "GraphElementRef":
         kind, _, ident = token.partition(":")
-        try:
-            return GraphElementRef(ElemKind(kind), ident)
-        except ValueError:
-            raise TgqError(
-                SCHEMA_ERROR, f"bad element reference '{token}' (want kind:id)"
-            ) from None
+        if kind not in (ElemKind.NODE, ElemKind.EDGE, ElemKind.OBJECT):
+            raise TgqError(SCHEMA_ERROR, f"bad element reference '{token}' (want kind:id)")
+        return GraphElementRef(kind, ident)
 
 
 def node_ref(ident: str) -> GraphElementRef:
@@ -195,7 +189,7 @@ class TemporalGraph:
         self.subsets = dict(subsets)  # name -> GraphSubset
         # (kind, id, attr) -> ((t_index, value), ...) sorted by t_index
         self.attrs = dict(attrs)
-        self.attr_kinds = dict(attr_kinds)  # attr name -> AttrKind
+        self.attr_kinds = dict(attr_kinds)  # attr name -> its AttrKind text
         self.external_series = dict(external_series)  # name -> {t_index: float}
         self._snapshots: dict = {}
         # (kind, id, attr, carry[, "resolved" | build]) -> tuple | index, and
@@ -306,7 +300,7 @@ class TemporalGraph:
 
     # -- data function -----------------------------------------------------
 
-    def attr_kind(self, attr: str) -> AttrKind:
+    def attr_kind(self, attr: str) -> str:
         if attr not in self.attr_kinds:
             raise TgqError(VALIDATION_ERROR, f"attribute '{attr}' is not declared by the data")
         return self.attr_kinds[attr]
@@ -357,7 +351,7 @@ class TemporalGraph:
             self._columns[key] = index = build(self.column(ref, attr, cfg))
         return index
 
-    def family_index(self, kind: ElemKind, attr: str, cfg: Config, build, *args):
+    def family_index(self, kind: str, attr: str, cfg: Config, build, *args):
         """``build(self, kind, attr, cfg, *args)``, cached next to the columns
         once whole. ``build`` may read ``cfg`` only through the attribute's
         carry flag, which keys the cache with ``build`` and ``args``."""
@@ -386,7 +380,7 @@ class TemporalGraph:
             self._columns[key] = col = tuple(slots)
         return col
 
-    def sorted_at(self, attr: str, t: int, cfg: Config, kind: ElemKind) -> tuple:
+    def sorted_at(self, attr: str, t: int, cfg: Config, kind: str) -> tuple:
         """``(values, refs, positions)``: the values of ``attr`` at time
         index ``t`` of every element of ``kind`` (every node, or every edge)
         that has one, ascending with ties in ``all_refs`` order, the ref
@@ -580,7 +574,8 @@ def _load(numbered) -> TemporalGraph:
             if type(name) is not str:
                 name = _require_str(name, "name", lineno)
             t = slot[type(t), t]
-            # a finite float of an attribute already numeric passes every check below
+            # a finite float of an attribute already numeric passes every check below;
+            # ``is`` holds, since every kind in attr_kinds is one of _value_kind's constants
             if (type(value) is not float or attr_kinds.get(name) is not numeric
                     or not isfinite(value)):
                 value = _require(value, "value", lineno)
@@ -589,8 +584,7 @@ def _load(numbered) -> TemporalGraph:
                 if declared != kind:
                     raise TgqError(
                         SCHEMA_ERROR,
-                        f"line {lineno}: attribute '{name}' is {declared.value} "
-                        f"but got a {kind.value} value",
+                        f"line {lineno}: attribute '{name}' is {declared} but got a {kind} value",
                         line=lineno,
                     )
                 if kind == numeric:
@@ -731,7 +725,7 @@ def _load(numbered) -> TemporalGraph:
             if r.id not in tables[r.kind]:
                 raise TgqError(
                     CONSISTENCY_ERROR,
-                    f"line {lineno}: subset '{name}' references unknown {r.kind.value} '{r.id}'",
+                    f"line {lineno}: subset '{name}' references unknown {r.kind} '{r.id}'",
                     line=lineno,
                 )
         subsets[name] = GraphSubset(name, tuple(refs))
@@ -745,7 +739,7 @@ def _load(numbered) -> TemporalGraph:
             if ref.id not in tables[ref.kind]:
                 raise TgqError(
                     CONSISTENCY_ERROR,
-                    f"line {lineno}: attribute on unknown {ref.kind.value} '{ref.id}'",
+                    f"line {lineno}: attribute on unknown {ref.kind} '{ref.id}'",
                     line=lineno,
                 )
             if ref.kind == ElemKind.OBJECT:  # alive wherever a member node is
@@ -850,7 +844,7 @@ def _csv_records(text: str):
 # ---------------------------------------------------------------------------
 
 
-def _sorted_values(graph: TemporalGraph, kind: ElemKind, attr: str, cfg: Config, t: int) -> tuple:
+def _sorted_values(graph: TemporalGraph, kind: str, attr: str, cfg: Config, t: int) -> tuple:
     """``TemporalGraph.sorted_at``, built from the columns."""
     graph.attr_kind(attr)
     graph.check_time(t)
@@ -903,7 +897,7 @@ def _merge_intervals(intervals):
     return tuple(merged)
 
 
-def _aggregate(slots: list, kind: AttrKind):
+def _aggregate(slots: list, kind: str):
     """Mean of the values among ``slots`` that are not None when numeric,
     else their mode with a deterministic tie-break (lexicographic; False <
     True); None when there is no value."""
@@ -928,7 +922,7 @@ def _first_uncovered(intervals, t: int) -> int:
     return t
 
 
-def _value_kind(value, lineno: int) -> AttrKind:
+def _value_kind(value, lineno: int) -> str:
     if isinstance(value, bool):
         return AttrKind.BOOLEAN
     if isinstance(value, (int, float)):

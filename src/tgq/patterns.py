@@ -430,7 +430,7 @@ def window_candidates(graph: TemporalGraph, cfg: Config, refs: list, attr: str,
     return [refs[i] for i in sorted(order[bisect_right(ms, window.end):])]
 
 
-def start_index(graph: TemporalGraph, kind: ElemKind, attr: str, cfg: Config,
+def start_index(graph: TemporalGraph, kind: str, attr: str, cfg: Config,
                 s: int, j: int) -> tuple:
     """``(ms, order)`` for the elements of one kind (``graph.all_refs``) and
     a start s, from their cached run indexes: ``order`` lists their
@@ -542,7 +542,7 @@ def distribution(
     return classify_distribution(values, cfg)
 
 
-def _whole_kind(graph: TemporalGraph, members) -> Optional[ElemKind]:
+def _whole_kind(graph: TemporalGraph, members) -> Optional[str]:
     """The kind whose every element ``members`` lists, in ``all_refs``
     order: a node or an edge; else None."""
     kind = members[0].kind if members else None

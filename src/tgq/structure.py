@@ -281,13 +281,12 @@ class _Connectivity:
         """Per t of ``times``, the set of index pairs ``(i, j)`` of ``refs`` connected at t."""
         graph, ordered, last = self.graph, self.spec.direction != "any", len(refs) - 1
         graph.check_time(*times)
-        node, edge = ElemKind.NODE, ElemKind.EDGE  # looked up once: refs may be many
         owners: dict = {}  # node id -> indices of the members standing for it
         edges = []  # indices of the edge members, which raise once read
         for i, ref in enumerate(refs):
-            if ref.kind is node:
+            if ref.kind == ElemKind.NODE:
                 owners.setdefault(ref.id, []).append(i)
-            elif ref.kind is edge:
+            elif ref.kind == ElemKind.EDGE:
                 edges.append(i)
             else:
                 for n in graph.object_members(ref.id).nodes:

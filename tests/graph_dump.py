@@ -41,9 +41,9 @@ def dump(graph) -> str:
     for name in sorted(graph.subsets):
         lines.append({"type": "subset", "name": name,
                       "members": [str(m) for m in graph.subsets[name].members]})
-    for (kind, ident, attr) in sorted(graph.attrs, key=lambda k: (k[0].value, k[1], k[2])):
+    for (kind, ident, attr) in sorted(graph.attrs):
         for t, value in graph.attrs[(kind, ident, attr)]:
-            lines.append({"type": "attr", "elem": f"{kind.value}:{ident}", "name": attr,
+            lines.append({"type": "attr", "elem": f"{kind}:{ident}", "name": attr,
                           "t": graph.label_of(t), "value": value})
     for name in sorted(graph.external_series):
         for t in sorted(graph.external_series[name]):

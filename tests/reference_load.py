@@ -156,8 +156,8 @@ def reference_load(numbered) -> TemporalGraph:
             if declared != kind:
                 raise TgqError(
                     SCHEMA_ERROR,
-                    f"line {lineno}: attribute '{name}' is {declared.value} "
-                    f"but got a {kind.value} value",
+                    f"line {lineno}: attribute '{name}' is {declared} "
+                    f"but got a {kind} value",
                     line=lineno,
                 )
             if kind == AttrKind.NUMERIC:
@@ -242,11 +242,11 @@ def reference_load(numbered) -> TemporalGraph:
                 f"line {lineno}: subset '{name}' mixes element kinds", line=lineno,
             )
         for r in refs:
-            table = {"node": nodes, "edge": edges, "object": resolved_objects}[r.kind.value]
+            table = {"node": nodes, "edge": edges, "object": resolved_objects}[r.kind]
             if r.id not in table:
                 raise TgqError(
                     CONSISTENCY_ERROR,
-                    f"line {lineno}: subset '{name}' references unknown {r.kind.value} '{r.id}'",
+                    f"line {lineno}: subset '{name}' references unknown {r.kind} '{r.id}'",
                     line=lineno,
                 )
         subsets[name] = GraphSubset(name, tuple(refs))

@@ -401,7 +401,7 @@ class TestTryValue:
         cfg = Config(carry_forward_default=carry)
         hits = misses = 0
         for g in _small_graphs():
-            refs = g.all_refs(kinds=tuple(ElemKind))
+            refs = g.all_refs(kinds=(ElemKind.NODE, ElemKind.EDGE, ElemKind.OBJECT))
             for attr in g.attr_kinds:
                 for t in range(g.n_times):
                     for ref in refs:
@@ -502,7 +502,7 @@ class TestAllRefs:
             want = ([node_ref(n) for n in sorted(g.nodes)]
                     + [edge_ref(e) for e in sorted(g.edges)]
                     + [object_ref(o) for o in sorted(g.objects)])
-            assert g.all_refs(kinds=tuple(ElemKind)) == want
+            assert g.all_refs(kinds=(ElemKind.NODE, ElemKind.EDGE, ElemKind.OBJECT)) == want
             assert g.all_refs() == want[:len(g.nodes) + len(g.edges)]
             assert g.all_refs((ElemKind.OBJECT, ElemKind.NODE)) == (
                 want[:len(g.nodes)] + want[len(g.nodes) + len(g.edges):])

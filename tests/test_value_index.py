@@ -197,7 +197,7 @@ def test_find_matches_the_scan(graphs, seed, cfg_name):
 
 def sorted_indexes(graph) -> list:
     """(kind, attr, carry, t) of every ``sorted_at`` index built on ``graph``."""
-    return sorted((key[0].value, key[1], key[2], key[4]) for key in graph._columns
+    return sorted((key[0], key[1], key[2], key[4]) for key in graph._columns
                   if len(key) == 5 and key[3] is _sorted_values)
 
 
