@@ -28,6 +28,7 @@ from tgq.dsl.planner import run_query
 from tgq.errors import TgqError
 from tgq.graph import TemporalGraph, load, load_path
 
+from answer_batches import bound_names
 from randsuite import random_graph
 
 CORPUS = Path(__file__).parent / "data" / "corpus_graph.jsonl"
@@ -117,10 +118,8 @@ def test_byte_mutations_load_or_fail_cleanly(tmp_path, suffix):
 
 def bind(monkeypatch, graph):
     """Point the random query generator at the graph's own names."""
-    nodes = sorted(graph.nodes)
-    monkeypatch.setattr(test_dsl, "NODE_IDS", nodes[:3] + nodes[-2:])
-    monkeypatch.setattr(test_dsl, "ATTRS", sorted(graph.attr_kinds) + ["nope"])
-    monkeypatch.setattr(test_dsl, "SUBSETS", sorted(graph.subsets) or ["S1"])
+    for name, value in bound_names(graph).items():
+        monkeypatch.setattr(test_dsl, name, value)
 
 
 def run_random_queries(graph, count: int, seed: int):

@@ -15,7 +15,8 @@ from tgq.errors import (
     VALIDATION_ERROR,
 )
 from tgq.graph import (
-    ElemKind, GraphElementRef, TimeInterval, _covered, _merge_intervals, edge_ref, load, load_path, node_ref, object_ref,
+    ElemKind, GraphElementRef, TimeInterval, _covered, _merge_intervals, edge_ref, load,
+    load_path, node_ref, object_ref,
 )
 
 from conftest import jl

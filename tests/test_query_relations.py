@@ -12,9 +12,10 @@ runs the same batches in two processes.
 
 import pytest
 
-from answer_batches import answer, batches
 from tgq.dsl import parse
 from tgq.errors import TgqError
+
+from answer_batches import answer, batches
 
 BATCHES = batches()
 
